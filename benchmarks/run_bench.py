@@ -81,7 +81,6 @@ def _pipeline(
     seed_style: bool,
     include_r2: bool = True,
     repeats: int = 2,
-    workers: int = 1,
 ) -> dict:
     """Time one end-to-end selection pipeline configuration.
 
@@ -90,15 +89,13 @@ def _pipeline(
     """
     best = None
     for _ in range(max(1, repeats)):
-        timings = _pipeline_once(n_dims, seed_style, include_r2, workers)
+        timings = _pipeline_once(n_dims, seed_style, include_r2)
         if best is None or timings["total"] < best["total"]:
             best = timings
     return best
 
 
-def _pipeline_once(
-    n_dims: int, seed_style: bool, include_r2: bool, workers: int = 1
-) -> dict:
+def _pipeline_once(n_dims: int, seed_style: bool, include_r2: bool) -> dict:
     from repro.algorithms.rgreedy import RGreedy
     from repro.core.benefit import BenefitEngine
     from repro.core.qvgraph import QueryViewGraph
@@ -118,24 +115,16 @@ def _pipeline_once(
     space = budget_of(engine)
     lazy = False if seed_style else None
     t0 = time.perf_counter()
-    r1 = RGreedy(1, lazy=lazy, workers=workers).run(engine, space)
+    r1 = RGreedy(1, lazy=lazy).run(engine, space)
     timings["rgreedy1"] = time.perf_counter() - t0
     if include_r2:
         t0 = time.perf_counter()
-        RGreedy(2, lazy=lazy, workers=workers).run(engine, space)
+        RGreedy(2, lazy=lazy).run(engine, space)
         timings["rgreedy2"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
     timings["backend"] = engine.backend
-    timings["workers"] = workers
     timings["n_selected_r1"] = len(r1.selected)
     return timings
-
-
-#: Worker counts measured for the d=6 parallel sweep (1 = the serial
-#: reference ``d6_current``).  Speedups are only meaningful on machines
-#: with that many physical cores — ``meta.cpu_count`` records what this
-#: run actually had, and the gate never fires on the parallel entries.
-WORKERS_SWEEP = (1, 2, 4)
 
 
 def measure_pipelines(skip_d7: bool) -> dict:
@@ -147,26 +136,11 @@ def measure_pipelines(skip_d7: bool) -> dict:
     out["d5_speedup"] = (
         out["d5_seed_style"]["total"] / out["d5_current"]["total"]
     )
-    for workers in WORKERS_SWEEP:
-        if workers == 1:
-            continue  # the serial reference is d6_current itself
-        out[f"d6_current_w{workers}"] = _pipeline(
-            6, seed_style=False, repeats=1, workers=workers
-        )
-    out["d6_workers_speedup"] = {
-        str(workers): (
-            out["d6_current"]["total"]
-            / out[f"d6_current_w{workers}"]["total"]
-        )
-        for workers in WORKERS_SWEEP
-        if workers != 1
-    }
     if not skip_d7:
         # d=7 is the scale target: the dense seed path cannot build it at
         # all (MemoryError past the allocation limit), so only the current
-        # configuration is measured.  The 2-greedy leg (~900 stages over
-        # ~13.8k structures) is the committed scale baseline for the
-        # parallel evaluator's speedup target.
+        # configuration is measured, including the 2-greedy leg (~900
+        # stages over ~13.8k structures).
         out["d7_current"] = _pipeline(
             7, seed_style=False, include_r2=True, repeats=1
         )
@@ -767,12 +741,6 @@ def gate(current: dict, baseline: dict) -> list:
     for config, timings in current.get("pipelines", {}).items():
         if not isinstance(timings, dict):
             continue
-        if timings.get("workers", 1) > 1:
-            # parallel sweep entries are informational: their wall-clock
-            # depends on the machine's core count (a 1-core runner pays
-            # pure pool overhead), so gating them would punish hardware,
-            # not code
-            continue
         then = base_pipes.get(config)
         if isinstance(then, dict) and "total" in then:
             check(f"pipeline:{config}", timings["total"], then["total"])
@@ -782,7 +750,11 @@ def gate(current: dict, baseline: dict) -> list:
         if not isinstance(timings, dict):
             continue
         if timings.get("workers", 1) > 1:
-            continue  # same cpu-aware rule as the workers sweep
+            # multi-worker legs are informational: their wall-clock
+            # depends on the machine's core count (a 1-core runner pays
+            # pure thread overhead), so gating them would punish
+            # hardware, not code
+            continue
         then = base_serving.get(config)
         if isinstance(then, dict) and "seconds" in then:
             check(f"serving:{config}", timings["seconds"], then["seconds"])
@@ -882,7 +854,6 @@ def main(argv=None) -> int:
                 "regression_factor": REGRESSION_FACTOR,
                 "python": sys.version.split()[0],
                 "cpu_count": os.cpu_count(),
-                "workers_sweep": list(WORKERS_SWEEP),
             },
         }
     meta = result.setdefault("meta", {})
@@ -917,15 +888,7 @@ def main(argv=None) -> int:
     print(f"d=5 end-to-end: seed-style {result['pipelines']['d5_seed_style']['total']:.3f}s"
           f" -> current {result['pipelines']['d5_current']['total']:.3f}s"
           f" ({speedup:.2f}x)")
-    serial_d6 = result["pipelines"]["d6_current"]["total"]
-    for workers, ratio in sorted(
-        result["pipelines"]["d6_workers_speedup"].items(), key=lambda i: int(i[0])
-    ):
-        wall = result["pipelines"][f"d6_current_w{workers}"]["total"]
-        print(
-            f"d=6 workers={workers}: {wall:.3f}s vs serial {serial_d6:.3f}s "
-            f"({ratio:.2f}x on {os.cpu_count()} core(s))"
-        )
+    print(f"d=6 end-to-end: {result['pipelines']['d6_current']['total']:.3f}s")
     if "d7_current" in result["pipelines"]:
         d7 = result["pipelines"]["d7_current"]
         legs = "+2-greedy" if "rgreedy2" in d7 else ""

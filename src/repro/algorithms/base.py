@@ -24,7 +24,7 @@ import abc
 import math
 from typing import Optional, Sequence, Union
 
-from repro.core.benefit import BenefitEngine
+from repro.core.benefit import RATIO_RTOL, BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.core.selection import SelectionResult, Stage, make_result
 from repro.runtime.checkpoint import CheckpointError, StageRecord
@@ -52,16 +52,16 @@ def as_engine(graph: GraphLike) -> BenefitEngine:
     )
 
 
-def resolve_lazy(lazy, engine: BenefitEngine) -> bool:
-    """Resolve an algorithm's ``lazy`` parameter against the engine.
+def resolve_lazy(lazy) -> bool:
+    """Resolve an algorithm's ``lazy`` parameter.
 
-    ``None`` (or ``"auto"``) defers to the engine: the sparse backend
-    prefers the lazy stage loops (maintained single-benefit cache), the
-    dense backend keeps the eager full-scan loops.  Lazy and eager loops
-    are cross-checked to produce identical selections.
+    ``None`` (or ``"auto"``) runs the lazy stage loops (maintained
+    single-benefit cache) on every backend; ``False`` forces the eager
+    full-scan loops.  Lazy and eager loops are cross-checked to produce
+    identical selections.
     """
     if lazy is None or lazy == "auto":
-        return bool(engine.prefers_lazy)
+        return True
     return bool(lazy)
 
 
@@ -93,6 +93,46 @@ def apply_seed(engine: BenefitEngine, seed) -> list:
     if ids:
         engine.commit(ids)
     return ids
+
+
+class ChainSink:
+    """The canonical greedy incumbent chain.
+
+    Stage scans offer candidates ``(ids, benefit, space)`` in a
+    deterministic order; the incumbent is displaced only by a ratio
+    strictly greater than ``incumbent · (1 + RATIO_RTOL)``, so the first
+    candidate found at a strictly better ratio wins.  Also exposes the
+    pruning interface the subset searches use (:attr:`prune_ratio`,
+    :meth:`can_displace`).
+    """
+
+    __slots__ = ("ratio", "benefit", "space", "ids")
+
+    def __init__(self) -> None:
+        self.ratio = 0.0
+        self.benefit = 0.0
+        self.space = 0.0
+        self.ids: Optional[tuple] = None
+
+    def offer(self, ids: tuple, benefit: float, space: float) -> None:
+        if benefit <= 0.0 or space <= 0.0:
+            return
+        ratio = benefit / space
+        if self.ids is None or ratio > self.ratio * (1 + RATIO_RTOL):
+            self.ratio = ratio
+            self.benefit = benefit
+            self.space = space
+            self.ids = ids
+
+    @property
+    def prune_ratio(self) -> float:
+        """Ratios at or below this provably cannot displace the incumbent."""
+        return self.ratio * (1 + RATIO_RTOL)
+
+    def can_displace(self, ub_benefit: float, ub_space: float) -> bool:
+        """Whether a candidate bounded by ``ub_benefit / ub_space`` could
+        still displace the incumbent (the subset-search prune test)."""
+        return ub_benefit > self.ratio * ub_space * (1 + RATIO_RTOL)
 
 
 class StageTracker:
@@ -127,20 +167,11 @@ class StageTracker:
         self.scope = scope if scope is not None else type(algorithm).__name__
         self.stages: list = []
         self.picked: list = []
-        self.evaluator = None
         # running space total, mirrored into each checkpoint so the
         # boundary need not re-sum the engine's selection every stage
         self._space_total = float(engine.space_used())
         if context is not None:
             context.bind(algorithm, engine, space)
-
-    def set_evaluator(self, evaluator) -> None:
-        """Attach the run's stage evaluator: commits get reported to it
-        (so a parallel evaluator can track stale singles), and the run
-        context learns about it (so stop paths drain the pool)."""
-        self.evaluator = evaluator
-        if self.context is not None:
-            self.context.register_evaluator(evaluator)
 
     # ---------------------------------------------------------------- seed
 
@@ -188,7 +219,7 @@ class StageTracker:
         """
         engine = self.engine
         ids = [int(i) for i in ids]
-        benefit = self._hooked_commit(lambda: engine.commit(ids))
+        benefit = engine.commit(ids)
         names = tuple(engine.name_of(i) for i in ids)
         if stage_space is None:
             stage_space = engine.space_of(ids)
@@ -216,9 +247,7 @@ class StageTracker:
         if record is None:
             return None
         engine = self.engine
-        benefit = self._hooked_commit(
-            lambda: engine.replay_commit(record.structures)
-        )
+        benefit = engine.replay_commit(record.structures)
         tolerance = self.REPLAY_RTOL * max(1.0, abs(record.benefit))
         if abs(benefit - record.benefit) > tolerance:
             raise CheckpointError(
@@ -271,17 +300,6 @@ class StageTracker:
         return stop
 
     # ------------------------------------------------------------ internals
-
-    def _hooked_commit(self, commit_fn):
-        """Run a commit, reporting the pre-commit best-cost vector to the
-        evaluator when it asked for it (serial evaluators never do)."""
-        evaluator = self.evaluator
-        if evaluator is None or not evaluator.wants_commit_hook:
-            return commit_fn()
-        old_best = self.engine._best.copy()
-        benefit = commit_fn()
-        evaluator.note_commit(self.engine, old_best)
-        return benefit
 
     def _notify(self, stage: Stage, scope: str) -> None:
         if self.context is None:

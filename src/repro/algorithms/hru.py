@@ -28,17 +28,14 @@ from repro.algorithms.base import (
     resolve_lazy,
 )
 from repro.core.selection import SelectionResult
-from repro.parallel import make_evaluator
 
 
 class HRUGreedy(SelectionAlgorithm):
     """Greedy selection over views only ([HRU96]).
 
-    ``lazy=None`` (default) follows the engine: the sparse backend uses
-    the incrementally maintained single-benefit cache per stage, the dense
-    backend the eager full scan.  Both select the same views.  ``workers``
-    parallelises the per-stage scan (see :mod:`repro.parallel`) without
-    changing the selection.
+    ``lazy=None`` (default) reads the incrementally maintained
+    single-benefit cache per stage on either backend; ``lazy=False``
+    forces the eager full scan.  Both select the same views.
     """
 
     name = "HRU greedy (views only)"
@@ -47,16 +44,14 @@ class HRUGreedy(SelectionAlgorithm):
         self,
         fit: str = FIT_STRICT,
         lazy: Optional[bool] = None,
-        workers: Optional[int] = None,
     ):
         self.fit = check_fit(fit)
         self.lazy = lazy
-        self.workers = workers
 
     def config(self) -> dict:
         return {
             "class": "HRUGreedy",
-            "params": {"fit": self.fit, "lazy": self.lazy, "workers": self.workers},
+            "params": {"fit": self.fit, "lazy": self.lazy},
         }
 
     def run(
@@ -65,40 +60,29 @@ class HRUGreedy(SelectionAlgorithm):
         space: float,
         seed=(),
         context: Optional[RunContext] = None,
-        evaluator=None,
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy, engine)
+        lazy = resolve_lazy(self.lazy)
         strict = self.fit == FIT_STRICT
         tracker = StageTracker(self, engine, space, context)
-        # TwoStep passes its own evaluator so both steps share one pool;
-        # a shared evaluator is also not ours to close
-        owns_evaluator = evaluator is None
-        if owns_evaluator:
-            evaluator = make_evaluator(engine, self.workers)
-        tracker.set_evaluator(evaluator)
         try:
             tracker.apply_seed(seed)
-            self._stage_loop(engine, space, strict, lazy, tracker, evaluator)
+            self._stage_loop(engine, space, strict, lazy, tracker)
         except RuntimeStop as stop:
             raise tracker.interrupted(stop)
-        finally:
-            if owns_evaluator:
-                evaluator.close()
         return tracker.finish()
 
-    def _stage_loop(self, engine, space, strict, lazy, tracker, evaluator) -> None:
+    def _stage_loop(self, engine, space, strict, lazy, tracker) -> None:
         view_ids = engine.view_ids()
         while engine.space_used() < space - SPACE_EPS:
             if tracker.replay_stage() is not None:
                 continue
             space_left = space - engine.space_used()
             # one best-single pass over the views: same candidate order,
-            # filters, and tie-break whether the evaluator runs it on the
-            # maintained cache, an eager scan, or sharded across workers
-            pick = evaluator.single_stage(
-                engine, view_ids, space_left if strict else None, lazy
+            # filters, and tie-break on the maintained cache or an eager scan
+            pick = engine.best_single(
+                view_ids, space_left=space_left if strict else None, lazy=lazy
             )
             if pick is None:
                 break

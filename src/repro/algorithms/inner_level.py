@@ -35,6 +35,7 @@ from repro.algorithms.base import (
     FIT_PAPER,
     FIT_STRICT,
     SPACE_EPS,
+    ChainSink,
     GraphLike,
     RunContext,
     RuntimeStop,
@@ -47,7 +48,6 @@ from repro.algorithms.base import (
 )
 from repro.core.benefit import BenefitEngine
 from repro.core.selection import SelectionResult
-from repro.parallel import ChainSink, make_evaluator
 
 IG_SPACE = "space"
 IG_PEAK = "peak"
@@ -56,9 +56,9 @@ IG_PEAK = "peak"
 class InnerLevelGreedy(SelectionAlgorithm):
     """Inner-level greedy selection of views and indexes.
 
-    ``lazy=None`` (default) follows the engine: on the sparse backend the
-    maintained single-benefit cache supplies an upper bound on every
-    view's inner-greedy ratio (a set's benefit/space never exceeds the
+    ``lazy=None`` (default) runs lazy on either backend: the maintained
+    single-benefit cache supplies an upper bound on every view's
+    inner-greedy ratio (a set's benefit/space never exceeds the
     best of its members' standalone ratios), so views that cannot displace
     the stage incumbent skip the inner greedy entirely.  Candidate order
     and tie-break match the eager loop, so selections are identical.
@@ -71,14 +71,12 @@ class InnerLevelGreedy(SelectionAlgorithm):
         fit: str = FIT_PAPER,
         ig_rule: str = IG_SPACE,
         lazy: Optional[bool] = None,
-        workers: Optional[int] = None,
     ):
         self.fit = check_fit(fit)
         if ig_rule not in (IG_SPACE, IG_PEAK):
             raise ValueError(f"ig_rule must be 'space' or 'peak', got {ig_rule!r}")
         self.ig_rule = ig_rule
         self.lazy = lazy
-        self.workers = workers
 
     def config(self) -> dict:
         return {
@@ -87,7 +85,6 @@ class InnerLevelGreedy(SelectionAlgorithm):
                 "fit": self.fit,
                 "ig_rule": self.ig_rule,
                 "lazy": self.lazy,
-                "workers": self.workers,
             },
         }
 
@@ -100,24 +97,20 @@ class InnerLevelGreedy(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy, engine)
+        lazy = resolve_lazy(self.lazy)
         tracker = StageTracker(self, engine, space, context)
-        evaluator = make_evaluator(engine, self.workers)
-        tracker.set_evaluator(evaluator)
         try:
             tracker.apply_seed(seed)
             while engine.space_used() < space - SPACE_EPS:
                 if tracker.replay_stage() is not None:
                     continue
-                candidate = evaluator.inner_stage(self, engine, space, lazy)
+                candidate = self._best_stage(engine, space, lazy)
                 if candidate is None:
                     break
                 ids, cand_space = candidate
                 tracker.commit_stage(ids, stage_space=cand_space)
         except RuntimeStop as stop:
             raise tracker.interrupted(stop)
-        finally:
-            evaluator.close()
         return tracker.finish()
 
     # ------------------------------------------------------------ internals
@@ -149,9 +142,7 @@ class InnerLevelGreedy(SelectionAlgorithm):
     def _scan_phase1(
         self, engine, view_ids, sink, singles, space_left, ig_cap, strict
     ) -> None:
-        """Phase 1 over ``view_ids``: per-view inner greedy.  Shared by
-        the serial stage (sink = incumbent chain) and pool workers (sink
-        = recorder over the worker's shard of the view order); ``singles``
+        """Phase 1 over ``view_ids``: per-view inner greedy.  ``singles``
         is the maintained cache, or ``None`` to disable the lazy prune."""
         best_vec = engine.best_costs
         freq = engine.frequencies

@@ -53,7 +53,7 @@ class LocalSearchRefiner:
     max_rounds:
         Maximum improvement rounds (each round scans all moves once).
     lazy:
-        ``None`` (default) follows the engine backend.  When lazy, the
+        ``None`` (default) and ``True`` run lazy on either backend: the
         add-move scan consults the maintained single-benefit cache and
         only evaluates structures whose cached benefit is positive — a
         structure with zero cached benefit has exactly zero marginal
@@ -96,7 +96,7 @@ class LocalSearchRefiner:
         """
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy, engine)
+        lazy = resolve_lazy(self.lazy)
         current: Set[int] = {engine.structure_id(name) for name in selection}
         protected_ids = {engine.structure_id(name) for name in protected}
         missing = protected_ids - current
@@ -343,10 +343,6 @@ class LocalSearchRefiner:
         seed_names = [
             engine.name_of(i) for i in self._view_first_order(engine, base)
         ]
-        # always serial: local search restores engine state mid-run, which
-        # a live pool's shared state snapshot would not follow
-        result = RGreedy(2, fit="strict", workers=1).run(
-            engine, space, seed=seed_names
-        )
+        result = RGreedy(2, fit="strict").run(engine, space, seed=seed_names)
         selection = {engine.structure_id(name) for name in result.selected}
         return selection, result.benefit

@@ -21,12 +21,13 @@ drops the big, hot-to-maintain structures first.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.algorithms.base import (
     SPACE_EPS,
+    ChainSink,
     GraphLike,
     RunContext,
     RuntimeStop,
@@ -37,7 +38,6 @@ from repro.algorithms.base import (
 )
 from repro.core.benefit import BenefitEngine
 from repro.core.selection import SelectionResult
-from repro.parallel import ChainSink, make_evaluator
 
 
 def structure_update_costs(engine, delta_rows: float) -> np.ndarray:
@@ -75,7 +75,6 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
         self,
         update_weight: float = 0.0,
         delta_rows: float = 1000.0,
-        workers: Optional[int] = None,
     ):
         if update_weight < 0:
             raise ValueError("update_weight must be >= 0")
@@ -83,7 +82,6 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
             raise ValueError("delta_rows must be >= 0")
         self.update_weight = float(update_weight)
         self.delta_rows = float(delta_rows)
-        self.workers = workers
         self.name = f"maintenance-aware greedy (λ={self.update_weight:g})"
 
     def config(self) -> dict:
@@ -92,7 +90,6 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
             "params": {
                 "update_weight": self.update_weight,
                 "delta_rows": self.delta_rows,
-                "workers": self.workers,
             },
         }
 
@@ -107,24 +104,18 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
         engine = as_engine(graph)
         update_costs = structure_update_costs(engine, self.delta_rows)
         tracker = StageTracker(self, engine, space, context)
-        evaluator = make_evaluator(engine, self.workers)
-        tracker.set_evaluator(evaluator)
         try:
             tracker.apply_seed(seed)
             while engine.space_used() < space - SPACE_EPS:
                 if tracker.replay_stage() is not None:
                     continue
-                candidate = evaluator.maintenance_stage(
-                    self, engine, space, update_costs
-                )
+                candidate = self._best_stage(engine, space, update_costs)
                 if candidate is None:
                     break
                 ids, cand_space = candidate
                 tracker.commit_stage(ids, stage_space=cand_space)
         except RuntimeStop as stop:
             raise tracker.interrupted(stop)
-        finally:
-            evaluator.close()
         return tracker.finish()
 
     # ------------------------------------------------------------ internals
@@ -144,8 +135,7 @@ class MaintenanceAwareGreedy(SelectionAlgorithm):
         self, engine, view_ids, sink, space_left, update_costs, singles
     ) -> None:
         """Offer every candidate (with its *net* benefit) rooted at
-        ``view_ids`` to ``sink``, in the canonical view-major order —
-        shared by the serial stage and the pool workers."""
+        ``view_ids`` to ``sink``, in the canonical view-major order."""
         selected = engine.selected_mask
 
         def offer(ids, benefit):

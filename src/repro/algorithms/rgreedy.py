@@ -22,8 +22,8 @@ changing the result:
 * the inner subset search prunes with a submodularity-based upper bound
   (sound: individual index gains computed against the stage's base state
   dominate any later marginal gain);
-* in lazy mode (``lazy=True``, or the engine's default for the sparse
-  backend) per-structure benefits come from the engine's incrementally
+* in lazy mode (the default; ``lazy=False`` forces the eager scans)
+  per-structure benefits come from the engine's incrementally
   maintained cache instead of a full re-scan, and a whole view's index
   subtree is skipped when the cached-singles upper bound on any bundle
   ratio cannot displace the stage incumbent.  Candidates are still offered
@@ -40,6 +40,7 @@ import numpy as np
 from repro.algorithms.base import (
     FIT_STRICT,
     SPACE_EPS,
+    ChainSink,
     GraphLike,
     RunContext,
     RuntimeStop,
@@ -52,14 +53,6 @@ from repro.algorithms.base import (
 )
 from repro.core.benefit import BenefitEngine
 from repro.core.selection import SelectionResult
-from repro.parallel import ChainSink, make_evaluator
-
-#: The stage incumbent chain (deterministic tie-breaking: first candidate
-#: found at a strictly better ratio wins).  The scan methods below take
-#: any sink with the same ``offer``/``prune_ratio``/``can_displace``
-#: surface — parallel workers substitute a
-#: :class:`~repro.parallel.sinks.RecorderSink`.
-_Candidate = ChainSink
 
 
 class RGreedy(SelectionAlgorithm):
@@ -73,16 +66,9 @@ class RGreedy(SelectionAlgorithm):
         ``"paper"`` or ``"strict"`` space semantics (see
         :mod:`repro.algorithms.base`).
     lazy:
-        ``None`` (default) follows the engine — lazy on the sparse
-        backend, eager on the dense one.  ``True``/``False`` force the
-        maintained-cache or full-rescan stage loop.  Both produce the
-        same selection.
-    workers:
-        Stage-evaluation parallelism (see :mod:`repro.parallel`):
-        ``None`` defers to ``REPRO_WORKERS`` (unset = serial), ``1`` is
-        serial, ``0`` auto-sizes to the machine (falling back to serial
-        on small problems), ``N >= 2`` forces a pool.  Parallel runs
-        select bit-identical structures.
+        ``None`` (default) and ``True`` run the maintained-cache stage
+        loop on either backend; ``False`` forces the full-rescan loop.
+        Both produce the same selection.
     """
 
     def __init__(
@@ -90,25 +76,18 @@ class RGreedy(SelectionAlgorithm):
         r: int = 1,
         fit: str = FIT_STRICT,
         lazy: Optional[bool] = None,
-        workers: Optional[int] = None,
     ):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
         self.r = int(r)
         self.fit = check_fit(fit)
         self.lazy = lazy
-        self.workers = workers
         self.name = f"{self.r}-greedy"
 
     def config(self) -> dict:
         return {
             "class": "RGreedy",
-            "params": {
-                "r": self.r,
-                "fit": self.fit,
-                "lazy": self.lazy,
-                "workers": self.workers,
-            },
+            "params": {"r": self.r, "fit": self.fit, "lazy": self.lazy},
         }
 
     def run(
@@ -120,31 +99,27 @@ class RGreedy(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy, engine)
+        lazy = resolve_lazy(self.lazy)
         tracker = StageTracker(self, engine, space, context)
-        evaluator = make_evaluator(engine, self.workers)
-        tracker.set_evaluator(evaluator)
         try:
             tracker.apply_seed(seed)
             while engine.space_used() < space - SPACE_EPS:
                 if tracker.replay_stage() is not None:
                     continue
-                candidate = evaluator.rgreedy_stage(self, engine, space, lazy)
+                candidate = self._best_stage(engine, space, lazy)
                 if candidate.ids is None:
                     break
                 tracker.commit_stage(candidate.ids, stage_space=candidate.space)
         except RuntimeStop as stop:
             raise tracker.interrupted(stop)
-        finally:
-            evaluator.close()
         return tracker.finish()
 
     # ------------------------------------------------------------ internals
 
     def _best_stage(
         self, engine: BenefitEngine, space: float, lazy: bool
-    ) -> _Candidate:
-        best = _Candidate()
+    ) -> ChainSink:
+        best = ChainSink()
         space_left = space - engine.space_used()
         strict = self.fit == FIT_STRICT
 
@@ -181,14 +156,8 @@ class RGreedy(SelectionAlgorithm):
         strict: bool,
         lazy: bool,
     ) -> None:
-        """Offer every candidate bundle rooted at ``view_ids`` to ``best``.
-
-        The one scan implementation serial and parallel runs share:
-        ``engine`` is either the real :class:`BenefitEngine` or a
-        worker's shared-memory view, ``best`` either the serial incumbent
-        chain or a worker's recorder.  Offers happen in the canonical
-        view-major order restricted to ``view_ids``.
-        """
+        """Offer every candidate bundle rooted at ``view_ids`` to ``best``,
+        in the canonical view-major order."""
 
         def fits(candidate_space: float) -> bool:
             return not strict or candidate_space <= space_left + SPACE_EPS
@@ -312,9 +281,8 @@ class RGreedy(SelectionAlgorithm):
         candidates = unselected_idx[singles[unselected_idx] > 0.0]
         if candidates.size == 0:
             return
-        # individual gains over the view-scan baseline; branch on the
-        # kernel actually in use (not the backend) so a dense engine
-        # routed through CSR for worker parity takes the CSR pass too
+        # individual gains over the view-scan baseline: one batched CSR
+        # pass on the sparse backend, a dense per-row loop otherwise
         if engine.uses_csr_kernels:
             gain_values = engine.gains_for(candidates, base)
             gains = [

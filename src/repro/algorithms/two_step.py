@@ -31,7 +31,6 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.hru import HRUGreedy
 from repro.core.selection import SelectionResult
-from repro.parallel import make_evaluator
 
 
 class TwoStep(SelectionAlgorithm):
@@ -51,9 +50,9 @@ class TwoStep(SelectionAlgorithm):
         a mildly smarter variant that still cannot redeem a bad split
         (tests demonstrate both).
     lazy:
-        ``None`` (default) follows the engine backend; both step loops use
-        the maintained single-benefit cache when lazy.  Selections are
-        identical either way.
+        ``None`` (default) and ``True`` run both step loops on the
+        maintained single-benefit cache; ``False`` forces eager scans.
+        Selections are identical either way.
     """
 
     def __init__(
@@ -62,7 +61,6 @@ class TwoStep(SelectionAlgorithm):
         fit: str = FIT_STRICT,
         index_budget_mode: str = "fraction",
         lazy: Optional[bool] = None,
-        workers: Optional[int] = None,
     ):
         if not 0.0 < view_fraction < 1.0:
             raise ValueError(
@@ -77,7 +75,6 @@ class TwoStep(SelectionAlgorithm):
         self.fit = check_fit(fit)
         self.index_budget_mode = index_budget_mode
         self.lazy = lazy
-        self.workers = workers
         self.name = f"two-step (views {self.view_fraction:.0%})"
 
     def config(self) -> dict:
@@ -88,7 +85,6 @@ class TwoStep(SelectionAlgorithm):
                 "fit": self.fit,
                 "index_budget_mode": self.index_budget_mode,
                 "lazy": self.lazy,
-                "workers": self.workers,
             },
         }
 
@@ -101,50 +97,39 @@ class TwoStep(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy, engine)
+        lazy = resolve_lazy(self.lazy)
         view_budget = space * self.view_fraction
         # bind before delegating so the checkpoint names TwoStep (first
         # bind wins); the index loop's stages carry this tracker's scope,
         # distinct from the HRU step's, so resume replays each loop's own
         # stages only
         tracker = StageTracker(self, engine, space, context, scope="TwoStep.index")
-        # both steps share one evaluator (one pool, one shared-memory
-        # export); the HRU step receives it explicitly and leaves closing
-        # to us
-        evaluator = make_evaluator(engine, self.workers)
-        tracker.set_evaluator(evaluator)
+        # step 1: [HRU96] greedy over views, within the view share.
+        # Running it on the shared engine leaves the chosen views
+        # committed, so the index step below starts from that state.
+        # The seed (typically the top view) counts against the view
+        # share.
+        hru = HRUGreedy(fit=self.fit, lazy=lazy)
         try:
-            # step 1: [HRU96] greedy over views, within the view share.
-            # Running it on the shared engine leaves the chosen views
-            # committed, so the index step below starts from that state.
-            # The seed (typically the top view) counts against the view
-            # share.
-            hru = HRUGreedy(fit=self.fit, lazy=lazy)
-            try:
-                step1 = hru.run(
-                    engine, view_budget, seed=seed, context=context,
-                    evaluator=evaluator,
-                )
-            except RuntimeStop as stop:
-                tracker.adopt(stop.result)
-                raise tracker.interrupted(stop)
-            tracker.adopt(step1)
+            step1 = hru.run(engine, view_budget, seed=seed, context=context)
+        except RuntimeStop as stop:
+            tracker.adopt(stop.result)
+            raise tracker.interrupted(stop)
+        tracker.adopt(step1)
 
-            # step 2: greedy single indexes on the selected views, within
-            # the index share.
-            if self.index_budget_mode == "remaining":
-                index_budget = space - engine.space_used()
-            else:
-                index_budget = space - view_budget
-            try:
-                self._index_loop(engine, index_budget, lazy, tracker, evaluator)
-            except RuntimeStop as stop:
-                raise tracker.interrupted(stop)
-        finally:
-            evaluator.close()
+        # step 2: greedy single indexes on the selected views, within
+        # the index share.
+        if self.index_budget_mode == "remaining":
+            index_budget = space - engine.space_used()
+        else:
+            index_budget = space - view_budget
+        try:
+            self._index_loop(engine, index_budget, lazy, tracker)
+        except RuntimeStop as stop:
+            raise tracker.interrupted(stop)
         return tracker.finish()
 
-    def _index_loop(self, engine, index_budget, lazy, tracker, evaluator) -> None:
+    def _index_loop(self, engine, index_budget, lazy, tracker) -> None:
         index_used = 0.0
         strict = self.fit == FIT_STRICT
 
@@ -166,10 +151,11 @@ class TwoStep(SelectionAlgorithm):
                 continue
             space_left = index_budget - index_used
             # one best-single pass over the candidate indexes: same
-            # candidate order, filters, and tie-break in the lazy, eager,
-            # and parallel evaluators
-            pick = evaluator.single_stage(
-                engine, candidate_indexes, space_left if strict else None, lazy
+            # candidate order, filters, and tie-break lazy or eager
+            pick = engine.best_single(
+                candidate_indexes,
+                space_left=space_left if strict else None,
+                lazy=lazy,
             )
             if pick is None:
                 break

@@ -62,12 +62,12 @@ EXIT_ERROR = 2
 EXIT_INTERRUPTED = 3
 
 ALGORITHMS = {
-    "1greedy": lambda fit, workers: RGreedy(1, fit=fit, workers=workers),
-    "2greedy": lambda fit, workers: RGreedy(2, fit=fit, workers=workers),
-    "3greedy": lambda fit, workers: RGreedy(3, fit=fit, workers=workers),
-    "inner": lambda fit, workers: InnerLevelGreedy(fit=fit, workers=workers),
-    "two-step": lambda fit, workers: TwoStep(0.5, fit=fit, workers=workers),
-    "hru": lambda fit, workers: HRUGreedy(fit=fit, workers=workers),
+    "1greedy": lambda fit: RGreedy(1, fit=fit),
+    "2greedy": lambda fit: RGreedy(2, fit=fit),
+    "3greedy": lambda fit: RGreedy(3, fit=fit),
+    "inner": lambda fit: InnerLevelGreedy(fit=fit),
+    "two-step": lambda fit: TwoStep(0.5, fit=fit),
+    "hru": lambda fit: HRUGreedy(fit=fit),
 }
 
 
@@ -137,15 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write a resumable checkpoint here after every committed "
         "stage (see 'repro resume')",
-    )
-    advise.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel stage evaluation: 0 = auto-size to this machine "
-        "(serial on small problems), N >= 2 forces N workers; default "
-        "follows REPRO_WORKERS (unset = serial).  The selection is "
-        "bit-identical at any worker count",
     )
     advise.add_argument(
         "--prune-log",
@@ -241,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--output", help="write the selection as JSON here")
     resume.add_argument("--deadline", type=float, default=None)
     resume.add_argument("--memory-limit-mb", type=float, default=None)
-    resume.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the worker count for the resumed run (0 = auto); "
-        "checkpoints resume identically at any worker count",
-    )
 
     explain = sub.add_parser(
         "explain", help="explain a saved selection: per-query plans and value"
@@ -308,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0)",
     )
     partition.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads handed to the per-partition advisor",
-    )
-    partition.add_argument(
         "--checkpoint",
         default=None,
         help="advisor checkpoint path (each partition a resumable stage)",
@@ -365,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="serving front-end worker threads (>= 2 runs the "
-            "concurrent front-end; default: serial batched serving); "
-            "also handed to the (re-)advise algorithm",
+            "concurrent front-end; default: serial batched serving)",
         )
         command.add_argument(
             "--batch-size",
@@ -556,12 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ALGORITHMS),
         default="1greedy",
         help="algorithm for the inline advise (default: 1greedy)",
-    )
-    validate_cost.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the inline advise (default: serial)",
     )
     validate_cost.add_argument(
         "--queries",
@@ -774,7 +745,7 @@ def _advise_pruned(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         return code
 
-    algorithm = ALGORITHMS[args.algorithm](args.fit, args.workers)
+    algorithm = ALGORITHMS[args.algorithm](args.fit)
     return _run_with_context(
         algorithm,
         None,
@@ -855,7 +826,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    algorithm = ALGORITHMS[args.algorithm](args.fit, args.workers)
+    algorithm = ALGORITHMS[args.algorithm](args.fit)
     return _run_with_context(algorithm, graph, args.space, seed, args)
 
 
@@ -888,8 +859,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     else:
         graph, __top, __rows = _load_graph(args.lattice, args.index_universe)
     algorithm = algorithm_from_config(checkpoint.algorithm)
-    if args.workers is not None and hasattr(algorithm, "workers"):
-        algorithm.workers = args.workers
     args.resume_from = checkpoint
     print(
         f"resuming {checkpoint.algorithm['class']} from stage "
@@ -970,7 +939,7 @@ def _serving_selection(args: argparse.Namespace, integral_measures: bool = False
                 f"{args.selection}: selection document has no 'selected' list"
             )
     else:
-        algorithm = ALGORITHMS[args.algorithm](FIT_STRICT, args.workers)
+        algorithm = ALGORITHMS[args.algorithm](FIT_STRICT)
         graph = QueryViewGraph.from_cube(lattice)
         selected = algorithm.run(graph, space, seed=(top_label,)).selected
     return schema, fact, model, selected, space, top_label
@@ -997,7 +966,7 @@ def _build_server(args: argparse.Namespace):
     if args.adaptive:
         reselector = AdaptiveReselector(
             lattice,
-            ALGORITHMS[args.algorithm](FIT_STRICT, args.workers),
+            ALGORITHMS[args.algorithm](FIT_STRICT),
             space,
             margin=args.margin if args.margin is not None else 0.05,
             seed=(top_label,),
@@ -1115,7 +1084,7 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
         partitioned, advice, router = plan_divergent(
             lattice,
             counts,
-            ALGORITHMS[args.algorithm](FIT_STRICT, args.workers),
+            ALGORITHMS[args.algorithm](FIT_STRICT),
             space,
             args.replicas,
             seed=(top_label,),
@@ -1138,7 +1107,7 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
         replicas=args.replicas,
         cost_model=model,
         router=router,
-        workers=max(1, args.workers or 1),
+        workers=args.workers or 1,
         batch_size=(
             args.batch_size if args.batch_size is not None else DEFAULT_BATCH_SIZE
         ),
@@ -1244,7 +1213,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     partitioned, advice, router = plan_divergent(
         lattice,
         counts,
-        ALGORITHMS[args.algorithm](FIT_STRICT, args.workers),
+        ALGORITHMS[args.algorithm](FIT_STRICT),
         space,
         args.partitions,
         seed=(top_label,),
@@ -1254,7 +1223,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         checkpoint_path=args.checkpoint,
     )
     identical = (
-        ALGORITHMS[args.algorithm](FIT_STRICT, args.workers)
+        ALGORITHMS[args.algorithm](FIT_STRICT)
         .run(
             QueryViewGraph.from_cube(lattice, frequencies=counts),
             space,
@@ -1288,15 +1257,22 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_serving_flags(args: argparse.Namespace) -> None:
+    """Flag combinations serve and replay reject as input errors."""
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    if args.divergent and args.replicas < 2:
+        raise ValueError("--divergent requires --replicas >= 2")
+    if args.backend == "sqlite" and args.replicas >= 2:
+        raise ValueError("--backend sqlite serves single-server only")
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Materialize a selection and serve a synthetic workload."""
     from repro.cube.query_log import generate_query_log
     from repro.datasets.tpcd import tpcd_serving_schema
 
-    if args.divergent and args.replicas < 2:
-        raise ValueError("--divergent requires --replicas >= 2")
-    if args.backend == "sqlite" and args.replicas >= 2:
-        raise ValueError("--backend sqlite serves single-server only")
+    _check_serving_flags(args)
     if args.replicas >= 2:
         schema = tpcd_serving_schema(args.dims)
         log = generate_query_log(
@@ -1319,10 +1295,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     """Replay a recorded query log, optionally with worker threads."""
     from repro.io import load_query_log
 
-    if args.divergent and args.replicas < 2:
-        raise ValueError("--divergent requires --replicas >= 2")
-    if args.backend == "sqlite" and args.replicas >= 2:
-        raise ValueError("--backend sqlite serves single-server only")
+    _check_serving_flags(args)
     if args.replicas >= 2:
         from repro.datasets.tpcd import tpcd_serving_schema
 

@@ -96,12 +96,8 @@ def csr_gains(
     """Frequency-weighted positive gain of each structure in ``ids``
     against the per-query cost vector ``base``, over a CSR edge store.
 
-    This is the batched gain kernel shared by :class:`BenefitEngine`
-    (``gains_for`` / subset single-benefit refresh) and the parallel
-    worker store (:mod:`repro.parallel.worker`): both sides evaluating a
-    candidate vector through the *same* kernel — same gather order, same
-    ``bincount`` summation — is what makes serial and parallel single
-    benefits bitwise identical.
+    This is the batched gain kernel behind :class:`BenefitEngine`'s
+    ``gains_for`` and subset single-benefit refresh on the CSR store.
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.size == 0:
@@ -115,23 +111,6 @@ def csr_gains(
     contrib *= frequencies[cols]
     local = np.repeat(np.arange(arr.size, dtype=np.int64), lengths)
     return np.bincount(local, weights=contrib, minlength=arr.size)
-
-
-def csr_minimum_with(
-    vec: np.ndarray,
-    row_ptr: np.ndarray,
-    row_cols: np.ndarray,
-    row_vals: np.ndarray,
-    structure_id: int,
-) -> np.ndarray:
-    """``np.minimum(vec, cost_row(structure_id))`` over a CSR edge store
-    without materializing the row.  Returns a new array."""
-    out = vec.copy()
-    lo, hi = row_ptr[structure_id], row_ptr[structure_id + 1]
-    cols = row_cols[lo:hi]
-    # fancy-indexed out= would write into a copy; assign instead
-    out[cols] = np.minimum(out[cols], row_vals[lo:hi])
-    return out
 
 
 def chain_pick(ratios: np.ndarray) -> Optional[int]:
@@ -246,7 +225,6 @@ class BenefitEngine:
             for v in graph.views
         }
         self._gain_scratch: Optional[np.ndarray] = None
-        self._csr_routed = False
         self._singles: Optional[np.ndarray] = None
         self._singles_fresh = False
         self._stage_candidates: Optional[np.ndarray] = None
@@ -387,34 +365,11 @@ class BenefitEngine:
             )
         return self._dense_cost
 
-    def route_through_csr(self) -> None:
-        """Route every eager benefit evaluation through the CSR kernels.
-
-        The dense backend's eager paths (:meth:`single_benefits` with
-        ``lazy=False`` and the dense branch of :meth:`gains_for`) sum
-        per-query contributions in matrix order, while :func:`csr_gains`
-        — the kernel pool workers always use — sums per-edge in CSR
-        order.  Both are exact up to float summation order, so they can
-        differ in the last ulp.  Once any part of a run asks for workers
-        (including ``workers=1``), serial scans must go through the same
-        kernel so a serial stage following a pooled one (or the serial
-        arm of an equivalence check) is *bitwise* identical, not just
-        ulp-close.  :func:`repro.parallel.make_evaluator` calls this
-        whenever a worker count is requested; the flag is one-way for
-        the engine's lifetime — mixing kernels mid-run is the exact bug
-        this prevents.  No-op on the sparse backend (already CSR).
-        """
-        self._csr_routed = True
-
     @property
     def uses_csr_kernels(self) -> bool:
-        """True when eager benefit kernels run over the CSR store —
-        always on the sparse backend, and on the dense one after
-        :meth:`route_through_csr`.  Algorithms branch on this (not on
-        ``backend``) when choosing between a batched CSR gain pass and a
-        dense per-row loop, keeping serial and pooled scans bitwise
-        aligned."""
-        return self._dense_cost is None or self._csr_routed
+        """True when eager benefit kernels run over the CSR store (the
+        sparse backend); the dense backend uses per-row matrix passes."""
+        return self._dense_cost is None
 
     @property
     def nnz(self) -> int:
@@ -490,30 +445,6 @@ class BenefitEngine:
             )
         return self._stage_candidates
 
-    # ------------------------------------------------------- shared export
-
-    def shared_arrays(self) -> dict:
-        """The immutable compiled arrays a parallel worker needs, by name.
-
-        Everything a :class:`repro.parallel.worker.WorkerStore` reads:
-        the CSR edge store, per-structure/per-query attributes, and the
-        canonical candidate order.  The CSC store stays master-side
-        (stale discovery runs there).  The returned arrays are the
-        engine's own — callers copy them into shared memory and must not
-        mutate them.
-        """
-        return {
-            "row_ptr": self._row_ptr,
-            "row_cols": self._row_cols,
-            "row_vals": self._row_vals,
-            "spaces": self.spaces,
-            "frequencies": self.frequencies,
-            "defaults": self.defaults,
-            "is_view": self.is_view,
-            "view_id_of": self.view_id_of,
-            "stage_candidates": self.stage_candidates(),
-        }
-
     # ------------------------------------------------------------- cost rows
 
     def cost_row(self, structure_id: int) -> np.ndarray:
@@ -534,9 +465,12 @@ class BenefitEngine:
         the row on the sparse backend.  Returns a new array."""
         if self._dense_cost is not None:
             return np.minimum(vec, self._dense_cost[structure_id])
-        return csr_minimum_with(
-            vec, self._row_ptr, self._row_cols, self._row_vals, structure_id
-        )
+        out = vec.copy()
+        lo, hi = self._row_ptr[structure_id], self._row_ptr[structure_id + 1]
+        cols = self._row_cols[lo:hi]
+        # fancy-indexed out= would write into a copy; assign instead
+        out[cols] = np.minimum(out[cols], self._row_vals[lo:hi])
+        return out
 
     def edge_cost_by_id(self, structure_id: int, query_id: int) -> float:
         """Cost of the (structure, query) edge, ``inf`` when absent."""
@@ -674,38 +608,30 @@ class BenefitEngine:
             self._singles_fresh = True
         return self._singles
 
-    def stale_structures_after(self, old_best: np.ndarray) -> np.ndarray:
-        """Structures whose standalone benefit may have changed since the
-        best-cost vector was ``old_best`` (sorted unique ids).
+    def _refresh_singles_after(self, old_best: np.ndarray) -> None:
+        """Incrementally re-score only the structures whose standalone
+        benefit may have changed since the best-cost vector was
+        ``old_best``.
 
         A structure is stale only when one of its edges into a *dirty*
         query (best cost dropped) was *beating* the old best cost there:
         an edge with ``cost >= old_best`` contributed exactly zero before
         and (the best only drops) still does, so the cached sum — the
-        same addends in the same order — is bitwise unchanged.  This is
-        the discovery half of the maintained single-benefit cache; the
-        parallel evaluator calls it after every commit to route refresh
-        work to worker shards.
+        same addends in the same order — is bitwise unchanged.
         """
         dirty = np.flatnonzero(self._best < old_best)
         if dirty.size == 0:
-            return np.empty(0, dtype=np.int64)
+            return
         starts = self._col_ptr[dirty]
         lengths = self._col_ptr[dirty + 1] - starts
         flat = _gather_ranges(starts, lengths)
         if flat.size == 0:
-            return np.empty(0, dtype=np.int64)
+            return
         beating = self._col_vals[flat] < np.repeat(old_best[dirty], lengths)
         if not beating.any():
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self._col_rows[flat[beating]]).astype(np.int64)
-
-    def _refresh_singles_after(self, old_best: np.ndarray) -> None:
-        """Incrementally re-score only structures touched by queries whose
-        best cost just dropped (see :meth:`stale_structures_after`)."""
-        stale = self.stale_structures_after(old_best)
-        if stale.size:
-            self._singles[stale] = self._eager_singles_sparse(stale)
+            return
+        stale = np.unique(self._col_rows[flat[beating]]).astype(np.int64)
+        self._singles[stale] = self._eager_singles_sparse(stale)
 
     def invalidate(self, ids=None) -> None:
         """Drop (or selectively refresh) the maintained single-benefit cache.
@@ -742,7 +668,7 @@ class BenefitEngine:
             if ids is None:
                 return singles.copy()
             return singles[np.asarray(ids, dtype=np.int64)]
-        if self._dense_cost is not None and not self._csr_routed:
+        if self._dense_cost is not None:
             return self._eager_singles_dense(ids)
         return self._eager_singles_sparse(ids)
 
@@ -792,24 +718,13 @@ class BenefitEngine:
         p = pos[win]
         return int(arr[p]), float(benefits[p]), float(spaces[p]), float(ratios[win])
 
-    @property
-    def prefers_lazy(self) -> bool:
-        """True when algorithms should default to the lazy stage loops.
-
-        The lazy loops are exact (same candidate order and tie-break as
-        the eager scans, skipping only provably no-op work) and measured
-        faster on both backends, so this is always ``True``; it exists so
-        a subclass or an experiment can opt a whole engine out.
-        """
-        return True
-
     def gains_for(self, ids, base: np.ndarray) -> np.ndarray:
         """Frequency-weighted positive gain of each structure against the
         per-query cost vector ``base`` (one vectorized pass)."""
         arr = np.asarray(ids, dtype=np.int64)
         if arr.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if self._dense_cost is not None and not self._csr_routed:
+        if self._dense_cost is not None:
             gains_matrix = base - self._dense_cost[arr]
             np.maximum(gains_matrix, 0.0, out=gains_matrix)
             return gains_matrix @ self.frequencies

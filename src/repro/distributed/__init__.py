@@ -71,9 +71,9 @@ def plan_divergent(
 
     Returns ``(partitioned, advice, router)`` — everything a routed
     :class:`~repro.serve.fleet.ReplicaFleet` needs.  ``algorithm`` is a
-    constructed selection algorithm (carrying its ``workers=``);
-    ``space`` is the per-replica budget; ``seed`` is force-materialized
-    on every replica (normally the top view).
+    constructed selection algorithm; ``space`` is the per-replica
+    budget; ``seed`` is force-materialized on every replica (normally
+    the top view).
     """
     from repro.core.costmodel import LinearCostModel
     from repro.mining.candidates import DEFAULT_SIMILARITY

@@ -7,8 +7,7 @@ with ``support=0`` by default — inside a partition every observed
 pattern matters), compile it with
 :meth:`~repro.core.qvgraph.QueryViewGraph.from_mined`, and run any
 existing selection algorithm under the *per-replica* budget.  The
-algorithm object is the caller's (so ``workers=`` parallel stage scans
-work unchanged), and runs honor an optional
+algorithm object is the caller's, and runs honor an optional
 :class:`~repro.runtime.context.RunContext` — its deadline/memory/signal
 checks fire at every partition boundary, so a divergent advise stops
 cooperatively like any other staged run.
@@ -37,6 +36,7 @@ from repro.mining.candidates import (
     DEFAULT_MAX_INDEXES_PER_VIEW,
     mine_candidates,
 )
+from repro.runtime.checkpoint import algorithm_identity
 
 #: Checkpoint document version (bumped on layout changes).
 ADVISOR_CHECKPOINT_VERSION = 1
@@ -74,18 +74,6 @@ class DivergentAdvice:
     def selections(self) -> Tuple[Tuple[str, ...], ...]:
         """Per-replica selections, ready for :class:`ReplicaFleet`."""
         return tuple(plan.selection for plan in self.plans)
-
-
-def _algorithm_identity(algorithm) -> dict:
-    """The algorithm's checkpoint config minus execution knobs.
-
-    ``workers`` is how a run executes, not what it selects — parallel
-    and serial runs pick identically — so a checkpoint from either
-    resumes under the other (same rule as the runtime checkpoints).
-    """
-    config = dict(algorithm.config())
-    config.pop("workers", None)
-    return config
 
 
 def _plan_record(plan: ReplicaPlan) -> dict:
@@ -148,7 +136,10 @@ def _load_checkpoint(
             f"{path}: checkpoint space budget {document.get('space')!r} "
             f"differs from this run's {space:g}"
         )
-    if document.get("algorithm") != identity:
+    stored = document.get("algorithm")
+    # checkpoints from before the workers= knob was removed still carry
+    # it; it never changed a selection, so it does not block a resume
+    if not isinstance(stored, dict) or algorithm_identity(stored) != identity:
         raise ValueError(
             f"{path}: checkpoint algorithm {document.get('algorithm')!r} "
             f"differs from this run's {identity!r}"
@@ -172,10 +163,10 @@ def advise_partitions(
 ) -> DivergentAdvice:
     """Advise one selection per partition under a per-replica budget.
 
-    ``algorithm`` is any constructed selection algorithm (it already
-    carries its ``workers=``); ``space`` is the budget *each* replica
-    gets; ``seed`` is force-materialized on every replica (normally the
-    top view — every replica keeps the raw-cube fallback).  ``context``
+    ``algorithm`` is any constructed selection algorithm; ``space`` is
+    the budget *each* replica gets; ``seed`` is force-materialized on
+    every replica (normally the top view — every replica keeps the
+    raw-cube fallback).  ``context``
     is an optional :class:`~repro.runtime.context.RunContext` whose
     budget checks run at every partition boundary; a stop raises
     :class:`~repro.runtime.context.RuntimeStop` with every *completed*
@@ -188,7 +179,7 @@ def advise_partitions(
     if space <= 0:
         raise ValueError(f"space must be positive, got {space}")
     fingerprint = partitioned.fingerprint()
-    identity = _algorithm_identity(algorithm)
+    identity = algorithm_identity(algorithm.config())
     completed = _load_checkpoint(checkpoint_path, fingerprint, space, identity)
     schema_names = tuple(lattice.schema.names)
 

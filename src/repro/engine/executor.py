@@ -94,8 +94,10 @@ class Executor:
         """All candidate plans for the query with their estimated costs.
 
         Returns ``PlanChoice`` records sorted cheapest-first; the head is
-        what :meth:`choose_plan` would pick.  Useful for understanding
-        why a plan won (and for asserting planner behaviour in tests).
+        what :meth:`choose_plan` would pick (the sort is stable, so cost
+        ties keep scan order, as :meth:`plan_with_cost` does).  Useful
+        for understanding why a plan won (and for asserting planner
+        behaviour in tests).
         """
         choices = []
         for view in self.catalog.views():
@@ -111,7 +113,7 @@ class Executor:
                         estimated_cost=self._estimated_cost(query, view, index),
                     )
                 )
-        choices.sort(key=lambda c: (c.estimated_cost, c.index is not None))
+        choices.sort(key=lambda c: c.estimated_cost)
         return choices
 
     def choose_plan(self, query: SliceQuery) -> Tuple[View, Optional[Index]]:

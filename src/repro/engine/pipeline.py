@@ -67,7 +67,6 @@ def materialize_selection(
     agg: str = "sum",
     on_step: Optional[Callable[[LoadReport, Optional[LoadStep]], None]] = None,
     resume_from: Optional[LoadReport] = None,
-    workers: Optional[int] = None,
 ) -> LoadReport:
     """Materialize views (ancestors first, rolled up from the smallest
     available source) and build indexes on them.
@@ -84,13 +83,6 @@ def materialize_selection(
     (those views are already in the catalog, so they are skipped, not
     recomputed) and its indexes are neither rebuilt nor recounted, so a
     resumed load's row accounting matches an uninterrupted one.
-
-    ``workers`` builds independent views of one dependence wave in a
-    process pool (``None`` follows ``REPRO_WORKERS``, ``0`` auto-sizes,
-    ``N >= 2`` forces a pool).  Waves are contiguous runs of the serial
-    order in which no member can compute another, so every view reads
-    the same source — the report is identical to a serial load, steps,
-    order and all.
     """
     requested = list(dict.fromkeys(views))  # stable de-dup
     indexes = list(indexes)
@@ -109,38 +101,30 @@ def materialize_selection(
         report.indexes_built = tuple(resume_from.indexes_built)
         done_indexes = set(resume_from.indexes_built)
 
-    from repro.parallel import resolve_workers
-
-    worker_count, __forced = resolve_workers(workers)
-
     # ancestors first: more attributes = potential source for the rest
-    order = sorted(requested, key=lambda v: (-len(v), v.key))
-    if worker_count > 1:
-        _materialize_waves(catalog, order, agg, report, on_step, worker_count)
-    else:
-        for view in order:
-            if catalog.has_view(view):
-                continue
-            source = _cheapest_source(catalog, view)
-            if source is None:
-                table = materialize_view(catalog.fact, view, agg)
-                scanned = catalog.fact.n_rows
-            else:
-                source_table = catalog.view_table(source)
-                table = rollup_view(
-                    source_table, view, agg, schema=catalog.fact.schema
-                )
-                scanned = source_table.n_rows
-            catalog.add_view(table)
-            step = LoadStep(
-                view=view,
-                source=source,
-                rows_scanned=scanned,
-                rows_produced=table.n_rows,
+    for view in sorted(requested, key=lambda v: (-len(v), v.key)):
+        if catalog.has_view(view):
+            continue
+        source = _cheapest_source(catalog, view)
+        if source is None:
+            table = materialize_view(catalog.fact, view, agg)
+            scanned = catalog.fact.n_rows
+        else:
+            source_table = catalog.view_table(source)
+            table = rollup_view(
+                source_table, view, agg, schema=catalog.fact.schema
             )
-            report.steps.append(step)
-            if on_step is not None:
-                on_step(report, step)
+            scanned = source_table.n_rows
+        catalog.add_view(table)
+        step = LoadStep(
+            view=view,
+            source=source,
+            rows_scanned=scanned,
+            rows_produced=table.n_rows,
+        )
+        report.steps.append(step)
+        if on_step is not None:
+            on_step(report, step)
 
     for index in indexes:
         name = str(index)
@@ -152,77 +136,6 @@ def materialize_selection(
         if on_step is not None:
             on_step(report, None)
     return report
-
-
-def _raw_task(fact, view: View, agg: str):
-    return materialize_view(fact, view, agg)
-
-
-def _rollup_task(source_table, view: View, agg: str, schema):
-    return rollup_view(source_table, view, agg, schema=schema)
-
-
-def _materialize_waves(
-    catalog: Catalog,
-    order: Sequence[View],
-    agg: str,
-    report: LoadReport,
-    on_step,
-    workers: int,
-) -> None:
-    """Build the fresh views of ``order`` wave by wave in a process pool.
-
-    A wave is the longest prefix of the remaining serial order in which
-    no member can compute another, so (a) every member's cheapest source
-    is already in the catalog when the wave starts — the same source the
-    serial loop would pick — and (b) steps land in the report, and
-    ``on_step`` fires, in the exact serial order.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pending = [view for view in order if not catalog.has_view(view)]
-    if not pending:
-        return
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        position = 0
-        while position < len(pending):
-            wave = [pending[position]]
-            for view in pending[position + 1 :]:
-                if any(member.can_compute(view) for member in wave):
-                    break
-                wave.append(view)
-            submitted = []
-            for view in wave:
-                source = _cheapest_source(catalog, view)
-                if source is None:
-                    scanned = catalog.fact.n_rows
-                    future = pool.submit(_raw_task, catalog.fact, view, agg)
-                else:
-                    source_table = catalog.view_table(source)
-                    scanned = source_table.n_rows
-                    future = pool.submit(
-                        _rollup_task, source_table, view, agg,
-                        catalog.fact.schema,
-                    )
-                submitted.append((view, source, scanned, future))
-            for view, source, scanned, future in submitted:
-                table = future.result()
-                catalog.add_view(table)
-                step = LoadStep(
-                    view=view,
-                    source=source,
-                    rows_scanned=scanned,
-                    rows_produced=table.n_rows,
-                )
-                report.steps.append(step)
-                if on_step is not None:
-                    on_step(report, step)
-            position += len(wave)
 
 
 def _cheapest_source(catalog: Catalog, view: View) -> Optional[View]:

@@ -185,6 +185,22 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     return Checkpoint.from_dict(document)
 
 
+def algorithm_identity(config: Dict) -> Dict:
+    """An algorithm config without the legacy ``workers`` param.
+
+    Checkpoints written while the greedy algorithms still took a
+    ``workers=`` stage-parallelism knob carry it in ``params``.  It never
+    affected what got selected, so it is dropped wherever configs are
+    compared or rebuilt, and those checkpoints stay resumable.
+    """
+    params = {
+        key: value
+        for key, value in dict(config.get("params", {})).items()
+        if key != "workers"
+    }
+    return {**config, "params": params}
+
+
 def algorithm_from_config(config: Dict):
     """Rebuild a selection algorithm from a checkpoint's config block.
 
@@ -209,9 +225,9 @@ def algorithm_from_config(config: Dict):
             f"(known: {sorted(known)})"
         )
     cls = getattr(_algorithms, cls_name)
-    params = config.get("params", {})
-    if not isinstance(params, dict):
+    if not isinstance(config.get("params", {}), dict):
         raise CheckpointError("algorithm params must be an object")
+    params = algorithm_identity(config)["params"]
     try:
         return cls(**params)
     except TypeError as exc:

@@ -38,6 +38,7 @@ from repro.runtime.checkpoint import (
     Checkpoint,
     CheckpointError,
     StageRecord,
+    algorithm_identity,
     make_checkpoint,
     save_checkpoint,
 )
@@ -52,17 +53,6 @@ SEED_SCOPE = "seed"
 
 #: Key under which the mining stage's record lives in checkpoint extras.
 MINING_EXTRA_KEY = "mining"
-
-
-def _strip_workers(config: Dict) -> Dict:
-    """An algorithm config with the ``workers`` param removed (it does
-    not affect what gets selected, only how fast)."""
-    params = {
-        key: value
-        for key, value in dict(config.get("params", {})).items()
-        if key != "workers"
-    }
-    return {**config, "params": params}
 
 
 class RuntimeStop(Exception):
@@ -207,8 +197,6 @@ class RunContext:
         self._boundary: Optional[tuple] = None
         self._materialized: Optional[Checkpoint] = None
         self._last_write: Optional[float] = None
-        self._evaluators: List = []
-        self._workers: Optional[int] = None
         self._mining_record: Optional[Dict] = None
 
     # -------------------------------------------------------------- binding
@@ -228,10 +216,8 @@ class RunContext:
         self._space_budget = float(space_budget)
         self._engine = engine
         if self._resume is not None:
-            # workers is an execution knob, not part of the algorithm's
-            # identity: parallel and serial runs select identically, so a
-            # checkpoint from either resumes under the other
-            if _strip_workers(self._resume.algorithm) != _strip_workers(config):
+            recorded = algorithm_identity(self._resume.algorithm)
+            if recorded != algorithm_identity(config):
                 raise CheckpointError(
                     f"checkpoint was written by {self._resume.algorithm!r}, "
                     f"cannot resume with {config!r}"
@@ -263,22 +249,6 @@ class RunContext:
     @property
     def resume_checkpoint(self) -> Optional[Checkpoint]:
         return self._resume
-
-    def register_evaluator(self, evaluator) -> None:
-        """Track a run's stage evaluator so cooperative stops drain its
-        worker pool (and free its shared-memory segments) right after
-        the stop's checkpoint is flushed, and so checkpoints record the
-        resolved worker count."""
-        if evaluator not in self._evaluators:
-            self._evaluators.append(evaluator)
-        self._workers = int(getattr(evaluator, "workers", 1))
-
-    def _drain_evaluators(self) -> None:
-        for evaluator in self._evaluators:
-            try:
-                evaluator.close()
-            except Exception:  # pragma: no cover - stop path must not mask
-                pass
 
     # --------------------------------------------------------------- mining
 
@@ -374,8 +344,6 @@ class RunContext:
             raise RuntimeError("stage_boundary before bind()")
         self.stage_counter += 1
         extra_dict = dict(extra) if extra else {}
-        if self._workers is not None:
-            extra_dict.setdefault("workers", self._workers)
         if self._mining_record is not None:
             extra_dict.setdefault(MINING_EXTRA_KEY, self._mining_record)
         self._boundary = (
@@ -401,9 +369,6 @@ class RunContext:
         except RuntimeStop:
             if not wrote:
                 self._write_checkpoint(force=True)
-            # checkpoint is safely on disk; now drain any worker pool so
-            # the stop leaves no processes or /dev/shm segments behind
-            self._drain_evaluators()
             raise
 
     @property

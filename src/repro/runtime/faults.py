@@ -17,13 +17,10 @@ The harness is the executable proof behind the checkpoint design:
    floats, no tolerance).
 
 The matrix covers every selection algorithm on the dense and sparse
-engine backends with the lazy stage loops forced on and off, and — via
-``workers_modes`` / ``--workers`` — with the stage scans running in a
-forced process pool, proving a kill with a live pool still checkpoints,
-drains, and resumes bit-identically (at any worker count).  Run it from
-the command line for the CI smoke::
+engine backends with the lazy stage loops forced on and off.  Run it
+from the command line for the CI smoke::
 
-    PYTHONPATH=src python -m repro.runtime.faults --dims 4 --workers 1,2
+    PYTHONPATH=src python -m repro.runtime.faults --dims 4 --pruned
 """
 
 from __future__ import annotations
@@ -50,8 +47,7 @@ from repro.runtime.context import InjectedFault, RunContext
 
 @dataclass(frozen=True)
 class FaultCase:
-    """One kill-and-resume experiment: algorithm × backend × lazy ×
-    workers × k."""
+    """One kill-and-resume experiment: algorithm × backend × lazy × k."""
 
     algorithm: str
     backend: str
@@ -59,15 +55,14 @@ class FaultCase:
     stage: int
     n_stages: int
     ok: bool
-    workers: int = 1
     detail: str = ""
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "FAIL"
         mode = "lazy" if self.lazy else "eager"
         base = (
-            f"[{status}] {self.algorithm} / {self.backend}/{mode}/"
-            f"w{self.workers} killed at {self.stage}/{self.n_stages}"
+            f"[{status}] {self.algorithm} / {self.backend}/{mode} "
+            f"killed at {self.stage}/{self.n_stages}"
         )
         return base + (f": {self.detail}" if self.detail else "")
 
@@ -116,7 +111,6 @@ def fault_scan(
     algorithm: str,
     backend: str,
     lazy: bool,
-    workers: int = 1,
     rebuild: bool = True,
 ) -> Tuple[SelectionResult, List[FaultCase]]:
     """Kill ``run`` at every stage boundary and resume; return the cases.
@@ -164,7 +158,6 @@ def fault_scan(
                 stage=k,
                 n_stages=n_stages,
                 ok=not detail,
-                workers=workers,
                 detail=detail,
             )
         )
@@ -174,10 +167,8 @@ def fault_scan(
 # --------------------------------------------------------------- the matrix
 
 
-def default_algorithms(lazy: bool, workers: int = 1) -> List[Tuple[str, object]]:
-    """The selection algorithms under test, built for one lazy mode and
-    worker count (local search is always serial — it restores engine
-    state mid-run, which a pool's shared snapshot would not follow)."""
+def default_algorithms(lazy: bool) -> List[Tuple[str, object]]:
+    """The selection algorithms under test, built for one lazy mode."""
     from repro.algorithms import (
         HRUGreedy,
         InnerLevelGreedy,
@@ -187,10 +178,10 @@ def default_algorithms(lazy: bool, workers: int = 1) -> List[Tuple[str, object]]
     )
 
     return [
-        ("RGreedy(r=2)", RGreedy(2, lazy=lazy, workers=workers)),
-        ("HRUGreedy", HRUGreedy(lazy=lazy, workers=workers)),
-        ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy, workers=workers)),
-        ("TwoStep", TwoStep(lazy=lazy, workers=workers)),
+        ("RGreedy(r=2)", RGreedy(2, lazy=lazy)),
+        ("HRUGreedy", HRUGreedy(lazy=lazy)),
+        ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy)),
+        ("TwoStep", TwoStep(lazy=lazy)),
         ("LocalSearchRefiner", LocalSearchRefiner(lazy=lazy)),
     ]
 
@@ -208,7 +199,6 @@ def fault_matrix(
     *,
     backends: Sequence[str] = ("dense", "sparse"),
     lazy_modes: Sequence[bool] = (False, True),
-    workers_modes: Sequence[int] = (1,),
     algorithms: Optional[Callable[..., List[Tuple[str, object]]]] = None,
     seed: Optional[Sequence[str]] = None,
 ) -> List[FaultCase]:
@@ -217,9 +207,6 @@ def fault_matrix(
     The :class:`~repro.algorithms.local_search.LocalSearchRefiner` entry
     refines a 1-greedy base selection (its natural usage); all other
     algorithms run from the seed (default: the top view).
-    ``workers_modes`` adds a column per worker count: ``2`` (or more)
-    forces a process pool even below the auto threshold, so the kill
-    lands while shared-memory segments are live.
     """
     from repro.algorithms import RGreedy
 
@@ -229,31 +216,26 @@ def fault_matrix(
         engine = BenefitEngine(graph, backend=backend)
         run_seed = list(seed) if seed is not None else [top_view_of(engine)]
         base = RGreedy(1).run(engine, space, seed=run_seed)
-        for workers in workers_modes:
-            for lazy in lazy_modes:
-                for label, algorithm in make_algorithms(lazy, workers):
-                    if hasattr(algorithm, "refine"):
-                        def run(context=None, _a=algorithm):
-                            return _a.refine(
-                                engine,
-                                space,
-                                base.selected,
-                                protected=run_seed,
-                                context=context,
-                            )
-                    else:
-                        def run(context=None, _a=algorithm):
-                            return _a.run(
-                                engine, space, seed=run_seed, context=context
-                            )
-                    __, scan = fault_scan(
-                        run,
-                        algorithm=label,
-                        backend=backend,
-                        lazy=lazy,
-                        workers=workers,
-                    )
-                    cases.extend(scan)
+        for lazy in lazy_modes:
+            for label, algorithm in make_algorithms(lazy):
+                if hasattr(algorithm, "refine"):
+                    def run(context=None, _a=algorithm):
+                        return _a.refine(
+                            engine,
+                            space,
+                            base.selected,
+                            protected=run_seed,
+                            context=context,
+                        )
+                else:
+                    def run(context=None, _a=algorithm):
+                        return _a.run(
+                            engine, space, seed=run_seed, context=context
+                        )
+                __, scan = fault_scan(
+                    run, algorithm=label, backend=backend, lazy=lazy
+                )
+                cases.extend(scan)
     return cases
 
 
@@ -290,7 +272,6 @@ def pruned_fault_matrix(
     *,
     backends: Sequence[str] = ("dense", "sparse"),
     lazy_modes: Sequence[bool] = (False, True),
-    workers_modes: Sequence[int] = (1,),
     budget_fraction: float = 0.05,
 ) -> List[FaultCase]:
     """Kill/resume matrix for *pruned* (workload-mined) advise runs.
@@ -314,40 +295,33 @@ def pruned_fault_matrix(
 
     cases: List[FaultCase] = []
     for backend in backends:
-        for workers in workers_modes:
-            for lazy in lazy_modes:
-                algorithms = [
-                    ("RGreedy(r=1)", RGreedy(1, lazy=lazy, workers=workers)),
-                    ("RGreedy(r=2)", RGreedy(2, lazy=lazy, workers=workers)),
-                    (
-                        "InnerLevelGreedy",
-                        InnerLevelGreedy(lazy=lazy, workers=workers),
-                    ),
-                ]
-                for label, algorithm in algorithms:
+        for lazy in lazy_modes:
+            algorithms = [
+                ("RGreedy(r=1)", RGreedy(1, lazy=lazy)),
+                ("RGreedy(r=2)", RGreedy(2, lazy=lazy)),
+                ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy)),
+            ]
+            for label, algorithm in algorithms:
 
-                    def run(context=None, _a=algorithm, _b=backend):
-                        mined = mine_candidates(
-                            log, lattice.schema.names, **params
+                def run(context=None, _a=algorithm, _b=backend):
+                    mined = mine_candidates(log, lattice.schema.names, **params)
+                    if context is not None:
+                        context.mining_boundary(
+                            {"fingerprint": mined.fingerprint(), **params}
                         )
-                        if context is not None:
-                            context.mining_boundary(
-                                {"fingerprint": mined.fingerprint(), **params}
-                            )
-                        engine = BenefitEngine(
-                            QueryViewGraph.from_mined(lattice, mined),
-                            backend=_b,
-                        )
-                        return _a.run(engine, space, seed=run_seed, context=context)
-
-                    __, scan = fault_scan(
-                        run,
-                        algorithm=f"pruned:{label}",
-                        backend=backend,
-                        lazy=lazy,
-                        workers=workers,
+                    engine = BenefitEngine(
+                        QueryViewGraph.from_mined(lattice, mined),
+                        backend=_b,
                     )
-                    cases.extend(scan)
+                    return _a.run(engine, space, seed=run_seed, context=context)
+
+                __, scan = fault_scan(
+                    run,
+                    algorithm=f"pruned:{label}",
+                    backend=backend,
+                    lazy=lazy,
+                )
+                cases.extend(scan)
     return cases
 
 
@@ -396,12 +370,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated engine backends (default dense,sparse)",
     )
     parser.add_argument(
-        "--workers",
-        default="1",
-        help="comma-separated worker counts to run the matrix under "
-        "(default 1; e.g. 1,2 adds a forced-pool column)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the case list as JSON"
     )
     parser.add_argument(
@@ -416,18 +384,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     probe = BenefitEngine(graph)
     space = smoke_budget(probe, args.budget_fraction)
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    workers_modes = [
-        int(w.strip()) for w in args.workers.split(",") if w.strip()
-    ]
-    cases = fault_matrix(
-        graph, space, backends=backends, workers_modes=workers_modes
-    )
+    cases = fault_matrix(graph, space, backends=backends)
     n_full = len(cases)
     if args.pruned:
         cases += pruned_fault_matrix(
             args.dims,
             backends=backends,
-            workers_modes=workers_modes,
             budget_fraction=args.budget_fraction,
         )
     failures = [case for case in cases if not case.ok]
@@ -441,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(
             f"fault matrix: {len(cases)} kill/resume cases over "
-            f"{len(backends)} backend(s) x workers {workers_modes}, "
+            f"{len(backends)} backend(s), "
             f"d={args.dims}{pruned_note}; {len(failures)} failure(s)"
         )
     return 1 if failures else 0

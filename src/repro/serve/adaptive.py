@@ -13,8 +13,7 @@ enumerated there.  ``prune=False`` restores the full-universe rebuild
 (unseen patterns get weight 0 — ``from_cube`` would otherwise default
 them to 1).
 
-The run honors the algorithm's ``workers=`` setting and the runtime
-deadline/checkpoint machinery via a fresh
+The run honors the runtime deadline/checkpoint machinery via a fresh
 :class:`~repro.runtime.context.RunContext`, then compares the new
 selection's total cost τ against the *current* selection's τ under the
 same observed frequencies.  The new selection wins only when it is
@@ -78,8 +77,7 @@ class AdaptiveReselector:
         The serving lattice (exact sizes — the same one the cost model
         routes with).
     algorithm:
-        A configured :class:`~repro.algorithms.base.SelectionAlgorithm`
-        (its ``workers=`` setting is honored as-is).
+        A configured :class:`~repro.algorithms.base.SelectionAlgorithm`.
     space:
         Space budget in rows, same units as the lattice sizes.
     margin:

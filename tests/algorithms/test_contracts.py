@@ -19,6 +19,7 @@ from repro.algorithms import (
     RGreedy,
     TwoStep,
 )
+from repro.algorithms.base import ChainSink
 from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 
@@ -123,3 +124,12 @@ def test_contract_on_random_graphs(name, graph, space):
 def test_paper_mode_contract_on_random_graphs(name, graph, space):
     result = PAPER_MODE[name]().run(graph, space)
     assert_contract(graph, result, space, strict=False)
+
+
+def test_chain_sink_tie_break_keeps_first():
+    sink = ChainSink()
+    sink.offer((0,), 4.0, 2.0)
+    sink.offer((1,), 8.0, 4.0)  # exactly equal ratio — incumbent stays
+    assert sink.ids == (0,)
+    sink.offer((2,), 9.0, 4.0)
+    assert sink.ids == (2,)

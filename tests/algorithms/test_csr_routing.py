@@ -1,31 +1,11 @@
-"""Regression for the PR-3 dense-eager caveat: requesting any worker
-count routes the dense backend's eager benefit kernels through the CSR
-store, so serial and pooled stage scans are *bitwise* equal — not just
-last-ulp-equal as the dense matmul kernel used to be.
+"""Which eager benefit kernel an engine runs: the sparse backend always
+evaluates over the CSR store, the dense backend keeps its per-row matrix
+passes for its whole lifetime — no selection run switches kernels.
 """
 
-import numpy as np
-import pytest
-
-from repro.algorithms import RGreedy
+from repro.algorithms import LocalSearchRefiner, RGreedy
 from repro.core.benefit import BenefitEngine
-from repro.parallel import make_evaluator
-from repro.parallel.evaluator import WORKERS_ENV
-from repro.runtime.context import InjectedFault, RunContext
-from repro.runtime.faults import (
-    _cube_graph,
-    _roundtrip,
-    compare_results,
-    smoke_budget,
-    top_view_of,
-)
-
-
-@pytest.fixture(scope="module")
-def d4():
-    graph = _cube_graph(4)
-    engine = BenefitEngine(graph)
-    return graph, smoke_budget(engine, 0.3), (top_view_of(engine),)
+from repro.runtime.faults import _cube_graph, smoke_budget, top_view_of
 
 
 class TestRoutingFlag:
@@ -33,95 +13,12 @@ class TestRoutingFlag:
         engine = BenefitEngine(_cube_graph(4), backend="sparse")
         assert engine.uses_csr_kernels
 
-    def test_default_dense_run_keeps_matmul(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_default_dense_run_keeps_matmul(self):
         engine = BenefitEngine(_cube_graph(4), backend="dense")
-        assert not engine.uses_csr_kernels
-        make_evaluator(engine, None).close()
-        assert not engine.uses_csr_kernels
-
-    @pytest.mark.parametrize("workers", [1, 0, 2])
-    def test_explicit_workers_route_dense(self, monkeypatch, workers):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        engine = BenefitEngine(_cube_graph(4), backend="dense")
-        make_evaluator(engine, workers).close()
-        assert engine.uses_csr_kernels
-
-    def test_env_workers_route_dense(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        engine = BenefitEngine(_cube_graph(4), backend="dense")
-        make_evaluator(engine, None).close()
-        assert engine.uses_csr_kernels
-
-
-class TestKernelEquality:
-    """Routed dense eager kernels reproduce the sparse backend's values
-    bit for bit (``==`` on float64 arrays, no tolerance)."""
-
-    def test_eager_singles_bitwise(self, d4):
-        graph, _space, seed = d4
-        dense = BenefitEngine(graph, backend="dense")
-        sparse = BenefitEngine(graph, backend="sparse")
-        dense.route_through_csr()
-        for engine in (dense, sparse):
-            engine.replay_commit(seed)
-        got = dense.single_benefits(lazy=False)
-        want = sparse.single_benefits(lazy=False)
-        assert np.array_equal(got, want)
-
-    def test_gains_for_bitwise(self, d4):
-        graph, _space, seed = d4
-        dense = BenefitEngine(graph, backend="dense")
-        sparse = BenefitEngine(graph, backend="sparse")
-        dense.route_through_csr()
-        for engine in (dense, sparse):
-            engine.replay_commit(seed)
-        ids = dense.stage_candidates()
-        base = dense.best_costs
-        got = dense.gains_for(ids, base)
-        want = sparse.gains_for(ids, base)
-        assert np.array_equal(got, want)
-
-
-def _exact_same(a, b):
-    assert compare_results(a, b) == ""
-    assert [s.benefit for s in a.stages] == [s.benefit for s in b.stages]
-
-
-class TestRunEquality:
-    def test_dense_eager_matches_sparse_when_workers_requested(self, d4):
-        """The caveat itself: with workers=1 requested, a dense eager
-        2-greedy run is bitwise identical to the sparse run (before the
-        fix the dense matmul kernel differed in the last ulp)."""
-        graph, space, seed = d4
-        dense = RGreedy(2, lazy=False, workers=1).run(
-            BenefitEngine(graph, backend="dense"), space, seed=seed
+        space = smoke_budget(engine, 0.3)
+        seed = (top_view_of(engine),)
+        base = RGreedy(2, lazy=False).run(engine, space, seed=seed)
+        LocalSearchRefiner(lazy=False).refine(
+            engine, space, base.selected, protected=seed
         )
-        sparse = RGreedy(2, lazy=False, workers=1).run(
-            BenefitEngine(graph, backend="sparse"), space, seed=seed
-        )
-        _exact_same(dense, sparse)
-
-    def test_serial_resume_after_parallel_checkpoint(self, d4):
-        """A serial scan following a pooled one: kill a dense eager
-        workers=2 run mid-way, resume it at workers=1 — the resumed
-        stages run the CSR-routed serial scan against pool-written
-        state and must finish bitwise equal to the golden pooled run."""
-        graph, space, seed = d4
-
-        def run(workers, context=None):
-            return RGreedy(2, lazy=False, workers=workers).run(
-                BenefitEngine(graph, backend="dense"),
-                space,
-                seed=seed,
-                context=context,
-            )
-
-        golden_context = RunContext()
-        golden = run(2, golden_context)
-        assert golden_context.stage_counter >= 2
-        with pytest.raises(InjectedFault) as info:
-            run(2, RunContext(fault_stage=1))
-        checkpoint = _roundtrip(info.value.checkpoint)
-        resumed = run(1, RunContext(resume_from=checkpoint))
-        _exact_same(golden, resumed)
+        assert not engine.uses_csr_kernels

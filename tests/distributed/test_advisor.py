@@ -97,6 +97,21 @@ class TestCheckpoint:
         assert [plan.resumed for plan in second.plans] == [True, False, False]
         assert second.selections == first.selections
 
+    def test_legacy_workers_param_still_resumes(
+        self, dist_model4, partitioned4, tmp_path
+    ):
+        """Checkpoints from before the ``workers=`` knob was removed name
+        it in the algorithm params; they still resume every partition."""
+        lattice = dist_model4.lattice
+        path = tmp_path / "divergent.ckpt"
+        first = advise(lattice, partitioned4, checkpoint_path=str(path))
+        document = json.loads(path.read_text())
+        document["algorithm"]["params"]["workers"] = None
+        path.write_text(json.dumps(document))
+        second = advise(lattice, partitioned4, checkpoint_path=str(path))
+        assert all(plan.resumed for plan in second.plans)
+        assert second.selections == first.selections
+
     def test_fingerprint_mismatch_rejected(
         self, dist_model4, dist_counts4, partitioned4, tmp_path
     ):

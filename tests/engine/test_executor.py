@@ -7,9 +7,9 @@ import pytest
 from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index, enumerate_fat_indexes
 from repro.core.lattice import CubeLattice
-from repro.core.query import SliceQuery
+from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
-from repro.cube.generator import generate_fact_table
+from repro.cube.generator import dense_fact_table, generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
@@ -178,6 +178,26 @@ class TestExplain:
         view, index = executor.choose_plan(query)
         assert choices[0].view == view
         assert choices[0].index == index
+
+        # cost ties: on a dense cube a later view's scan can cost exactly
+        # what an earlier view's index does; the head must still be the
+        # first strict minimum in scan order, which choose_plan picks
+        schema = CubeSchema(
+            [Dimension("a", 4), Dimension("b", 4), Dimension("c", 3)]
+        )
+        fact = dense_fact_table(schema)
+        catalog = Catalog(fact)
+        catalog.materialize(View.of("a", "b", "c"))
+        catalog.build_index(Index(View.of("a", "b", "c"), ("a", "b", "c")))
+        catalog.materialize(View.of("a", "c"))
+        for model in (None, LinearCostModel.from_fact(fact)):
+            tied = Executor(catalog, cost_model=model)
+            for query in enumerate_slice_queries(schema.names):
+                choices = tied.explain(query)
+                if not choices:
+                    continue
+                head = (choices[0].view, choices[0].index)
+                assert head == tied.choose_plan(query), str(query)
 
     def test_sorted_by_cost(self, setup):
         *__, executor = setup

@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from repro.algorithms import HRUGreedy, RGreedy
+from repro.algorithms import (
+    HRUGreedy,
+    InnerLevelGreedy,
+    MaintenanceAwareGreedy,
+    RGreedy,
+    TwoStep,
+)
 from repro.core.benefit import BenefitEngine
 from repro.runtime import (
     CheckpointError,
@@ -21,7 +27,12 @@ from repro.runtime.checkpoint import (
     records_picked_order,
 )
 from repro.runtime.context import InjectedFault
-from repro.runtime.faults import _cube_graph, smoke_budget, top_view_of
+from repro.runtime.faults import (
+    _cube_graph,
+    compare_results,
+    smoke_budget,
+    top_view_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +178,53 @@ class TestResumeGuards:
                 engine, space, seed=(),
                 context=RunContext(resume_from=checkpoint),
             )
+
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RGreedy(2, lazy=False),
+            lambda: HRUGreedy(),
+            lambda: InnerLevelGreedy(),
+            lambda: TwoStep(),
+            lambda: MaintenanceAwareGreedy(update_weight=0.5),
+        ],
+        ids=["2-greedy", "hru", "inner", "two-step", "maintenance"],
+    )
+    def test_workers_fields_resume_bit_identically(self, make, tmp_path):
+        """Checkpoints written while the greedy algorithms still took a
+        ``workers=`` knob carry ``params.workers`` and ``extra.workers``.
+        They rebuild, pass the resume guards, and finish bit-identical
+        to the uninterrupted run."""
+        graph = _cube_graph(4)
+        probe = BenefitEngine(graph)
+        space = smoke_budget(probe, 0.3)
+        seed = [top_view_of(probe)]
+
+        def run(algorithm, context):
+            engine = BenefitEngine(graph, backend="dense")
+            return algorithm.run(engine, space, seed=seed, context=context)
+
+        golden_context = RunContext()
+        golden = run(make(), golden_context)
+        assert golden_context.stage_counter >= 3
+        kill_at = golden_context.stage_counter // 2
+        with pytest.raises(InjectedFault) as excinfo:
+            run(make(), RunContext(fault_stage=kill_at))
+        document = excinfo.value.checkpoint.to_dict()
+        document["algorithm"]["params"]["workers"] = 2
+        document["extra"]["workers"] = 2
+        path = tmp_path / "legacy.ckpt"
+        path.write_text(json.dumps(document))
+
+        legacy = load_checkpoint(path)
+        algorithm = algorithm_from_config(legacy.algorithm)
+        resumed = run(algorithm, RunContext(resume_from=legacy))
+        assert compare_results(golden, resumed) == ""
+        assert [s.benefit for s in resumed.stages] == [
+            s.benefit for s in golden.stages
+        ]
 
 
 class TestAtomicSave:

@@ -62,29 +62,6 @@ class TestFaultMatrixD5:
                 assert n >= 2, key  # the matrix must exercise resume
 
 
-class TestWorkersColumn:
-    """Kills with a live worker pool: the stop path must checkpoint,
-    drain the pool, unlink the shared-memory segments, and resume
-    bit-identically — at d=4 so the pool is forced (workers=2)."""
-
-    def test_kill_with_live_pool_resumes_identically(self):
-        from repro.parallel import leaked_segments
-
-        graph = _cube_graph(4)
-        probe = BenefitEngine(graph)
-        cases = fault_matrix(
-            graph,
-            smoke_budget(probe, 0.05),
-            backends=("sparse",),
-            lazy_modes=(True,),
-            workers_modes=(2,),
-        )
-        assert [str(case) for case in cases if not case.ok] == []
-        assert {case.workers for case in cases} == {2}
-        assert len(cases) >= 5
-        assert leaked_segments() == []
-
-
 class TestLocalSearchOnFigure2:
     """Local search only emits moves on instances where greedy is
     suboptimal; Figure 2 is the paper's pathology for exactly that."""

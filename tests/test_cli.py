@@ -353,65 +353,6 @@ class TestRuntimeFlags:
         assert load_checkpoint(ckpt).stage_counter >= 1
 
 
-class TestWorkersFlag:
-    def test_workers_2_selection_identical(self, cube_file, tmp_path):
-        serial_file = tmp_path / "serial.json"
-        parallel_file = tmp_path / "parallel.json"
-        assert (
-            main(
-                ["advise", "--lattice", cube_file, "--space", "25e6",
-                 "--workers", "1", "--output", str(serial_file)]
-            )
-            == 0
-        )
-        assert (
-            main(
-                ["advise", "--lattice", cube_file, "--space", "25e6",
-                 "--workers", "2", "--output", str(parallel_file)]
-            )
-            == 0
-        )
-        serial = json.loads(serial_file.read_text())
-        parallel = json.loads(parallel_file.read_text())
-        assert parallel["selected"] == serial["selected"]
-        assert parallel["benefit"] == serial["benefit"]
-        from repro.parallel import leaked_segments
-
-        assert leaked_segments() == []
-
-    def test_resume_with_workers_override(self, cube_file, tmp_path, capsys):
-        """A serially-written checkpoint resumes under --workers 2 to the
-        exact uninterrupted selection."""
-        full_file = tmp_path / "full.json"
-        ckpt = tmp_path / "run.ckpt"
-        assert (
-            main(
-                ["advise", "--lattice", cube_file, "--space", "25e6",
-                 "--output", str(full_file)]
-            )
-            == 0
-        )
-        assert (
-            main(
-                ["advise", "--lattice", cube_file, "--space", "25e6",
-                 "--deadline", "0", "--checkpoint", str(ckpt)]
-            )
-            == 3
-        )
-        capsys.readouterr()
-        resumed_file = tmp_path / "resumed.json"
-        rc = main(
-            ["resume", "--lattice", cube_file, "--checkpoint", str(ckpt),
-             "--workers", "2", "--output", str(resumed_file)]
-        )
-        assert rc == 0
-        full = json.loads(full_file.read_text())
-        resumed = json.loads(resumed_file.read_text())
-        assert resumed["selected"] == full["selected"]
-        assert resumed["benefit"] == full["benefit"]
-        assert resumed["interrupted"] is False
-
-
 class TestServeAndReplay:
     def test_serve_writes_telemetry_and_log(self, tmp_path, capsys):
         telemetry = tmp_path / "telemetry.json"
@@ -451,6 +392,22 @@ class TestServeAndReplay:
         doc = json.loads(telemetry.read_text())
         assert doc["queries"] == 30
         assert doc["fallbacks"] == 0
+
+    @pytest.mark.parametrize("command", ["serve", "replay"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_input_error(
+        self, command, workers, tmp_path, capsys
+    ):
+        log = tmp_path / "observed.jsonl"
+        log.write_text("")
+        if command == "serve":
+            source = ["--queries", "5"]
+        else:
+            source = ["--log", str(log)]
+        rc = main([command, "--dims", "3", "--workers", workers, *source])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: --workers must be >= 1, got {workers}"
 
     def test_replay_missing_log_is_input_error(self, tmp_path, capsys):
         rc = main(
