@@ -814,6 +814,8 @@ def cmd_advise(args: argparse.Namespace) -> int:
             "--support/--similarity/--max-indexes-per-view/--benefit-bound "
             "require --prune-log"
         )
+    if args.benefit_bound is not None and not args.benefit_bound >= 0:
+        raise ValueError(f"--benefit-bound must be >= 0, got {args.benefit_bound:g}")
     if args.prune_log is not None:
         return _advise_pruned(args)
     graph, top_name, top_rows = _load_graph(args.lattice, args.index_universe)

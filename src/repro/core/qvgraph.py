@@ -8,22 +8,27 @@ set of *indexes*, each with its own space cost).  An edge ``(q, v)`` labeled
 ``k``-th index at cost ``t``; ``k = 0`` (here: ``index=None``) means using
 the plain view.
 
-Graphs come from two places:
+Graphs come from three places:
 
 * hand construction (e.g. the paper's Figure 2 instance, arbitrary unit
   tests) via :meth:`QueryViewGraph.add_query` / ``add_view`` / ``add_index``
-  / ``add_edge``; or
+  / ``add_edge``;
 * a data cube, via :meth:`QueryViewGraph.from_cube`, which enumerates slice
-  queries, fat indexes, and linear-cost-model edges.
+  queries, fat indexes, and linear-cost-model edges; or
+* a mined candidate space (:mod:`repro.mining`), via
+  :meth:`QueryViewGraph.from_mined`, which takes its queries, views and
+  index keys from a query log instead.
 
 Edges are stored two ways: a ``(query, structure) -> cost`` dict fed by
 :meth:`add_edge`, and *bulk blocks* of position-indexed numpy arrays fed by
 :meth:`add_edges_bulk`.  The block path exists for scale — ``from_cube`` on
 a d=7 fat-index cube emits ~5 million edges, and one dict insert per edge
-dominates the build.  The vectorized ``from_cube`` computes answerability
-with subset bitmasks over the lattice and appends whole edge arrays;
-:meth:`edge_arrays` hands the combined edge set to the benefit engine
-without ever materializing per-edge Python objects.
+dominates the build.  :class:`EdgeKernel` computes answerability and
+index costs with subset bitmasks over the lattice, one view at a time;
+the vectorized ``from_cube`` and :meth:`QueryViewGraph.from_mined` both
+append its whole edge arrays, and :meth:`edge_arrays` hands the combined
+edge set to the benefit engine without ever materializing per-edge
+Python objects.
 """
 
 from __future__ import annotations
@@ -440,8 +445,8 @@ class QueryViewGraph:
             )
         if fast_ok:
             return cls._from_cube_vectorized(
-                lattice, queries, frequencies, cost_model, index_enum,
-                skip_useless_index_edges,
+                lattice, queries, frequencies, cost_model.default_view,
+                index_enum, skip_useless_index_edges,
             )
 
         graph = cls()
@@ -475,7 +480,6 @@ class QueryViewGraph:
         cls,
         lattice: CubeLattice,
         mined,
-        cost_model: Optional[LinearCostModel] = None,
         skip_useless_index_edges: bool = True,
     ) -> "QueryViewGraph":
         """Build the graph of a *mined* candidate space (see
@@ -485,19 +489,22 @@ class QueryViewGraph:
         ``3^n`` query universe or the ``~2·n!`` fat-index universe —
         query nodes, view nodes, and index nodes all come from the mined
         attribute sets alone, so a d=9–10 cube whose full graph cannot
-        even be built compiles in seconds.
+        even be built compiles in seconds.  Edges come from the same
+        :class:`EdgeKernel` as :meth:`from_cube`'s fast path, under the
+        linear cost model with the top view as the raw data.
 
         ``mined`` is duck-typed (a
         :class:`repro.mining.candidates.MinedCandidates`, kept out of
         the core package's imports): it must expose ``queries`` (a
         ``{SliceQuery: weight}`` mapping), ``view_attrs`` (kept views as
         attribute frozensets) and ``index_keys`` (``{view_attrs: [key
-        tuple, ...]}``).  Node order follows the mined view order —
-        lattice order — so greedy argmax tie-breaks match a
-        :meth:`from_cube` graph restricted to the same structures.
+        tuple, ...]}``).  Query nodes are sorted by (attribute count,
+        attributes, selection count, selection); structure order follows
+        the mined view order — lattice order — so greedy argmax
+        tie-breaks match a :meth:`from_cube` graph restricted to the
+        same structures.  Raises ``ValueError`` for a mined view outside
+        the lattice or a query over attributes outside the schema.
         """
-        if cost_model is None:
-            cost_model = LinearCostModel(lattice)
         graph = cls()
 
         def query_key(query):
@@ -509,39 +516,18 @@ class QueryViewGraph:
             )
 
         queries = sorted(mined.queries, key=query_key)
-        by_attrs: Dict[frozenset, list] = {}
+        kernel = EdgeKernel(lattice, queries)
         for query in queries:
             graph.add_query(
                 str(query),
-                default_cost=cost_model.default_cost(query),
+                default_cost=kernel.default_cost,
                 frequency=float(mined.queries[query]),
                 payload=query,
             )
-            by_attrs.setdefault(query.attrs, []).append(query)
-
         for attrs in mined.view_attrs:
             view = View(attrs)
-            if view not in lattice:
-                raise ValueError(f"mined view {view} is not a view of this lattice")
-            view_name = lattice.label(view)
-            view_rows = lattice.size(view)
-            graph.add_view(view_name, space=view_rows, payload=view)
-            answerable = []
-            for q_attrs, members in by_attrs.items():
-                if q_attrs <= attrs:
-                    answerable.extend(members)
-            answerable.sort(key=query_key)
-            for query in answerable:
-                graph.add_edge(str(query), view_name, cost_model.cost(query, view))
-            for key in mined.index_keys.get(attrs, ()):
-                index = Index(view, key)
-                index_name = lattice.index_label(index)
-                graph.add_index(view_name, index_name, payload=index)
-                for query in answerable:
-                    cost = cost_model.cost(query, view, index)
-                    if skip_useless_index_edges and cost >= view_rows:
-                        continue
-                    graph.add_edge(str(query), index_name, cost)
+            indexes = [Index(view, key) for key in mined.index_keys.get(attrs, ())]
+            graph._add_view_edges(kernel, view, indexes, skip_useless_index_edges)
         return graph
 
     @classmethod
@@ -550,116 +536,169 @@ class QueryViewGraph:
         lattice: CubeLattice,
         queries: Sequence[SliceQuery],
         frequencies: Mapping[SliceQuery, float],
-        cost_model: LinearCostModel,
+        default_view: View,
         index_enum,
         skip_useless_index_edges: bool,
     ) -> "QueryViewGraph":
-        """Bitmask fast path of :meth:`from_cube`.
-
-        Every view and every query attribute set becomes an ``n``-bit
-        mask; a view answers a query iff ``q_attrs & ~view_mask == 0``.
-        Index usability is the longest key prefix inside the query's
-        selection mask, found by counting cumulative-prefix-mask subset
-        tests (monotone in the prefix length), and the cost formula
-        ``max(1, |V| / |prefix|)`` is evaluated on whole (index × query)
-        blocks.  Emits node-for-node, edge-for-edge the same graph as the
-        reference loop.
-        """
+        """Bitmask fast path of :meth:`from_cube`: every lattice view and
+        its enumerated indexes through :class:`EdgeKernel`.  Emits
+        node-for-node, edge-for-edge the same graph as the reference
+        loop."""
         graph = cls()
-        names = tuple(lattice.schema.names)
-        n = len(names)
-        bit = {attr: 1 << i for i, attr in enumerate(names)}
-        sentinel = np.int64(1 << n)  # impossible prefix: a bit no query has
-
-        def mask_of(attrs) -> int:
-            m = 0
-            for attr in attrs:
-                m |= bit[attr]
-            return m
-
-        default_view = cost_model.default_view
-        default_mask = mask_of(default_view.attrs)
-        default_cost_val = lattice.size(default_view)
-
-        n_q = len(queries)
-        q_attr_masks = np.empty(n_q, dtype=np.int64)
-        q_sel_masks = np.empty(n_q, dtype=np.int64)
-        for qi, query in enumerate(queries):
-            try:
-                attr_mask = mask_of(query.attrs)
-            except KeyError:
-                # attribute outside the schema: unanswerable by the
-                # default view — raise the canonical error
-                cost_model.default_cost(query)
-                raise AssertionError("unreachable")  # pragma: no cover
-            if attr_mask & ~default_mask:
-                cost_model.default_cost(query)  # raises ValueError
+        kernel = EdgeKernel(lattice, queries, default_view)
+        for query in queries:
             graph.add_query(
                 str(query),
-                default_cost=default_cost_val,
+                default_cost=kernel.default_cost,
                 frequency=frequencies.get(query, 1.0),
                 payload=query,
             )
-            q_attr_masks[qi] = attr_mask
-            q_sel_masks[qi] = mask_of(query.selection)
-
-        size_by_mask = np.ones(1 << n, dtype=np.float64)
         for view in lattice.views():
-            size_by_mask[mask_of(view.attrs)] = float(lattice.size(view))
-
-        for view in lattice.views():
-            view_name = lattice.label(view)
-            view_rows = lattice.size(view)
-            graph.add_view(view_name, space=view_rows, payload=view)
-            view_pos = graph.n_structures - 1
-            view_mask = mask_of(view.attrs)
-            ans = np.flatnonzero((q_attr_masks & ~np.int64(view_mask)) == 0)
-            if ans.size:
-                graph.add_edges_bulk(
-                    ans,
-                    np.full(ans.size, view_pos, dtype=np.int64),
-                    np.full(ans.size, float(view_rows)),
-                )
-
-            index_list = list(index_enum(view))
-            if not index_list or not ans.size:
-                for index in index_list:
-                    graph.add_index(view_name, lattice.index_label(index), payload=index)
-                continue
-            first_index_pos = graph.n_structures
-            for index in index_list:
-                graph.add_index(view_name, lattice.index_label(index), payload=index)
-
-            not_sel = ~q_sel_masks[ans]  # high bits (incl. sentinel) set
-            kmax = max(len(index.key) for index in index_list)
-            chunk_rows = max(1, _VEC_CHUNK_CELLS // int(ans.size))
-            view_rows_f = float(view_rows)
-            for lo in range(0, len(index_list), chunk_rows):
-                chunk = index_list[lo : lo + chunk_rows]
-                n_i = len(chunk)
-                # cumulative prefix masks; sentinel past the key's end
-                prefix_masks = np.full((n_i, kmax + 1), sentinel, dtype=np.int64)
-                prefix_masks[:, 0] = 0
-                for i, index in enumerate(chunk):
-                    mask = 0
-                    for j, attr in enumerate(index.key, start=1):
-                        mask |= bit[attr]
-                        prefix_masks[i, j] = mask
-                # usable prefix length: prefix_j usable iff its mask is a
-                # subset of the selection mask; usability is monotone in j
-                usable_len = np.zeros((n_i, ans.size), dtype=np.int64)
-                for j in range(1, kmax + 1):
-                    usable_len += (prefix_masks[:, j : j + 1] & not_sel[None, :]) == 0
-                pair_prefix = np.take_along_axis(prefix_masks, usable_len, axis=1)
-                costs = view_rows_f / size_by_mask[pair_prefix]
-                np.maximum(costs, 1.0, out=costs)
-                if skip_useless_index_edges:
-                    keep = costs < view_rows_f
-                else:
-                    keep = np.ones(costs.shape, dtype=bool)
-                ii, aa = np.nonzero(keep)
-                if ii.size:
-                    graph.add_edges_bulk(
-                        ans[aa], first_index_pos + lo + ii, costs[keep]
-                    )
+            graph._add_view_edges(
+                kernel, view, list(index_enum(view)), skip_useless_index_edges
+            )
         return graph
+
+    def _add_view_edges(
+        self,
+        kernel: "EdgeKernel",
+        view: View,
+        indexes: Sequence[Index],
+        skip_useless_index_edges: bool,
+    ) -> None:
+        """Add ``view``, its ``indexes``, and their kernel edge blocks."""
+        blocks = kernel.edge_blocks(
+            view, indexes, skip_useless_index_edges, view_pos=self.n_structures
+        )
+        lattice = kernel.lattice
+        view_name = lattice.label(view)
+        self.add_view(view_name, space=lattice.size(view), payload=view)
+        for index in indexes:
+            self.add_index(view_name, lattice.index_label(index), payload=index)
+        for query_pos, structure_pos, costs in blocks:
+            self.add_edges_bulk(query_pos, structure_pos, costs)
+
+
+class EdgeKernel:
+    """The linear cost model (:class:`LinearCostModel`) evaluated on
+    attribute bitmasks over a fixed query list — the edge computation
+    shared by :meth:`QueryViewGraph.from_cube`'s fast path,
+    :meth:`QueryViewGraph.from_mined` and
+    :func:`repro.mining.bound.compute_benefit_bound`.
+
+    Every view and every query attribute set becomes an ``n``-bit mask;
+    a view answers a query iff ``attrs & ~view == 0``.  An index's
+    usable prefix is the longest key prefix inside the query's selection
+    mask, found by counting cumulative-prefix-mask subset tests
+    (monotone in the prefix length), and ``max(1, |V| / |E|)`` is
+    evaluated on whole (index × query) blocks.
+
+    Construction raises ``ValueError`` for a query the default view
+    (the raw data; the lattice's top by default) cannot answer, as
+    :meth:`LinearCostModel.default_cost` does.
+    """
+
+    def __init__(
+        self,
+        lattice: CubeLattice,
+        queries: Sequence[SliceQuery],
+        default_view: Optional[View] = None,
+    ):
+        if default_view is None:
+            default_view = lattice.top
+        self.lattice = lattice
+        names = tuple(lattice.schema.names)
+        self._bit = {attr: 1 << i for i, attr in enumerate(names)}
+        n_masks = 1 << len(names)
+        # row count of every view, indexed by its mask
+        self._size_by_mask = np.ones(n_masks, dtype=np.float64)
+        for view in lattice.views():
+            self._size_by_mask[self._mask_of(view.attrs)] = float(lattice.size(view))
+        # divisor for a usable prefix: the empty prefix scans the view
+        self._prefix_rows = self._size_by_mask.copy()
+        self._prefix_rows[0] = 1.0
+        # impossible prefix: a bit no selection mask has
+        self._sentinel = np.int64(n_masks)
+        self.default_cost = lattice.size(default_view)
+
+        self.attr_masks = np.empty(len(queries), dtype=np.int64)
+        self.sel_masks = np.empty(len(queries), dtype=np.int64)
+        for qi, query in enumerate(queries):
+            if not query.attrs <= default_view.attrs:
+                raise ValueError(
+                    f"{query} is not answerable by the default view {default_view}"
+                )
+            self.attr_masks[qi] = self._mask_of(query.attrs)
+            self.sel_masks[qi] = self._mask_of(query.selection)
+
+    def _mask_of(self, attrs) -> int:
+        """The bitmask of an attribute set (``KeyError`` outside the schema)."""
+        mask = 0
+        for attr in attrs:
+            mask |= self._bit[attr]
+        return mask
+
+    def index_cost(self, view_masks, prefix_masks) -> np.ndarray:
+        """``c(Q, V, J) = max(1, |V| / |E|)`` elementwise over view and
+        usable-prefix masks; an empty prefix (mask 0) costs ``|V|``."""
+        costs = self._size_by_mask[view_masks] / self._prefix_rows[prefix_masks]
+        return np.maximum(costs, 1.0, out=costs)
+
+    def edge_blocks(
+        self,
+        view: View,
+        indexes: Sequence[Index],
+        skip_useless_index_edges: bool = True,
+        view_pos: int = 0,
+    ) -> list:
+        """Edges of ``view`` and its ``indexes`` as ``(query_positions,
+        structure_positions, costs)`` array blocks.
+
+        The view sits at structure position ``view_pos`` and
+        ``indexes[i]`` at ``view_pos + 1 + i``; blocks are
+        structure-major with ascending query positions within a
+        structure.  With ``skip_useless_index_edges`` an index edge is
+        dropped unless it beats the view scan.  Raises ``ValueError``
+        for a view outside the lattice.
+        """
+        if view not in self.lattice:
+            raise ValueError(f"view {view} is not a view of this lattice")
+        view_mask = self._mask_of(view.attrs)
+        view_rows = self._size_by_mask[view_mask]
+        ans = np.flatnonzero((self.attr_masks & ~np.int64(view_mask)) == 0)
+        if not ans.size:
+            return []
+        blocks = [
+            (ans, np.full(ans.size, view_pos, dtype=np.int64), np.full(ans.size, view_rows))
+        ]
+        if not indexes:
+            return blocks
+
+        not_sel = ~self.sel_masks[ans]  # high bits (incl. sentinel) set
+        kmax = max(len(index.key) for index in indexes)
+        chunk_rows = max(1, _VEC_CHUNK_CELLS // int(ans.size))
+        for lo in range(0, len(indexes), chunk_rows):
+            chunk = indexes[lo : lo + chunk_rows]
+            # cumulative prefix masks; sentinel past the key's end
+            prefix_masks = np.full((len(chunk), kmax + 1), self._sentinel, dtype=np.int64)
+            prefix_masks[:, 0] = 0
+            for i, index in enumerate(chunk):
+                mask = 0
+                for j, attr in enumerate(index.key, start=1):
+                    mask |= self._bit[attr]
+                    prefix_masks[i, j] = mask
+            # usable prefix length: prefix_j usable iff its mask is a
+            # subset of the selection mask; usability is monotone in j
+            usable_len = np.zeros((len(chunk), ans.size), dtype=np.int64)
+            for j in range(1, kmax + 1):
+                usable_len += (prefix_masks[:, j : j + 1] & not_sel[None, :]) == 0
+            pair_prefix = np.take_along_axis(prefix_masks, usable_len, axis=1)
+            costs = self.index_cost(view_mask, pair_prefix)
+            if skip_useless_index_edges:
+                keep = costs < view_rows
+            else:
+                keep = np.ones(costs.shape, dtype=bool)
+            ii, aa = np.nonzero(keep)
+            if ii.size:
+                blocks.append((ans[aa], view_pos + 1 + lo + ii, costs[keep]))
+        return blocks

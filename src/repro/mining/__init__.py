@@ -6,7 +6,11 @@ bound on the benefit the pruning can forgo.  The pruned space compiles
 into a :class:`~repro.core.qvgraph.QueryViewGraph` via
 :meth:`~repro.core.qvgraph.QueryViewGraph.from_mined`, which every
 selection algorithm accepts unchanged; this is what scales ``advise``
-to d≥9 cubes whose full 3^n universe cannot be built.
+to d≥9 cubes whose full 3^n universe cannot be built.  The compile and
+the bound both price edges with
+:class:`~repro.core.qvgraph.EdgeKernel`, the bitmask form of the
+linear cost model that ``from_cube`` uses, so neither makes a
+per-edge cost-model call.
 
 Typical flow::
 

@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.costmodel import LinearCostModel
+import numpy as np
+
 from repro.core.index import Index
 from repro.core.lattice import CubeLattice
-from repro.core.query import SliceQuery
+from repro.core.qvgraph import EdgeKernel
 from repro.core.view import View
 
 from repro.mining.candidates import MinedCandidates
@@ -82,55 +83,44 @@ class BenefitBound:
         }
 
 
-def _ideal_cost(
-    query: SliceQuery, model: LinearCostModel, lattice: CubeLattice
-) -> float:
-    """Cheapest cost for ``query`` over the FULL candidate universe.
+def _running_total(values: np.ndarray) -> float:
+    """Left-to-right sum, as ``total += value`` in a loop would give —
+    ``np.sum``'s pairwise order could change the last bits."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
-    The associated view ``view(attrs(q))`` is the smallest answering
-    view, and among all (view, index) plans the cost ``max(1, |V|/|E|)``
-    is minimized by the smallest ``V`` with the largest usable prefix
-    ``E`` — i.e. a fat index on the associated view whose key leads with
-    every selection attribute.
+
+def compute_benefit_bound(mined: MinedCandidates, lattice: CubeLattice) -> BenefitBound:
+    """Price the mined candidate set against the full universe's floor,
+    under the linear cost model with the top view as the raw data.
+
+    Both floors come from :class:`~repro.core.qvgraph.EdgeKernel`, the
+    kernel :meth:`~repro.core.qvgraph.QueryViewGraph.from_mined` compiles
+    with: ``c_ideal`` in closed form (the associated view, the smaller of
+    its scan and its selection-first fat index, or the raw data), and
+    ``c_kept`` as each query's minimum over the mined candidates' edge
+    costs and the raw data.  Raises ``ValueError`` for a mined view
+    outside the lattice or a query over attributes outside the schema.
     """
-    view = View(query.attrs)
-    if not query.selection or not query.attrs:
-        return min(model.cost(query, view), model.default_cost(query))
-    key = tuple(sorted(query.selection)) + tuple(sorted(query.attrs - query.selection))
-    best = model.cost(query, view, Index(view, key))
-    return min(best, model.cost(query, view), model.default_cost(query))
+    kernel = EdgeKernel(lattice, list(mined.queries))
+    weights = np.fromiter(mined.queries.values(), dtype=np.float64, count=len(mined.queries))
+    default = np.full(weights.size, float(kernel.default_cost))
 
+    # the associated view view(attrs(q)) is the smallest answering view,
+    # and a fat key leading with every selection attribute gives it the
+    # largest usable prefix E = selection(q): no plan beats that cost,
+    # and it never exceeds the view scan (an empty E costs the scan)
+    ideal = np.minimum(kernel.index_cost(kernel.attr_masks, kernel.sel_masks), default)
 
-def _kept_cost(
-    query: SliceQuery, mined: MinedCandidates, model: LinearCostModel
-) -> float:
-    """Cheapest cost for ``query`` over the mined candidates (or raw data)."""
-    best = model.default_cost(query)
+    kept = default.copy()
     for attrs in mined.view_attrs:
-        if not attrs >= query.attrs:
-            continue
         view = View(attrs)
-        best = min(best, model.cost(query, view))
-        for key in mined.index_keys.get(attrs, ()):
-            best = min(best, model.cost(query, view, Index(view, key)))
-    return best
+        indexes = [Index(view, key) for key in mined.index_keys.get(attrs, ())]
+        for query_pos, _structure_pos, costs in kernel.edge_blocks(view, indexes):
+            np.minimum.at(kept, query_pos, costs)
 
-
-def compute_benefit_bound(
-    mined: MinedCandidates,
-    lattice: CubeLattice,
-    cost_model: Optional[LinearCostModel] = None,
-) -> BenefitBound:
-    """Price the mined candidate set against the full universe's floor."""
-    model = cost_model if cost_model is not None else LinearCostModel(lattice)
-    ideal = kept = default = 0.0
-    for query, weight in mined.queries.items():
-        ideal += weight * _ideal_cost(query, model, lattice)
-        kept += weight * _kept_cost(query, mined, model)
-        default += weight * model.default_cost(query)
     return BenefitBound(
-        ideal_tau=ideal,
-        kept_tau=kept,
-        default_tau=default,
+        ideal_tau=_running_total(weights * ideal),
+        kept_tau=_running_total(weights * kept),
+        default_tau=_running_total(weights * default),
         total_weight=mined.total_weight,
     )

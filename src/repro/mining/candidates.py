@@ -31,7 +31,7 @@ from repro.core.index import parse_index_label
 from repro.core.query import SliceQuery
 from repro.core.view import parse_view
 from repro.cube.query_log import LogEntry, pattern_counts
-from repro.mining.cluster import QueryCluster, cluster_queries, query_sort_key
+from repro.mining.cluster import QueryCluster, cluster_queries
 
 #: Minimum workload support for a cluster to sponsor candidates.
 DEFAULT_SUPPORT = 0.01
@@ -191,7 +191,7 @@ def mine_candidates(
     observed query no kept view below the top could answer.  Kept index
     keys per view put the view's hottest observed selection sets first.
     """
-    if support < 0:
+    if not support >= 0:  # also rejects NaN
         raise ValueError(f"support must be >= 0, got {support}")
     if max_indexes_per_view < 0:
         raise ValueError(
@@ -229,22 +229,22 @@ def mine_candidates(
     views = {c.attrs for c in kept}
     views.add(top)
 
-    # upward closure: every observed query keeps an answering plan
-    # besides the raw-cube fallback (its own associated view when no
-    # kept view below the top covers it).
-    for query in sorted(counts, key=query_sort_key):
-        if query.attrs == top:
-            continue  # the top view IS this query's associated view
-        covering = [v for v in views if v >= query.attrs and v != top]
-        if not covering:
-            views.add(query.attrs)
-
-    # group observed patterns by attribute set once; per-view assignment
-    # then tests set containment per distinct attribute set, not per
-    # pattern — the d≥9 scale path.
+    # group observed patterns by attribute set once; the upward closure
+    # and per-view assignment then test set containment per distinct
+    # attribute set, not per pattern — the d≥9 scale path.
     by_attrs: Dict[frozenset, List[Tuple[SliceQuery, float]]] = {}
     for query, weight in counts.items():
         by_attrs.setdefault(query.attrs, []).append((query, weight))
+
+    # upward closure: every observed query keeps an answering plan
+    # besides the raw-cube fallback (its own associated view when no
+    # kept view below the top covers it).  Coverage depends only on
+    # the attribute set, so each set is decided once.
+    for attrs in sorted(by_attrs, key=lambda a: (len(a), tuple(sorted(a)))):
+        if attrs == top:
+            continue  # the top view IS this query's associated view
+        if not any(v >= attrs and v != top for v in views):
+            views.add(attrs)
 
     ordered_views = sorted(views, key=lambda v: (len(v), tuple(sorted(pos[a] for a in v))))
     index_keys: Dict[frozenset, List[Tuple[str, ...]]] = {}

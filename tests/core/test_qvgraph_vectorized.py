@@ -13,6 +13,7 @@ from repro.core.costmodel import LinearCostModel
 from repro.core.lattice import CubeLattice
 from repro.core.qvgraph import QueryViewGraph
 from repro.core.query import SliceQuery, enumerate_slice_queries
+from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
 from repro.estimation.sizes import analytical_lattice
 
@@ -68,6 +69,27 @@ def test_fast_path_identical_without_useless_edge_skip():
         lat, skip_useless_index_edges=False, vectorized=False
     )
     graphs_equal(fast, slow)
+
+
+def test_fast_path_identical_when_empty_view_has_two_rows():
+    # an index with no usable prefix scans the whole view (|V| rows),
+    # whatever size the lattice gives the empty view
+    schema = CubeSchema([Dimension("p", 4), Dimension("s", 6), Dimension("c", 9)])
+    sizes = {
+        View(attrs): rows
+        for attrs, rows in [
+            ("psc", 150), ("ps", 24), ("pc", 30), ("sc", 40),
+            ("p", 4), ("s", 6), ("c", 9), ("", 2),
+        ]
+    }
+    lat = CubeLattice(schema, sizes)
+    for skip in (True, False):
+        graphs_equal(
+            QueryViewGraph.from_cube(lat, skip_useless_index_edges=skip),
+            QueryViewGraph.from_cube(
+                lat, skip_useless_index_edges=skip, vectorized=False
+            ),
+        )
 
 
 def test_compiled_engines_identical():

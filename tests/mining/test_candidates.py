@@ -106,6 +106,8 @@ class TestMineCandidates:
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="support"):
             mine_candidates({}, SCHEMA, support=-0.1)
+        with pytest.raises(ValueError, match="support must be >= 0, got nan"):
+            mine_candidates({}, SCHEMA, support=float("nan"))
         with pytest.raises(ValueError, match="max_indexes_per_view"):
             mine_candidates({}, SCHEMA, max_indexes_per_view=-1)
         with pytest.raises(ValueError, match="schema_names"):

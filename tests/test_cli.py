@@ -724,6 +724,17 @@ class TestMine:
         assert rc == 2
         assert "nothing to mine" in capsys.readouterr().err
 
+    def test_mine_nan_support_exits_2(
+        self, mining_cube_file, mining_log_file, capsys
+    ):
+        rc = main(
+            ["mine", "--lattice", mining_cube_file, "--log",
+             mining_log_file, "--support", "nan"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: support must be >= 0, got nan"
+
     def test_mine_malformed_log_names_file_and_line(
         self, mining_cube_file, tmp_path, capsys
     ):
@@ -771,6 +782,21 @@ class TestPrunedAdvise:
         )
         assert rc == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_benefit_bound_nan_or_negative_rejected_before_mining(
+        self, mining_cube_file, mining_log_file, capsys, value
+    ):
+        rc = main(
+            ["advise", "--lattice", mining_cube_file, "--space", "2000",
+             "--prune-log", mining_log_file, "--benefit-bound", value]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing mined
+        assert captured.err.strip() == (
+            f"error: --benefit-bound must be >= 0, got {float(value):g}"
+        )
 
     def test_mining_flags_require_prune_log(self, mining_cube_file, capsys):
         rc = main(
