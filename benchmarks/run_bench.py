@@ -544,7 +544,9 @@ def _mining_quality_leg(n_dims: int, n_entries: int = 2000, rng: int = 11) -> di
 #: Child measurement for the d=9 scale leg: mine + compile + 1-greedy
 #: under a RunContext deadline, reporting wall-clocks and its own peak
 #: RSS.  Run in a subprocess so the RSS number is the leg's, not the
-#: whole bench driver's.
+#: whole bench driver's: on Linux ``ru_maxrss`` keeps the driver's peak
+#: across fork and exec (after the d=7 leg, ~470 MiB), so the child
+#: reads its own image's high-water mark, ``VmHWM``, where it exists.
 _D9_CHILD = """
 import json, resource, sys, time
 from repro.algorithms.rgreedy import RGreedy
@@ -555,6 +557,16 @@ from repro.cube.schema import CubeSchema, Dimension
 from repro.estimation.sizes import analytical_lattice
 from repro.mining import compute_benefit_bound, mine_candidates
 from repro.runtime import RunContext
+
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 n_dims, n_entries, deadline = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])
 cards = [4 + 2 * i for i in range(n_dims)]
@@ -590,7 +602,7 @@ print(json.dumps({
     "interrupted": bool(result.interrupted),
     "tau": result.tau,
     "forgone_bound": bound.forgone_bound(result.tau),
-    "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "max_rss_mb": peak_rss_mb(),
 }))
 """
 

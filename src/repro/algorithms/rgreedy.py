@@ -16,8 +16,12 @@ uses at most ``S + r − 1`` units and achieves at least
 ``1 − e^−(r−1)/r`` of the optimal benefit attainable in the space it used.
 
 The running time is ``O(k · m^r)`` for ``m`` structures and ``k`` stages.
-Two layers of pruning keep moderate-to-large dimensions practical without
-changing the result:
+A stage offers its candidates in one canonical view-major order, and
+runs of single candidates (bare views, and unselected indexes of selected
+views) between two bundle roots go to the incumbent chain as one array
+step (:func:`offer_singles`); Python runs once per unselected view that
+can root a bundle.  Two layers of pruning keep moderate-to-large
+dimensions practical without changing the result:
 
 * the inner subset search prunes with a submodularity-based upper bound
   (sound: individual index gains computed against the stage's base state
@@ -25,10 +29,14 @@ changing the result:
 * in lazy mode (the default; ``lazy=False`` forces the eager scans)
   per-structure benefits come from the engine's incrementally
   maintained cache instead of a full re-scan, and a whole view's index
-  subtree is skipped when the cached-singles upper bound on any bundle
-  ratio cannot displace the stage incumbent.  Candidates are still offered
-  in the exact eager order with the same tie-break rule, so lazy and eager
-  runs select identical structures.
+  subtree is skipped when an upper bound on any bundle ratio cannot
+  displace the stage incumbent.  The bound is tried first on the cached
+  values, where the indexes of an unselected view may be *pending* upper
+  bounds (see :mod:`repro.core.benefit`); only a subtree they fail to
+  prune has its pending indexes re-scored, then the exact bound and the
+  subset search run.  Candidates are still offered in the exact eager
+  order with the same tie-break rule, so lazy and eager runs select
+  identical structures.
 """
 
 from __future__ import annotations
@@ -51,8 +59,27 @@ from repro.algorithms.base import (
     check_space,
     resolve_lazy,
 )
-from repro.core.benefit import BenefitEngine
+from repro.core.benefit import BenefitEngine, chain_pick
 from repro.core.selection import SelectionResult
+
+
+def offer_singles(
+    best: ChainSink, ids: np.ndarray, benefits: np.ndarray, spaces: np.ndarray
+) -> None:
+    """Offer ``(id,)`` for each id in ``ids``, in order, to ``best``.
+
+    One vectorized chain step that continues from ``best``'s incumbent:
+    the same outcome as one ``best.offer((id,), benefits[id], spaces[id])``
+    per entry (spaces are positive).
+    """
+    values = benefits[ids]
+    keep = values > 0.0
+    ids, values = ids[keep], values[keep]
+    sizes = spaces[ids]
+    ratios = values / sizes
+    win = chain_pick(ratios, None if best.ids is None else best.ratio)
+    if win is not None:
+        best.offer((int(ids[win]),), float(values[win]), float(sizes[win]))
 
 
 class RGreedy(SelectionAlgorithm):
@@ -122,117 +149,106 @@ class RGreedy(SelectionAlgorithm):
         best = ChainSink()
         space_left = space - engine.space_used()
         strict = self.fit == FIT_STRICT
+        order = engine.stage_candidates()
 
         if lazy and self.r < 2:
             # pure single-structure stage: one pass over the maintained
             # cache over the static view-major candidate order; the
             # selected/admissible filters inside lazy_best_single leave
             # exactly the eager scan's offers, in the eager scan's order
-            pick = engine.lazy_best_single(
-                engine.stage_candidates(),
-                space_left if strict else None,
-            )
+            pick = engine.lazy_best_single(order, space_left if strict else None)
             if pick is not None:
                 sid, benefit, sid_space, _ratio = pick
                 best.offer((sid,), benefit, sid_space)
             return best
 
-        # one pass gives every structure's standalone benefit (used
-        # directly for bare views and for phase-2 single indexes); in lazy
-        # mode this reads the incrementally maintained cache instead
-        singles = engine.single_benefits(lazy=lazy)
-        self._scan_views(
-            engine, engine.view_ids(), best, singles, space_left, strict, lazy
+        # every structure's standalone benefit, for bare views and single
+        # indexes and as the subtree bound; in lazy mode the maintained
+        # cache, whose pending rows (indexes of unselected views) are
+        # upper bounds until a bundle root re-scores them
+        singles = (
+            engine.single_benefit_bounds()
+            if lazy
+            else engine.single_benefits(lazy=False)
         )
-        return best
-
-    def _scan_views(
-        self,
-        engine,
-        view_ids,
-        best,
-        singles: np.ndarray,
-        space_left: float,
-        strict: bool,
-        lazy: bool,
-    ) -> None:
-        """Offer every candidate bundle rooted at ``view_ids`` to ``best``,
-        in the canonical view-major order."""
-
-        def fits(candidate_space: float) -> bool:
-            return not strict or candidate_space <= space_left + SPACE_EPS
-
-        best_vec = engine.best_costs
-        freq = engine.frequencies
-        selected_mask = engine.selected_mask
-
-        for view_id in view_ids:
-            view_id = int(view_id)
-            if selected_mask[view_id]:
-                # phase 2 shape: single unselected indexes of selected views
-                for idx in engine.index_ids_of(view_id):
-                    idx = int(idx)
-                    if selected_mask[idx]:
-                        continue
-                    idx_space = float(engine.spaces[idx])
-                    if not fits(idx_space):
-                        continue
-                    best.offer((idx,), float(singles[idx]), idx_space)
-                continue
-
-            view_space = float(engine.spaces[view_id])
-            if strict and view_space > space_left + SPACE_EPS:
-                continue  # nothing containing this view can fit
-            view_benefit = float(singles[view_id])
-            best.offer((int(view_id),), view_benefit, view_space)
-            if self.r < 2:
-                continue
+        # the single candidates, in the canonical view-major order:
+        # unselected views and unselected indexes of selected views
+        selected = engine.selected_mask
+        is_view = engine.is_view[order]
+        single = ~selected[order] & (is_view | selected[engine.view_id_of[order]])
+        if strict:
+            single &= engine.spaces[order] <= space_left + SPACE_EPS
+        # each offered view roots bundles, offered right after it; the
+        # singles between two roots go to the sink as one array run
+        roots = np.flatnonzero(single & is_view).tolist() if self.r >= 2 else []
+        start = 0
+        for pos in roots:
+            view_id = int(order[pos])
             idx_ids = engine.index_ids_of(view_id)
-            unselected_idx = idx_ids[~selected_mask[idx_ids]] if idx_ids.size else idx_ids
+            unselected_idx = idx_ids[~selected[idx_ids]]
             if unselected_idx.size == 0:
                 continue
-            if lazy and self._subtree_pruned(
-                engine, best, singles, view_benefit, view_space,
-                unselected_idx, space_left, strict,
-            ):
-                continue
-            base = engine.minimum_with(best_vec, view_id)
+            view_benefit = float(singles[view_id])
+            view_space = float(engine.spaces[view_id])
 
+            def pruned(idx_singles: np.ndarray) -> bool:
+                return self._subtree_pruned(
+                    engine, best, view_benefit, view_space,
+                    unselected_idx, idx_singles, space_left, strict,
+                )
+
+            idx_singles = singles[unselected_idx]
+            # offering the run first can only raise the incumbent, so a
+            # subtree the cached bounds prune now stays pruned after it
+            if lazy and pruned(idx_singles):
+                continue
+            offer_singles(best, order[start : pos + 1][single[start : pos + 1]],
+                          singles, engine.spaces)
+            start = pos + 1
+            if lazy:
+                if pruned(idx_singles):
+                    continue
+                # re-score the view's pending indexes for the exact prune
+                idx_singles = engine.single_benefits(unselected_idx, lazy=True)
+                if pruned(idx_singles):
+                    continue
             self._search_index_subsets(
                 engine,
                 best,
-                int(view_id),
+                view_id,
                 view_space,
                 view_benefit,
-                base,
-                freq,
+                engine.minimum_with(engine.best_costs, view_id),
+                engine.frequencies,
                 space_left,
                 strict,
                 unselected_idx,
-                singles,
+                idx_singles,
             )
+        offer_singles(best, order[start:][single[start:]], singles, engine.spaces)
+        return best
 
     def _subtree_pruned(
         self,
         engine,
         best,
-        singles: np.ndarray,
         view_benefit: float,
         view_space: float,
         unselected_idx: np.ndarray,
+        idx_singles: np.ndarray,
         space_left: float,
         strict: bool,
     ) -> bool:
         """True when no ``{view} ∪ T`` bundle can displace the incumbent.
 
-        Upper bound from cached singles: a ``k``-index bundle's benefit is
-        at most ``singles[view] + (top k index singles)`` (subadditivity)
-        and its space at least ``view_space + k · min index space``, so if
-        every such ratio fails the incumbent's ``(1 + 1e-12)`` displacement
-        threshold the whole subtree is a no-op.  Exact — a skipped subtree
-        could never have changed the stage outcome.
+        Upper bound from the index singles (exact or cached upper bounds):
+        a ``k``-index bundle's benefit is at most ``view_benefit + (top k
+        index singles)`` (subadditivity) and its space at least
+        ``view_space + k · min index space``, so if every such ratio fails
+        the incumbent's ``(1 + 1e-12)`` displacement threshold the whole
+        subtree is a no-op.  Exact — a skipped subtree could never have
+        changed the stage outcome.
         """
-        idx_singles = singles[unselected_idx]
         positive = idx_singles > 0.0
         if not positive.any():
             # every index gain against the view baseline would be <= 0,
@@ -266,7 +282,7 @@ class RGreedy(SelectionAlgorithm):
         space_left: float,
         strict: bool,
         unselected_idx: np.ndarray,
-        singles: np.ndarray,
+        idx_singles: np.ndarray,
     ) -> None:
         """Consider {view} ∪ T for index subsets T, |T| ≤ r − 1.
 
@@ -278,7 +294,7 @@ class RGreedy(SelectionAlgorithm):
         """
         # an index with zero standalone benefit has zero gain against the
         # (even lower) view baseline — drop it before touching its row
-        candidates = unselected_idx[singles[unselected_idx] > 0.0]
+        candidates = unselected_idx[idx_singles > 0.0]
         if candidates.size == 0:
             return
         # individual gains over the view-scan baseline: one batched CSR

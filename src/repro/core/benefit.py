@@ -29,12 +29,18 @@ Two cost-store backends are provided, selected by ``backend=``:
 On top of either store the engine maintains *incremental single-structure
 benefits*: after a :meth:`commit`, only queries whose best cost dropped
 (the *dirty columns*) can change any candidate's standalone benefit, so
-only structures with an edge into a dirty column (the *stale rows*) are
-re-scored.  :meth:`lazy_best_single` exploits this — a greedy stage costs
-``O(stale edges)`` instead of ``O(n_structures · n_queries)`` — and
-:meth:`invalidate` drops the cache.  The eager full-recompute path is
-retained (``single_benefits(lazy=False)``) and cross-checked in tests:
-lazy and eager stage loops must produce identical selections.
+only structures with an edge into a dirty column (the *stale rows*) can
+change.  Of those, only the ones a stage can pick — views, and indexes of
+selected views — are re-scored at once.  A stale index of an unselected
+view is left *pending*: its cached value is an upper bound on its benefit
+until its view is committed or a caller reads it through
+:meth:`single_benefits`, which re-score it.  :meth:`lazy_best_single`
+exploits this — a greedy stage costs ``O(stale pickable edges)`` instead
+of ``O(n_structures · n_queries)`` — :meth:`single_benefit_bounds` hands
+the bounds to subtree prunes as they stand, and :meth:`invalidate` drops
+the cache.  The eager full-recompute path is retained
+(``single_benefits(lazy=False)``) and cross-checked in tests: lazy and
+eager stage loops must produce identical selections.
 
 An index is *usable* only when its owning view is materialized; the engine
 exposes :meth:`BenefitEngine.is_admissible` so algorithms can enforce the
@@ -113,39 +119,42 @@ def csr_gains(
     return np.bincount(local, weights=contrib, minlength=arr.size)
 
 
-def chain_pick(ratios: np.ndarray) -> Optional[int]:
+def chain_pick(ratios: np.ndarray, incumbent: Optional[float] = None) -> Optional[int]:
     """Winner of the canonical greedy incumbent chain over ``ratios``.
 
     The canonical rule (shared by every stage loop): scan candidates in
     order; the incumbent is displaced only by a ratio strictly greater
     than ``incumbent · (1 + RATIO_RTOL)``.  All ratios must be positive.
+    ``incumbent`` continues a chain that already holds an incumbent of
+    that ratio; the result is then ``None`` when nothing displaces it.
 
-    Vectorized via running prefix maxima: a candidate strictly above the
-    previous prefix max times the tolerance *definitely* displaces, one at
-    or below the prefix max definitely does not; the (measure-zero)
-    ambiguous band falls back to the exact Python scan, so the result is
-    always identical to the sequential rule.
+    Vectorized via running prefix maxima (the incumbent's ratio included):
+    a candidate strictly above the previous prefix max times the tolerance
+    *definitely* displaces, one at or below the prefix max definitely does
+    not; the (measure-zero) ambiguous band falls back to the exact Python
+    scan, so the result is always identical to the sequential rule.
     """
     n = len(ratios)
     if n == 0:
         return None
-    if n == 1:
+    if n == 1 and incumbent is None:
         return 0
-    cummax = np.maximum.accumulate(ratios)
-    prev = np.empty_like(cummax)
-    prev[0] = 0.0
-    prev[1:] = cummax[:-1]
+    floor = 0.0 if incumbent is None else incumbent
+    prev = np.empty(n, dtype=np.float64)
+    prev[0] = floor
+    np.maximum.accumulate(ratios[:-1], out=prev[1:])
+    np.maximum(prev, floor, out=prev)
     definite = ratios > prev * (1.0 + RATIO_RTOL)
     ambiguous = (ratios > prev) & ~definite
     if ambiguous.any():
-        best = 0
-        best_ratio = float(ratios[0])
-        for i in range(1, n):
-            if ratios[i] > best_ratio * (1.0 + RATIO_RTOL):
+        best, best_ratio = None, incumbent
+        for i in range(n):
+            if best_ratio is None or ratios[i] > best_ratio * (1.0 + RATIO_RTOL):
                 best = i
                 best_ratio = float(ratios[i])
         return best
-    return int(np.flatnonzero(definite)[-1])
+    hits = np.flatnonzero(definite)
+    return int(hits[-1]) if hits.size else None
 
 
 class BenefitEngine:
@@ -226,6 +235,7 @@ class BenefitEngine:
         }
         self._gain_scratch: Optional[np.ndarray] = None
         self._singles: Optional[np.ndarray] = None
+        self._pending: Optional[np.ndarray] = None
         self._singles_fresh = False
         self._stage_candidates: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
@@ -605,50 +615,61 @@ class BenefitEngine:
     def _ensure_singles(self) -> np.ndarray:
         if not self._singles_fresh:
             self._singles = self._eager_singles_sparse(None)
+            self._pending = np.zeros(self.n_structures, dtype=bool)
             self._singles_fresh = True
         return self._singles
 
+    def _rescore(self, ids: np.ndarray) -> None:
+        """Recompute the cached singles of ``ids`` exactly (clears pending)."""
+        if ids.size:
+            self._singles[ids] = self._eager_singles_sparse(ids)
+            self._pending[ids] = False
+
     def _refresh_singles_after(self, old_best: np.ndarray) -> None:
-        """Incrementally re-score only the structures whose standalone
+        """Re-score the structures a stage can pick whose standalone
         benefit may have changed since the best-cost vector was
-        ``old_best``.
+        ``old_best``; defer the rest.
 
         A structure is stale only when one of its edges into a *dirty*
         query (best cost dropped) was *beating* the old best cost there:
         an edge with ``cost >= old_best`` contributed exactly zero before
         and (the best only drops) still does, so the cached sum — the
         same addends in the same order — is bitwise unchanged.
+
+        Only views and indexes of selected views can be picked (§5: an
+        index is usable only with its view).  A stale index of an
+        unselected view is marked *pending* instead, and its cached value
+        stays an upper bound on its benefit: each addend
+        ``f · max(best − c, 0)`` can only fall as ``best`` falls, and a
+        sequential float sum of non-negative addends is monotone in them.
+        Pending rows are re-scored here once their view is committed.
         """
+        stale = self._pending.copy()
         dirty = np.flatnonzero(self._best < old_best)
-        if dirty.size == 0:
-            return
-        starts = self._col_ptr[dirty]
-        lengths = self._col_ptr[dirty + 1] - starts
-        flat = _gather_ranges(starts, lengths)
-        if flat.size == 0:
-            return
-        beating = self._col_vals[flat] < np.repeat(old_best[dirty], lengths)
-        if not beating.any():
-            return
-        stale = np.unique(self._col_rows[flat[beating]]).astype(np.int64)
-        self._singles[stale] = self._eager_singles_sparse(stale)
+        if dirty.size:
+            starts = self._col_ptr[dirty]
+            lengths = self._col_ptr[dirty + 1] - starts
+            flat = _gather_ranges(starts, lengths)
+            beating = self._col_vals[flat] < np.repeat(old_best[dirty], lengths)
+            stale[self._col_rows[flat[beating]]] = True
+        pickable = self.is_view | self._selected_mask[self.view_id_of]
+        self._pending = stale & ~pickable
+        self._rescore(np.flatnonzero(stale & pickable))
 
     def invalidate(self, ids=None) -> None:
         """Drop (or selectively refresh) the maintained single-benefit cache.
 
         ``ids=None`` discards the whole cache — the next lazy call pays a
-        full recompute.  With ``ids``, those rows are re-scored in place
-        when the cache is live (no-op otherwise).  Algorithms normally
-        never need this — :meth:`commit`, :meth:`reset` and
-        :meth:`restore` keep the cache consistent — but external
-        mutations of engine state should call it.
+        full recompute.  With ``ids``, those rows (pending or not) are
+        re-scored in place when the cache is live (no-op otherwise).
+        Algorithms normally never need this — :meth:`commit`,
+        :meth:`reset` and :meth:`restore` keep the cache consistent — but
+        external mutations of engine state should call it.
         """
         if ids is None:
             self._singles_fresh = False
         elif self._singles_fresh:
-            arr = np.asarray(list(ids), dtype=np.int64)
-            if arr.size:
-                self._singles[arr] = self._eager_singles_sparse(arr)
+            self._rescore(np.asarray(list(ids), dtype=np.int64))
 
     def single_benefits(self, ids=None, lazy: Optional[bool] = None) -> np.ndarray:
         """Benefit of each structure *alone* w.r.t. the committed selection.
@@ -660,17 +681,35 @@ class BenefitEngine:
         ``lazy=None`` picks the backend default (sparse → maintained
         incremental cache, dense → eager matrix pass); ``lazy=True``
         forces the maintained cache, ``lazy=False`` a full recompute.
+        The lazy read re-scores the pending rows it returns, so it always
+        equals the eager sparse recompute bitwise.
         """
         if lazy is None:
             lazy = self._dense_cost is None
         if lazy:
             singles = self._ensure_singles()
             if ids is None:
+                self._rescore(np.flatnonzero(self._pending))
                 return singles.copy()
-            return singles[np.asarray(ids, dtype=np.int64)]
+            arr = np.asarray(ids, dtype=np.int64)
+            self._rescore(arr[self._pending[arr]])
+            return singles[arr]
         if self._dense_cost is not None:
             return self._eager_singles_dense(ids)
         return self._eager_singles_sparse(ids)
+
+    def single_benefit_bounds(self) -> np.ndarray:
+        """The maintained single-benefit cache as it stands, without a
+        copy and without re-scoring pending rows (read-only).
+
+        Exact for every structure a stage can pick — views and indexes of
+        selected views.  A pending row (an index of an unselected view)
+        holds an upper bound on its benefit; :meth:`single_benefits`
+        re-scores it, in place, when asked for it.
+        """
+        bounds = self._ensure_singles().view()
+        bounds.flags.writeable = False
+        return bounds
 
     def lazy_best_single(self, ids, space_left: Optional[float] = None):
         """Best single candidate by benefit per space, from the maintained
@@ -694,6 +733,8 @@ class BenefitEngine:
         the maintained cache, ``lazy=False`` recomputes the benefits
         eagerly (the two agree bitwise on the sparse backend — the cache
         invariant — and up to kernel summation order on the dense one).
+        The lazy read does not re-score pending rows: they are never
+        admissible here.
         Returns ``(structure_id, benefit, space, ratio)`` or ``None``.
         """
         arr = np.asarray(ids, dtype=np.int64)
@@ -762,7 +803,8 @@ class BenefitEngine:
         Raises ``ValueError`` if an index would be committed without its
         owning view (either previously selected or in the same call).
         Keeps the maintained single-benefit cache consistent by re-scoring
-        only the structures touched by dirty queries.
+        only the pickable structures touched by dirty queries, plus the
+        pending indexes of views committed now.
         """
         ids = list(ids)
         if not self.is_admissible(ids):

@@ -62,9 +62,10 @@ class QuerySpec:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        if self.default_cost < 0:
+        # written as `not x >= 0` so that NaN fails the check too
+        if not self.default_cost >= 0:
             raise ValueError(f"query {self.name!r}: default cost must be >= 0")
-        if self.frequency < 0:
+        if not self.frequency >= 0:
             raise ValueError(f"query {self.name!r}: frequency must be >= 0")
 
 
@@ -85,7 +86,7 @@ class Structure:
     def __post_init__(self) -> None:
         if self.kind not in (VIEW_KIND, INDEX_KIND):
             raise ValueError(f"bad structure kind {self.kind!r}")
-        if self.space <= 0:
+        if not self.space > 0:
             raise ValueError(f"structure {self.name!r}: space must be > 0")
 
     @property
@@ -178,7 +179,7 @@ class QueryViewGraph:
             raise ValueError(f"unknown query {query_name!r}")
         if structure_name not in self._structures:
             raise ValueError(f"unknown structure {structure_name!r}")
-        if cost < 0:
+        if not cost >= 0:
             raise ValueError("edge cost must be >= 0")
         key = (query_name, structure_name)
         prev = self._edges.get(key)
@@ -211,7 +212,7 @@ class QueryViewGraph:
             raise ValueError("bulk edge query position out of range")
         if int(s.min()) < 0 or int(s.max()) >= len(self._structures):
             raise ValueError("bulk edge structure position out of range")
-        if float(c.min()) < 0:
+        if not np.all(c >= 0):
             raise ValueError("edge cost must be >= 0")
         self._edge_blocks.append((q, s, c))
         self._n_block_edges += int(q.size)
@@ -347,14 +348,14 @@ class QueryViewGraph:
                 raise ValueError(f"edge references unknown query {q!r}")
             if s not in self._structures:
                 raise ValueError(f"edge references unknown structure {s!r}")
-            if cost < 0:
+            if not cost >= 0:
                 raise ValueError(f"edge ({q}, {s}) has negative cost")
         for q, s, c in self._edge_blocks:
             if q.size and (int(q.min()) < 0 or int(q.max()) >= len(self._queries)):
                 raise ValueError("bulk edge references unknown query position")
             if s.size and (int(s.min()) < 0 or int(s.max()) >= len(self._structures)):
                 raise ValueError("bulk edge references unknown structure position")
-            if c.size and float(c.min()) < 0:
+            if not np.all(c >= 0):
                 raise ValueError("bulk edge has negative cost")
         for name, struct in self._structures.items():
             if struct.is_index and struct.view_name not in self._structures:

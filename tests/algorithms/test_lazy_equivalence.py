@@ -65,6 +65,7 @@ def budget_for(graph: QueryViewGraph) -> float:
 ALGORITHMS = [
     ("1-greedy", lambda lz: RGreedy(1, lazy=lz)),
     ("2-greedy", lambda lz: RGreedy(2, lazy=lz)),
+    ("3-greedy", lambda lz: RGreedy(3, lazy=lz)),
     ("1-greedy-paper", lambda lz: RGreedy(1, fit="paper", lazy=lz)),
     ("hru", lambda lz: HRUGreedy(lazy=lz)),
     ("inner-space", lambda lz: InnerLevelGreedy(lazy=lz)),

@@ -240,6 +240,124 @@ class TestMaintainedSingles:
         assert some[0] == whole[2] and some[1] == whole[0]
 
 
+def random_commits(eng: BenefitEngine, rng: np.random.Generator):
+    """Admissible commits in a seeded order: a view, a view with one of
+    its indexes, or an unselected index of a selected view."""
+    while True:
+        sel = eng.selected_mask
+        choices = [[int(v)] for v in eng.view_ids() if not sel[v]]
+        choices += [
+            [int(v), int(i)]
+            for v in eng.view_ids()
+            if not sel[v]
+            for i in eng.index_ids_of(int(v))
+        ]
+        choices += [
+            [int(i)]
+            for v in eng.view_ids()
+            if sel[v]
+            for i in eng.index_ids_of(int(v))
+            if not sel[i]
+        ]
+        if not choices:
+            return
+        yield choices[int(rng.integers(len(choices)))]
+
+
+def pickable(eng: BenefitEngine) -> np.ndarray:
+    """Structures a stage can pick: views and indexes of selected views."""
+    return eng.is_view | eng.selected_mask[eng.view_id_of]
+
+
+class TestPendingRows:
+    """Stale indexes of unselected views are re-scored lazily: until then
+    their cached value must bound the exact one from above, and no read
+    may return it as if it were exact."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_contract_after_every_commit(self, seed):
+        g = random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35)
+        bounded = BenefitEngine(g, backend="sparse")  # only bound reads
+        read = BenefitEngine(g, backend="sparse")  # full lazy reads
+        for eng in (bounded, read):
+            eng.single_benefits(lazy=True)
+        order = bounded.stage_candidates()
+        saw_pending = False
+        for ids in random_commits(bounded, np.random.default_rng(seed)):
+            bounded.commit(ids)
+            read.commit(ids)
+            exact = bounded.single_benefits(lazy=False)
+            bounds = bounded.single_benefit_bounds()
+            live = pickable(bounded)
+            assert np.array_equal(bounds[live], exact[live])
+            assert np.all(bounds >= exact)
+            saw_pending |= bool(np.any(bounds != exact))
+            assert bounded.best_single(order, lazy=True) == bounded.best_single(
+                order, lazy=False
+            )
+            assert np.array_equal(read.single_benefits(lazy=True), exact)
+        assert saw_pending  # the seeds do exercise deferred rows
+        # a full read re-scores every pending row in place
+        assert np.array_equal(bounded.single_benefits(lazy=True), exact)
+        assert np.array_equal(bounded.single_benefit_bounds(), exact)
+
+    def pending_engine(self, seed=3):
+        """A sparse engine with some pending rows, and the rows."""
+        eng = BenefitEngine(
+            random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35),
+            backend="sparse",
+        )
+        eng.single_benefits(lazy=True)
+        views = [int(v) for v in eng.view_ids()]
+        eng.commit(views[:3])
+        stale = np.flatnonzero(
+            eng.single_benefit_bounds() != eng.single_benefits(lazy=False)
+        )
+        assert stale.size
+        return eng, stale
+
+    def test_restricted_read_rescores_only_what_it_returns(self):
+        eng, stale = self.pending_engine()
+        got = eng.single_benefits(stale[:1], lazy=True)
+        exact = eng.single_benefits(lazy=False)
+        assert got[0] == exact[stale[0]]
+        bounds = eng.single_benefit_bounds()
+        assert bounds[stale[0]] == exact[stale[0]]
+        if stale.size > 1:
+            assert np.any(bounds[stale[1:]] > exact[stale[1:]])
+
+    def test_committing_the_view_rescores_its_indexes(self):
+        eng, stale = self.pending_engine()
+        view = int(eng.view_id_of[stale[0]])
+        eng.commit([view])
+        exact = eng.single_benefits(lazy=False)
+        rows = eng.index_ids_of(view)
+        assert np.array_equal(eng.single_benefit_bounds()[rows], exact[rows])
+
+    def test_invalidate_reset_and_restore_leave_no_stale_bound(self):
+        eng, stale = self.pending_engine()
+        eng.invalidate(ids=stale[:2])
+        exact = eng.single_benefits(lazy=False)
+        assert np.array_equal(eng.single_benefit_bounds()[stale[:2]], exact[stale[:2]])
+        eng.invalidate()
+        assert np.array_equal(eng.single_benefit_bounds(), exact)
+
+        eng, stale = self.pending_engine()
+        snap = eng.snapshot()
+        eng.commit([int(v) for v in eng.view_ids()[3:5]])
+        eng.restore(snap)
+        assert np.array_equal(eng.single_benefit_bounds(), eng.single_benefits(lazy=False))
+
+        eng, stale = self.pending_engine()
+        eng.reset()
+        assert np.array_equal(eng.single_benefit_bounds(), eng.single_benefits(lazy=False))
+
+    def test_bounds_are_read_only(self):
+        eng = BenefitEngine(small_graph(), backend="sparse")
+        with pytest.raises(ValueError):
+            eng.single_benefit_bounds()[0] = 1.0
+
+
 class TestLazyBestSingle:
     def eager_best(self, eng, ids, space_left=None):
         benefits = eng.single_benefits(ids, lazy=False)

@@ -61,18 +61,28 @@ class TestManualConstruction:
         g = QueryViewGraph()
         g.add_query("q", 10)
         g.add_view("v", 1)
-        with pytest.raises(ValueError):
-            g.add_edge("q", "v", -1)
+        for cost in (-1, math.nan):
+            with pytest.raises(ValueError, match="edge cost"):
+                g.add_edge("q", "v", cost)
+        assert g.n_edges == 0
 
     def test_nonpositive_space_rejected(self):
         g = QueryViewGraph()
-        with pytest.raises(ValueError):
-            g.add_view("v", 0)
+        for space in (0, -1, math.nan):
+            with pytest.raises(ValueError, match="space must be > 0"):
+                g.add_view("v", space)
+        g.add_view("v", 1)
+        with pytest.raises(ValueError, match="space must be > 0"):
+            g.add_index("v", "i", math.nan)
 
     def test_negative_default_cost_rejected(self):
         g = QueryViewGraph()
-        with pytest.raises(ValueError):
-            g.add_query("q", -1)
+        for cost in (-1, math.nan):
+            with pytest.raises(ValueError, match="default cost"):
+                g.add_query("q", cost)
+        for frequency in (-1, math.nan):
+            with pytest.raises(ValueError, match="frequency"):
+                g.add_query("q", 10, frequency=frequency)
 
     def test_totals(self):
         g = QueryViewGraph()

@@ -180,8 +180,10 @@ class TestBulkEdges:
 
     def test_negative_costs_rejected(self):
         g = self.graph()
-        with pytest.raises(ValueError):
-            g.add_edges_bulk(np.array([0]), np.array([0]), np.array([-1.0]))
+        for cost in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="edge cost"):
+                g.add_edges_bulk(np.array([0, 1]), np.array([0, 1]), np.array([1.0, cost]))
+        assert g.n_edges == 0
 
     def test_empty_block_is_noop(self):
         g = self.graph()
