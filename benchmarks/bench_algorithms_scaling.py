@@ -25,10 +25,8 @@ def cube_lattice(n_dims: int):
     return analytical_lattice(schema, 0.1 * schema.dense_cells)
 
 
-def cube_engine(n_dims: int, backend: str = "auto") -> BenefitEngine:
-    return BenefitEngine(
-        QueryViewGraph.from_cube(cube_lattice(n_dims)), backend=backend
-    )
+def cube_engine(n_dims: int) -> BenefitEngine:
+    return BenefitEngine(QueryViewGraph.from_cube(cube_lattice(n_dims)))
 
 
 def budget_of(engine: BenefitEngine) -> float:
@@ -132,11 +130,13 @@ class TestBenefitCacheAblation:
         engine.reset()
 
 
-# ------------------------------------------------- sparse-backend scaling
+# --------------------------------------------------- cost-store scaling
+# (node names keep their "_sparse" suffix: the committed baselines in
+# BENCH_selection.json are keyed by them)
 
 @pytest.fixture(scope="module")
 def engine_d6_sparse():
-    return cube_engine(6, backend="sparse")
+    return cube_engine(6)
 
 
 def test_bench_from_cube_vectorized_d6(benchmark):
@@ -149,11 +149,8 @@ def test_bench_from_cube_vectorized_d6(benchmark):
 
 def test_bench_engine_compilation_d6_sparse(benchmark):
     graph = QueryViewGraph.from_cube(cube_lattice(6))
-    engine = benchmark.pedantic(
-        BenefitEngine, args=(graph,), kwargs={"backend": "sparse"},
-        rounds=2, iterations=1,
-    )
-    assert engine.backend == "sparse"
+    engine = benchmark.pedantic(BenefitEngine, args=(graph,), rounds=2, iterations=1)
+    assert engine.nnz == graph.n_edges
 
 
 def test_bench_rgreedy1_d6_sparse(benchmark, engine_d6_sparse):
@@ -168,27 +165,20 @@ def test_bench_rgreedy1_d6_sparse(benchmark, engine_d6_sparse):
 
 
 class TestScaleLimits:
-    """The d=7 fat-index cube: compilable sparse, refused dense.
+    """The d=7 fat-index cube on the edge store.
 
-    This is the scale target the sparse store exists for — ~13.8k
+    This is the scale target the CSR/CSC store exists for — ~13.8k
     structures × 2187 queries would need a ~230 MiB dense matrix of
-    mostly-inf cells, above the engine's default dense allocation limit.
+    mostly-inf cells.
     """
 
     @pytest.fixture(scope="class")
     def graph_d7(self):
         return QueryViewGraph.from_cube(cube_lattice(7))
 
-    def test_dense_refuses_d7(self, graph_d7):
-        with pytest.raises(MemoryError):
-            BenefitEngine(graph_d7, backend="dense")
-
     def test_sparse_compiles_d7_and_is_smaller(self, graph_d7):
-        engine = BenefitEngine(graph_d7)  # auto picks sparse
-        assert engine.backend == "sparse"
-        dense_bytes = BenefitEngine.dense_cost_bytes(
-            engine.n_structures, engine.n_queries
-        )
+        engine = BenefitEngine(graph_d7)
+        dense_bytes = engine.n_structures * engine.n_queries * 8
         assert engine.cost_store_bytes() < dense_bytes
 
     def test_one_greedy_runs_d7(self, graph_d7):

@@ -4,9 +4,8 @@
 Runs the selection benchmarks through pytest-benchmark, measures the
 end-to-end pipeline (graph compile + engine compile + 1-greedy +
 2-greedy) in both the *seed-style* configuration (reference per-edge
-``from_cube`` loop, dense cost matrix, eager stage scans) and the
-*current* configuration (vectorized ``from_cube``, auto backend, lazy
-stage loops), measures query serving on the d=5 TPC-D workload (qps and
+``from_cube`` loop, eager stage scans) and the *current* configuration
+(vectorized ``from_cube``, lazy stage loops), measures query serving on the d=5 TPC-D workload (qps and
 latency percentiles, serial vs. 2 replay workers), and writes everything
 to ``benchmarks/BENCH_selection.json``.
 
@@ -110,7 +109,7 @@ def _pipeline_once(n_dims: int, seed_style: bool, include_r2: bool) -> dict:
     )
     timings["from_cube"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    engine = BenefitEngine(graph, backend="dense" if seed_style else "auto")
+    engine = BenefitEngine(graph)
     timings["engine"] = time.perf_counter() - t0
     space = budget_of(engine)
     lazy = False if seed_style else None
@@ -122,7 +121,6 @@ def _pipeline_once(n_dims: int, seed_style: bool, include_r2: bool) -> dict:
         RGreedy(2, lazy=lazy).run(engine, space)
         timings["rgreedy2"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
-    timings["backend"] = engine.backend
     timings["n_selected_r1"] = len(r1.selected)
     return timings
 
@@ -137,10 +135,9 @@ def measure_pipelines(skip_d7: bool) -> dict:
         out["d5_seed_style"]["total"] / out["d5_current"]["total"]
     )
     if not skip_d7:
-        # d=7 is the scale target: the dense seed path cannot build it at
-        # all (MemoryError past the allocation limit), so only the current
-        # configuration is measured, including the 2-greedy leg (~900
-        # stages over ~13.8k structures).
+        # d=7 is the scale target: only the current configuration is
+        # measured, including the 2-greedy leg (~900 stages over ~13.8k
+        # structures).
         out["d7_current"] = _pipeline(
             7, seed_style=False, include_r2=True, repeats=1
         )
@@ -904,10 +901,7 @@ def main(argv=None) -> int:
     if "d7_current" in result["pipelines"]:
         d7 = result["pipelines"]["d7_current"]
         legs = "+2-greedy" if "rgreedy2" in d7 else ""
-        print(
-            f"d=7 compile+1-greedy{legs}: {d7['total']:.2f}s "
-            f"(backend={d7['backend']})"
-        )
+        print(f"d=7 compile+1-greedy{legs}: {d7['total']:.2f}s")
     overhead = result["checkpoint_overhead"]
     print(
         f"d=5 checkpointing overhead: {overhead['disk_overhead']:+.1%} "

@@ -56,8 +56,7 @@ def resolve_lazy(lazy) -> bool:
     """Resolve an algorithm's ``lazy`` parameter.
 
     ``None`` (or ``"auto"``) runs the lazy stage loops (maintained
-    single-benefit cache) on every backend; ``False`` forces the eager
-    full-scan loops.  Lazy and eager loops are cross-checked to produce
+    single-benefit cache); ``False`` forces the eager full-scan loops.  Lazy and eager loops are cross-checked to produce
     identical selections.
     """
     if lazy is None or lazy == "auto":

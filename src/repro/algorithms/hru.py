@@ -34,8 +34,8 @@ class HRUGreedy(SelectionAlgorithm):
     """Greedy selection over views only ([HRU96]).
 
     ``lazy=None`` (default) reads the incrementally maintained
-    single-benefit cache per stage on either backend; ``lazy=False``
-    forces the eager full scan.  Both select the same views.
+    single-benefit cache per stage; ``lazy=False`` forces the eager full
+    scan.  Both select the same views.
     """
 
     name = "HRU greedy (views only)"

@@ -56,11 +56,11 @@ IG_PEAK = "peak"
 class InnerLevelGreedy(SelectionAlgorithm):
     """Inner-level greedy selection of views and indexes.
 
-    ``lazy=None`` (default) runs lazy on either backend: the maintained
-    single-benefit cache supplies an upper bound on every view's
-    inner-greedy ratio (a set's benefit/space never exceeds the
-    best of its members' standalone ratios), so views that cannot displace
-    the stage incumbent skip the inner greedy entirely.  Candidate order
+    ``lazy=None`` (default) runs lazy: the maintained single-benefit cache
+    supplies an upper bound on every view's inner-greedy ratio (a set's
+    benefit/space never exceeds the best of its members' standalone
+    ratios), so views that cannot displace the stage incumbent skip the
+    inner greedy entirely.  Candidate order
     and tie-break match the eager loop, so selections are identical.
     """
 

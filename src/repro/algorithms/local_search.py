@@ -53,9 +53,9 @@ class LocalSearchRefiner:
     max_rounds:
         Maximum improvement rounds (each round scans all moves once).
     lazy:
-        ``None`` (default) and ``True`` run lazy on either backend: the
-        add-move scan consults the maintained single-benefit cache and
-        only evaluates structures whose cached benefit is positive — a
+        ``None`` (default) and ``True`` run lazy: the add-move scan
+        consults the maintained single-benefit cache and only evaluates
+        structures whose cached benefit is positive — a
         structure with zero cached benefit has exactly zero marginal
         gain, so the scan's picks are identical to the eager one.
     """
@@ -279,8 +279,7 @@ class LocalSearchRefiner:
         # lazy: a structure whose maintained single benefit is zero has
         # exactly zero marginal gain (the cached value is a sum of the same
         # nonnegative per-query terms), so skipping it cannot change the
-        # scan's outcome; surviving candidates still use benefit_of, which
-        # is bitwise identical across backends.
+        # scan's outcome; surviving candidates still use benefit_of.
         singles = engine.single_benefits(lazy=True) if lazy else None
         best: Optional[Tuple[int, float]] = None
         for sid in range(engine.n_structures):

@@ -94,7 +94,7 @@ class RGreedy(SelectionAlgorithm):
         :mod:`repro.algorithms.base`).
     lazy:
         ``None`` (default) and ``True`` run the maintained-cache stage
-        loop on either backend; ``False`` forces the full-rescan loop.
+        loop; ``False`` forces the full-rescan loop.
         Both produce the same selection.
     """
 
@@ -297,22 +297,13 @@ class RGreedy(SelectionAlgorithm):
         candidates = unselected_idx[idx_singles > 0.0]
         if candidates.size == 0:
             return
-        # individual gains over the view-scan baseline: one batched CSR
-        # pass on the sparse backend, a dense per-row loop otherwise
-        if engine.uses_csr_kernels:
-            gain_values = engine.gains_for(candidates, base)
-            gains = [
-                (float(g), int(idx))
-                for g, idx in zip(gain_values, candidates.tolist())
-                if g > 0.0
-            ]
-        else:
-            gains = []
-            for idx in candidates.tolist():
-                reduced = engine.minimum_with(base, idx)
-                gain = float(freq @ (base - reduced))
-                if gain > 0.0:
-                    gains.append((gain, idx))
+        # individual gains over the view-scan baseline: one batched pass
+        gain_values = engine.gains_for(candidates, base)
+        gains = [
+            (float(g), int(idx))
+            for g, idx in zip(gain_values, candidates.tolist())
+            if g > 0.0
+        ]
         if not gains:
             return
         gains.sort(key=lambda pair: -pair[0])

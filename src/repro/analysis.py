@@ -124,8 +124,12 @@ def explain(graph: GraphLike, selection: Sequence[str]) -> SelectionExplanation:
     views_first = sorted(ids, key=lambda i: not engine.is_view[i])
     engine.commit(views_first)
 
-    plans = _query_plans(engine, views_first)
-    contributions = _structure_contributions(engine, views_first, plans)
+    # the selection's cost rows, built once: (|sel| × q), inf where no edge
+    rows = np.empty((len(views_first), engine.n_queries), dtype=np.float64)
+    for r, sid in enumerate(views_first):
+        rows[r] = engine.cost_row(sid)
+    plans = _query_plans(engine, views_first, rows)
+    contributions = _structure_contributions(engine, views_first, rows, plans)
     explanation = SelectionExplanation(
         plans=plans,
         contributions=contributions,
@@ -136,32 +140,44 @@ def explain(graph: GraphLike, selection: Sequence[str]) -> SelectionExplanation:
     return explanation
 
 
-def _query_plans(engine: BenefitEngine, ids: Sequence[int]) -> List[QueryPlan]:
-    plans = []
-    for q in range(engine.n_queries):
-        default = float(engine.defaults[q])
-        best_cost = default
-        winner: Optional[int] = None
-        for sid in ids:
-            cost = engine.edge_cost_by_id(sid, q)
-            if cost < best_cost:
-                best_cost = cost
-                winner = sid
-        plans.append(
-            QueryPlan(
-                query=engine.query_names[q],
-                structure=engine.name_of(winner) if winner is not None else None,
-                cost=best_cost,
-                default_cost=default,
-                frequency=float(engine.frequencies[q]),
-            )
+def _query_plans(
+    engine: BenefitEngine, ids: Sequence[int], rows: np.ndarray
+) -> List[QueryPlan]:
+    """Each query's winner: the first selected structure (in ``ids``
+    order) at the minimum cost, if that cost beats the default — the row
+    a sequential strict-``<`` scan from the default would keep."""
+    defaults = engine.defaults
+    if len(ids):
+        first = rows.argmin(axis=0)
+        best = rows[first, np.arange(engine.n_queries)]
+        wins = best < defaults
+        winners = np.where(wins, np.asarray(ids, dtype=np.int64)[first], -1)
+        costs = np.where(wins, best, defaults)
+    else:
+        winners = np.full(engine.n_queries, -1, dtype=np.int64)
+        costs = defaults
+    return [
+        QueryPlan(
+            query=name,
+            structure=engine.name_of(winner) if winner >= 0 else None,
+            cost=cost,
+            default_cost=default,
+            frequency=frequency,
         )
-    return plans
+        for name, winner, cost, default, frequency in zip(
+            engine.query_names,
+            winners.tolist(),
+            costs.tolist(),
+            defaults.tolist(),
+            engine.frequencies.tolist(),
+        )
+    ]
 
 
 def _structure_contributions(
     engine: BenefitEngine,
     ids: Sequence[int],
+    rows: np.ndarray,
     plans: List[QueryPlan],
 ) -> List[StructureContribution]:
     won: Dict[str, List[QueryPlan]] = {}
@@ -182,8 +198,8 @@ def _structure_contributions(
         removal = {sid}
         if engine.is_view[sid]:
             removal |= {int(i) for i in engine.index_ids_of(sid) if int(i) in id_set}
-        remaining = [i for i in ids if i not in removal]
-        tau_without = _tau_of(engine, remaining)
+        keep = [i not in removal for i in ids]
+        tau_without = _tau_of(engine, rows[keep])
         contributions.append(
             StructureContribution(
                 name=name,
@@ -276,9 +292,8 @@ def compare(
     )
 
 
-def _tau_of(engine: BenefitEngine, ids: Sequence[int]) -> float:
-    if not ids:
+def _tau_of(engine: BenefitEngine, rows: np.ndarray) -> float:
+    """τ with exactly the structures whose cost rows are ``rows``."""
+    if not len(rows):
         return float(engine.frequencies @ engine.defaults)
-    arr = np.fromiter(ids, dtype=np.int64)
-    best = np.minimum(engine.defaults, engine.min_cost_over(arr))
-    return float(engine.frequencies @ best)
+    return float(engine.frequencies @ np.minimum(engine.defaults, rows.min(axis=0)))

@@ -11,22 +11,12 @@ and the *benefit* of a candidate set ``C`` w.r.t. ``M`` is
 module compiles the graph once and keeps the current per-query best cost
 as state, making a benefit evaluation a single vectorized pass.
 
-Two cost-store backends are provided, selected by ``backend=``:
+The cost store holds only the edges: CSR (per-structure) plus CSC
+(per-query) arrays, a missing edge meaning ``inf``.  No ``(n_structures ×
+n_queries)`` matrix is ever built, which is what makes 7–9 dimension
+cubes compilable at all.
 
-``"dense"``
-    The original ``(n_structures × n_queries)`` matrix, ``inf`` where
-    there is no edge.  Fast for small, dense graphs; refuses to allocate
-    beyond ``dense_limit_bytes`` (a d=7 fat-index cube already needs
-    hundreds of MB of mostly-inf cells).
-``"sparse"``
-    CSR (per-structure) plus CSC (per-query) edge arrays — only the
-    edges are stored.  This is what makes 7–8 dimension cubes
-    compilable at all.
-``"auto"`` (default)
-    Dense while the matrix stays small (``AUTO_DENSE_BYTES``), sparse
-    beyond — existing small-graph callers see no change.
-
-On top of either store the engine maintains *incremental single-structure
+On top of the store the engine maintains *incremental single-structure
 benefits*: after a :meth:`commit`, only queries whose best cost dropped
 (the *dirty columns*) can change any candidate's standalone benefit, so
 only structures with an edge into a dirty column (the *stale rows*) can
@@ -64,21 +54,10 @@ except ImportError:  # pragma: no cover - scipy is normally available
 
 INF = float("inf")
 
-#: ``backend="auto"`` picks the sparse store once the dense matrix would
-#: exceed this many bytes.
-AUTO_DENSE_BYTES = 32 * 2**20
-
-#: ``backend="dense"`` refuses to allocate a matrix larger than this
-#: (override per-engine with ``dense_limit_bytes=``).  A d=7 fat-index
-#: cube needs ~240 MB of mostly-inf cells and is rejected by default.
-DENSE_LIMIT_BYTES = 192 * 2**20
-
 #: Relative tolerance of the canonical greedy tie-break: a candidate only
 #: displaces the incumbent when its ratio exceeds the incumbent's by this
 #: factor.  Shared by every stage loop so lazy and eager paths agree.
 RATIO_RTOL = 1e-12
-
-_BACKENDS = ("auto", "dense", "sparse")
 
 
 def _gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -103,7 +82,7 @@ def csr_gains(
     against the per-query cost vector ``base``, over a CSR edge store.
 
     This is the batched gain kernel behind :class:`BenefitEngine`'s
-    ``gains_for`` and subset single-benefit refresh on the CSR store.
+    ``gains_for`` and subset single-benefit refresh.
     """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.size == 0:
@@ -162,29 +141,13 @@ class BenefitEngine:
 
     The engine assigns every structure an integer id (``0..m-1``) and every
     query an integer id (``0..q-1``).  The cost of answering query ``q``
-    via structure ``s`` lives in the backend store (``inf`` when there is
-    no edge).  State is the vector of current best per-query costs given
-    the committed selection, initialized to the default costs ``T_i``.
-
-    Parameters
-    ----------
-    graph:
-        The query-view graph to compile.
-    backend:
-        ``"dense"``, ``"sparse"`` or ``"auto"`` (see module docstring).
-    dense_limit_bytes:
-        Hard cap for the dense matrix; ``backend="dense"`` raises
-        ``MemoryError`` beyond it.  Defaults to :data:`DENSE_LIMIT_BYTES`.
+    via structure ``s`` is an edge of the CSR/CSC store (``inf`` when
+    there is no edge).  State is the vector of current best per-query
+    costs given the committed selection, initialized to the default costs
+    ``T_i``.
     """
 
-    def __init__(
-        self,
-        graph: QueryViewGraph,
-        backend: str = "auto",
-        dense_limit_bytes: Optional[int] = None,
-    ):
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+    def __init__(self, graph: QueryViewGraph):
         self.graph = graph
         self.query_names = [q.name for q in graph.queries]
         self.structure_names = [s.name for s in graph.structures]
@@ -205,26 +168,8 @@ class BenefitEngine:
             [self._structure_id[s.view_name] for s in graph.structures], dtype=np.int64
         )
 
-        q_idx, s_idx, vals = self._edge_arrays(graph)
+        q_idx, s_idx, vals = graph.edge_arrays()
         self._build_sparse(n_s, n_q, s_idx, q_idx, vals)
-
-        limit = DENSE_LIMIT_BYTES if dense_limit_bytes is None else int(dense_limit_bytes)
-        dense_bytes = self.dense_cost_bytes(n_s, n_q)
-        if backend == "auto":
-            backend = "dense" if dense_bytes <= min(AUTO_DENSE_BYTES, limit) else "sparse"
-        if backend == "dense":
-            if dense_bytes > limit:
-                raise MemoryError(
-                    f"dense cost matrix needs {dense_bytes} bytes for "
-                    f"{n_s} structures x {n_q} queries (limit {limit}); "
-                    "use backend='sparse' or raise dense_limit_bytes"
-                )
-            cost = np.full((n_s, n_q), INF, dtype=np.float64)
-            np.minimum.at(cost, (self._nnz_rows, self._row_cols), self._row_vals)
-            self._dense_cost = cost
-        else:
-            self._dense_cost = None
-        self.backend = backend
 
         self._indexes_of = {
             self._structure_id[v.name]: np.array(
@@ -233,7 +178,6 @@ class BenefitEngine:
             )
             for v in graph.views
         }
-        self._gain_scratch: Optional[np.ndarray] = None
         self._singles: Optional[np.ndarray] = None
         self._pending: Optional[np.ndarray] = None
         self._singles_fresh = False
@@ -242,21 +186,6 @@ class BenefitEngine:
         self.reset()
 
     # ----------------------------------------------------------- compilation
-
-    def _edge_arrays(self, graph):
-        """Edge triples as (query_idx, structure_idx, cost) arrays."""
-        if hasattr(graph, "edge_arrays"):
-            return graph.edge_arrays()
-        q_list, s_list, c_list = [], [], []
-        for q_name, s_name, cost in graph.edges():
-            q_list.append(self._query_id[q_name])
-            s_list.append(self._structure_id[s_name])
-            c_list.append(cost)
-        return (
-            np.asarray(q_list, dtype=np.int64),
-            np.asarray(s_list, dtype=np.int64),
-            np.asarray(c_list, dtype=np.float64),
-        )
 
     def _build_sparse(self, n_s, n_q, s_idx, q_idx, vals) -> None:
         """Build the CSR (by structure) and CSC (by query) edge stores."""
@@ -310,11 +239,6 @@ class BenefitEngine:
             ) if q_sorted.size else np.zeros(n_q, dtype=np.int64)
             self._col_ptr = np.concatenate(([0], np.cumsum(counts_c))).astype(np.int64)
 
-    @staticmethod
-    def dense_cost_bytes(n_structures: int, n_queries: int) -> int:
-        """Bytes a dense float64 cost matrix of this shape would need."""
-        return int(n_structures) * int(n_queries) * 8
-
     def fingerprint(self) -> str:
         """SHA-256 over the compiled instance (checkpoint identity).
 
@@ -322,8 +246,6 @@ class BenefitEngine:
         costs, frequencies, and every cost edge — two engines share a
         fingerprint iff they describe the same selection problem, so a
         checkpoint can never be replayed against a different instance.
-        Backend choice is deliberately excluded: dense and sparse
-        engines over the same graph are interchangeable for replay.
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()
@@ -362,34 +284,13 @@ class BenefitEngine:
         return self.commit([self.structure_id(name) for name in names])
 
     @property
-    def cost(self) -> np.ndarray:
-        """The dense cost matrix (dense backend only).
-
-        The sparse backend never materializes it — use :meth:`cost_row`,
-        :meth:`min_cost_over`, :meth:`minimum_with` or :meth:`gains_for`.
-        """
-        if self._dense_cost is None:
-            raise RuntimeError(
-                "the sparse backend has no dense cost matrix; use cost_row(), "
-                "min_cost_over(), minimum_with() or gains_for() instead"
-            )
-        return self._dense_cost
-
-    @property
-    def uses_csr_kernels(self) -> bool:
-        """True when eager benefit kernels run over the CSR store (the
-        sparse backend); the dense backend uses per-row matrix passes."""
-        return self._dense_cost is None
-
-    @property
     def nnz(self) -> int:
         """Number of stored edges."""
         return int(self._row_vals.size)
 
     def cost_store_bytes(self) -> int:
-        """Actual bytes held by the cost store (CSR + CSC, plus the dense
-        matrix when materialized)."""
-        total = (
+        """Actual bytes held by the cost store (CSR + CSC)."""
+        return int(
             self._nnz_rows.nbytes
             + self._row_cols.nbytes
             + self._row_vals.nbytes
@@ -398,9 +299,6 @@ class BenefitEngine:
             + self._col_vals.nbytes
             + self._col_ptr.nbytes
         )
-        if self._dense_cost is not None:
-            total += self._dense_cost.nbytes
-        return int(total)
 
     # ------------------------------------------------------------------ ids
 
@@ -458,13 +356,8 @@ class BenefitEngine:
     # ------------------------------------------------------------- cost rows
 
     def cost_row(self, structure_id: int) -> np.ndarray:
-        """Per-query cost of one structure (``inf`` where no edge).
-
-        Dense backend returns a read-only view of the matrix row; sparse
-        materializes the row.  Do not mutate the result.
-        """
-        if self._dense_cost is not None:
-            return self._dense_cost[structure_id]
+        """Per-query cost of one structure (``inf`` where no edge), as a
+        new array."""
         row = np.full(self.n_queries, INF, dtype=np.float64)
         lo, hi = self._row_ptr[structure_id], self._row_ptr[structure_id + 1]
         row[self._row_cols[lo:hi]] = self._row_vals[lo:hi]
@@ -472,9 +365,7 @@ class BenefitEngine:
 
     def minimum_with(self, vec: np.ndarray, structure_id: int) -> np.ndarray:
         """``np.minimum(vec, cost_row(structure_id))`` without materializing
-        the row on the sparse backend.  Returns a new array."""
-        if self._dense_cost is not None:
-            return np.minimum(vec, self._dense_cost[structure_id])
+        the row.  Returns a new array."""
         out = vec.copy()
         lo, hi = self._row_ptr[structure_id], self._row_ptr[structure_id + 1]
         cols = self._row_cols[lo:hi]
@@ -484,8 +375,6 @@ class BenefitEngine:
 
     def edge_cost_by_id(self, structure_id: int, query_id: int) -> float:
         """Cost of the (structure, query) edge, ``inf`` when absent."""
-        if self._dense_cost is not None:
-            return float(self._dense_cost[structure_id, query_id])
         lo, hi = self._row_ptr[structure_id], self._row_ptr[structure_id + 1]
         cols = self._row_cols[lo:hi]
         pos = lo + int(np.searchsorted(cols, query_id))
@@ -549,8 +438,6 @@ class BenefitEngine:
         arr = self._as_id_array(ids)
         if arr.size == 0:
             return np.full(self.n_queries, INF)
-        if self._dense_cost is not None:
-            return self._dense_cost[arr].min(axis=0)
         out = np.full(self.n_queries, INF, dtype=np.float64)
         for sid in arr:
             lo, hi = self._row_ptr[sid], self._row_ptr[sid + 1]
@@ -571,30 +458,7 @@ class BenefitEngine:
 
     # ------------------------------------------------- single benefits (m×1)
 
-    def _eager_singles_dense(self, ids) -> np.ndarray:
-        """One matrix pass over the dense store, into a reused scratch
-        buffer (no per-stage (m × q) allocation)."""
-        cost = self._dense_cost
-        if ids is None:
-            rows_needed = cost.shape[0]
-            take_ids = None
-        else:
-            take_ids = np.asarray(ids, dtype=np.int64)
-            rows_needed = take_ids.shape[0]
-        if self._gain_scratch is None or self._gain_scratch.shape[0] < rows_needed:
-            self._gain_scratch = np.empty(
-                (rows_needed, self.n_queries), dtype=np.float64
-            )
-        gains = self._gain_scratch[:rows_needed]
-        if take_ids is None:
-            np.subtract(self._best, cost, out=gains)
-        else:
-            np.take(cost, take_ids, axis=0, out=gains)
-            np.subtract(self._best, gains, out=gains)
-        np.maximum(gains, 0.0, out=gains)  # -inf where no edge -> 0
-        return gains @ self.frequencies
-
-    def _eager_singles_sparse(self, ids) -> np.ndarray:
+    def _eager_singles(self, ids) -> np.ndarray:
         """Per-edge gains summed per structure over the CSR store."""
         if ids is None:
             contrib = self._best[self._row_cols] - self._row_vals
@@ -614,7 +478,7 @@ class BenefitEngine:
 
     def _ensure_singles(self) -> np.ndarray:
         if not self._singles_fresh:
-            self._singles = self._eager_singles_sparse(None)
+            self._singles = self._eager_singles(None)
             self._pending = np.zeros(self.n_structures, dtype=bool)
             self._singles_fresh = True
         return self._singles
@@ -622,7 +486,7 @@ class BenefitEngine:
     def _rescore(self, ids: np.ndarray) -> None:
         """Recompute the cached singles of ``ids`` exactly (clears pending)."""
         if ids.size:
-            self._singles[ids] = self._eager_singles_sparse(ids)
+            self._singles[ids] = self._eager_singles(ids)
             self._pending[ids] = False
 
     def _refresh_singles_after(self, old_best: np.ndarray) -> None:
@@ -671,21 +535,18 @@ class BenefitEngine:
         elif self._singles_fresh:
             self._rescore(np.asarray(list(ids), dtype=np.int64))
 
-    def single_benefits(self, ids=None, lazy: Optional[bool] = None) -> np.ndarray:
+    def single_benefits(self, ids=None, lazy: bool = True) -> np.ndarray:
         """Benefit of each structure *alone* w.r.t. the committed selection.
 
         ``ids`` restricts the computation to the given structure ids
         (array-like); ``None`` evaluates all structures.  Missing edges
         contribute zero, as they must.
 
-        ``lazy=None`` picks the backend default (sparse → maintained
-        incremental cache, dense → eager matrix pass); ``lazy=True``
-        forces the maintained cache, ``lazy=False`` a full recompute.
-        The lazy read re-scores the pending rows it returns, so it always
-        equals the eager sparse recompute bitwise.
+        ``lazy=True`` (default) reads the maintained incremental cache,
+        ``lazy=False`` forces a full recompute.  The lazy read re-scores
+        the pending rows it returns, so it always equals the eager
+        recompute bitwise.
         """
-        if lazy is None:
-            lazy = self._dense_cost is None
         if lazy:
             singles = self._ensure_singles()
             if ids is None:
@@ -694,9 +555,7 @@ class BenefitEngine:
             arr = np.asarray(ids, dtype=np.int64)
             self._rescore(arr[self._pending[arr]])
             return singles[arr]
-        if self._dense_cost is not None:
-            return self._eager_singles_dense(ids)
-        return self._eager_singles_sparse(ids)
+        return self._eager_singles(ids)
 
     def single_benefit_bounds(self) -> np.ndarray:
         """The maintained single-benefit cache as it stands, without a
@@ -731,8 +590,7 @@ class BenefitEngine:
 
         Same offer stream and tie-break either way; ``lazy=True`` reads
         the maintained cache, ``lazy=False`` recomputes the benefits
-        eagerly (the two agree bitwise on the sparse backend — the cache
-        invariant — and up to kernel summation order on the dense one).
+        eagerly (the two agree bitwise — the cache invariant).
         The lazy read does not re-score pending rows: they are never
         admissible here.
         Returns ``(structure_id, benefit, space, ratio)`` or ``None``.
@@ -765,10 +623,6 @@ class BenefitEngine:
         arr = np.asarray(ids, dtype=np.int64)
         if arr.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if self._dense_cost is not None:
-            gains_matrix = base - self._dense_cost[arr]
-            np.maximum(gains_matrix, 0.0, out=gains_matrix)
-            return gains_matrix @ self.frequencies
         return csr_gains(
             self._row_ptr, self._row_cols, self._row_vals, self.frequencies, base, arr
         )
@@ -856,11 +710,8 @@ class BenefitEngine:
     def max_achievable_benefit(self) -> float:
         """Benefit of materializing everything — an upper bound for any
         selection (computed against default costs)."""
-        if self._dense_cost is not None:
-            floor = self._dense_cost.min(axis=0)
-        else:
-            floor = np.full(self.n_queries, INF, dtype=np.float64)
-            np.minimum.at(floor, self._row_cols, self._row_vals)
+        floor = np.full(self.n_queries, INF, dtype=np.float64)
+        np.minimum.at(floor, self._row_cols, self._row_vals)
         improved = np.minimum(self.defaults, floor)
         return float(self.frequencies @ (self.defaults - improved))
 
@@ -868,6 +719,6 @@ class BenefitEngine:
         return (
             f"BenefitEngine(structures={self.n_structures}, "
             f"queries={self.n_queries}, edges={self.nnz}, "
-            f"backend={self.backend!r}, selected={len(self._selected)}, "
+            f"selected={len(self._selected)}, "
             f"tau={self.tau():g})"
         )

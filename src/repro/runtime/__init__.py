@@ -23,8 +23,8 @@ builds the salvage path:
 :mod:`repro.runtime.faults`
     A deterministic fault-injection harness: kill a run at every stage
     boundary, resume from the checkpoint, and assert the resumed
-    selection equals the golden uninterrupted one — across dense/sparse
-    backends with lazy stage loops on and off.
+    selection equals the golden uninterrupted one — with the lazy stage
+    loops on and off.
 """
 
 from repro.runtime.checkpoint import (

@@ -16,9 +16,8 @@ The harness is the executable proof behind the checkpoint design:
    pick order, total benefit, and τ must match *exactly* (``==`` on
    floats, no tolerance).
 
-The matrix covers every selection algorithm on the dense and sparse
-engine backends with the lazy stage loops forced on and off.  Run it
-from the command line for the CI smoke::
+The matrix covers every selection algorithm with the lazy stage loops
+forced on and off.  Run it from the command line for the CI smoke::
 
     PYTHONPATH=src python -m repro.runtime.faults --dims 4 --pruned
 """
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -47,10 +47,9 @@ from repro.runtime.context import InjectedFault, RunContext
 
 @dataclass(frozen=True)
 class FaultCase:
-    """One kill-and-resume experiment: algorithm × backend × lazy × k."""
+    """One kill-and-resume experiment: algorithm × lazy × k."""
 
     algorithm: str
-    backend: str
     lazy: bool
     stage: int
     n_stages: int
@@ -61,7 +60,7 @@ class FaultCase:
         status = "ok" if self.ok else "FAIL"
         mode = "lazy" if self.lazy else "eager"
         base = (
-            f"[{status}] {self.algorithm} / {self.backend}/{mode} "
+            f"[{status}] {self.algorithm} / {mode} "
             f"killed at {self.stage}/{self.n_stages}"
         )
         return base + (f": {self.detail}" if self.detail else "")
@@ -109,7 +108,6 @@ def fault_scan(
     run: Callable[[Optional[RunContext]], SelectionResult],
     *,
     algorithm: str,
-    backend: str,
     lazy: bool,
     rebuild: bool = True,
 ) -> Tuple[SelectionResult, List[FaultCase]]:
@@ -153,7 +151,6 @@ def fault_scan(
         cases.append(
             FaultCase(
                 algorithm=algorithm,
-                backend=backend,
                 lazy=lazy,
                 stage=k,
                 n_stages=n_stages,
@@ -197,7 +194,6 @@ def fault_matrix(
     graph: QueryViewGraph,
     space: float,
     *,
-    backends: Sequence[str] = ("dense", "sparse"),
     lazy_modes: Sequence[bool] = (False, True),
     algorithms: Optional[Callable[..., List[Tuple[str, object]]]] = None,
     seed: Optional[Sequence[str]] = None,
@@ -212,30 +208,25 @@ def fault_matrix(
 
     make_algorithms = algorithms or default_algorithms
     cases: List[FaultCase] = []
-    for backend in backends:
-        engine = BenefitEngine(graph, backend=backend)
-        run_seed = list(seed) if seed is not None else [top_view_of(engine)]
-        base = RGreedy(1).run(engine, space, seed=run_seed)
-        for lazy in lazy_modes:
-            for label, algorithm in make_algorithms(lazy):
-                if hasattr(algorithm, "refine"):
-                    def run(context=None, _a=algorithm):
-                        return _a.refine(
-                            engine,
-                            space,
-                            base.selected,
-                            protected=run_seed,
-                            context=context,
-                        )
-                else:
-                    def run(context=None, _a=algorithm):
-                        return _a.run(
-                            engine, space, seed=run_seed, context=context
-                        )
-                __, scan = fault_scan(
-                    run, algorithm=label, backend=backend, lazy=lazy
-                )
-                cases.extend(scan)
+    engine = BenefitEngine(graph)
+    run_seed = list(seed) if seed is not None else [top_view_of(engine)]
+    base = RGreedy(1).run(engine, space, seed=run_seed)
+    for lazy in lazy_modes:
+        for label, algorithm in make_algorithms(lazy):
+            if hasattr(algorithm, "refine"):
+                def run(context=None, _a=algorithm):
+                    return _a.refine(
+                        engine,
+                        space,
+                        base.selected,
+                        protected=run_seed,
+                        context=context,
+                    )
+            else:
+                def run(context=None, _a=algorithm):
+                    return _a.run(engine, space, seed=run_seed, context=context)
+            __, scan = fault_scan(run, algorithm=label, lazy=lazy)
+            cases.extend(scan)
     return cases
 
 
@@ -270,7 +261,6 @@ def mined_cube_instance(
 def pruned_fault_matrix(
     n_dims: int = 4,
     *,
-    backends: Sequence[str] = ("dense", "sparse"),
     lazy_modes: Sequence[bool] = (False, True),
     budget_fraction: float = 0.05,
 ) -> List[FaultCase]:
@@ -294,34 +284,25 @@ def pruned_fault_matrix(
     run_seed = [top_view_of(probe)]
 
     cases: List[FaultCase] = []
-    for backend in backends:
-        for lazy in lazy_modes:
-            algorithms = [
-                ("RGreedy(r=1)", RGreedy(1, lazy=lazy)),
-                ("RGreedy(r=2)", RGreedy(2, lazy=lazy)),
-                ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy)),
-            ]
-            for label, algorithm in algorithms:
+    for lazy in lazy_modes:
+        algorithms = [
+            ("RGreedy(r=1)", RGreedy(1, lazy=lazy)),
+            ("RGreedy(r=2)", RGreedy(2, lazy=lazy)),
+            ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy)),
+        ]
+        for label, algorithm in algorithms:
 
-                def run(context=None, _a=algorithm, _b=backend):
-                    mined = mine_candidates(log, lattice.schema.names, **params)
-                    if context is not None:
-                        context.mining_boundary(
-                            {"fingerprint": mined.fingerprint(), **params}
-                        )
-                    engine = BenefitEngine(
-                        QueryViewGraph.from_mined(lattice, mined),
-                        backend=_b,
+            def run(context=None, _a=algorithm):
+                mined = mine_candidates(log, lattice.schema.names, **params)
+                if context is not None:
+                    context.mining_boundary(
+                        {"fingerprint": mined.fingerprint(), **params}
                     )
-                    return _a.run(engine, space, seed=run_seed, context=context)
+                engine = BenefitEngine(QueryViewGraph.from_mined(lattice, mined))
+                return _a.run(engine, space, seed=run_seed, context=context)
 
-                __, scan = fault_scan(
-                    run,
-                    algorithm=f"pruned:{label}",
-                    backend=backend,
-                    lazy=lazy,
-                )
-                cases.extend(scan)
+            __, scan = fault_scan(run, algorithm=f"pruned:{label}", lazy=lazy)
+            cases.extend(scan)
     return cases
 
 
@@ -365,11 +346,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "structure space (default 0.05; larger means more stages)",
     )
     parser.add_argument(
-        "--backends",
-        default="dense,sparse",
-        help="comma-separated engine backends (default dense,sparse)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the case list as JSON"
     )
     parser.add_argument(
@@ -379,18 +355,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "the mining stage as kill/resume boundary 1",
     )
     args = parser.parse_args(argv)
+    # exit 2 with a one-line error, never 1 (which means a failed case)
+    if args.dims < 1:
+        parser.error(f"--dims must be >= 1, got {args.dims}")
+    if not (math.isfinite(args.budget_fraction) and args.budget_fraction >= 0):
+        parser.error(
+            "--budget-fraction must be a finite number >= 0, "
+            f"got {args.budget_fraction}"
+        )
 
     graph = _cube_graph(args.dims)
     probe = BenefitEngine(graph)
     space = smoke_budget(probe, args.budget_fraction)
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    cases = fault_matrix(graph, space, backends=backends)
+    cases = fault_matrix(graph, space)
     n_full = len(cases)
     if args.pruned:
         cases += pruned_fault_matrix(
-            args.dims,
-            backends=backends,
-            budget_fraction=args.budget_fraction,
+            args.dims, budget_fraction=args.budget_fraction
         )
     failures = [case for case in cases if not case.ok]
     if args.json:
@@ -402,8 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f" (+{len(cases) - n_full} pruned-advise cases)" if args.pruned else ""
         )
         print(
-            f"fault matrix: {len(cases)} kill/resume cases over "
-            f"{len(backends)} backend(s), "
+            f"fault matrix: {len(cases)} kill/resume cases, "
             f"d={args.dims}{pruned_note}; {len(failures)} failure(s)"
         )
     return 1 if failures else 0

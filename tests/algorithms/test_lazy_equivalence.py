@@ -1,12 +1,14 @@
-"""Cross-checks: dense vs sparse backends, lazy vs eager stage loops.
+"""Cross-checks: lazy vs eager stage loops on the one cost store.
 
-Every selection algorithm gained a ``lazy`` switch whose loops consult
-the engine's maintained single-benefit cache and skip provably-no-op
-work (CELF-style).  The contract is *bit-identical selections*: on any
-graph, every (backend, lazy) combination must return the same structures
-in the same order, with equal benefit and τ.  These tests enforce the
-contract on the paper fixtures and on seeded random graphs (both unit
-and heterogeneous spaces).
+Every selection algorithm has a ``lazy`` switch whose loops consult the
+engine's maintained single-benefit cache and skip provably-no-op work
+(CELF-style).  The contract is *bit-identical results*: on any graph the
+lazy and eager loops must return the same structures in the same order,
+with ``==`` benefit and τ, and ``==`` stages (structures, benefit, space,
+τ after).  These tests enforce the contract on the paper fixtures, on
+seeded random graphs with small integer costs (exact ties are common)
+and on cube graphs with float costs (where a changed summation order
+would show up in the last bits).
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.algorithms import (
 from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.datasets.paper_figure2 import FIGURE2_SPACE
+from repro.runtime.faults import _cube_graph, smoke_budget, top_view_of
 
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
 
@@ -76,21 +79,24 @@ ALGORITHMS = [
 
 
 def all_variants(make, graph, space, seed=()):
-    out = {}
-    for backend in ("dense", "sparse"):
-        engine = BenefitEngine(graph, backend=backend)
-        for lazy in (False, True):
-            result = make(lazy).run(engine, space, seed=seed)
-            out[(backend, lazy)] = result
-    return out
+    """The eager (reference) and lazy runs on one engine, keyed by lazy."""
+    engine = BenefitEngine(graph)
+    return {lazy: make(lazy).run(engine, space, seed=seed) for lazy in (False, True)}
 
 
 def assert_identical(results):
     ((_, reference), *rest) = results.items()
     for key, result in rest:
         assert result.selected == reference.selected, key
-        assert result.benefit == pytest.approx(reference.benefit, rel=1e-12), key
-        assert result.tau == pytest.approx(reference.tau, rel=1e-12), key
+        assert result.benefit == reference.benefit, key
+        assert result.tau == reference.tau, key
+        assert [
+            (st.structures, st.benefit, st.space, st.tau_after)
+            for st in result.stages
+        ] == [
+            (st.structures, st.benefit, st.space, st.tau_after)
+            for st in reference.stages
+        ], key
 
 
 @pytest.mark.parametrize("label,make", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
@@ -111,43 +117,88 @@ class TestOnRandomGraphs:
         assert_identical(all_variants(make, graph, budget_for(graph)))
 
 
+CUBE_DIMS = [3, 4, 5]
+CUBE_FRACTIONS = [0.05, 0.3]
+
+
+@pytest.fixture(scope="module", params=CUBE_DIMS, ids=[f"d{d}" for d in CUBE_DIMS])
+def cube(request):
+    """A float-cost cube graph and its top view (every run's seed)."""
+    graph = _cube_graph(request.param)
+    return graph, top_view_of(BenefitEngine(graph))
+
+
+@pytest.mark.parametrize("label,make", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
+@pytest.mark.parametrize("fraction", CUBE_FRACTIONS)
+class TestOnCubes:
+    def test_cube(self, label, make, fraction, cube):
+        graph, top = cube
+        space = smoke_budget(BenefitEngine(graph), fraction)
+        assert_identical(all_variants(make, graph, space, seed=(top,)))
+
+
+@pytest.mark.parametrize("fraction", CUBE_FRACTIONS)
+def test_local_search_on_cubes(fraction, cube):
+    graph, top = cube
+    engine = BenefitEngine(graph)
+    space = smoke_budget(engine, fraction)
+    start = RGreedy(1).run(engine, space, seed=(top,))
+    results = {
+        lazy: LocalSearchRefiner(lazy=lazy).refine(
+            engine, space, start.selected, protected=(top,)
+        )
+        for lazy in (False, True)
+    }
+    assert_identical(results)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_local_search_equivalence(seed):
     graph = random_graph(seed)
     space = budget_for(graph)
-    start = RGreedy(1).run(BenefitEngine(graph, backend="dense"), space)
-    results = {}
-    for backend in ("dense", "sparse"):
-        engine = BenefitEngine(graph, backend=backend)
-        for lazy in (False, True):
-            results[(backend, lazy)] = LocalSearchRefiner(lazy=lazy).refine(
-                engine, space, start.selected
-            )
+    engine = BenefitEngine(graph)
+    start = RGreedy(1).run(engine, space)
+    results = {
+        lazy: LocalSearchRefiner(lazy=lazy).refine(engine, space, start.selected)
+        for lazy in (False, True)
+    }
     assert_identical(results)
+
+
+class EagerReadEngine(BenefitEngine):
+    """An engine whose single-benefit reads always recompute eagerly —
+    the reference for algorithms without a ``lazy`` switch."""
+
+    def single_benefits(self, ids=None, lazy=True):
+        return super().single_benefits(ids, lazy=False)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
 @pytest.mark.parametrize("weight", [0.0, 0.5])
 def test_maintenance_aware_backend_parity(seed, weight):
+    """Maintenance-aware greedy reads the maintained cache; its result
+    equals the run on eager reads."""
     graph = random_graph(seed)
     space = budget_for(graph)
     results = {
-        backend: MaintenanceAwareGreedy(update_weight=weight).run(
-            BenefitEngine(graph, backend=backend), space
+        engine_cls.__name__: MaintenanceAwareGreedy(update_weight=weight).run(
+            engine_cls(graph), space
         )
-        for backend in ("dense", "sparse")
+        for engine_cls in (EagerReadEngine, BenefitEngine)
     }
     assert_identical(results)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_pbs_backend_parity(seed):
+    """Pick-by-smallest gives the same result on a fresh engine and on
+    one reset after a lazy run left its cache and selection behind."""
     graph = random_graph(seed)
     space = budget_for(graph)
+    reused = BenefitEngine(graph)
+    RGreedy(2).run(reused, space)
     results = {
-        backend: PickBySmallest(include_indexes=True).run(
-            BenefitEngine(graph, backend=backend), space
-        )
-        for backend in ("dense", "sparse")
+        name: PickBySmallest(include_indexes=True).run(engine, space)
+        for name, engine in (("fresh", BenefitEngine(graph)), ("reused", reused))
     }
     assert_identical(results)

@@ -297,14 +297,14 @@ def tie_heavy_graph(seed: int) -> QueryViewGraph:
 
 
 class TestAgainstReferenceScan:
-    """Every stage picks what the unpruned one-offer-at-a-time scan picks,
-    on the sparse store (where lazy and eager singles are bitwise equal)."""
+    """Every stage picks what the unpruned one-offer-at-a-time scan picks
+    (lazy and eager singles are bitwise equal on the store)."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_stages_match(self, seed):
         graph = tie_heavy_graph(seed)
         space = max(1.0, 0.4 * sum(s.space for s in graph.structures))
-        engine = BenefitEngine(graph, backend="sparse")
+        engine = BenefitEngine(graph)
         for r in (1, 2, 3):
             for fit in (FIT_STRICT, FIT_PAPER):
                 engine.reset()

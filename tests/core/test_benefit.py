@@ -29,11 +29,13 @@ class TestCompilation:
         eng = BenefitEngine(tiny_graph())
         assert eng.n_queries == 2
         assert eng.n_structures == 3
-        assert eng.cost.shape == (3, 2)
+        assert eng.cost_row(0).shape == (2,)
 
     def test_missing_edges_are_inf(self):
         eng = BenefitEngine(tiny_graph())
-        assert eng.cost[eng.structure_id("v2"), eng.query_id("q1")] == float("inf")
+        v2, q1 = eng.structure_id("v2"), eng.query_id("q1")
+        assert eng.edge_cost_by_id(v2, q1) == float("inf")
+        assert eng.cost_row(v2)[q1] == float("inf")
 
     def test_initial_tau_is_weighted_defaults(self):
         eng = BenefitEngine(tiny_graph())
@@ -184,9 +186,8 @@ class TestBenefitProperties:
     def test_tau_floor_reached_by_committing_everything(self, graph):
         eng = BenefitEngine(graph)
         eng.commit(range(eng.n_structures))
-        floor = float(
-            eng.frequencies @ np.minimum(eng.defaults, eng.cost.min(axis=0))
-        )
+        cheapest = np.min([eng.cost_row(s) for s in range(eng.n_structures)], axis=0)
+        floor = float(eng.frequencies @ np.minimum(eng.defaults, cheapest))
         assert eng.tau() == pytest.approx(floor)
 
 

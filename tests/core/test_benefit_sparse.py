@@ -1,17 +1,21 @@
-"""The sparse (CSR/CSC) cost-store backend and the maintained
-single-benefit cache.
+"""The CSR/CSC cost store and the maintained single-benefit cache.
 
-The dense matrix is the reference: every sparse query below is checked
-for *exact* (bitwise, not approximate) agreement with it, because the
-lazy stage loops rely on maintained values matching an eager recompute.
+A dense ``(m × k)`` cost matrix built here from ``graph.edges()`` is the
+reference: every store query below is checked for *exact* (bitwise, not
+approximate) agreement with it — ``gains_for`` alone at ``rtol=1e-13``,
+since a matrix product sums in another order — because the lazy stage
+loops rely on maintained values matching an eager recompute.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.benefit import AUTO_DENSE_BYTES, BenefitEngine
+import repro.core.benefit as benefit_module
+from repro.algorithms import RGreedy
+from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.datasets.paper_figure2 import figure2_graph
+from repro.runtime.faults import _cube_graph
 
 
 def small_graph() -> QueryViewGraph:
@@ -63,120 +67,126 @@ def random_graph(
     return g
 
 
+def dense_reference(graph: QueryViewGraph, eng: BenefitEngine) -> np.ndarray:
+    """The ``(m × k)`` cost matrix of ``graph`` in ``eng``'s ids: the
+    minimum over parallel edges, ``inf`` where there is no edge."""
+    cost = np.full((eng.n_structures, eng.n_queries), np.inf)
+    for q_name, s_name, c in graph.edges():
+        sid, qid = eng.structure_id(s_name), eng.query_id(q_name)
+        cost[sid, qid] = min(cost[sid, qid], c)
+    return cost
+
+
 @pytest.fixture(params=[small_graph, figure2_graph, lambda: random_graph(7)])
 def pair(request):
+    """(dense reference matrix, engine) over one graph."""
     g = request.param()
-    return BenefitEngine(g, backend="dense"), BenefitEngine(g, backend="sparse")
+    eng = BenefitEngine(g)
+    return dense_reference(g, eng), eng
 
 
-class TestBackendSelection:
-    def test_auto_picks_dense_for_small_graphs(self):
-        eng = BenefitEngine(small_graph())
-        assert eng.backend == "dense"
-        assert eng.cost.shape == (eng.n_structures, eng.n_queries)
-
-    def test_auto_picks_sparse_past_the_byte_threshold(self):
-        g = small_graph()
-        need = BenefitEngine.dense_cost_bytes(6, 4)
-        assert need < AUTO_DENSE_BYTES  # sanity: threshold is generous
-        eng = BenefitEngine(g, dense_limit_bytes=need - 1)
-        assert eng.backend == "sparse"
-
-    def test_explicit_dense_beyond_limit_raises(self):
-        with pytest.raises(MemoryError):
-            BenefitEngine(small_graph(), backend="dense", dense_limit_bytes=8)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            BenefitEngine(small_graph(), backend="csr")
-
-    def test_sparse_has_no_dense_matrix(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
-        with pytest.raises(RuntimeError):
-            eng.cost
-        assert eng.cost_store_bytes() > 0
-
-    def test_sparse_store_smaller_than_dense_for_sparse_graphs(self):
-        g = random_graph(3, n_views=8, n_queries=60, edge_prob=0.05)
-        eng = BenefitEngine(g, backend="sparse")
-        assert eng.cost_store_bytes() < BenefitEngine.dense_cost_bytes(
-            eng.n_structures, eng.n_queries
-        )
-
-    def test_repr_names_the_backend(self):
-        assert "sparse" in repr(BenefitEngine(small_graph(), backend="sparse"))
+def test_store_smaller_than_a_dense_matrix_for_sparse_graphs():
+    g = random_graph(3, n_views=8, n_queries=60, edge_prob=0.05)
+    eng = BenefitEngine(g)
+    assert 0 < eng.cost_store_bytes() < eng.n_structures * eng.n_queries * 8
 
 
 class TestCostQueries:
     def test_cost_rows_match(self, pair):
-        dense, sparse = pair
-        for sid in range(dense.n_structures):
-            assert np.array_equal(dense.cost_row(sid), sparse.cost_row(sid))
+        cost, eng = pair
+        for sid in range(eng.n_structures):
+            assert np.array_equal(cost[sid], eng.cost_row(sid))
 
     def test_edge_cost_by_id_matches(self, pair):
-        dense, sparse = pair
-        for sid in range(dense.n_structures):
-            for qid in range(dense.n_queries):
-                assert dense.edge_cost_by_id(sid, qid) == sparse.edge_cost_by_id(
-                    sid, qid
-                )
+        cost, eng = pair
+        for sid in range(eng.n_structures):
+            for qid in range(eng.n_queries):
+                assert eng.edge_cost_by_id(sid, qid) == cost[sid, qid]
 
     def test_minimum_with_matches(self, pair):
-        dense, sparse = pair
-        vec = dense.defaults * 0.5
-        for sid in range(dense.n_structures):
+        cost, eng = pair
+        vec = eng.defaults * 0.5
+        for sid in range(eng.n_structures):
             assert np.array_equal(
-                dense.minimum_with(vec, sid), sparse.minimum_with(vec, sid)
+                np.minimum(vec, cost[sid]), eng.minimum_with(vec, sid)
             )
 
     def test_minimum_with_does_not_mutate_input(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         vec = eng.defaults.copy()
         eng.minimum_with(vec, 0)
         assert np.array_equal(vec, eng.defaults)
 
     def test_min_cost_over_matches(self, pair):
-        dense, sparse = pair
-        ids = list(range(dense.n_structures))
-        assert np.array_equal(dense.min_cost_over(ids), sparse.min_cost_over(ids))
+        cost, eng = pair
+        ids = list(range(eng.n_structures))
+        assert np.array_equal(cost[ids].min(axis=0), eng.min_cost_over(ids))
         assert np.array_equal(
-            dense.min_cost_over(ids[::2]), sparse.min_cost_over(ids[::2])
+            cost[ids[::2]].min(axis=0), eng.min_cost_over(ids[::2])
         )
 
     def test_gains_for_values_match(self, pair):
-        dense, sparse = pair
-        base = dense.defaults * 0.75
-        ids = np.arange(dense.n_structures)
+        cost, eng = pair
+        base = eng.defaults * 0.75
+        ids = np.arange(eng.n_structures)
         np.testing.assert_allclose(
-            dense.gains_for(ids, base), sparse.gains_for(ids, base), rtol=1e-13
+            np.maximum(base - cost, 0.0) @ eng.frequencies,
+            eng.gains_for(ids, base),
+            rtol=1e-13,
         )
 
     def test_max_achievable_benefit_matches(self, pair):
-        dense, sparse = pair
-        assert dense.max_achievable_benefit() == pytest.approx(
-            sparse.max_achievable_benefit(), rel=1e-13
-        )
+        cost, eng = pair
+        floor = np.minimum(eng.defaults, cost.min(axis=0))
+        expected = float(eng.frequencies @ (eng.defaults - floor))
+        assert eng.max_achievable_benefit() == expected
 
 
 class TestStateParity:
     def test_tau_and_benefits_track_across_commits(self, pair):
-        dense, sparse = pair
-        for view in [s for s in range(dense.n_structures) if dense.is_view[s]]:
-            b_d = dense.commit([view])
-            b_s = sparse.commit([view])
-            assert b_d == pytest.approx(b_s, rel=1e-13)
-            assert dense.tau() == pytest.approx(sparse.tau(), rel=1e-13)
-        assert dense.selected_ids == sparse.selected_ids
+        cost, eng = pair
+        best = eng.defaults.copy()
+        for view in [s for s in range(eng.n_structures) if eng.is_view[s]]:
+            improved = np.minimum(best, cost[view])
+            assert eng.commit([view]) == float(eng.frequencies @ (best - improved))
+            best = improved
+            assert eng.tau() == float(eng.frequencies @ best)
+        assert eng.selected_ids == frozenset(eng.view_ids().tolist())
 
     def test_snapshot_restore_parity(self, pair):
-        dense, sparse = pair
-        view = int(dense.view_ids()[0])
-        for eng in pair:
-            snap = eng.snapshot()
-            eng.commit([view])
-            eng.restore(snap)
-        assert dense.tau() == pytest.approx(sparse.tau(), rel=1e-13)
-        assert not dense.selected_ids and not sparse.selected_ids
+        cost, eng = pair
+        view = int(eng.view_ids()[0])
+        snap = eng.snapshot()
+        eng.commit([view])
+        eng.restore(snap)
+        assert eng.tau() == float(eng.frequencies @ eng.defaults)
+        assert not eng.selected_ids
+
+
+class TestNumpyOnlyBuild:
+    """``pyproject.toml`` declares only numpy: without scipy the CSC
+    arrays come from the numpy ``lexsort`` fallback, which must build the
+    same store as the scipy transpose."""
+
+    @pytest.fixture(params=["cube_d5", "random_7"])
+    def graph(self, request):
+        return _cube_graph(5) if request.param == "cube_d5" else random_graph(7)
+
+    def test_same_store_fingerprint_and_selection(self, graph, monkeypatch):
+        if benefit_module._scipy_sparse is None:
+            pytest.skip("scipy is not installed: nothing to compare against")
+        with_scipy = BenefitEngine(graph)
+        monkeypatch.setattr(benefit_module, "_scipy_sparse", None)
+        numpy_only = BenefitEngine(graph)
+        for name in ("_col_ptr", "_col_rows", "_col_vals"):
+            a, b = getattr(with_scipy, name), getattr(numpy_only, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        assert with_scipy.fingerprint() == numpy_only.fingerprint()
+        space = 0.3 * float(with_scipy.spaces.sum())
+        a, b = RGreedy(2).run(with_scipy, space), RGreedy(2).run(numpy_only, space)
+        assert (a.selected, a.benefit, a.tau) == (b.selected, b.benefit, b.tau)
+        assert a.stages == b.stages
 
 
 class TestMaintainedSingles:
@@ -185,7 +195,7 @@ class TestMaintainedSingles:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cache_matches_eager_after_every_commit(self, seed):
         g = random_graph(seed)
-        eng = BenefitEngine(g, backend="sparse")
+        eng = BenefitEngine(g)
         rng = np.random.default_rng(seed + 100)
         eng.single_benefits(lazy=True)  # prime the cache
         views = list(eng.view_ids())
@@ -202,18 +212,8 @@ class TestMaintainedSingles:
                     eng.single_benefits(lazy=True), eng.single_benefits(lazy=False)
                 )
 
-    def test_cache_matches_on_dense_backend_too(self):
-        g = random_graph(11)
-        eng = BenefitEngine(g, backend="dense")
-        eng.single_benefits(lazy=True)
-        for view in list(eng.view_ids())[:3]:
-            eng.commit([int(view)])
-            lazy = eng.single_benefits(lazy=True)
-            eager = eng.single_benefits(lazy=False)
-            np.testing.assert_allclose(lazy, eager, rtol=1e-13)
-
     def test_reset_invalidates(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         eng.single_benefits(lazy=True)
         eng.commit([0])
         eng.reset()
@@ -222,7 +222,7 @@ class TestMaintainedSingles:
         )
 
     def test_invalidate_full_and_partial(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         eng.single_benefits(lazy=True)
         eng.invalidate()
         assert np.array_equal(
@@ -234,7 +234,7 @@ class TestMaintainedSingles:
         )
 
     def test_restricted_ids_read_from_cache(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         whole = eng.single_benefits(lazy=True)
         some = eng.single_benefits([2, 0], lazy=True)
         assert some[0] == whole[2] and some[1] == whole[0]
@@ -277,8 +277,8 @@ class TestPendingRows:
     @pytest.mark.parametrize("seed", range(8))
     def test_contract_after_every_commit(self, seed):
         g = random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35)
-        bounded = BenefitEngine(g, backend="sparse")  # only bound reads
-        read = BenefitEngine(g, backend="sparse")  # full lazy reads
+        bounded = BenefitEngine(g)  # only bound reads
+        read = BenefitEngine(g)  # full lazy reads
         for eng in (bounded, read):
             eng.single_benefits(lazy=True)
         order = bounded.stage_candidates()
@@ -302,11 +302,8 @@ class TestPendingRows:
         assert np.array_equal(bounded.single_benefit_bounds(), exact)
 
     def pending_engine(self, seed=3):
-        """A sparse engine with some pending rows, and the rows."""
-        eng = BenefitEngine(
-            random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35),
-            backend="sparse",
-        )
+        """An engine with some pending rows, and the rows."""
+        eng = BenefitEngine(random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35))
         eng.single_benefits(lazy=True)
         views = [int(v) for v in eng.view_ids()]
         eng.commit(views[:3])
@@ -353,7 +350,7 @@ class TestPendingRows:
         assert np.array_equal(eng.single_benefit_bounds(), eng.single_benefits(lazy=False))
 
     def test_bounds_are_read_only(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         with pytest.raises(ValueError):
             eng.single_benefit_bounds()[0] = 1.0
 
@@ -384,7 +381,7 @@ class TestLazyBestSingle:
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_matches_eager_scan_through_a_whole_run(self, seed):
         g = random_graph(seed)
-        eng = BenefitEngine(g, backend="sparse")
+        eng = BenefitEngine(g)
         ids = eng.stage_candidates()
         while True:
             expected = self.eager_best(eng, ids)
@@ -396,18 +393,18 @@ class TestLazyBestSingle:
             eng.commit([expected])
 
     def test_space_limit_filters(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         unconstrained = eng.lazy_best_single(eng.stage_candidates())
         assert unconstrained is not None
         tight = eng.lazy_best_single(eng.stage_candidates(), space_left=0.0)
         assert tight is None
 
     def test_empty_candidates(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         assert eng.lazy_best_single(np.empty(0, dtype=np.int64)) is None
 
     def test_inadmissible_indexes_skipped(self):
-        eng = BenefitEngine(small_graph(), backend="sparse")
+        eng = BenefitEngine(small_graph())
         idx = int(eng.structure_id("i0"))
         # i0 alone is not offerable: its view is unselected
         assert eng.lazy_best_single(np.array([idx])) is None

@@ -94,11 +94,11 @@ def test_fast_path_identical_when_empty_view_has_two_rows():
 
 def test_compiled_engines_identical():
     lat = lattice_of(3)
-    fast = BenefitEngine(QueryViewGraph.from_cube(lat), backend="dense")
-    slow = BenefitEngine(
-        QueryViewGraph.from_cube(lat, vectorized=False), backend="dense"
-    )
-    assert np.array_equal(fast.cost, slow.cost)
+    fast = BenefitEngine(QueryViewGraph.from_cube(lat))
+    slow = BenefitEngine(QueryViewGraph.from_cube(lat, vectorized=False))
+    assert fast.n_structures == slow.n_structures
+    for sid in range(fast.n_structures):
+        assert np.array_equal(fast.cost_row(sid), slow.cost_row(sid))
     assert np.array_equal(fast.defaults, slow.defaults)
     assert np.array_equal(fast.frequencies, slow.frequencies)
     assert np.array_equal(fast.spaces, slow.spaces)
@@ -163,8 +163,8 @@ class TestBulkEdges:
         g.add_edges_bulk(np.array([0, 0]), np.array([0, 0]), np.array([7.0, 3.0]))
         assert g.edge_cost("q0", "v") == 3.0
         q_idx, s_idx, costs = g.edge_arrays()
-        engine = BenefitEngine(g, backend="dense")
-        assert engine.cost[0, 0] == 3.0
+        engine = BenefitEngine(g)
+        assert engine.edge_cost_by_id(0, 0) == 3.0
 
     def test_misaligned_arrays_rejected(self):
         g = self.graph()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -19,9 +20,11 @@ from repro.runtime import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.algorithms.base import StageTracker
 from repro.runtime.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
+    Checkpoint,
     StageRecord,
     algorithm_from_config,
     records_picked_order,
@@ -203,7 +206,7 @@ class TestLegacyCheckpoints:
         seed = [top_view_of(probe)]
 
         def run(algorithm, context):
-            engine = BenefitEngine(graph, backend="dense")
+            engine = BenefitEngine(graph)
             return algorithm.run(engine, space, seed=seed, context=context)
 
         golden_context = RunContext()
@@ -225,6 +228,42 @@ class TestLegacyCheckpoints:
         assert [s.benefit for s in resumed.stages] == [
             s.benefit for s in golden.stages
         ]
+
+
+class TestReplayTolerance:
+    """A replayed stage's benefit is checked against its record within
+    ``StageTracker.REPLAY_RTOL``: last-bit differences (a checkpoint
+    written by eager loops that summed in another order) resume, a
+    benefit off by more marks a checkpoint of another instance."""
+
+    def tampered(self, engine, space, seed, factor=None):
+        """The stage-3 checkpoint with its last stage's benefit moved
+        1 ulp up (``factor=None``) or scaled by ``factor``."""
+        document = checkpoint_at(engine, space, seed, stage=3).to_dict()
+        record = document["stages"][-1]
+        assert record["scope"] == "RGreedy"
+        if factor is None:
+            record["benefit"] = math.nextafter(record["benefit"], math.inf)
+        else:
+            record["benefit"] *= factor
+        return Checkpoint.from_dict(json.loads(json.dumps(document)))
+
+    def test_one_ulp_off_resumes_to_golden(self, engine, space, seed):
+        golden = RGreedy(2).run(engine, space, seed=seed)
+        checkpoint = self.tampered(engine, space, seed)
+        resumed = RGreedy(2).run(
+            engine, space, seed=seed, context=RunContext(resume_from=checkpoint)
+        )
+        assert compare_results(golden, resumed) == ""
+
+    def test_off_beyond_tolerance_rejected(self, engine, space, seed):
+        checkpoint = self.tampered(
+            engine, space, seed, factor=1 + 10 * StageTracker.REPLAY_RTOL
+        )
+        with pytest.raises(CheckpointError, match="does not belong to this instance"):
+            RGreedy(2).run(
+                engine, space, seed=seed, context=RunContext(resume_from=checkpoint)
+            )
 
 
 class TestAtomicSave:

@@ -22,11 +22,11 @@ from repro.runtime.faults import (
 
 
 class TestFaultMatrixD5:
-    """The ISSUE acceptance matrix at d=5: every algorithm, every stage
-    boundary, dense + sparse backends, lazy loops on and off.
+    """The acceptance matrix at d=5: every algorithm, every stage
+    boundary, lazy loops on and off.
 
     The budget fraction is the smallest that still gives local search an
-    improving move to checkpoint (~460 cases in ~10s); the CI smoke and
+    improving move to checkpoint (~230 cases in ~5s); the CI smoke and
     ``python -m repro.runtime.faults --dims 5`` run the wider-budget
     version.
     """
@@ -44,15 +44,14 @@ class TestFaultMatrixD5:
     def test_matrix_covers_all_algorithms_and_modes(self, cases):
         expected = {label for label, __ in default_algorithms(lazy=False)}
         assert {case.algorithm for case in cases} == expected
-        assert {case.backend for case in cases} == {"dense", "sparse"}
         assert {case.lazy for case in cases} == {False, True}
 
     def test_every_boundary_was_killed(self, cases):
-        """Each (algorithm, backend, lazy) combination has one case per
-        stage boundary, 1..n_stages."""
+        """Each (algorithm, lazy) combination has one case per stage
+        boundary, 1..n_stages."""
         by_combo = {}
         for case in cases:
-            key = (case.algorithm, case.backend, case.lazy)
+            key = (case.algorithm, case.lazy)
             by_combo.setdefault(key, []).append(case)
         for key, combo_cases in by_combo.items():
             stages = sorted(case.stage for case in combo_cases)
@@ -76,9 +75,7 @@ class TestLocalSearchOnFigure2:
                 engine, FIGURE2_SPACE, base.selected, context=context
             )
 
-        golden, cases = fault_scan(
-            run, algorithm="LocalSearchRefiner", backend="dense", lazy=False
-        )
+        golden, cases = fault_scan(run, algorithm="LocalSearchRefiner", lazy=False)
         assert golden.benefit >= 194  # it escaped the 1-greedy trap (46)
         assert len(cases) >= 2  # improving rounds produced boundaries
         assert [str(c) for c in cases if not c.ok] == []
@@ -105,3 +102,24 @@ class TestHarnessSelfChecks:
         assert main(["--dims", "3", "--budget-fraction", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--dims", "0"], "--dims must be >= 1"),
+            (["--dims", "-2"], "--dims must be >= 1"),
+            (["--budget-fraction", "nan"], "--budget-fraction must be a finite"),
+            (["--budget-fraction", "inf"], "--budget-fraction must be a finite"),
+            (["--budget-fraction", "-1"], "--budget-fraction must be a finite"),
+        ],
+    )
+    def test_cli_bad_arguments_exit_2(self, capsys, argv, message):
+        """A typo exits 2 with one ``error:`` line — never 1, which is
+        what a failed kill/resume case returns."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1 and message in error_lines[0]

@@ -24,9 +24,9 @@ from repro.runtime.faults import mined_cube_instance, pruned_fault_matrix
 class TestPrunedFaultMatrix:
     @pytest.fixture(scope="class")
     def cases(self):
-        # sparse backend, eager+lazy: the fast cross-section (the full
-        # matrix runs in CI via python -m repro.runtime.faults --pruned)
-        return pruned_fault_matrix(3, backends=("sparse",))
+        # d=3, eager+lazy: the fast cross-section (the d=4 matrix runs
+        # in CI via python -m repro.runtime.faults --pruned)
+        return pruned_fault_matrix(3)
 
     def test_every_case_resumes_bit_identical(self, cases):
         failures = [str(case) for case in cases if not case.ok]

@@ -1,10 +1,16 @@
 """Tests for selection analysis (repro.analysis.explain)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.algorithms import FIT_PAPER, RGreedy
-from repro.analysis import explain
+from repro.analysis import QueryPlan, StructureContribution, explain
+from repro.core.benefit import BenefitEngine
+from repro.core.qvgraph import QueryViewGraph
 from repro.datasets.paper_figure2 import FIGURE2_SPACE
+from repro.runtime.faults import _cube_graph, smoke_budget, top_view_of
 
 
 @pytest.fixture
@@ -138,3 +144,141 @@ class TestCompare:
         __, __, cmp = comparison
         text = cmp.table()
         assert "only in A" in text and "cost under B" in text
+
+
+# ------------------------------------------------- per-query loop reference
+
+
+def reference_explain(graph, selection):
+    """``explain`` as one ``edge_cost_by_id`` per (query, structure) and
+    one ``min_cost_over`` per marginal τ — the loops the vectorized
+    version replaced; it must agree with them bit for bit."""
+    engine = BenefitEngine(graph)
+    ids = [engine.structure_id(name) for name in selection]
+    views_first = sorted(ids, key=lambda i: not engine.is_view[i])
+    engine.commit(views_first)
+    plans = []
+    for q in range(engine.n_queries):
+        default = float(engine.defaults[q])
+        best_cost, winner = default, None
+        for sid in views_first:
+            cost = engine.edge_cost_by_id(sid, q)
+            if cost < best_cost:
+                best_cost, winner = cost, sid
+        plans.append(
+            QueryPlan(
+                query=engine.query_names[q],
+                structure=engine.name_of(winner) if winner is not None else None,
+                cost=best_cost,
+                default_cost=default,
+                frequency=float(engine.frequencies[q]),
+            )
+        )
+    contributions = []
+    for sid in views_first:
+        name = engine.name_of(sid)
+        won = [p for p in plans if p.structure == name]
+        removal = {sid}
+        if engine.is_view[sid]:
+            removal |= {int(i) for i in engine.index_ids_of(sid) if int(i) in ids}
+        remaining = [i for i in views_first if i not in removal]
+        if remaining:
+            best = np.minimum(engine.defaults, engine.min_cost_over(remaining))
+            tau_without = float(engine.frequencies @ best)
+        else:
+            tau_without = float(engine.frequencies @ engine.defaults)
+        contributions.append(
+            StructureContribution(
+                name=name,
+                space=float(engine.spaces[sid]),
+                queries_won=tuple(p.query for p in won),
+                benefit_attributed=sum(
+                    p.frequency * (p.default_cost - p.cost) for p in won
+                ),
+                marginal_loss=tau_without - engine.tau(),
+            )
+        )
+    contributions.sort(key=lambda c: -c.marginal_loss)
+    return plans, contributions, engine.tau()
+
+
+def bits(value):
+    """Exact identity of a plan or contribution: floats by ``float.hex``."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(value)
+    )
+
+
+def assert_matches_reference(graph, selection):
+    explanation = explain(graph, selection)
+    plans, contributions, tau = reference_explain(graph, selection)
+    assert [bits(p) for p in explanation.plans] == [bits(p) for p in plans]
+    assert [bits(c) for c in explanation.contributions] == [
+        bits(c) for c in contributions
+    ]
+    assert explanation.tau.hex() == tau.hex()
+
+
+@pytest.mark.parametrize("n_dims", [3, 4, 5])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("fraction", [0.05, 0.25])
+def test_matches_per_query_loops_on_cubes(n_dims, r, fraction):
+    graph = _cube_graph(n_dims)
+    engine = BenefitEngine(graph)
+    space = smoke_budget(engine, fraction)
+    result = RGreedy(r).run(engine, space, seed=(top_view_of(engine),))
+    assert_matches_reference(graph, result.selected)
+
+
+def tie_graph():
+    """Two views and an index that all answer ``q0`` at the same cost,
+    and a query no selected structure improves."""
+    g = QueryViewGraph()
+    g.add_view("V0", 4)
+    g.add_index("V0", "I0", 2)
+    g.add_view("V1", 3)
+    g.add_query("q0", 50, frequency=2.0)
+    g.add_query("q1", 40)
+    g.add_query("q2", 30, frequency=0.5)
+    for structure in ("V0", "I0", "V1"):
+        g.add_edge("q0", structure, 5.0)
+    g.add_edge("q1", "V1", 7.0)
+    g.add_edge("q1", "I0", 7.0)
+    g.add_edge("q2", "V0", 30.0)  # equal to the default: no win
+    return g
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [("V0", "I0", "V1"), ("V1", "V0", "I0"), ("I0", "V0"), ("V1",), ()],
+)
+def test_winner_ties_go_to_the_first_selected(selection):
+    graph = tie_graph()
+    assert_matches_reference(graph, selection)
+    plans = {p.query: p for p in explain(graph, selection).plans}
+    views = [name for name in selection if name.startswith("V")]
+    expected = views[0] if views else None
+    assert plans["q0"].structure == expected
+    assert plans["q2"].structure is None and plans["q2"].cost == 30.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_per_query_loops_on_tie_heavy_graphs(seed):
+    """Small integer costs make equal-cost winners common."""
+    rng = np.random.default_rng(seed)
+    g = QueryViewGraph()
+    names = []
+    for v in range(int(rng.integers(2, 6))):
+        g.add_view(f"V{v}", float(rng.integers(1, 8)))
+        names.append(f"V{v}")
+        for i in range(int(rng.integers(0, 3))):
+            g.add_index(f"V{v}", f"I{v}.{i}", float(rng.integers(1, 8)))
+            names.append(f"I{v}.{i}")
+    for q in range(int(rng.integers(4, 16))):
+        default = float(rng.integers(10, 40))
+        g.add_query(f"q{q}", default, frequency=float(rng.integers(1, 4)))
+        for name in names:
+            if rng.random() < 0.5:
+                g.add_edge(f"q{q}", name, float(rng.integers(0, 12)))
+    result = RGreedy(2).run(g, 0.6 * sum(s.space for s in g.structures))
+    assert_matches_reference(g, result.selected)
