@@ -1,6 +1,6 @@
 """E9: the execution-engine substrate and the cost-model validation.
 
-Times materialization, B+tree construction, and index-assisted query
+Times materialization, index construction, and index-assisted query
 execution, and re-asserts that measured rows-processed match the linear
 cost model (Section 4.1.1) — the experiment that makes the paper's cost
 formula falsifiable.
@@ -14,7 +14,6 @@ from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.cube.generator import generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
-from repro.engine.btree import BPlusTree
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.materialize import materialize_view
@@ -41,15 +40,18 @@ def test_bench_materialize_top_view(benchmark, fact):
     assert table.n_rows == fact.distinct_count(("a", "b", "c"))
 
 
-def test_bench_btree_bulk_load(benchmark, fact):
-    table = materialize_view(fact, View.of("a", "b", "c"))
-    entries = [
-        (key + (row,), (row, value))
-        for row, (key, value) in enumerate(table.iter_rows())
-    ]
-    entries.sort()
-    tree = benchmark(BPlusTree.bulk_load, entries, 32)
-    assert len(tree) == table.n_rows
+def test_bench_build_index(benchmark, fact):
+    catalog = Catalog(fact)
+    view = View.of("a", "b", "c")
+    table = catalog.materialize(view)
+    index = Index(view, ("a", "b", "c"))
+
+    def build():
+        catalog.drop_index(index)
+        return catalog.build_index(index)
+
+    built = benchmark(build)
+    assert len(built) == table.n_rows
 
 
 def test_bench_index_assisted_execution(benchmark, fact):

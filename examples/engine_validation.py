@@ -5,7 +5,7 @@ This example closes the loop the paper leaves implicit:
 1. generate a small skewed, correlated fact table;
 2. run inner-level greedy on the cube's query-view graph (with *exact*
    sizes measured from the data);
-3. physically materialize the selected views and build B+trees for the
+3. physically materialize the selected views and sort them into the
    selected indexes;
 4. execute every slice query through the executor's best plan and compare
    the measured rows-processed against the algorithm's predicted τ.

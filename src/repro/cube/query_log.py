@@ -68,11 +68,11 @@ def generate_query_log(
     entries = []
     for pick in picks:
         query = patterns[int(pick)]
+        # draw in attribute order: a frozenset's iteration order follows
+        # string hashing, which varies between processes
         values = tuple(
-            sorted(
-                (attr, int(rng.integers(0, schema.cardinality(attr))))
-                for attr in query.selection
-            )
+            (attr, int(rng.integers(0, schema.cardinality(attr))))
+            for attr in sorted(query.selection)
         )
         entries.append(LogEntry(query=query, values=values))
     return entries

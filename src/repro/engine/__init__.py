@@ -1,7 +1,6 @@
-"""Mini-ROLAP execution engine: tables, B+trees, materializer, executor."""
+"""Mini-ROLAP execution engine: tables, sorted indexes, materializer, executor."""
 
-from repro.engine.btree import BPlusTree
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, SortedIndex
 from repro.engine.executor import Executor, PlanChoice, QueryResult
 from repro.engine.maintenance import (
     RefreshReport,
@@ -20,7 +19,6 @@ from repro.engine.pipeline import (
 from repro.engine.table import FactTable, ViewTable
 
 __all__ = [
-    "BPlusTree",
     "Catalog",
     "Executor",
     "FactTable",
@@ -28,6 +26,7 @@ __all__ = [
     "PlanChoice",
     "QueryResult",
     "RefreshReport",
+    "SortedIndex",
     "ViewTable",
     "apply_delta",
     "estimate_refresh_cost",

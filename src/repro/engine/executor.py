@@ -3,25 +3,111 @@
 The executor answers a concrete slice query (attribute values supplied for
 every selection attribute) from the catalog, counting the **rows
 processed** — the paper's cost measure.  A plan is a ``(view, index)``
-pair; with an index whose key has a usable prefix, only the B+tree entries
-matching the prefix values are touched; otherwise the whole view table is
+pair; with an index whose key has a usable prefix, only the index range
+matching the prefix values is read; otherwise the whole view table is
 scanned.
 
 This makes the linear cost model falsifiable: the expected number of rows
 an index plan touches is ``|V| / |E|`` where ``|E|`` is the number of
 distinct prefix combinations, which is exactly ``c(Q, V, J)``.
+
+Every plan, here and in :mod:`repro.serve.batch`, is answered by one
+kernel, :func:`aggregate_rows`: it filters the rows a plan reads and sums
+them per group in the order read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.engine.catalog import Catalog
+from repro.engine.table import ViewTable
+
+#: Arithmetic-coded grouping is used while the key space stays below
+#: this; degenerate (huge-domain) keys fall back to ``np.unique``.
+MAX_CODED_KEY_SPACE = 1 << 20
+
+
+def _grouped_sums(
+    key_columns: Sequence[np.ndarray], values: np.ndarray
+) -> Dict[tuple, float]:
+    """Group-and-sum, adding each group's values in row order.
+
+    ``np.bincount`` adds weights sequentially (index order), the order a
+    per-row ``groups[key] += value`` loop uses — so the floats match it
+    bit-for-bit regardless of how the group *labels* are derived.  Labels
+    come from an arithmetic encoding of the key tuple (one mixed-radix
+    integer per row; no sort, unlike ``np.unique(axis=0)``), decoded back
+    for the populated codes only.
+    """
+    if not len(values):
+        return {}
+    if not key_columns:
+        sums = np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)
+        return {(): float(sums[0])}
+    dims = tuple(int(column.max()) + 1 for column in key_columns)
+    space = 1
+    for dim in dims:
+        space *= dim
+    if space > MAX_CODED_KEY_SPACE:
+        stacked = np.stack(key_columns, axis=1)
+        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=values, minlength=len(unique))
+        return {
+            tuple(row): float(total)
+            for row, total in zip(unique.tolist(), sums.tolist())
+        }
+    if len(key_columns) == 1:
+        codes = key_columns[0]
+    else:
+        codes = np.ravel_multi_index(tuple(key_columns), dims)
+    sums = np.bincount(codes, weights=values, minlength=space)
+    populated = np.nonzero(np.bincount(codes, minlength=space))[0]
+    keys = np.stack(np.unravel_index(populated, dims), axis=1)
+    return {
+        tuple(row): total
+        for row, total in zip(keys.tolist(), sums[populated].tolist())
+    }
+
+
+def aggregate_rows(
+    table: ViewTable,
+    query: SliceQuery,
+    bound: Mapping[str, int],
+    rows: Optional[np.ndarray] = None,
+    matched: tuple = (),
+    measure: Optional[str] = None,
+) -> Dict[tuple, float]:
+    """The query's groups over ``rows`` of ``table``, summed in that order.
+
+    ``rows`` defaults to every row (a view scan); an index plan passes
+    its prefix range and, as ``matched``, the prefix attributes those
+    rows already equal.  Rows whose other selection attributes differ
+    from ``bound`` are dropped; the rest are keyed by the group-by
+    attributes and their ``measure`` column (default: the primary one)
+    summed.
+    """
+    mask = None
+    for attr in table.attrs:
+        if attr in query.selection and attr not in matched:
+            column = table.key_columns[attr]
+            hit = (column if rows is None else column[rows]) == int(bound[attr])
+            mask = hit if mask is None else mask & hit
+    if mask is not None:
+        rows = np.flatnonzero(mask) if rows is None else rows[mask]
+    elif rows is None:
+        rows = slice(None)
+    return _grouped_sums(
+        [table.key_columns[a][rows] for a in table.attrs if a in query.groupby],
+        table.values_for(measure)[rows],
+    )
 
 
 @dataclass(frozen=True)
@@ -70,7 +156,7 @@ class Executor:
     def __init__(self, catalog: Catalog, cost_model: Optional[LinearCostModel] = None):
         self.catalog = catalog
         self.cost_model = cost_model
-        self._distinct_cache: Dict[Tuple[View, tuple], int] = {}
+        self._distinct_cache: Dict[Tuple[int, View, tuple], int] = {}
 
     # ------------------------------------------------------------ planning
 
@@ -84,7 +170,8 @@ class Executor:
         prefix = index.usable_prefix(query)
         if not prefix:
             return float(table.n_rows)
-        cache_key = (view, prefix)
+        # a maintenance delta replaces the facts and bumps the version
+        cache_key = (self.catalog.version, view, prefix)
         if cache_key not in self._distinct_cache:
             self._distinct_cache[cache_key] = self.catalog.fact.distinct_count(prefix)
         distinct = self._distinct_cache[cache_key]
@@ -179,43 +266,21 @@ class Executor:
             raise ValueError(f"plan index {index} is not on view {view}")
 
         table = self.catalog.view_table(view)
-        value_column = table.values_for(measure)
-        groupby = tuple(a for a in table.attrs if a in query.groupby)
-        residual = [a for a in table.attrs if a in query.selection]
-
-        groups: Dict[tuple, float] = {}
-        rows_processed = 0
-
         prefix = index.usable_prefix(query) if index is not None else ()
-        if index is not None and prefix:
-            tree = self.catalog.index_tree(index)
-            prefix_key = tuple(int(selection_values[a]) for a in prefix)
-            residual = [a for a in residual if a not in prefix]
-            for __, (row, __value) in tree.prefix_scan(prefix_key):
-                rows_processed += 1
-                if any(
-                    int(table.key_columns[a][row]) != int(selection_values[a])
-                    for a in residual
-                ):
-                    continue
-                key = table.row_key(row, groupby)
-                groups[key] = groups.get(key, 0.0) + float(value_column[row])
+        if prefix:
+            rows = self.catalog.sorted_index(index).prefix_rows(
+                [int(selection_values[a]) for a in prefix]
+            )
+            rows_processed = len(rows)
         else:
-            # full scan of the view table
+            rows = None
             rows_processed = table.n_rows
-            cols = {a: table.key_columns[a] for a in table.attrs}
-            for row in range(table.n_rows):
-                if any(
-                    int(cols[a][row]) != int(selection_values[a]) for a in residual
-                ):
-                    continue
-                key = tuple(int(cols[a][row]) for a in groupby)
-                groups[key] = groups.get(key, 0.0) + float(value_column[row])
-
         return QueryResult(
             query=query,
             view=view,
             index=index,
             rows_processed=rows_processed,
-            groups=groups,
+            groups=aggregate_rows(
+                table, query, selection_values, rows, prefix, measure
+            ),
         )

@@ -161,8 +161,7 @@ def apply_delta(
     rebuilt = []
     for index in list(catalog.indexes()):
         catalog.drop_index(index)
-        tree = catalog.build_index(index)
-        report.index_entries_rebuilt += len(tree)
+        report.index_entries_rebuilt += len(catalog.build_index(index))
         rebuilt.append(str(index))
     report.indexes_rebuilt = tuple(rebuilt)
 

@@ -130,8 +130,7 @@ def materialize_selection(
         name = str(index)
         if name in done_indexes:
             continue
-        tree = catalog.build_index(index)
-        report.index_entries_built += len(tree)
+        report.index_entries_built += len(catalog.build_index(index))
         report.indexes_built = report.indexes_built + (name,)
         if on_step is not None:
             on_step(report, None)

@@ -3,16 +3,19 @@
 A warehouse's materialized views outlive the advisor process.  This
 module writes a :class:`~repro.engine.catalog.Catalog` to a directory —
 the fact table and every view table as ``.npz`` arrays, plus a manifest
-of the built indexes — and loads it back, rebuilding the B+trees from the
+of the built indexes — and loads it back, re-sorting the indexes from the
 stored tables (index *contents* are derivable; only their identity needs
-persisting, which keeps the format trivial and the trees always
+persisting, which keeps the format trivial and the indexes always
 consistent with the tables).
 
 Layout::
 
-    <dir>/manifest.json     schema, view list, index list
+    <dir>/manifest.json     schema, view list (with each view's file), index list
     <dir>/fact.npz          raw fact columns + measures
-    <dir>/view_<label>.npz  key columns + values per materialized view
+    <dir>/view_<i>.npz      key columns + values of the manifest's i-th view
+
+Loading reads each view's file name from the manifest, so directories
+written under an earlier naming (``view_<attrs>.npz``) still load.
 """
 
 from __future__ import annotations
@@ -34,11 +37,6 @@ PathLike = Union[str, Path]
 _FORMAT_VERSION = 1
 
 
-def _view_filename(label: str) -> str:
-    safe = "".join(ch if ch.isalnum() else "_" for ch in label) or "none"
-    return f"view_{safe}.npz"
-
-
 def save_catalog(catalog: Catalog, directory: PathLike) -> None:
     """Write the catalog to a directory (created if needed)."""
     directory = Path(directory)
@@ -56,10 +54,11 @@ def save_catalog(catalog: Catalog, directory: PathLike) -> None:
     )
 
     views = []
-    for view in catalog.views():
+    for position, view in enumerate(catalog.views()):
         table = catalog.view_table(view)
-        label = ",".join(table.attrs) if table.attrs else "none"
-        filename = _view_filename(label)
+        # by position: attribute names may contain any character, so no
+        # spelling of them is sure to give each view its own file
+        filename = f"view_{position}.npz"
         np.savez(
             directory / filename,
             values=table.values,
@@ -99,7 +98,7 @@ def save_catalog(catalog: Catalog, directory: PathLike) -> None:
 def load_catalog(directory: PathLike) -> Catalog:
     """Reload a catalog saved with :func:`save_catalog`.
 
-    B+trees are rebuilt from the stored view tables, so the loaded
+    Indexes are re-sorted from the stored view tables, so the loaded
     catalog is bit-for-bit equivalent for every query.
     """
     directory = Path(directory)

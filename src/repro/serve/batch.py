@@ -1,26 +1,23 @@
-"""Vectorized batch execution: answer query groups in one pass.
+"""Batch execution: answer a batch of queries grouped by routed plan.
 
-Per-query serving pays three Python taxes on every call: routing (a scan
-over all materialized structures), mask evaluation (a Python loop over
-every view row), and duplicate work (OLAP logs repeat queries).  The
-batch executor removes all three:
+Per-query serving pays two Python taxes on every call: routing (a scan
+over all materialized structures) and duplicate work (OLAP logs repeat
+queries).  The batch executor removes both:
 
 * **routing is memoized** per serving state — two queries with the same
   generic pattern route identically, so the plan (and its predicted
   cost, and its structure label) is computed once per pattern per
   generation and reused from :attr:`ServingState.plan_cache`;
-* **execution is grouped by routed plan** — all queries that full-scan
-  the same view table are answered in one pass over its (already
-  columnar) arrays with numpy masks instead of per-row Python loops;
+* **execution is grouped by routed plan** — queries that read the same
+  view table or index run back to back and share one timed pass;
 * **duplicates collapse** — identical concrete queries inside a batch
   execute once and share the result.
 
-Result fidelity is exact, not approximate: every vectorized path
-accumulates measure values in the same left-to-right row order as
-:meth:`repro.engine.executor.Executor.execute` (``np.bincount`` adds
-weights sequentially, matching the serial ``groups[key] += value``
-loop), so batched answers are byte-identical to per-query execution —
-the serving test suite asserts this per query on the dense fixtures.
+Result fidelity is exact, not approximate: prefix and scan plans are
+answered by :func:`repro.engine.executor.aggregate_rows`, the kernel
+:meth:`~repro.engine.executor.Executor.execute` uses, so batched answers
+are byte-identical to per-query execution — the serving test suite
+asserts this per query on the dense fixtures.
 """
 
 from __future__ import annotations
@@ -35,6 +32,7 @@ from repro.core.index import Index
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.cube.query_log import LogEntry
+from repro.engine.executor import _grouped_sums, aggregate_rows
 from repro.serve.telemetry import RAW_LABEL
 
 #: Default queries per batch for the chunked replay/serving drivers.
@@ -132,112 +130,31 @@ def raw_plan(cost_model, query: SliceQuery) -> PlanInfo:
     )
 
 
-#: Arithmetic-coded grouping is used while the key space stays below
-#: this; degenerate (huge-domain) keys fall back to ``np.unique``.
-MAX_CODED_KEY_SPACE = 1 << 20
-
-
-def _grouped_sums(
-    key_columns: Sequence[np.ndarray], values: np.ndarray
-) -> Dict[tuple, float]:
-    """Group-and-sum with the serial loop's exact accumulation order.
-
-    ``np.bincount`` adds weights sequentially (index order), which is
-    the same left-to-right order the per-row ``groups[key] += value``
-    loop uses — so the floats match bit-for-bit regardless of how the
-    group *labels* are derived.  Labels come from an arithmetic encoding
-    of the key tuple (one mixed-radix integer per row; no sort, unlike
-    ``np.unique(axis=0)``), decoded back for the populated codes only.
-    """
-    if not len(values):
-        return {}
-    if not key_columns:
-        sums = np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)
-        return {(): float(sums[0])}
-    dims = tuple(int(column.max()) + 1 for column in key_columns)
-    space = 1
-    for dim in dims:
-        space *= dim
-    if space > MAX_CODED_KEY_SPACE:
-        stacked = np.stack(key_columns, axis=1)
-        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=values, minlength=len(unique))
-        return {
-            tuple(row): float(total)
-            for row, total in zip(unique.tolist(), sums.tolist())
-        }
-    if len(key_columns) == 1:
-        codes = key_columns[0]
-    else:
-        codes = np.ravel_multi_index(tuple(key_columns), dims)
-    sums = np.bincount(codes, weights=values, minlength=space)
-    populated = np.nonzero(np.bincount(codes, minlength=space))[0]
-    keys = np.stack(np.unravel_index(populated, dims), axis=1)
-    return {
-        tuple(row): total
-        for row, total in zip(keys.tolist(), sums[populated].tolist())
-    }
-
-
 def execute_scan(table, entry: LogEntry, info: PlanInfo) -> ExecResult:
-    """Answer one query by a vectorized pass over a view table.
-
-    Mirrors the executor's full-scan path: the whole table counts as
-    rows processed, residual selection attributes filter rows, groupby
-    attributes key the aggregation.
-    """
-    query = entry.query
-    bound = entry.bound_values
-    groupby = tuple(a for a in table.attrs if a in query.groupby)
-    residual = [a for a in table.attrs if a in query.selection]
-    mask = None
-    for attr in residual:
-        comparison = table.key_columns[attr] == bound[attr]
-        mask = comparison if mask is None else (mask & comparison)
-    rows = slice(None) if mask is None else np.nonzero(mask)[0]
-    values = table.values_for(None)[rows]
-    groups = _grouped_sums([table.key_columns[a][rows] for a in groupby], values)
+    """Answer one query by a pass over a whole view table: every row
+    counts as processed."""
     return ExecResult(
         structure=info.structure,
         predicted_rows=info.predicted,
         actual_rows=table.n_rows,
-        groups=groups,
+        groups=aggregate_rows(table, entry.query, entry.bound_values),
         latency_us=0.0,
         fallback=False,
     )
 
 
 def execute_prefix(catalog, table, entry: LogEntry, info: PlanInfo) -> ExecResult:
-    """Answer one query through a B+tree prefix scan.
-
-    Index scans already touch only the matching entries, so this path
-    keeps the executor's loop verbatim (the batch win here is the
-    memoized routing and in-batch deduplication, not vectorization).
-    """
-    query = entry.query
+    """Answer one query from the index range matching its prefix values:
+    only that range's rows count as processed."""
     bound = entry.bound_values
-    tree = catalog.index_tree(info.index)
-    value_column = table.values_for(None)
-    groupby = tuple(a for a in table.attrs if a in query.groupby)
-    residual = [
-        a for a in table.attrs if a in query.selection and a not in info.prefix
-    ]
-    prefix_key = tuple(int(bound[a]) for a in info.prefix)
-    groups: Dict[tuple, float] = {}
-    rows_processed = 0
-    for __, (row, __value) in tree.prefix_scan(prefix_key):
-        rows_processed += 1
-        if any(
-            int(table.key_columns[a][row]) != int(bound[a]) for a in residual
-        ):
-            continue
-        key = table.row_key(row, groupby)
-        groups[key] = groups.get(key, 0.0) + float(value_column[row])
+    rows = catalog.sorted_index(info.index).prefix_rows(
+        [int(bound[a]) for a in info.prefix]
+    )
     return ExecResult(
         structure=info.structure,
         predicted_rows=info.predicted,
-        actual_rows=rows_processed,
-        groups=groups,
+        actual_rows=len(rows),
+        groups=aggregate_rows(table, entry.query, bound, rows, info.prefix),
         latency_us=0.0,
         fallback=False,
     )

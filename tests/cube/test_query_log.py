@@ -1,5 +1,9 @@
 """Tests for query-log generation and frequency estimation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +39,28 @@ class TestGenerateLog:
         a = generate_query_log(schema, 50, rng=3)
         b = generate_query_log(schema, 50, rng=3)
         assert a == b
+
+    def test_values_independent_of_string_hashing(self):
+        """A seeded log is the same in processes that hash strings
+        differently (selection sets are frozensets of names)."""
+        program = (
+            "from repro.cube.query_log import generate_query_log\n"
+            "from repro.cube.schema import CubeSchema, Dimension\n"
+            "schema = CubeSchema([Dimension(n, 7) for n in 'pscdt'])\n"
+            "log = generate_query_log(schema, 300, rng=0)\n"
+            "print([(str(e.query), e.values) for e in log])\n"
+        )
+        logs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            done = subprocess.run(
+                [sys.executable, "-c", program],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            logs.add(done.stdout)
+        assert len(logs) == 1
 
     def test_explicit_pattern_frequencies(self, schema):
         only = SliceQuery(groupby=["a"], selection=["b"])

@@ -1,13 +1,15 @@
-"""Tests for the B+tree, including property-based checks against a
-sorted-list reference implementation."""
+"""Tests for the reference B+tree of the executor tests, including
+property-based checks against a sorted-list reference implementation."""
 
 import bisect
+import doctest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.btree import BPlusTree
+from tests.engine import btree
+from tests.engine.btree import BPlusTree
 
 KEYS = st.lists(
     st.tuples(st.integers(0, 50), st.integers(0, 50)), unique=True, max_size=200
@@ -342,3 +344,8 @@ class TestDelete:
                 del reference[key]
         assert list(tree.items()) == sorted(reference.items())
         assert len(tree) == len(reference)
+
+
+def test_docstring_examples():
+    results = doctest.testmod(btree, verbose=False)
+    assert results.attempted and not results.failed

@@ -78,18 +78,16 @@ class TestIndexes:
         assert catalog.indexes_on(View.of("a")) == []
 
     def test_index_entries_sorted_by_key(self, catalog):
+        """The permutation is the view's rows in (key…, row id) order,
+        and the stored key columns are gathered in that order."""
         view = View.of("a", "b")
-        catalog.materialize(view)
-        idx = Index(view, ("b", "a"))
-        tree = catalog.build_index(idx)
-        keys = [k for k, __ in tree.items()]
-        assert keys == sorted(keys)
-
-    def test_index_values_carry_row_and_measure(self, catalog):
-        view = View.of("a")
         table = catalog.materialize(view)
-        idx = Index(view, ("a",))
-        tree = catalog.build_index(idx)
-        for key, (row, value) in tree.items():
-            assert value == pytest.approx(float(table.values[row]))
-            assert key[0] == int(table.key_columns["a"][row])
+        idx = Index(view, ("b", "a"))
+        built = catalog.build_index(idx)
+        cols = [table.key_columns[a] for a in idx.key]
+        expected = sorted(
+            tuple(int(c[row]) for c in cols) + (row,) for row in range(table.n_rows)
+        )
+        assert built.rows.tolist() == [entry[-1] for entry in expected]
+        for column, key in zip(cols, built.keys):
+            assert key.tolist() == column[built.rows].tolist()

@@ -13,6 +13,8 @@ from repro.cube.generator import dense_fact_table, generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.engine.maintenance import apply_delta
+from repro.engine.table import FactTable
 from repro.estimation.sizes import exact_sizes_from_rows
 
 
@@ -160,6 +162,28 @@ class TestPlanning:
         executor = Executor(Catalog(fact))
         with pytest.raises(LookupError):
             executor.choose_plan(SliceQuery(groupby=("a",)))
+
+    def test_statistics_follow_a_delta(self):
+        """An executor kept across a delta prices plans from the new facts."""
+        schema = CubeSchema([Dimension("a", 50), Dimension("b", 5)])
+        cells = np.array([(a, b) for a in range(2) for b in range(5)])
+        fact = FactTable(
+            schema, {"a": cells[:, 0], "b": cells[:, 1]}, np.ones(len(cells))
+        )
+        catalog = Catalog(fact)
+        view = View.of("a", "b")
+        catalog.materialize(view)
+        catalog.build_index(Index(view, ("a", "b")))
+        kept = Executor(catalog)
+        query = SliceQuery(groupby=("b",), selection=("a",))
+        kept.explain(query)
+        grown = np.array([(a, b) for a in range(2, 50) for b in range(5)])
+        apply_delta(
+            catalog, {"a": grown[:, 0], "b": grown[:, 1]}, np.ones(len(grown))
+        )
+        assert kept.explain(query) == Executor(catalog).explain(query)
+        result = kept.execute(query, {"a": 7})
+        assert result.index is not None and result.rows_processed == 5
 
     def test_planning_without_cost_model_uses_statistics(self, setup):
         schema, fact, lattice, catalog, __ = setup

@@ -104,10 +104,13 @@ class TestApplyDelta:
         view = View.of("a", "b")
         table = catalog.view_table(view)
         for index in catalog.indexes_on(view):
-            tree = catalog.index_tree(index)
-            assert len(tree) == table.n_rows
-            for key, (row, value) in tree.items():
-                assert value == pytest.approx(float(table.values[row]))
+            cols = [table.key_columns[a] for a in index.key]
+            expected = sorted(
+                tuple(int(c[row]) for c in cols) + (row,)
+                for row in range(table.n_rows)
+            )
+            rows = catalog.sorted_index(index).rows.tolist()
+            assert rows == [entry[-1] for entry in expected]
 
     def test_report_accounting(self, schema):
         catalog = make_catalog(schema)

@@ -3,8 +3,8 @@
 Two state machines:
 
 * :class:`BPlusTreeMachine` — random interleavings of insert / delete /
-  search / scans against a plain-dict model, checking structural
-  invariants after every step;
+  search / scans on the tests' reference B+tree against a plain-dict
+  model, checking structural invariants after every step;
 * :class:`CatalogMachine` — random interleavings of view
   materialization, index builds, delta batches, and query execution,
   checking that every materialized view always equals a from-scratch
@@ -25,12 +25,13 @@ from repro.core.index import Index
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
-from repro.engine.btree import BPlusTree
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.maintenance import apply_delta
 from repro.engine.materialize import materialize_view
 from repro.engine.table import FactTable
+
+from tests.engine.btree import BPlusTree
 
 KEY = st.tuples(st.integers(0, 12), st.integers(0, 12))
 
@@ -175,7 +176,7 @@ class CatalogMachine(RuleBasedStateMachine):
     def index_entries_match_views(self):
         for index in self.catalog.indexes():
             table = self.catalog.view_table(index.view)
-            assert len(self.catalog.index_tree(index)) == table.n_rows
+            assert len(self.catalog.sorted_index(index)) == table.n_rows
 
 
 TestCatalogStateful = CatalogMachine.TestCase

@@ -65,9 +65,12 @@ class TestRoundTrip:
         loaded = load_catalog(tmp_path)
         assert set(loaded.indexes()) == set(catalog.indexes())
         for index in catalog.indexes():
-            assert list(loaded.index_tree(index).items()) == list(
-                catalog.index_tree(index).items()
-            )
+            saved = catalog.sorted_index(index)
+            reloaded = loaded.sorted_index(index)
+            assert reloaded.rows.tolist() == saved.rows.tolist()
+            assert [k.tolist() for k in reloaded.keys] == [
+                k.tolist() for k in saved.keys
+            ]
 
     def test_query_results_identical(self, catalog, tmp_path):
         save_catalog(catalog, tmp_path)
@@ -106,6 +109,40 @@ class TestFormat:
         target = tmp_path / "nested" / "catalog"
         save_catalog(catalog, target)
         assert (target / "manifest.json").exists()
+
+    def test_views_whose_names_collide_get_their_own_files(self, tmp_path):
+        """Views {a, b} and {a_b} both spell ``a_b`` once punctuation is
+        replaced; each must still be saved and reloaded."""
+        schema = CubeSchema(
+            [Dimension("a", 4), Dimension("b", 3), Dimension("a_b", 5)]
+        )
+        catalog = Catalog(generate_fact_table(schema, 80, rng=3))
+        for attrs in (("a", "b"), ("a_b",)):
+            catalog.materialize(View(attrs))
+        catalog.build_index(Index(View.of("a", "b"), ("b", "a")))
+        save_catalog(catalog, tmp_path)
+        loaded = load_catalog(tmp_path)
+        for view in catalog.views():
+            assert list(loaded.view_table(view).iter_rows()) == list(
+                catalog.view_table(view).iter_rows()
+            )
+        assert loaded.total_rows() == catalog.total_rows()
+
+    def test_earlier_file_names_still_load(self, catalog, tmp_path):
+        """A directory whose views are saved as ``view_<attrs>.npz`` (the
+        earlier naming) loads: file names come from the manifest."""
+        save_catalog(catalog, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for entry in manifest["views"]:
+            label = "_".join(entry["attrs"]) or "none"
+            (tmp_path / entry["file"]).rename(tmp_path / f"view_{label}.npz")
+            entry["file"] = f"view_{label}.npz"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_catalog(tmp_path)
+        for view in catalog.views():
+            assert list(loaded.view_table(view).iter_rows()) == list(
+                catalog.view_table(view).iter_rows()
+            )
 
     def test_save_load_after_maintenance(self, catalog, tmp_path):
         """Persistence composes with the refresh path."""

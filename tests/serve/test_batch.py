@@ -1,10 +1,10 @@
 """Batched execution: byte-identical to per-query serial execution.
 
 The acceptance bar for the batched path is *bit-for-bit* equality with
-the engine executor on every slice-query pattern of the d=4 and d=5
-fixtures — same groups (float accumulation order preserved), same rows
-processed, same predictions — plus the structural properties batching
-adds: in-batch deduplication and plan memoization.
+the per-row reference executor on every slice-query pattern of the d=4
+and d=5 fixtures — same groups (float accumulation order preserved),
+same rows processed, same predictions — plus the structural properties
+batching adds: in-batch deduplication and plan memoization.
 """
 
 import numpy as np
@@ -15,11 +15,12 @@ from repro.cube.query_log import LogEntry, generate_query_log
 from repro.serve import DEFAULT_BATCH_SIZE, QueryServer, RAW_LABEL
 from repro.serve.batch import plan_for
 
+from tests.engine.test_executor_reference import reference_execute, reference_trees
 from tests.serve.test_server import advise_selection, all_pattern_entries
 
 
 class TestByteIdentity:
-    """serve_batch answers == Executor.execute answers, exactly."""
+    """serve_batch answers == the per-row reference executor's, exactly."""
 
     def _assert_identical(self, fact, schema, model):
         selection = advise_selection(model.lattice)
@@ -27,14 +28,20 @@ class TestByteIdentity:
         entries = all_pattern_entries(schema, per_pattern=2)
         outcomes = server.serve_batch(entries)
         executor = server.state.executor
+        catalog = server.state.catalog
+        trees = reference_trees(catalog)
         for entry, outcome in zip(entries, outcomes):
             view, index, predicted = executor.plan_with_cost(entry.query)
-            reference = executor.execute(
-                entry.query, entry.bound_values, plan=(view, index)
+            rows, groups = reference_execute(
+                catalog.view_table(view),
+                entry.query,
+                entry.bound_values,
+                index,
+                trees.get(index),
             )
             # == on floats: byte-identity, not approximate equality
-            assert outcome.groups == reference.groups, str(entry.query)
-            assert outcome.actual_rows == reference.rows_processed
+            assert outcome.groups == groups, str(entry.query)
+            assert outcome.actual_rows == rows
             assert outcome.predicted_rows == predicted
             assert not outcome.fallback
 

@@ -16,7 +16,7 @@ import repro.core.query
 import repro.core.view
 import repro.cube.generator
 import repro.cube.schema
-import repro.engine.btree
+import repro.engine.catalog
 import repro.estimation.correlated
 import repro.estimation.sampling
 import repro.estimation.sizes
@@ -31,7 +31,7 @@ MODULES = [
     repro.core.hierarchy,
     repro.cube.schema,
     repro.cube.generator,
-    repro.engine.btree,
+    repro.engine.catalog,
     repro.estimation.sizes,
     repro.estimation.sampling,
     repro.estimation.correlated,
