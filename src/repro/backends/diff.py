@@ -134,22 +134,20 @@ def replay_both(
         try:
             plan = executor.choose_plan(query)
         except LookupError:
-            plan = None
-        if plan is None:
-            raw = execute_raw(fact, entry, raw_plan(cost_model, query))
+            plan = raw_plan(cost_model, query)
+        if plan.kind == "raw":
+            raw = execute_raw(fact, entry, plan)
             compare(raw.actual_rows, raw.groups, backend.execute_raw(query, bound), entry)
-            counts["raw"] += 1
         else:
-            engine = executor.execute(query, bound, plan=plan)
+            forced = (plan.view, plan.index)
+            engine = executor.execute(query, bound, plan=forced)
             compare(
                 engine.rows_processed,
                 engine.groups,
-                backend.execute(query, bound, plan=plan),
+                backend.execute(query, bound, plan=forced),
                 entry,
             )
-            view, index = plan
-            prefix = index.usable_prefix(query) if index is not None else ()
-            counts["prefix" if prefix else "scan"] += 1
+        counts[plan.kind] += 1
         if force_raw_every and position % force_raw_every == 0:
             raw = execute_raw(fact, entry, raw_plan(cost_model, query))
             compare(raw.actual_rows, raw.groups, backend.execute_raw(query, bound), entry)

@@ -286,24 +286,15 @@ class SqliteBackend:
     ) -> SqlResult:
         """Answer a slice query from a mirrored view table.
 
-        Mirrors :meth:`Executor.execute`: ``plan`` overrides the routing
-        decision; without it the internal planner picks the cheapest
-        ``(view, index)`` pair (raising ``LookupError`` when nothing
-        materialized answers — callers fall back to :meth:`execute_raw`,
-        exactly like the engine's serving path).
+        Mirrors :meth:`Executor.execute`: the engine's
+        :meth:`~Executor.resolve_plan` checks a forced ``plan``, or picks
+        the cheapest ``(view, index)`` (raising ``LookupError`` when
+        nothing materialized answers — callers fall back to
+        :meth:`execute_raw`, exactly like the engine's serving path).
         """
         with self._lock:
             catalog = self._require_loaded()
-            missing = query.selection - set(selection_values)
-            if missing:
-                raise ValueError(f"missing selection values for {sorted(missing)}")
-            if plan is None:
-                plan = self._planner.choose_plan(query)
-            view, index = plan
-            if not query.answerable_by(view):
-                raise ValueError(f"plan view {view} cannot answer {query}")
-            if index is not None and index.view != view:
-                raise ValueError(f"plan index {index} is not on view {view}")
+            view, index = self._planner.resolve_plan(query, selection_values, plan)
 
             table = catalog.view_table(view)
             table_name = self._view_names[view]

@@ -38,8 +38,9 @@ from repro.engine.pipeline import materialize_selection
 from repro.engine.table import FactTable
 from repro.serve.structures import resolve_selection
 
-#: Structure classes the correlation is reported over.
+#: Structure classes the correlation is reported over, one per plan kind.
 STRUCTURE_CLASSES = ("index-prefix", "view-scan", "raw")
+_CLASS_OF_KIND = dict(zip(("prefix", "scan", "raw"), STRUCTURE_CLASSES))
 
 
 def _ranks(values: Sequence[float]) -> List[float]:
@@ -153,7 +154,6 @@ def validate_cost(
     catalog = Catalog(fact)
     materialize_selection(catalog, views, indexes)
     executor = Executor(catalog, cost_model)
-    lattice = cost_model.lattice
 
     observations: List[Observation] = []
     mismatches: List[dict] = []
@@ -162,25 +162,19 @@ def validate_cost(
             query = entry.query
             bound = dict(entry.bound_values)
             try:
-                view, index, predicted = executor.plan_with_cost(query)
+                plan = executor.choose_plan(query)
             except LookupError:
-                info = raw_plan(cost_model, query)
-                engine = execute_raw(fact, entry, info)
+                plan = raw_plan(cost_model, query)
+            if plan.kind == "raw":
+                engine = execute_raw(fact, entry, plan)
                 engine_rows, engine_groups = engine.actual_rows, engine.groups
                 result = backend.execute_raw(query, bound)
-                klass, structure, predicted = "raw", info.structure, info.predicted
             else:
-                engine_result = executor.execute(query, bound, plan=(view, index))
+                forced = (plan.view, plan.index)
+                engine_result = executor.execute(query, bound, plan=forced)
                 engine_rows = engine_result.rows_processed
                 engine_groups = engine_result.groups
-                result = backend.execute(query, bound, plan=(view, index))
-                prefix = index.usable_prefix(query) if index is not None else ()
-                klass = "index-prefix" if prefix else "view-scan"
-                structure = (
-                    lattice.index_label(index)
-                    if index is not None
-                    else lattice.label(view)
-                )
+                result = backend.execute(query, bound, plan=forced)
             match = (
                 engine_groups == result.groups
                 and engine_rows == result.rows_processed
@@ -198,9 +192,9 @@ def validate_cost(
             observations.append(
                 Observation(
                     pattern=str(query),
-                    structure_class=klass,
-                    structure=structure,
-                    predicted=float(predicted),
+                    structure_class=_CLASS_OF_KIND[plan.kind],
+                    structure=plan.structure,
+                    predicted=float(plan.predicted),
                     engine_rows=engine_rows,
                     sqlite_rows=result.rows_processed,
                     wall_s=result.wall_s,

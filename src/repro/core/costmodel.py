@@ -90,14 +90,6 @@ class LinearCostModel:
         # ratio is >= 1; guard against inconsistent user-supplied sizes.
         return max(1.0, view_rows / prefix_rows)
 
-    def best_cost(self, query: SliceQuery, view: View, indexes=()) -> float:
-        """Cheapest way to answer ``query`` using ``view`` and any one of
-        the given indexes (or no index)."""
-        best = self.cost(query, view)
-        for index in indexes:
-            best = min(best, self.cost(query, view, index))
-        return best
-
     def default_cost(self, query: SliceQuery) -> float:
         """Cost of answering ``query`` from raw data (no precomputation).
 

@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.query import SliceQuery
-from repro.core.view import View
+from repro.core.view import View, join_attrs
 
 
 class Index:
@@ -105,12 +105,7 @@ class Index:
         return self._hash
 
     def __str__(self) -> str:
-        key = (
-            "".join(self._key)
-            if all(len(a) == 1 for a in self._key)
-            else ",".join(self._key)
-        )
-        return f"I_{key}({self._view})"
+        return f"I_{join_attrs(self._key)}({self._view})"
 
     def __repr__(self) -> str:
         return f"Index({str(self)})"

@@ -15,8 +15,18 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterator, Mapping
 
-from repro.core.view import View
+from repro.core.view import View, join_attrs
 from repro.cube.schema import CubeSchema
+
+
+def view_label(schema: CubeSchema, view: View) -> str:
+    """A view's label, attributes in schema order (``psc``, ``none``)."""
+    return join_attrs(schema.sort_attrs(view.attrs)) if view.attrs else "none"
+
+
+def index_label(schema: CubeSchema, index) -> str:
+    """An index's label, e.g. ``I_sp(ps)``: key order, then its view."""
+    return f"I_{join_attrs(index.key)}({view_label(schema, index.view)})"
 
 
 class CubeLattice:
@@ -160,18 +170,11 @@ class CubeLattice:
         ``part,customer``, ``none``)."""
         if view not in self._sizes:
             raise KeyError(f"{view} is not a view of this lattice")
-        if not view.attrs:
-            return "none"
-        attrs = self.schema.sort_attrs(view.attrs)
-        if all(len(a) == 1 for a in attrs):
-            return "".join(attrs)
-        return ",".join(attrs)
+        return view_label(self.schema, view)
 
     def index_label(self, index) -> str:
         """Paper-style index label, e.g. ``I_sp(ps)``."""
-        key = index.key
-        joined = "".join(key) if all(len(a) == 1 for a in key) else ",".join(key)
-        return f"I_{joined}({self.label(index.view)})"
+        return index_label(self.schema, index)
 
     def to_networkx(self):
         """Export the Hasse diagram as a ``networkx.DiGraph``.

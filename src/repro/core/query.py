@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.view import View
+from repro.core.view import View, join_attrs
 
 
 class SliceQuery:
@@ -85,14 +85,8 @@ class SliceQuery:
         return self._hash
 
     def __str__(self) -> str:
-        def fmt(attrs: frozenset) -> str:
-            if not attrs:
-                return ""
-            parts = sorted(attrs)
-            joined = "".join(parts) if all(len(a) == 1 for a in parts) else ",".join(parts)
-            return joined
-
-        return f"γ({fmt(self._groupby)})σ({fmt(self._selection)})"
+        groupby = join_attrs(sorted(self._groupby))
+        return f"γ({groupby})σ({join_attrs(sorted(self._selection))})"
 
     def __repr__(self) -> str:
         return f"SliceQuery({str(self)})"

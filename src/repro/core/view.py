@@ -12,7 +12,13 @@ view whose attribute set is a superset of its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+
+def join_attrs(attrs: Sequence[str]) -> str:
+    """Attributes in the paper's compact notation, in the order given:
+    ``psc`` for one-letter names, ``part,customer`` otherwise."""
+    return "".join(attrs) if all(len(a) == 1 for a in attrs) else ",".join(attrs)
 
 
 class View:
@@ -123,11 +129,7 @@ class View:
         return View(self._attrs & other._attrs)
 
     def __str__(self) -> str:
-        if not self._attrs:
-            return "none"
-        if all(len(a) == 1 for a in self._key):
-            return "".join(self._key)
-        return ",".join(self._key)
+        return join_attrs(self._key) if self._attrs else "none"
 
     def __repr__(self) -> str:
         return f"View({str(self)})"

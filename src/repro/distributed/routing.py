@@ -3,13 +3,16 @@
 With every replica holding the same selection, round-robin is optimal.
 With *divergent* selections, where a query lands matters: the routing
 table prices each query pattern against every replica's structures under
-the paper's ``|C| / |E|`` linear cost model — exactly the arithmetic of
-:meth:`repro.engine.executor.Executor.plan_with_cost`, minimum over the
-replica's answering (view, index) pairs — and routes to the cheapest
-replica.  Every replica keeps the raw-cube fallback, so any replica can
-answer any query (just not equally fast), which is what makes failover
-safe: when the cheapest replica is struck, :meth:`ranking` hands the
-router the rest in next-cheapest order.
+the paper's ``|C| / |E|`` linear cost model and routes to the cheapest
+replica.  Each replica's plan is the one its server would pick: the
+engine's planner (:func:`repro.engine.executor.cheapest_plan`) over the
+replica's structures in the order its catalog loads them
+(:func:`repro.engine.pipeline.load_order`), so predicted cost *and*
+structure match what that replica serves, cost ties included.  Every
+replica keeps the raw-cube fallback, so any replica can answer any query
+(just not equally fast), which is what makes failover safe: when the
+cheapest replica is struck, :meth:`ranking` hands the router the rest in
+next-cheapest order.
 
 Decisions are memoized per pattern (the same memo discipline as
 :func:`repro.serve.batch.plan_for`), so routing costs one dict lookup on
@@ -19,12 +22,14 @@ the serving hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.costmodel import LinearCostModel
 from repro.core.query import SliceQuery
+from repro.engine.executor import cheapest_plan
+from repro.engine.pipeline import load_order
+from repro.serve.batch import raw_plan
 from repro.serve.structures import resolve_selection
-from repro.serve.telemetry import RAW_LABEL
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,15 @@ class RoutingTable:
             raise ValueError("selections must not be empty")
         self.cost_model = cost_model
         self.selections = tuple(tuple(s) for s in selections)
+        #: per replica: its views in load order, and each view's indexes
+        #: in selection order (the order its catalog builds them)
         self._replicas = []
         for selection in self.selections:
             views, indexes = resolve_selection(selection)
             by_view = {view: [] for view in views}
             for index in indexes:
                 by_view[index.view].append(index)
-            self._replicas.append([(view, tuple(by_view[view])) for view in views])
+            self._replicas.append((load_order(views), by_view))
         self._memo: Dict[SliceQuery, Tuple[RouteDecision, ...]] = {}
 
     @property
@@ -78,40 +85,24 @@ class RoutingTable:
     def best_plan(self, query: SliceQuery, replica_id: int) -> RouteDecision:
         """Cheapest answer for ``query`` on one replica's structures.
 
-        Scans the replica's views in selection order and each view's
-        ``[no index] + indexes`` candidates for the strict cost minimum —
-        the same scan order as the executor's router, so the predicted
-        cost equals what the replica's server will record.  Falls back
-        to the raw cube (at :meth:`LinearCostModel.default_cost`) when
-        no materialized view answers.
+        The planner's head over the replica's views in catalog load
+        order, so the predicted cost and the structure equal what the
+        replica's server will record.  Falls back to the raw cube (at
+        :meth:`LinearCostModel.default_cost`) when no materialized view
+        answers.
         """
         model = self.cost_model
-        lattice = model.lattice
-        best_cost = None
-        best_structure = RAW_LABEL
-        for view, indexes in self._replicas[replica_id]:
-            if not query.answerable_by(view):
-                continue
-            candidates = [(model.cost(query, view), lattice.label(view))]
-            for index in indexes:
-                candidates.append(
-                    (model.cost(query, view, index), lattice.index_label(index))
-                )
-            for cost, structure in candidates:
-                if best_cost is None or cost < best_cost:
-                    best_cost, best_structure = cost, structure
-        if best_cost is None:
-            return RouteDecision(
-                replica_id=replica_id,
-                structure=RAW_LABEL,
-                predicted=model.default_cost(query),
-                fallback=True,
-            )
+        views, by_view = self._replicas[replica_id]
+        plan = cheapest_plan(
+            query, views, by_view.__getitem__, model.cost, model.lattice.schema
+        )
+        if plan is None:
+            plan = raw_plan(model, query)
         return RouteDecision(
             replica_id=replica_id,
-            structure=best_structure,
-            predicted=best_cost,
-            fallback=False,
+            structure=plan.structure,
+            predicted=plan.predicted,
+            fallback=plan.kind == "raw",
         )
 
     # ------------------------------------------------------------- routing

@@ -1,7 +1,7 @@
 """Mini-ROLAP execution engine: tables, sorted indexes, materializer, executor."""
 
 from repro.engine.catalog import Catalog, SortedIndex
-from repro.engine.executor import Executor, PlanChoice, QueryResult
+from repro.engine.executor import Executor, Plan, QueryResult
 from repro.engine.maintenance import (
     RefreshReport,
     apply_delta,
@@ -23,7 +23,7 @@ __all__ = [
     "Executor",
     "FactTable",
     "LoadReport",
-    "PlanChoice",
+    "Plan",
     "QueryResult",
     "RefreshReport",
     "SortedIndex",

@@ -11,6 +11,13 @@ This makes the linear cost model falsifiable: the expected number of rows
 an index plan touches is ``|V| / |E|`` where ``|E|`` is the number of
 distinct prefix combinations, which is exactly ``c(Q, V, J)``.
 
+It is also the one planner: :func:`plan_candidates` prices every
+answering ``(view, index)`` of a structure set in scan order,
+:func:`rank_plans` sorts them stably and :func:`cheapest_plan` takes the
+first minimum, so a cost tie goes to the structure scanned first.  The
+executor, serving's plan memo, replica routing and the SQL harnesses all
+plan through them and read the same :class:`Plan` records.
+
 Every plan, here and in :mod:`repro.serve.batch`, is answered by one
 kernel, :func:`aggregate_rows`: it filters the rows a plan reads and sums
 them per group in the order read.
@@ -19,12 +26,16 @@ them per group in the order read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index
+from repro.core.lattice import index_label, view_label
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.engine.catalog import Catalog
@@ -111,17 +122,76 @@ def aggregate_rows(
 
 
 @dataclass(frozen=True)
-class PlanChoice:
-    """One candidate plan considered by the planner."""
+class Plan:
+    """One way to answer a query pattern, as the planner returns it.
 
-    view: View
+    ``kind`` is ``"prefix"`` (an index range: ``prefix`` is the usable
+    key prefix), ``"scan"`` (a whole view table, with or without an
+    index whose key has no usable prefix) or ``"raw"`` (the fact table;
+    see :func:`repro.serve.batch.raw_plan`).  ``structure`` is the label
+    telemetry records and ``predicted`` the rows the cost callable
+    charges.
+    """
+
+    kind: str
+    view: Optional[View]
     index: Optional[Index]
-    usable_prefix: tuple
-    estimated_cost: float
+    prefix: tuple
+    structure: str
+    predicted: float
 
     def __str__(self) -> str:
-        via = str(self.index) if self.index is not None else f"scan {self.view}"
-        return f"{via}: ~{self.estimated_cost:g} rows"
+        return f"{self.kind} {self.structure}: ~{self.predicted:g} rows"
+
+
+def plan_candidates(
+    query: SliceQuery,
+    views: Iterable[View],
+    indexes_on: Callable[[View], Iterable[Index]],
+    cost: Callable[[SliceQuery, View, Optional[Index]], float],
+) -> Iterator[Tuple[float, View, Optional[Index]]]:
+    """Every ``(cost, view, index)`` that answers ``query``, in scan
+    order: ``views`` in the order given, and for each view its scan
+    (``index=None``), then ``indexes_on(view)`` in the order given.
+    ``indexes_on`` is only called for views that answer."""
+    needed = query.attrs  # answerable_by, hoisted out of the view loop
+    for view in views:
+        if needed <= view.attrs:
+            yield cost(query, view, None), view, None
+            for index in indexes_on(view):
+                yield cost(query, view, index), view, index
+
+
+_PRICE = itemgetter(0)
+
+
+def _plan(schema, query, predicted, view, index) -> Plan:
+    """One candidate's :class:`Plan` record; ``schema`` orders its label."""
+    if index is None:
+        return Plan("scan", view, None, (), view_label(schema, view), predicted)
+    prefix = index.usable_prefix(query)
+    return Plan(
+        "prefix" if prefix else "scan", view, index, prefix,
+        index_label(schema, index), predicted,
+    )
+
+
+def rank_plans(query, views, indexes_on, cost, schema) -> List[Plan]:
+    """Every plan :func:`plan_candidates` yields, cheapest first.
+
+    The sort is stable, so cost ties keep scan order and the head is
+    :func:`cheapest_plan`'s pick.  ``schema`` orders the labels.
+    """
+    ranked = sorted(plan_candidates(query, views, indexes_on, cost), key=_PRICE)
+    return [_plan(schema, query, *candidate) for candidate in ranked]
+
+
+def cheapest_plan(query, views, indexes_on, cost, schema) -> Optional[Plan]:
+    """The first cheapest plan in scan order (``min`` keeps the first
+    minimum), or ``None`` when no view answers."""
+    candidates = plan_candidates(query, views, indexes_on, cost)
+    head = min(candidates, key=_PRICE, default=None)
+    return None if head is None else _plan(schema, query, *head)
 
 
 @dataclass
@@ -156,86 +226,82 @@ class Executor:
     def __init__(self, catalog: Catalog, cost_model: Optional[LinearCostModel] = None):
         self.catalog = catalog
         self.cost_model = cost_model
-        self._distinct_cache: Dict[Tuple[int, View, tuple], int] = {}
+        self._cost = (
+            cost_model.cost if cost_model is not None else self._statistics_cost
+        )
+        #: ``(catalog version, prefix -> distinct count)``: a maintenance
+        #: delta bumps the version and the memo starts over
+        self._distinct: Tuple[int, Dict[tuple, int]] = (catalog.version, {})
 
     # ------------------------------------------------------------ planning
 
-    def _estimated_cost(self, query: SliceQuery, view: View,
-                        index: Optional[Index]) -> float:
-        if self.cost_model is not None:
-            return self.cost_model.cost(query, view, index)
-        table = self.catalog.view_table(view)
-        if index is None:
-            return float(table.n_rows)
-        prefix = index.usable_prefix(query)
+    def _statistics_cost(self, query: SliceQuery, view: View,
+                         index: Optional[Index]) -> float:
+        """``|C| / |E|`` from the catalog's actual row and distinct counts."""
+        rows = self.catalog.view_table(view).n_rows
+        prefix = index.usable_prefix(query) if index is not None else ()
         if not prefix:
-            return float(table.n_rows)
-        # a maintenance delta replaces the facts and bumps the version
-        cache_key = (self.catalog.version, view, prefix)
-        if cache_key not in self._distinct_cache:
-            self._distinct_cache[cache_key] = self.catalog.fact.distinct_count(prefix)
-        distinct = self._distinct_cache[cache_key]
-        return max(1.0, table.n_rows / max(1, distinct))
+            return float(rows)
+        version, memo = self._distinct
+        if version != self.catalog.version:
+            version, memo = self._distinct = (self.catalog.version, {})
+        distinct = memo.get(prefix)
+        if distinct is None:
+            distinct = memo[prefix] = self.catalog.fact.distinct_count(prefix)
+        return max(1.0, rows / max(1, distinct))
 
-    def explain(self, query: SliceQuery) -> list:
-        """All candidate plans for the query with their estimated costs.
+    def explain(self, query: SliceQuery) -> List[Plan]:
+        """Every plan answering the query, cheapest first (ties keep scan
+        order); the head is :meth:`choose_plan`'s pick.  Empty when no
+        materialized view answers."""
+        catalog = self.catalog
+        return rank_plans(
+            query, catalog.views(), catalog.indexes_on, self._cost, catalog.fact.schema
+        )
 
-        Returns ``PlanChoice`` records sorted cheapest-first; the head is
-        what :meth:`choose_plan` would pick (the sort is stable, so cost
-        ties keep scan order, as :meth:`plan_with_cost` does).  Useful
-        for understanding why a plan won (and for asserting planner
-        behaviour in tests).
-        """
-        choices = []
-        for view in self.catalog.views():
-            if not query.answerable_by(view):
-                continue
-            for index in [None] + self.catalog.indexes_on(view):
-                prefix = index.usable_prefix(query) if index is not None else ()
-                choices.append(
-                    PlanChoice(
-                        view=view,
-                        index=index,
-                        usable_prefix=prefix,
-                        estimated_cost=self._estimated_cost(query, view, index),
-                    )
-                )
-        choices.sort(key=lambda c: c.estimated_cost)
-        return choices
-
-    def choose_plan(self, query: SliceQuery) -> Tuple[View, Optional[Index]]:
-        """Cheapest ``(view, index)`` plan among materialized structures.
+    def choose_plan(self, query: SliceQuery) -> Plan:
+        """The cheapest plan among materialized structures.
 
         Raises ``LookupError`` if no materialized view can answer the
         query (the caller falls back to raw data).
         """
-        view, index, _cost = self.plan_with_cost(query)
-        return view, index
-
-    def plan_with_cost(
-        self, query: SliceQuery
-    ) -> Tuple[View, Optional[Index], float]:
-        """Like :meth:`choose_plan`, plus the winning plan's estimated
-        cost — the prediction the serving telemetry compares against the
-        rows actually processed, from the same model the router used.
-
-        Raises ``LookupError`` if no materialized view can answer the
-        query (the caller falls back to raw data).
-        """
-        best: Optional[Tuple[View, Optional[Index]]] = None
-        best_cost = float("inf")
-        for view in self.catalog.views():
-            if not query.answerable_by(view):
-                continue
-            candidates = [None] + self.catalog.indexes_on(view)
-            for index in candidates:
-                cost = self._estimated_cost(query, view, index)
-                if cost < best_cost:
-                    best_cost = cost
-                    best = (view, index)
-        if best is None:
+        catalog = self.catalog
+        plan = cheapest_plan(
+            query, catalog.views(), catalog.indexes_on, self._cost, catalog.fact.schema
+        )
+        if plan is None:
             raise LookupError(f"no materialized view answers {query}")
-        return best[0], best[1], best_cost
+        return plan
+
+    def resolve_plan(
+        self,
+        query: SliceQuery,
+        selection_values: Mapping[str, int],
+        plan: Optional[Tuple[View, Optional[Index]]] = None,
+    ) -> Tuple[View, Optional[Index]]:
+        """The ``(view, index)`` to execute: the forced ``plan``, or
+        :meth:`choose_plan`'s pick.
+
+        Raises ``ValueError`` when ``selection_values`` miss a selection
+        attribute, or when the forced plan's view is not materialized or
+        cannot answer, or its index is on another view or not built.
+        """
+        missing = query.selection - set(selection_values)
+        if missing:
+            raise ValueError(f"missing selection values for {sorted(missing)}")
+        if plan is None:
+            chosen = self.choose_plan(query)
+            return chosen.view, chosen.index
+        view, index = plan
+        if not self.catalog.has_view(view):
+            raise ValueError(f"plan view {view} is not materialized")
+        if not query.answerable_by(view):
+            raise ValueError(f"plan view {view} cannot answer {query}")
+        if index is not None and index.view != view:
+            raise ValueError(f"plan index {index} is not on view {view}")
+        if index is not None and not self.catalog.has_index(index):
+            raise ValueError(f"plan index {index} is not built")
+        return view, index
 
     # ----------------------------------------------------------- execution
 
@@ -249,22 +315,13 @@ class Executor:
         """Run the query with the given concrete selection values.
 
         ``selection_values`` must provide a value for every selection
-        attribute of the query.  ``plan`` overrides plan choice (useful
-        for measuring a specific view/index combination).  ``measure``
-        picks which measure column to aggregate (default: the view's
-        primary measure).
+        attribute of the query.  ``plan`` overrides plan choice with a
+        ``(view, index)`` pair (useful for measuring a specific
+        combination; :meth:`resolve_plan` checks it).  ``measure`` picks
+        which measure column to aggregate (default: the view's primary
+        measure).
         """
-        missing = query.selection - set(selection_values)
-        if missing:
-            raise ValueError(f"missing selection values for {sorted(missing)}")
-        if plan is None:
-            plan = self.choose_plan(query)
-        view, index = plan
-        if not query.answerable_by(view):
-            raise ValueError(f"plan view {view} cannot answer {query}")
-        if index is not None and index.view != view:
-            raise ValueError(f"plan index {index} is not on view {view}")
-
+        view, index = self.resolve_plan(query, selection_values, plan)
         table = self.catalog.view_table(view)
         prefix = index.usable_prefix(query) if index is not None else ()
         if prefix:

@@ -60,6 +60,13 @@ class LoadReport:
         raise KeyError(f"{view} was not materialized by this load")
 
 
+def load_order(views: Iterable[View]) -> List[View]:
+    """The order a load materializes ``views`` in, and so a fresh
+    catalog lists them: ancestors (potential sources) first, then by key;
+    duplicates dropped.  Plans tie to the first view in this order."""
+    return sorted(dict.fromkeys(views), key=lambda v: (-len(v), v.key))
+
+
 def materialize_selection(
     catalog: Catalog,
     views: Iterable[View],
@@ -84,7 +91,7 @@ def materialize_selection(
     recomputed) and its indexes are neither rebuilt nor recounted, so a
     resumed load's row accounting matches an uninterrupted one.
     """
-    requested = list(dict.fromkeys(views))  # stable de-dup
+    requested = load_order(views)
     indexes = list(indexes)
     for index in indexes:
         if index.view not in requested and not catalog.has_view(index.view):
@@ -101,8 +108,7 @@ def materialize_selection(
         report.indexes_built = tuple(resume_from.indexes_built)
         done_indexes = set(resume_from.indexes_built)
 
-    # ancestors first: more attributes = potential source for the rest
-    for view in sorted(requested, key=lambda v: (-len(v), v.key)):
+    for view in requested:
         if catalog.has_view(view):
             continue
         source = _cheapest_source(catalog, view)
@@ -172,10 +178,9 @@ def load_cost_estimate(
     requested strict ancestor (or the raw data).  Usable at advising time
     before anything is materialized.
     """
-    requested = sorted(dict.fromkeys(views), key=lambda v: (-len(v), v.key))
     cost = 0.0
     available: List[View] = []
-    for view in requested:
+    for view in load_order(views):
         sources = [a for a in available if a.can_compute(view) and a != view]
         if sources:
             cost += min(sizes[a] for a in sources)

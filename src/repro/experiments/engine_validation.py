@@ -92,20 +92,19 @@ def run_validation(
     rows: List[ValidationRow] = []
     queries = [q for q in enumerate_slice_queries(schema.names) if q.selection]
     for query in queries:
-        view, index = executor.choose_plan(query)
-        prefix = index.usable_prefix(query) if index is not None else ()
+        plan = executor.choose_plan(query)
         measured = []
         for values in _selection_value_draws(
-            fact, query, prefix, max_prefix_draws, rng
+            fact, query, plan.prefix, max_prefix_draws, rng
         ):
-            result = executor.execute(query, values, plan=(view, index))
+            result = executor.execute(query, values, plan=(plan.view, plan.index))
             measured.append(result.rows_processed)
         rows.append(
             ValidationRow(
                 query=query,
-                view=view,
-                index=index,
-                model_cost=model.cost(query, view, index),
+                view=plan.view,
+                index=plan.index,
+                model_cost=plan.predicted,
                 measured_mean=float(np.mean(measured)),
             )
         )

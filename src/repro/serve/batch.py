@@ -5,9 +5,11 @@ over all materialized structures) and duplicate work (OLAP logs repeat
 queries).  The batch executor removes both:
 
 * **routing is memoized** per serving state — two queries with the same
-  generic pattern route identically, so the plan (and its predicted
-  cost, and its structure label) is computed once per pattern per
-  generation and reused from :attr:`ServingState.plan_cache`;
+  generic pattern route identically, so :func:`plan_for` asks the
+  executor's planner once per pattern per generation and keeps its
+  :class:`~repro.engine.executor.Plan` (kind, structure label, usable
+  prefix, predicted cost) in :attr:`ServingState.plan_cache`, or the
+  :func:`raw_plan` fallback when no materialized view answers;
 * **execution is grouped by routed plan** — queries that read the same
   view table or index run back to back and share one timed pass;
 * **duplicates collapse** — identical concrete queries inside a batch
@@ -24,31 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.index import Index
 from repro.core.query import SliceQuery
-from repro.core.view import View
 from repro.cube.query_log import LogEntry
-from repro.engine.executor import _grouped_sums, aggregate_rows
+from repro.engine.executor import Plan, _grouped_sums, aggregate_rows
 from repro.serve.telemetry import RAW_LABEL
 
 #: Default queries per batch for the chunked replay/serving drivers.
 DEFAULT_BATCH_SIZE = 64
-
-
-@dataclass(frozen=True)
-class PlanInfo:
-    """One pattern's routing decision, memoized per serving state."""
-
-    kind: str  # "prefix" | "scan" | "raw"
-    view: Optional[View]
-    index: Optional[Index]
-    prefix: tuple
-    structure: str
-    predicted: float
 
 
 @dataclass
@@ -73,69 +61,40 @@ class ExecResult:
     short_circuited: bool = False
 
 
-def plan_for(state, cost_model, query: SliceQuery) -> PlanInfo:
-    """The memoized routing decision for a generic query pattern.
+def plan_for(state, cost_model, query: SliceQuery) -> Plan:
+    """The memoized plan for a generic query pattern.
 
-    Identical to :meth:`Executor.plan_with_cost` (it delegates to it),
-    plus the structure label and the usable index prefix the executor
-    would recompute per call.  The memo lives on the serving state, so a
-    hot swap naturally starts from an empty plan cache.
+    :meth:`Executor.choose_plan` on the state's executor, or
+    :func:`raw_plan` when no materialized view answers.  The memo lives
+    on the serving state, so a hot swap naturally starts from an empty
+    plan cache.
     """
-    cached = state.plan_cache.get(query)
-    if cached is not None:
-        return cached
-    lattice = cost_model.lattice
-    try:
-        view, index, predicted = state.executor.plan_with_cost(query)
-    except LookupError:
-        info = PlanInfo(
-            kind="raw",
-            view=None,
-            index=None,
-            prefix=(),
-            structure=RAW_LABEL,
-            predicted=cost_model.default_cost(query),
-        )
-    else:
-        prefix = index.usable_prefix(query) if index is not None else ()
-        structure = (
-            lattice.index_label(index) if index is not None else lattice.label(view)
-        )
-        info = PlanInfo(
-            kind="prefix" if (index is not None and prefix) else "scan",
-            view=view,
-            index=index,
-            prefix=prefix,
-            structure=structure,
-            predicted=predicted,
-        )
-    state.plan_cache[query] = info
-    return info
+    plan = state.plan_cache.get(query)
+    if plan is None:
+        try:
+            plan = state.executor.choose_plan(query)
+        except LookupError:
+            plan = raw_plan(cost_model, query)
+        state.plan_cache[query] = plan
+    return plan
 
 
-def raw_plan(cost_model, query: SliceQuery) -> PlanInfo:
+def raw_plan(cost_model, query: SliceQuery) -> Plan:
     """A raw-cube plan for one query (the fallback/rescue target).
 
-    Predicted rows come from :meth:`LinearCostModel.default_cost` — the
-    same number the router's memoized raw plans carry, so rescued
-    answers keep the predicted-vs-actual accounting exact on dense
-    fixtures."""
-    return PlanInfo(
-        kind="raw",
-        view=None,
-        index=None,
-        prefix=(),
-        structure=RAW_LABEL,
-        predicted=cost_model.default_cost(query),
-    )
+    Predicted rows come from :meth:`LinearCostModel.default_cost`, so
+    rescued answers keep the predicted-vs-actual accounting exact on
+    dense fixtures.  The only raw :class:`Plan` constructor: serving,
+    routing and the SQL harnesses all fall back through it."""
+    return Plan("raw", None, None, (), RAW_LABEL, cost_model.default_cost(query))
 
 
-def execute_scan(table, entry: LogEntry, info: PlanInfo) -> ExecResult:
+def execute_scan(table, entry: LogEntry, plan: Plan) -> ExecResult:
     """Answer one query by a pass over a whole view table: every row
     counts as processed."""
     return ExecResult(
-        structure=info.structure,
-        predicted_rows=info.predicted,
+        structure=plan.structure,
+        predicted_rows=plan.predicted,
         actual_rows=table.n_rows,
         groups=aggregate_rows(table, entry.query, entry.bound_values),
         latency_us=0.0,
@@ -143,24 +102,24 @@ def execute_scan(table, entry: LogEntry, info: PlanInfo) -> ExecResult:
     )
 
 
-def execute_prefix(catalog, table, entry: LogEntry, info: PlanInfo) -> ExecResult:
+def execute_prefix(catalog, table, entry: LogEntry, plan: Plan) -> ExecResult:
     """Answer one query from the index range matching its prefix values:
     only that range's rows count as processed."""
     bound = entry.bound_values
-    rows = catalog.sorted_index(info.index).prefix_rows(
-        [int(bound[a]) for a in info.prefix]
+    rows = catalog.sorted_index(plan.index).prefix_rows(
+        [int(bound[a]) for a in plan.prefix]
     )
     return ExecResult(
-        structure=info.structure,
-        predicted_rows=info.predicted,
+        structure=plan.structure,
+        predicted_rows=plan.predicted,
         actual_rows=len(rows),
-        groups=aggregate_rows(table, entry.query, bound, rows, info.prefix),
+        groups=aggregate_rows(table, entry.query, bound, rows, plan.prefix),
         latency_us=0.0,
         fallback=False,
     )
 
 
-def execute_raw(fact, entry: LogEntry, info: PlanInfo) -> ExecResult:
+def execute_raw(fact, entry: LogEntry, plan: Plan) -> ExecResult:
     """Fallback: answer from the raw fact table (full scan).
 
     Matches :meth:`QueryServer` raw-serving semantics — the whole fact
@@ -182,7 +141,7 @@ def execute_raw(fact, entry: LogEntry, info: PlanInfo) -> ExecResult:
         groups = {}
     return ExecResult(
         structure=RAW_LABEL,
-        predicted_rows=info.predicted,
+        predicted_rows=plan.predicted,
         actual_rows=fact.n_rows,
         groups=groups,
         latency_us=0.0,
@@ -190,7 +149,7 @@ def execute_raw(fact, entry: LogEntry, info: PlanInfo) -> ExecResult:
     )
 
 
-def execute_backend(backend, entry: LogEntry, info: PlanInfo) -> ExecResult:
+def execute_backend(backend, entry: LogEntry, plan: Plan) -> ExecResult:
     """Answer one query through an execution backend (e.g. SQLite).
 
     The backend mirrors the serving catalog, so the routed plan carries
@@ -202,28 +161,27 @@ def execute_backend(backend, entry: LogEntry, info: PlanInfo) -> ExecResult:
     """
     query = entry.query
     bound = entry.bound_values
-    if info.kind == "raw":
+    if plan.kind == "raw":
         answer = backend.execute_raw(query, bound)
     else:
-        answer = backend.execute(query, bound, plan=(info.view, info.index))
+        answer = backend.execute(query, bound, plan=(plan.view, plan.index))
     return ExecResult(
-        structure=info.structure,
-        predicted_rows=info.predicted,
+        structure=plan.structure,
+        predicted_rows=plan.predicted,
         actual_rows=answer.rows_processed,
         groups=answer.groups,
         latency_us=0.0,
-        fallback=info.kind == "raw",
+        fallback=plan.kind == "raw",
     )
 
 
 def _execute_member(
-    kind: str,
     catalog,
     table,
     fact,
     cost_model,
     entry: LogEntry,
-    info: PlanInfo,
+    plan: Plan,
     breaker,
     fault_hook,
     backend=None,
@@ -241,32 +199,33 @@ def _execute_member(
     degraded-but-correct answers available even when the backend itself
     is the failing component.
     """
-    if kind != "raw" and breaker is not None and not breaker.allow(info.structure):
+    kind = plan.kind
+    if kind != "raw" and breaker is not None and not breaker.allow(plan.structure):
         result = execute_raw(fact, entry, raw_plan(cost_model, entry.query))
         result.short_circuited = True
         return result
     try:
         if fault_hook is not None:
-            fault_hook(info.structure, entry)
+            fault_hook(plan.structure, entry)
         if backend is not None:
-            result = execute_backend(backend, entry, info)
+            result = execute_backend(backend, entry, plan)
         elif kind == "prefix":
-            result = execute_prefix(catalog, table, entry, info)
+            result = execute_prefix(catalog, table, entry, plan)
         elif kind == "scan":
-            result = execute_scan(table, entry, info)
+            result = execute_scan(table, entry, plan)
         else:
-            result = execute_raw(fact, entry, info)
+            result = execute_raw(fact, entry, plan)
     except Exception:
         if kind == "raw":
             raise
         if breaker is not None:
-            breaker.record_failure(info.structure)
+            breaker.record_failure(plan.structure)
         rescue = execute_raw(fact, entry, raw_plan(cost_model, entry.query))
         rescue.rescued = True
-        rescue.error_structure = info.structure
+        rescue.error_structure = plan.structure
         return rescue
     if kind != "raw" and breaker is not None:
-        breaker.record_success(info.structure)
+        breaker.record_success(plan.structure)
     return result
 
 
@@ -297,23 +256,23 @@ def execute_unique(
     redirects every execution to the mirrored database — the caller is
     responsible for having synced it to this serving state first.
     """
-    plan_groups: Dict[tuple, List[Tuple[tuple, LogEntry, PlanInfo]]] = {}
+    plan_groups: Dict[tuple, List[Tuple[tuple, LogEntry, Plan]]] = {}
     for key, entry in items:
-        info = plan_for(state, cost_model, entry.query)
-        group_key = (info.kind, info.view, info.index)
-        plan_groups.setdefault(group_key, []).append((key, entry, info))
+        plan = plan_for(state, cost_model, entry.query)
+        group_key = (plan.kind, plan.view, plan.index)
+        plan_groups.setdefault(group_key, []).append((key, entry, plan))
 
     results: Dict[tuple, ExecResult] = {}
     catalog = state.catalog
-    for (kind, view, __index), members in plan_groups.items():
+    for (__kind, view, __index), members in plan_groups.items():
         table = catalog.view_table(view) if view is not None else None
         start = time.perf_counter()
-        for key, entry, info in members:
+        for key, entry, plan in members:
             results[key] = _execute_member(
-                kind, catalog, table, fact, cost_model, entry, info,
+                catalog, table, fact, cost_model, entry, plan,
                 breaker, fault_hook, backend,
             )
         shared_us = (time.perf_counter() - start) * 1e6 / len(members)
-        for key, __entry, __info in members:
+        for key, __entry, __plan in members:
             results[key].latency_us = shared_us
     return results

@@ -23,10 +23,12 @@ the cache wholesale.
 
 Per batch, the server
 
-1. routes each miss to the cheapest answering ``(view, index)`` plan
-   with the paper's ``|C| / |E|`` cost model (memoized per pattern),
-   falling back to a raw fact-table scan when nothing materialized
-   answers,
+1. routes each miss through :func:`repro.serve.batch.plan_for`: the
+   executor's planner picks the cheapest answering ``(view, index)``
+   under the paper's ``|C| / |E|`` cost model (first minimum in catalog
+   order on a tie) and its :class:`~repro.engine.executor.Plan` is
+   memoized per pattern, with a raw fact-table plan when nothing
+   materialized answers,
 2. executes each plan group in one pass, counting rows actually
    processed,
 3. records telemetry (latency, predicted vs. actual rows, per-structure
@@ -53,7 +55,7 @@ from repro.core.costmodel import LinearCostModel
 from repro.core.query import SliceQuery
 from repro.cube.query_log import LogEntry
 from repro.engine.catalog import Catalog
-from repro.engine.executor import Executor
+from repro.engine.executor import Executor, Plan
 from repro.engine.pipeline import materialize_selection
 from repro.engine.table import FactTable
 from repro.serve.adaptive import AdaptiveReselector, ReadviseOutcome
@@ -81,7 +83,7 @@ class ServingState:
     executor: Executor
     selection: Tuple[str, ...]
     generation: int = 0
-    plan_cache: Dict[SliceQuery, object] = field(
+    plan_cache: Dict[SliceQuery, Plan] = field(
         default_factory=dict, repr=False, compare=False
     )
 

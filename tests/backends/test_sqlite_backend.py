@@ -15,6 +15,7 @@ from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index
 from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
+from repro.cube.generator import dense_fact_table
 from repro.cube.query_log import LogEntry
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
@@ -25,6 +26,13 @@ from repro.engine.table import FactTable
 from repro.serve.batch import execute_raw, raw_plan
 
 from .conftest import build_bundle
+
+
+def routed(executor, query):
+    """The engine planner's pick as the ``(view, index)`` pair ``plan=``
+    takes."""
+    plan = executor.choose_plan(query)
+    return plan.view, plan.index
 
 
 def all_pattern_entries(schema, per_pattern=2, rng=0):
@@ -119,6 +127,22 @@ class TestExecuteErrors:
         with pytest.raises(ValueError, match="not on view"):
             dense4.backend.execute(query, {}, plan=(top, stray))
 
+    def test_plan_on_unbuilt_structures(self):
+        """A forced plan on a view that is not materialized or an index
+        that is not built fails with the engine's ``ValueError``."""
+        schema = CubeSchema([Dimension("a", 4), Dimension("b", 4), Dimension("c", 3)])
+        catalog = Catalog(dense_fact_table(schema))
+        abc = View.of("a", "b", "c")
+        catalog.materialize(abc)
+        catalog.build_index(Index(abc, ("a", "b", "c")))
+        query = SliceQuery(groupby=["c"], selection=["a"])
+        with SqliteBackend(catalog) as backend:
+            with pytest.raises(ValueError, match=r"view ac is not materialized"):
+                backend.execute(query, {"a": 0}, plan=(View.of("a", "c"), None))
+            unbuilt = Index(abc, ("a", "c", "b"))
+            with pytest.raises(ValueError, match=r"index I_acb\(abc\) is not built"):
+                backend.execute(query, {"a": 0}, plan=(abc, unbuilt))
+
 
 class TestDifferentialIdentity:
     """Engine vs SQLite, byte-identical, every pattern, d=3..5."""
@@ -128,7 +152,7 @@ class TestDifferentialIdentity:
         for entry in all_pattern_entries(bundle.fact.schema):
             bound = dict(entry.bound_values)
             try:
-                plan = bundle.executor.choose_plan(entry.query)
+                plan = routed(bundle.executor, entry.query)
             except LookupError:
                 continue
             engine = bundle.executor.execute(entry.query, bound, plan=plan)
@@ -155,7 +179,7 @@ class TestDifferentialIdentity:
         for entry in all_pattern_entries(dense4.fact.schema, per_pattern=1):
             bound = dict(entry.bound_values)
             try:
-                plan = dense4.executor.choose_plan(entry.query)
+                plan = routed(dense4.executor, entry.query)
             except LookupError:
                 with pytest.raises(LookupError):
                     dense4.backend.execute(entry.query, bound)
@@ -173,13 +197,13 @@ class TestSqlitePlans:
         hits = 0
         for entry in all_pattern_entries(dense4.fact.schema, per_pattern=1):
             try:
-                view, index = dense4.executor.choose_plan(entry.query)
+                plan = dense4.executor.choose_plan(entry.query)
             except LookupError:
                 continue
-            if index is None or not index.usable_prefix(entry.query):
+            if plan.kind != "prefix":
                 continue
             result = dense4.backend.execute(
-                entry.query, dict(entry.bound_values), plan=(view, index)
+                entry.query, dict(entry.bound_values), plan=(plan.view, plan.index)
             )
             assert result.explain, "EXPLAIN QUERY PLAN returned nothing"
             if result.used_index:
@@ -189,7 +213,7 @@ class TestSqlitePlans:
 
     def test_result_carries_sql_and_timing(self, dense3):
         entry = all_pattern_entries(dense3.fact.schema, per_pattern=1)[-1]
-        plan = dense3.executor.choose_plan(entry.query)
+        plan = routed(dense3.executor, entry.query)
         result = dense3.backend.execute(
             entry.query, dict(entry.bound_values), plan=plan
         )
@@ -230,7 +254,7 @@ class TestEmptyResultSlices(EmptySliceSetup):
         fact, model, catalog, executor = self.build()
         with SqliteBackend(catalog, cost_model=model) as backend:
             query = SliceQuery(groupby=["b"], selection=["a"])
-            plan = executor.choose_plan(query)
+            plan = routed(executor, query)
             engine = executor.execute(query, {"a": 3}, plan=plan)
             mirror = backend.execute(query, {"a": 3}, plan=plan)
             assert engine.groups == mirror.groups == {}
@@ -242,7 +266,7 @@ class TestEmptyResultSlices(EmptySliceSetup):
         fact, model, catalog, executor = self.build()
         with SqliteBackend(catalog, cost_model=model) as backend:
             query = SliceQuery(selection=["a", "b"])
-            plan = executor.choose_plan(query)
+            plan = routed(executor, query)
             bound = {"a": 3, "b": 0}
             engine = executor.execute(query, bound, plan=plan)
             mirror = backend.execute(query, bound, plan=plan)
@@ -264,7 +288,7 @@ class TestEmptyResultSlices(EmptySliceSetup):
             for query in enumerate_slice_queries(fact.schema.names):
                 bound = {a: 0 for a in query.selection}
                 try:
-                    plan = executor.choose_plan(query)
+                    plan = routed(executor, query)
                 except LookupError:
                     engine_groups = execute_raw(
                         fact,
@@ -318,7 +342,7 @@ class TestSyncInvalidation:
         for entry in all_pattern_entries(schema, per_pattern=1):
             bound = dict(entry.bound_values)
             try:
-                plan = executor.choose_plan(entry.query)
+                plan = routed(executor, entry.query)
             except LookupError:
                 continue
             engine = executor.execute(entry.query, bound, plan=plan)

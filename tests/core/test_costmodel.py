@@ -8,6 +8,7 @@ from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index, enumerate_fat_indexes
 from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
+from repro.engine.executor import rank_plans
 
 
 @pytest.fixture
@@ -106,15 +107,25 @@ class TestDefaultCost:
             model.default_cost(q)
 
 
+def planner_ranking(model, q, view, indexes=()):
+    """The planner's ranking of one view's scan and ``indexes``."""
+    return rank_plans(q, [view], lambda __: indexes, model.cost, model.lattice.schema)
+
+
 class TestBestCost:
+    """The cheapest plan over one view's structures, as the engine's
+    planner ranks them."""
+
     def test_best_over_indexes(self, model):
         q = SliceQuery(groupby=["p"], selection=["s"])
-        best = model.best_cost(q, PS, enumerate_fat_indexes(PS))
-        assert best == pytest.approx(80)
+        best = planner_ranking(model, q, PS, enumerate_fat_indexes(PS))[0]
+        assert best.predicted == pytest.approx(80)
+        assert (best.kind, best.structure) == ("prefix", "I_sp(ps)")
 
     def test_best_without_indexes_is_scan(self, model):
         q = SliceQuery(groupby=["p"], selection=["s"])
-        assert model.best_cost(q, PS) == 800_000
+        (only,) = planner_ranking(model, q, PS)
+        assert (only.kind, only.predicted) == ("scan", 800_000)
 
     @given(st.sampled_from(list(enumerate_slice_queries(["p", "s", "c"]))))
     def test_best_cost_bounded_by_scan(self, q):
@@ -124,5 +135,7 @@ class TestBestCost:
         model = LinearCostModel(lat)
         for view in lat.views():
             if q.answerable_by(view):
-                best = model.best_cost(q, view, enumerate_fat_indexes(view))
+                ranking = planner_ranking(model, q, view, enumerate_fat_indexes(view))
+                best = ranking[0].predicted
                 assert 1.0 <= best <= model.cost(q, view)
+                assert best == min(plan.predicted for plan in ranking)

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core.costmodel import LinearCostModel
 from repro.core.query import SliceQuery
+from repro.cube.generator import dense_fact_table
+from repro.cube.query_log import LogEntry
+from repro.cube.schema import CubeSchema, Dimension
 from repro.distributed import RoutingTable, plan_divergent
 from repro.serve import QueryServer
 from repro.serve.telemetry import RAW_LABEL
@@ -24,27 +28,47 @@ def planned4(dist_model4, dist_counts4):
     )
 
 
+def tied_case():
+    """A dense cube where two structures tie: on γ_c σ_a, the view ``ac``
+    and the index ``I_abc(abc)`` both cost 12 rows.  The replica's
+    catalog loads ``abc`` first, so the server answers from the index."""
+    schema = CubeSchema([Dimension("a", 4), Dimension("b", 4), Dimension("c", 3)])
+    fact = dense_fact_table(schema, integral_measures=True)
+    model = LinearCostModel.from_fact(fact)
+    router = RoutingTable(model, [("ac", "abc", "I_abc(abc)")])
+    query = SliceQuery(groupby=["c"], selection=["a"])
+    return fact, model, router, [LogEntry(query=query, values=(("a", 1),))]
+
+
 class TestPricing:
     def test_predictions_match_replica_servers(
         self, dist_fact4, dist_model4, dist_log4, planned4
     ):
-        """best_plan's predicted cost equals what that replica's server
-        records when it actually serves the query — the property that
-        makes routed dispatch honest."""
-        __partitioned, advice, router = planned4
-        for replica_id, selection in enumerate(advice.selections):
-            with QueryServer(
-                dist_fact4, selection, cost_model=dist_model4
-            ) as server:
-                seen = set()
-                for entry in dist_log4:
-                    if entry.query in seen:
-                        continue
-                    seen.add(entry.query)
-                    decision = router.best_plan(entry.query, replica_id)
-                    outcome = server.serve(entry)
-                    assert outcome.predicted_rows == decision.predicted
-                    assert outcome.fallback == decision.fallback
+        """best_plan's predicted cost and structure equal what that
+        replica's server records when it actually serves the query — the
+        property that makes routed dispatch honest, cost ties included."""
+        __partitioned, __advice, router4 = planned4
+        for fact, model, router, entries in (
+            (dist_fact4, dist_model4, router4, dist_log4),
+            tied_case(),
+        ):
+            for replica_id, selection in enumerate(router.selections):
+                with QueryServer(fact, selection, cost_model=model) as server:
+                    seen = set()
+                    for entry in entries:
+                        if entry.query in seen:
+                            continue
+                        seen.add(entry.query)
+                        decision = router.best_plan(entry.query, replica_id)
+                        outcome = server.serve(entry)
+                        assert outcome.predicted_rows == decision.predicted
+                        assert outcome.structure == decision.structure
+                        assert outcome.fallback == decision.fallback
+
+    def test_tie_goes_to_the_first_structure_in_load_order(self):
+        *__, router, entries = tied_case()
+        decision = router.best_plan(entries[0].query, 0)
+        assert (decision.structure, decision.predicted) == ("I_abc(abc)", 12.0)
 
     def test_raw_fallback_prices_at_default_cost(self, dist_model4):
         """A selection that cannot answer a query falls back to the raw

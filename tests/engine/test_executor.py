@@ -99,6 +99,22 @@ class TestCorrectness:
         with pytest.raises(ValueError, match="not on view"):
             executor.execute(query, {"b": 0}, plan=(View.of("a", "b", "c"), idx))
 
+    def test_plan_on_unbuilt_structures_rejected(self):
+        """A forced plan naming a view that is not materialized, or an
+        index that is not built, fails with a ``ValueError`` naming it."""
+        schema = CubeSchema([Dimension("a", 4), Dimension("b", 4), Dimension("c", 3)])
+        catalog = Catalog(dense_fact_table(schema))
+        abc = View.of("a", "b", "c")
+        catalog.materialize(abc)
+        catalog.build_index(Index(abc, ("a", "b", "c")))
+        executor = Executor(catalog)
+        query = SliceQuery(groupby=("c",), selection=("a",))
+        with pytest.raises(ValueError, match=r"view ac is not materialized"):
+            executor.execute(query, {"a": 0}, plan=(View.of("a", "c"), None))
+        unbuilt = Index(abc, ("a", "c", "b"))
+        with pytest.raises(ValueError, match=r"index I_acb\(abc\) is not built"):
+            executor.execute(query, {"a": 0}, plan=(abc, unbuilt))
+
 
 class TestRowsProcessed:
     def test_scan_plan_counts_whole_view(self, setup):
@@ -145,16 +161,17 @@ class TestPlanning:
     def test_chooses_cheapest_plan(self, setup):
         __, fact, lattice, catalog, executor = setup
         query = SliceQuery(groupby=("b",), selection=("a",))
-        view, index = executor.choose_plan(query)
+        plan = executor.choose_plan(query)
         # ab with the ab-index beats any scan
-        assert view == View.of("a", "b")
-        assert index == Index(View.of("a", "b"), ("a", "b"))
+        assert plan.view == View.of("a", "b")
+        assert plan.index == Index(View.of("a", "b"), ("a", "b"))
+        assert (plan.kind, plan.prefix) == ("prefix", ("a",))
+        assert plan.structure == "I_ab(ab)"
 
     def test_subcube_query_prefers_smallest_view(self, setup):
         *__, executor = setup
-        view, index = executor.choose_plan(SliceQuery(groupby=("a",)))
-        assert view == View.of("a")
-        assert index is None
+        plan = executor.choose_plan(SliceQuery(groupby=("a",)))
+        assert (plan.kind, plan.view, plan.index) == ("scan", View.of("a"), None)
 
     def test_no_plan_raises(self):
         schema = CubeSchema([Dimension("a", 4)])
@@ -185,13 +202,37 @@ class TestPlanning:
         result = kept.execute(query, {"a": 7})
         assert result.index is not None and result.rows_processed == 5
 
+    def test_statistics_memo_keeps_one_version(self):
+        """Deltas replace the distinct-count memo rather than growing it:
+        after several versions it holds one version's entries, and plans
+        still equal a fresh executor's."""
+        schema = CubeSchema([Dimension("a", 6), Dimension("b", 5), Dimension("c", 4)])
+        catalog = Catalog(dense_fact_table(schema))
+        top = View.of("a", "b", "c")
+        catalog.materialize(top)
+        for index in enumerate_fat_indexes(top):
+            catalog.build_index(index)
+        kept = Executor(catalog)
+        patterns = list(enumerate_slice_queries(schema.names))
+        rng = np.random.default_rng(3)
+        for __ in range(6):
+            for query in patterns:
+                kept.explain(query)
+            delta = {d.name: rng.integers(0, d.cardinality, 10) for d in schema}
+            apply_delta(catalog, delta, np.ones(10))
+        fresh = Executor(catalog)
+        for query in patterns:
+            assert kept.explain(query) == fresh.explain(query), str(query)
+        assert kept._distinct[0] == catalog.version == 6
+        assert kept._distinct[1] == fresh._distinct[1]
+
     def test_planning_without_cost_model_uses_statistics(self, setup):
         schema, fact, lattice, catalog, __ = setup
         executor = Executor(catalog)  # no cost model: actual statistics
         query = SliceQuery(groupby=("b",), selection=("a",))
-        view, index = executor.choose_plan(query)
-        assert index is not None
-        assert index.usable_prefix(query)
+        plan = executor.choose_plan(query)
+        assert plan.index is not None
+        assert plan.prefix == plan.index.usable_prefix(query) != ()
 
 
 class TestExplain:
@@ -199,9 +240,7 @@ class TestExplain:
         *__, executor = setup
         query = SliceQuery(groupby=("b",), selection=("a",))
         choices = executor.explain(query)
-        view, index = executor.choose_plan(query)
-        assert choices[0].view == view
-        assert choices[0].index == index
+        assert choices[0] == executor.choose_plan(query)
 
         # cost ties: on a dense cube a later view's scan can cost exactly
         # what an earlier view's index does; the head must still be the
@@ -220,13 +259,12 @@ class TestExplain:
                 choices = tied.explain(query)
                 if not choices:
                     continue
-                head = (choices[0].view, choices[0].index)
-                assert head == tied.choose_plan(query), str(query)
+                assert choices[0] == tied.choose_plan(query), str(query)
 
     def test_sorted_by_cost(self, setup):
         *__, executor = setup
         choices = executor.explain(SliceQuery(groupby=("b",), selection=("a",)))
-        costs = [c.estimated_cost for c in choices]
+        costs = [c.predicted for c in choices]
         assert costs == sorted(costs)
 
     def test_includes_scan_and_index_alternatives(self, setup):
@@ -240,7 +278,8 @@ class TestExplain:
         query = SliceQuery(groupby=("c",), selection=("a", "b"))
         for choice in executor.explain(query):
             if choice.index is not None:
-                assert choice.usable_prefix == choice.index.usable_prefix(query)
+                assert choice.prefix == choice.index.usable_prefix(query)
+            assert choice.kind == ("prefix" if choice.prefix else "scan")
 
     def test_str_rendering(self, setup):
         *__, executor = setup

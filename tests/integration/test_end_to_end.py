@@ -74,8 +74,8 @@ class TestPredictedTauMatchesExecution:
         total_measured = 0.0
         rng = np.random.default_rng(3)
         for query in enumerate_slice_queries(schema.names):
-            view, index = executor.choose_plan(query)
-            prefix = index.usable_prefix(query) if index else ()
+            plan = executor.choose_plan(query)
+            view, index, prefix = plan.view, plan.index, plan.prefix
             if not prefix:
                 values = {}
                 if query.selection:
@@ -111,8 +111,7 @@ class TestPredictedTauMatchesExecution:
         catalog = materialize_selection(fact, graph, result)
         executor = Executor(catalog)
         for query in enumerate_slice_queries(schema.names):
-            view, __ = executor.choose_plan(query)
-            assert query.answerable_by(view)
+            assert query.answerable_by(executor.choose_plan(query).view)
 
 
 class TestEstimatedVsExactSizes:

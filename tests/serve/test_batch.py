@@ -31,18 +31,19 @@ class TestByteIdentity:
         catalog = server.state.catalog
         trees = reference_trees(catalog)
         for entry, outcome in zip(entries, outcomes):
-            view, index, predicted = executor.plan_with_cost(entry.query)
+            plan = executor.choose_plan(entry.query)
             rows, groups = reference_execute(
-                catalog.view_table(view),
+                catalog.view_table(plan.view),
                 entry.query,
                 entry.bound_values,
-                index,
-                trees.get(index),
+                plan.index,
+                trees.get(plan.index),
             )
             # == on floats: byte-identity, not approximate equality
             assert outcome.groups == groups, str(entry.query)
             assert outcome.actual_rows == rows
-            assert outcome.predicted_rows == predicted
+            assert outcome.predicted_rows == plan.predicted
+            assert outcome.structure == plan.structure
             assert not outcome.fallback
 
     def test_d4_batch_matches_executor(

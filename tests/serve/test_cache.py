@@ -193,10 +193,7 @@ class TestServerCacheCorrectness:
         executor = server.state.executor
         changed = 0
         for entry, pre, post in zip(entries, before, after):
-            view, index, __ = executor.plan_with_cost(entry.query)
-            reference = executor.execute(
-                entry.query, entry.bound_values, plan=(view, index)
-            )
+            reference = executor.execute(entry.query, entry.bound_values)
             assert post.groups == reference.groups, "stale rows after delta"
             if post.groups != pre.groups:
                 changed += 1
@@ -227,13 +224,11 @@ class TestServerCacheCorrectness:
         assert not any(o.cached for o in after)
         executor = server.state.executor
         for entry, outcome in zip(entries, after):
-            view, index, predicted = executor.plan_with_cost(entry.query)
-            reference = executor.execute(
-                entry.query, entry.bound_values, plan=(view, index)
-            )
+            plan = executor.choose_plan(entry.query)
+            reference = executor.execute(entry.query, entry.bound_values)
             assert outcome.groups == reference.groups
-            assert outcome.structure != "raw"
-            assert outcome.predicted_rows == predicted
+            assert outcome.structure == plan.structure != "raw"
+            assert outcome.predicted_rows == plan.predicted
 
     def test_late_put_from_old_generation_discarded(
         self, serve_fact4, serve_model4
