@@ -35,6 +35,15 @@ class LogEntry:
     query: SliceQuery
     values: Tuple[Tuple[str, int], ...]  # sorted (attr, value) pairs
 
+    def __post_init__(self):
+        selection = self.query.selection
+        attrs = [attr for attr, __ in self.values]
+        if len(attrs) != len(selection) or set(attrs) != selection:
+            raise ValueError(
+                f"values {self.values} must bind each selection attribute of "
+                f"{self.query} exactly once"
+            )
+
     @property
     def bound_values(self) -> Dict[str, int]:
         return dict(self.values)

@@ -20,15 +20,19 @@ plan through them and read the same :class:`Plan` records.
 
 Every plan, here and in :mod:`repro.serve.batch`, is answered by one
 kernel, :func:`aggregate_rows`: it filters the rows a plan reads and sums
-them per group in the order read.
+them per group in the order read.  An answer's keys are the table's
+shared tuples (:class:`~repro.engine.table.KeyTuples`), so answering a
+group again allocates no tuple; answers are read-only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -39,7 +43,7 @@ from repro.core.lattice import index_label, view_label
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.engine.catalog import Catalog
-from repro.engine.table import ViewTable
+from repro.engine.table import FactTable, ViewTable
 
 #: Arithmetic-coded grouping is used while the key space stays below
 #: this; degenerate (huge-domain) keys fall back to ``np.unique``.
@@ -47,26 +51,28 @@ MAX_CODED_KEY_SPACE = 1 << 20
 
 
 def _grouped_sums(
-    key_columns: Sequence[np.ndarray], values: np.ndarray
+    table: Union[FactTable, ViewTable],
+    attrs: Tuple[str, ...],
+    key_columns: Sequence[np.ndarray],
+    values: np.ndarray,
 ) -> Dict[tuple, float]:
     """Group-and-sum, adding each group's values in row order.
 
-    ``np.bincount`` adds weights sequentially (index order), the order a
-    per-row ``groups[key] += value`` loop uses — so the floats match it
-    bit-for-bit regardless of how the group *labels* are derived.  Labels
-    come from an arithmetic encoding of the key tuple (one mixed-radix
-    integer per row; no sort, unlike ``np.unique(axis=0)``), decoded back
-    for the populated codes only.
+    ``key_columns`` are the table's columns of ``attrs`` over the rows
+    read.  ``np.bincount`` adds weights sequentially (index order), the
+    order a per-row ``groups[key] += value`` loop uses — so the floats
+    match it bit-for-bit regardless of how the group *labels* are
+    derived.  Labels are the rows' codes in the table's radices (one
+    mixed-radix integer per row; no sort, unlike ``np.unique(axis=0)``),
+    and the populated codes' keys are the table's shared tuples.
     """
     if not len(values):
         return {}
-    if not key_columns:
+    if not attrs:
         sums = np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)
         return {(): float(sums[0])}
-    dims = tuple(int(column.max()) + 1 for column in key_columns)
-    space = 1
-    for dim in dims:
-        space *= dim
+    dims = tuple(table.radix[a] for a in attrs)
+    space = math.prod(dims)
     if space > MAX_CODED_KEY_SPACE:
         stacked = np.stack(key_columns, axis=1)
         unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
@@ -81,11 +87,8 @@ def _grouped_sums(
         codes = np.ravel_multi_index(tuple(key_columns), dims)
     sums = np.bincount(codes, weights=values, minlength=space)
     populated = np.nonzero(np.bincount(codes, minlength=space))[0]
-    keys = np.stack(np.unravel_index(populated, dims), axis=1)
-    return {
-        tuple(row): total
-        for row, total in zip(keys.tolist(), sums[populated].tolist())
-    }
+    keys = table.key_tuples.tuples(attrs, dims, populated)
+    return dict(zip(keys, sums[populated].tolist()))
 
 
 def aggregate_rows(
@@ -103,7 +106,7 @@ def aggregate_rows(
     rows already equal.  Rows whose other selection attributes differ
     from ``bound`` are dropped; the rest are keyed by the group-by
     attributes and their ``measure`` column (default: the primary one)
-    summed.
+    summed.  The keys are ``table.key_tuples``' shared tuples.
     """
     mask = None
     for attr in table.attrs:
@@ -115,8 +118,11 @@ def aggregate_rows(
         rows = np.flatnonzero(mask) if rows is None else rows[mask]
     elif rows is None:
         rows = slice(None)
+    groupby = tuple(a for a in table.attrs if a in query.groupby)
     return _grouped_sums(
-        [table.key_columns[a][rows] for a in table.attrs if a in query.groupby],
+        table,
+        groupby,
+        [table.key_columns[a][rows] for a in groupby],
         table.values_for(measure)[rows],
     )
 

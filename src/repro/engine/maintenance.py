@@ -56,7 +56,8 @@ def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
     """Merge two view tables over the same view by summing measures.
 
     Both tables must be keyed on the same attributes; the result is
-    sorted (a by-product of the re-grouping).
+    sorted (a by-product of the re-grouping) and answers with ``base``'s
+    key tuples.
     """
     if base.view != delta.view or base.attrs != delta.attrs:
         raise ValueError(
@@ -88,7 +89,7 @@ def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
         for name in base.extra_values
     }
     key_columns = {a: col for a, col in zip(base.attrs, unique_cols)}
-    return ViewTable(
+    table = ViewTable(
         base.view,
         base.attrs,
         key_columns,
@@ -97,6 +98,8 @@ def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
         extra_values=extra_merged,
         measure=base.measure,
     )
+    table.key_tuples = base.key_tuples
+    return table
 
 
 def apply_delta(
@@ -140,9 +143,11 @@ def apply_delta(
         name: np.concatenate([catalog.fact.extra_measures[name], column])
         for name, column in delta.extra_measures.items()
     }
-    catalog.fact = FactTable(
+    fact = FactTable(
         schema, merged_columns, merged_measures, extra_measures=merged_extras
     )
+    fact.key_tuples = catalog.fact.key_tuples
+    catalog.fact = fact
 
     report = RefreshReport(delta_rows=delta.n_rows)
 

@@ -103,7 +103,7 @@ def materialize_view(
         for name, column in fact.extra_measures.items()
     }
     key_columns = {a: col for a, col in zip(attrs, unique_cols)}
-    return ViewTable(
+    table = ViewTable(
         view,
         attrs,
         key_columns,
@@ -112,6 +112,8 @@ def materialize_view(
         extra_values=extra_values,
         measure=fact.schema.measure,
     )
+    table.key_tuples = fact.key_tuples
+    return table
 
 
 def rollup_view(
@@ -143,7 +145,7 @@ def rollup_view(
         for name, column in parent.extra_values.items()
     }
     key_columns = {a: col for a, col in zip(order, unique_cols)}
-    return ViewTable(
+    table = ViewTable(
         view,
         order,
         key_columns,
@@ -152,3 +154,5 @@ def rollup_view(
         extra_values=extra_values,
         measure=parent.measure,
     )
+    table.key_tuples = parent.key_tuples
+    return table

@@ -8,17 +8,89 @@ Two table kinds:
   combinations with the aggregated measure, sorted by key.
 
 Both are numpy-backed and deliberately simple; the engine exists to count
-rows processed, not to win benchmarks.
+rows processed, not to win benchmarks.  Each carries a :class:`KeyTuples`
+(``key_tuples``): the one key tuple per group its answers hand out, so an
+answer allocates tuples only for groups no earlier answer returned.
+Tables derived from a fact table share its ``KeyTuples``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+import math
+import threading
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.view import View
 from repro.cube.schema import CubeSchema
+
+
+def _radix(columns: Mapping[str, np.ndarray]) -> Dict[str, int]:
+    """Each key column's max + 1 (0 when empty): the radix that codes
+    its attribute in this table."""
+    return {
+        name: int(column.max()) + 1 if len(column) else 0
+        for name, column in columns.items()
+    }
+
+
+class KeyTuples:
+    """Canonical key tuples, shared by the answers of a table and of the
+    tables derived from it.
+
+    A group-by set's keys are coded mixed-radix with one radix per
+    attribute, the table's ``radix`` (that key column's max + 1 over the
+    whole table), so ascending codes are lexicographic key order.  One
+    slot per code holds the group's tuple, made the first time an answer
+    returns that group; every later answer hands out the same object.
+
+    A table derived from another takes over its ``KeyTuples``: views
+    materialized from a fact table or rolled up from a view, a view
+    merged with a delta, the fact table a delta extends and the views
+    loaded with a fact table.  Derivation keeps each column's maximum,
+    so these tables code a group-by set alike and share its slots; a
+    table coding it with other radices (a delta grew a column's maximum)
+    starts that set over, replacing the slots of the other coding.
+
+    Reads take no lock: a slot's tuple is stored before its ``filled``
+    flag, and a reader that finds a flag unset, or the set coded with
+    other radices, fills under the lock.
+    """
+
+    def __init__(self):
+        #: group-by attributes -> (radices, tuple per code, filled per code)
+        self._slots: Dict[Tuple[str, ...], Tuple[tuple, np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def tuples(
+        self, attrs: Tuple[str, ...], dims: Tuple[int, ...], codes: np.ndarray
+    ) -> List[tuple]:
+        """The key tuples of ``codes`` (ascending), which code ``attrs``
+        with radices ``dims``; tuples are made only for new codes."""
+        slot = self._slots.get(attrs)
+        if slot is None or slot[0] != dims or not slot[2][codes].all():
+            slot = self._fill(attrs, dims, codes)
+        return slot[1][codes].tolist()
+
+    def _fill(self, attrs, dims, codes):
+        with self._lock:
+            slot = self._slots.get(attrs)
+            if slot is None or slot[0] != dims:
+                space = math.prod(dims)
+                slot = (
+                    dims,
+                    np.full(space, None, dtype=object),
+                    np.zeros(space, dtype=bool),
+                )
+                self._slots[attrs] = slot
+            __, keys, filled = slot
+            missing = codes[~filled[codes]]
+            rows = np.stack(np.unravel_index(missing, dims), axis=1)
+            for code, row in zip(missing.tolist(), rows.tolist()):
+                keys[code] = tuple(row)
+            filled[missing] = True
+        return slot
 
 
 class FactTable:
@@ -67,6 +139,8 @@ class FactTable:
             name: np.asarray(values, dtype=np.float64)
             for name, values in extra_measures.items()
         }
+        self.radix = _radix(self.columns)
+        self.key_tuples = KeyTuples()
 
     @property
     def n_rows(self) -> int:
@@ -138,6 +212,8 @@ class ViewTable:
         lengths.update(len(col) for col in self.extra_values.values())
         if len(lengths) != 1:
             raise ValueError("key/value column lengths differ")
+        self.radix = _radix(self.key_columns)
+        self.key_tuples = KeyTuples()
 
     @property
     def n_rows(self) -> int:

@@ -133,7 +133,7 @@ def execute_raw(fact, entry: LogEntry, plan: Plan) -> ExecResult:
     measures = fact.measures[mask]
     if groupby:
         groups = _grouped_sums(
-            [fact.columns[a][mask] for a in groupby], measures
+            fact, groupby, [fact.columns[a][mask] for a in groupby], measures
         )
     elif len(measures):
         groups = {(): float(measures.sum())}

@@ -37,7 +37,8 @@ fills newer fields with their empty defaults.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence
 
 TELEMETRY_SCHEMA_VERSION = 4
 
@@ -84,7 +85,7 @@ LATENCY_BUCKETS_US = (
 RAW_LABEL = "raw"
 
 
-def _percentile(samples: List[float], q: float) -> float:
+def _percentile(samples: Sequence[float], q: float) -> float:
     """Exact (nearest-rank) percentile of the samples."""
     if not samples:
         return 0.0
@@ -116,7 +117,9 @@ class TelemetryCollector:
             self._predicted_total = 0.0
             self._actual_total = 0.0
             self._max_abs_error = 0.0
-            self._latencies_us: List[float] = []
+            # doubles, not float objects: 8 B a sample, and nothing the
+            # cyclic collector walks
+            self._latencies_us = array("d")
             self._buckets = [0] * len(LATENCY_BUCKETS_US)
             self._records: List[dict] = []
             self._swaps = 0
@@ -290,7 +293,7 @@ class TelemetryCollector:
                 "predicted_total": self._predicted_total,
                 "actual_total": self._actual_total,
                 "max_abs_error": self._max_abs_error,
-                "latencies_us": list(self._latencies_us),
+                "latencies_us": array("d", self._latencies_us),
                 "buckets": list(self._buckets),
                 "records": list(self._records),
                 "swaps": self._swaps,

@@ -79,6 +79,29 @@ class TestGenerateLog:
             generate_query_log(schema, 0)
 
 
+class TestLogEntryBinding:
+    """An entry binds each selection attribute exactly once; otherwise
+    the structure and raw paths would answer different queries."""
+
+    @pytest.mark.parametrize(
+        "query, values",
+        [
+            (SliceQuery(groupby="s", selection="p"), ()),
+            (SliceQuery(groupby="s"), (("p", 1),)),
+            (SliceQuery(selection="p"), (("p", 1), ("p", 2))),
+            (SliceQuery(selection="ps"), (("p", 1), ("c", 2))),
+        ],
+        ids=["missing", "extra", "twice", "other"],
+    )
+    def test_rejected_at_construction(self, query, values):
+        with pytest.raises(ValueError, match="exactly once"):
+            LogEntry(query, values)
+
+    def test_exact_binding_accepted(self):
+        entry = LogEntry(SliceQuery(groupby="c", selection="ps"), (("p", 1), ("s", 0)))
+        assert entry.bound_values == {"p": 1, "s": 0}
+
+
 class TestEstimateFrequencies:
     def test_sums_to_one(self, schema):
         log = generate_query_log(schema, 500, rng=1)

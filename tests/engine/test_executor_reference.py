@@ -11,21 +11,37 @@ same groups, compared with ``==`` (every float bit for bit), for every
 slice pattern × answering view × plan (a scan, or any index on the view)
 of non-integral, partly empty cubes — before and after a maintenance
 delta.
+
+The group-and-sum kernel used to make a new key tuple for every group of
+every answer; it now hands out each table's shared tuples
+(:class:`~repro.engine.table.KeyTuples`).  The former kernel is kept
+here as :func:`reference_grouped_sums`, and answers must equal it item
+by item, in its order, with every sum's ``float.hex``.
 """
 
+import gc
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.index import Index, enumerate_fat_indexes
-from repro.core.query import enumerate_slice_queries
+from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
+from repro.cube.generator import dense_fact_table
+from repro.cube.query_log import LogEntry
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
-from repro.engine.executor import Executor
+from repro.engine.executor import (
+    MAX_CODED_KEY_SPACE, Executor, Plan, _grouped_sums, aggregate_rows,
+)
 from repro.engine.maintenance import apply_delta
-from repro.engine.table import FactTable
+from repro.engine.materialize import materialize_view
+from repro.engine.table import FactTable, KeyTuples
+from repro.serve.batch import execute_raw
 
 from tests.engine.btree import BPlusTree
 
@@ -83,6 +99,55 @@ def reference_execute(table, query, selection_values, index=None, tree=None):
             key = tuple(int(cols[a][row]) for a in groupby)
             groups[key] = groups.get(key, 0.0) + float(table.values[row])
     return rows_processed, groups
+
+
+def reference_grouped_sums(key_columns, values) -> dict:
+    """The former kernel: codes in the selected rows' own radix, and a
+    new tuple per group of every answer."""
+    if not len(values):
+        return {}
+    if not key_columns:
+        sums = np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)
+        return {(): float(sums[0])}
+    dims = tuple(int(column.max()) + 1 for column in key_columns)
+    space = 1
+    for dim in dims:
+        space *= dim
+    if space > MAX_CODED_KEY_SPACE:
+        stacked = np.stack(key_columns, axis=1)
+        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=values, minlength=len(unique))
+        return {
+            tuple(row): float(total)
+            for row, total in zip(unique.tolist(), sums.tolist())
+        }
+    if len(key_columns) == 1:
+        codes = key_columns[0]
+    else:
+        codes = np.ravel_multi_index(tuple(key_columns), dims)
+    sums = np.bincount(codes, weights=values, minlength=space)
+    populated = np.nonzero(np.bincount(codes, minlength=space))[0]
+    keys = np.stack(np.unravel_index(populated, dims), axis=1)
+    return {
+        tuple(row): total
+        for row, total in zip(keys.tolist(), sums[populated].tolist())
+    }
+
+
+def exact_items(groups) -> list:
+    """An answer's items in iteration order, each sum as ``float.hex``."""
+    return [(key, value.hex()) for key, value in groups.items()]
+
+
+def reference_answer(table, query, bound) -> dict:
+    """A view scan of ``query`` answered by the former kernel."""
+    mask = np.ones(table.n_rows, dtype=bool)
+    for attr in query.selection:
+        mask &= table.key_columns[attr] == bound[attr]
+    groupby = [a for a in table.attrs if a in query.groupby]
+    return reference_grouped_sums(
+        [table.key_columns[a][mask] for a in groupby], table.values[mask]
+    )
 
 
 def reference_trees(catalog) -> dict:
@@ -189,3 +254,215 @@ class TestAgainstReference:
             (x + y) + z != (z + y) + x
             for x, y, z in zip(values, values[1:], values[2:])
         )
+
+
+def sparse_catalog(rng) -> Catalog:
+    """Every view of a cube whose facts use part of each domain, so a
+    delta can grow a column's maximum."""
+    schema = CubeSchema([Dimension("a", 40), Dimension("b", 30), Dimension("c", 20)])
+    n_rows = 300
+    catalog = Catalog(
+        FactTable(
+            schema,
+            {
+                name: rng.integers(0, schema.cardinality(name) // 2, size=n_rows)
+                for name in schema.names
+            },
+            rng.random(n_rows) * 100.0,
+        )
+    )
+    for size in range(4):
+        for attrs in itertools.combinations(schema.names, size):
+            catalog.materialize(View(attrs))
+    return catalog
+
+
+def assert_views_match_reference(catalog, rng) -> None:
+    """Every pattern on every answering view, twice: the second answer
+    reads slots the first one filled."""
+    for query in enumerate_slice_queries(catalog.fact.schema.names):
+        bound = {
+            a: int(rng.choice(catalog.fact.column(a))) for a in sorted(query.selection)
+        }
+        for view in catalog.views():
+            if not query.answerable_by(view):
+                continue
+            table = catalog.view_table(view)
+            expected = exact_items(reference_answer(table, query, bound))
+            for __ in range(2):
+                got = exact_items(aggregate_rows(table, query, bound))
+                assert got == expected, (str(query), bound, str(view))
+
+
+def random_case(seed):
+    """``(fact, attrs, values)``: 0-300 rows and 1-5 key columns; odd
+    seeds draw domains past the coded key space."""
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(0, 301))
+    names = "abcde"[: int(rng.integers(1, 6))]
+    high = 1 << 21 if seed % 2 else 12
+    schema = CubeSchema([Dimension(a, high) for a in names])
+    values = rng.random(n_rows) * 100.0
+    fact = FactTable(
+        schema, {a: rng.integers(0, high, size=n_rows) for a in names}, values
+    )
+    attrs = tuple(a for a in names if rng.random() < 0.7) or (names[0],)
+    return fact, attrs, values
+
+
+class TestAgainstFormerKernel:
+    """Answers equal :func:`reference_grouped_sums`: the same keys, the
+    same order and the same float bits."""
+
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_columns(self, seed):
+        fact, attrs, values = random_case(seed)
+        rng = np.random.default_rng([seed, 1])
+        for __ in range(3):
+            rows = np.flatnonzero(rng.random(len(values)) < rng.random())
+            picked = [fact.column(a)[rows] for a in attrs]
+            got = _grouped_sums(fact, attrs, picked, values[rows])
+            expected = reference_grouped_sums(picked, values[rows])
+            assert exact_items(got) == exact_items(expected)
+
+    def test_cases_cover_both_sides_of_the_coded_limit(self):
+        spaces = [
+            np.prod([fact.radix[a] for a in attrs], dtype=float)
+            for fact, attrs, __ in map(random_case, self.SEEDS)
+        ]
+        assert min(spaces) <= MAX_CODED_KEY_SPACE < max(spaces)
+
+    def test_views_after_deltas(self):
+        """Deltas, one growing a column's maximum; the tables from before
+        each delta answer too, coding with their own radices."""
+        rng = np.random.default_rng(3)
+        catalog = sparse_catalog(rng)
+        schema = catalog.fact.schema
+        assert_views_match_reference(catalog, rng)
+        for grow in (False, True):
+            stale = Catalog(catalog.fact)
+            for view in catalog.views():
+                stale.add_view(catalog.view_table(view))
+            columns = {
+                name: rng.integers(0, schema.cardinality(name) // 2, size=30)
+                for name in schema.names
+            }
+            if grow:
+                columns["b"][0] = schema.cardinality("b") - 1
+            apply_delta(catalog, columns, rng.random(30) * 100.0)
+            grown = catalog.fact.radix["b"] > stale.fact.radix["b"]
+            assert grown == grow
+            for __ in range(2):
+                assert_views_match_reference(catalog, rng)
+                assert_views_match_reference(stale, rng)
+            assert_matches_reference(catalog, rng)
+
+
+def dense_cube(cards) -> FactTable:
+    schema = CubeSchema([Dimension(name, card) for name, card in zip("abcde", cards)])
+    return dense_fact_table(schema, rng=0, integral_measures=True)
+
+
+class TestSharedKeyTuples:
+    CARDS = (12, 10, 8, 6, 5)
+
+    def test_second_answer_allocates_no_tuples(self):
+        fact = dense_cube(self.CARDS)
+        catalog = Catalog(fact)
+        top = catalog.materialize(View(fact.schema.names)).view
+        executor = Executor(catalog)
+        query = SliceQuery(groupby=fact.schema.names)
+        first = executor.execute(query, {}, plan=(top, None))
+        assert len(first.groups) == fact.n_rows
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            count = gc.get_count()[0]
+            second = executor.execute(query, {}, plan=(top, None))
+            allocated = gc.get_count()[0] - count
+        finally:
+            if enabled:
+                gc.enable()
+        assert second.groups == first.groups
+        assert allocated < 1000
+
+    def test_view_and_raw_answers_share_keys_across_a_delta(self):
+        fact = dense_cube(self.CARDS)
+        catalog = Catalog(fact)
+        schema = fact.schema
+        top = catalog.materialize(View(schema.names)).view
+        entry = LogEntry(SliceQuery(groupby="abcd", selection="e"), (("e", 2),))
+        raw = Plan("raw", None, None, (), "raw", 0.0)
+
+        def answers():
+            table = catalog.view_table(top)
+            return (
+                aggregate_rows(table, entry.query, entry.bound_values),
+                execute_raw(catalog.fact, entry, raw).groups,
+            )
+
+        before = answers()
+        rng = np.random.default_rng(4)
+        apply_delta(
+            catalog,
+            {d.name: rng.integers(0, d.cardinality, size=288) for d in schema.dimensions},
+            rng.integers(1, 100, size=288).astype(np.float64),
+        )
+        after = answers()
+        assert before[0] == before[1] and after[0] == after[1]
+        assert after[0] != before[0]  # the delta changed the sums
+        keys = list(before[0])
+        for groups in before + after:
+            assert all(a is b for a, b in zip(groups, keys, strict=True))
+
+
+class TestConcurrentFills:
+    def test_threads_filling_one_table(self):
+        """More threads than cores answer every pattern of one fresh top
+        view in the same order, so they race to fill the same slots."""
+        fact = dense_cube((6, 5, 4, 3, 2))
+        top = View(fact.schema.names)
+        patterns = [
+            (query, {a: 1 for a in query.selection})
+            for query in enumerate_slice_queries(fact.schema.names)
+        ]
+        reference = materialize_view(fact, top)
+        expected = [
+            exact_items(reference_answer(reference, query, bound))
+            for query, bound in patterns
+        ]
+        failures = []
+
+        def worker(table, order):
+            for pos in order:
+                query, bound = patterns[pos]
+                groups = aggregate_rows(table, query, bound)
+                if any(key is None for key in groups):
+                    failures.append(("None key", str(query)))
+                elif exact_items(groups) != expected[pos]:
+                    failures.append(("wrong answer", str(query)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            rounds = 0
+            while rounds < 3 or (rounds < 50 and time.monotonic() < deadline):
+                table = materialize_view(fact, top)
+                table.key_tuples = KeyTuples()  # every slot empty again
+                order = np.random.default_rng(rounds).permutation(len(patterns))
+                threads = [
+                    threading.Thread(target=worker, args=(table, order))
+                    for __ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:5]

@@ -14,7 +14,9 @@ from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.core.query import enumerate_slice_queries
 from repro.cube.query_log import LogEntry, generate_query_log, pattern_counts
+from repro.datasets.tpcd import tpcd_serving_fact
 from repro.serve import QueryServer, RAW_LABEL, WorkloadRecorder, validate_telemetry
+from repro.serve.telemetry import empty_resilience_stats
 
 
 def advise_selection(lattice, space_factor=3.0, r=1):
@@ -80,6 +82,16 @@ class TestExactCostFidelity:
                 index_hits += 1
                 assert entry.query.selection, "index route on selection-free query"
         assert index_hits > 0
+
+
+class TestValidEntriesStayHealthy:
+    def test_resilience_counters_stay_zero(self):
+        fact = tpcd_serving_fact(3, rng=0)
+        server = QueryServer(fact, ["psc"])
+        for entry in generate_query_log(fact.schema, 200, rng=1):
+            outcome = server.serve(entry)
+            assert not outcome.rescued
+        assert server.telemetry_snapshot()["resilience"] == empty_resilience_stats()
 
 
 class TestFallback:

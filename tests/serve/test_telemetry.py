@@ -1,6 +1,7 @@
 """Telemetry collector aggregation and snapshot validation."""
 
 import threading
+import tracemalloc
 
 import pytest
 
@@ -85,6 +86,22 @@ class TestCollector:
         assert snap["queries"] == 2000
         assert snap["hits"]["v"] == 2000
         validate_telemetry(snap)
+
+
+class TestLatencyStorage:
+    def test_samples_retain_eight_bytes_each(self):
+        collector = TelemetryCollector(keep_records=False)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i in range(100_000):
+                collector.record("q", "ps", i * 0.5, 1.0, 1)
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.5 * 2**20
+        assert collector.latencies()[-2:] == [49_999.0, 49_999.5]
+        assert collector.percentile(0.5) == 25_000.0
 
 
 class TestValidate:
