@@ -43,9 +43,10 @@ from repro.core.selection import SelectionResult
 def structure_update_costs(engine, delta_rows: float) -> np.ndarray:
     """Per-structure refresh cost per delta batch, in rows.
 
-    Mirrors what :func:`repro.engine.maintenance.apply_delta` actually
+    An upper bound on what :func:`repro.engine.maintenance.apply_delta`
     does: a view refresh scans the delta plus the view; an index rebuild
-    touches the owning view's rows.
+    touches the owning view's rows, and an index whose view gained no
+    group is kept.
     """
     if delta_rows < 0:
         raise ValueError("delta_rows must be >= 0")

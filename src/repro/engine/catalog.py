@@ -15,7 +15,7 @@ paper's ``|C|/|E|`` charge (Section 4.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -125,6 +125,22 @@ class Catalog:
 
     def sorted_index(self, index: Index) -> SortedIndex:
         return self._indexes[index]
+
+    def _publish(
+        self,
+        fact: FactTable,
+        views: Mapping[View, ViewTable],
+        indexes: Mapping[Index, SortedIndex],
+    ) -> None:
+        """Swap in a refreshed fact table, view tables and sorted indexes
+        and bump the version: the commit point of
+        :func:`repro.engine.maintenance.apply_delta`, which stages them.
+        ``views`` and ``indexes`` replace the structures of the same keys,
+        which keep their order."""
+        self.fact = fact
+        self._views.update(views)
+        self._indexes.update(indexes)
+        self.version += 1
 
     def views(self) -> Iterator[View]:
         return iter(self._views)

@@ -6,10 +6,12 @@ space budget's twin in Example 2.1).  This module implements delta-based
 refresh for the engine:
 
 * :func:`apply_delta` — append a batch of fact rows and propagate it to
-  every materialized view (aggregate the delta, merge into the sorted
-  view table) and every index (rebuilt, since merged tables renumber
-  rows).  Returns a :class:`RefreshReport` of rows touched, so the
-  maintenance cost is measurable in the same unit as query cost.
+  every materialized view (aggregate the delta by key code and merge its
+  groups into the sorted view table) and index (kept when its view
+  gained no group, so its row ids and keys are unchanged; rebuilt
+  otherwise).  The refresh is staged and published at once.  Returns a
+  :class:`RefreshReport` of rows touched, so the maintenance cost is
+  measurable in the same unit as query cost.
 * :func:`estimate_refresh_cost` — the analytical counterpart: the rows a
   refresh of a selection touches, usable as a maintenance-cost model when
   weighing selections (cf. the view-selection-with-maintenance framework
@@ -23,18 +25,26 @@ we keep the honest restriction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.catalog import Catalog
 from repro.engine.materialize import _aggregate, _group_keys, materialize_view
-from repro.engine.table import FactTable, ViewTable
+from repro.engine.table import FactTable, ViewTable, key_codes
+
+_MERGEABLE = ("sum", "count")
 
 
 @dataclass
 class RefreshReport:
-    """Rows touched while refreshing a catalog after a delta batch."""
+    """Rows touched while refreshing a catalog after a delta batch.
+
+    ``view_rows_scanned`` counts, per view, its rows before the delta
+    plus the delta's groups in it.  ``indexes_rebuilt`` and
+    ``index_entries_rebuilt`` count only the indexes whose view gained a
+    group; the others are kept as they are.
+    """
 
     delta_rows: int
     view_rows_scanned: int = 0
@@ -52,23 +62,78 @@ class RefreshReport:
         )
 
 
-def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
-    """Merge two view tables over the same view by summing measures.
+def _merge_rows(
+    base: ViewTable,
+    keys: Mapping[str, np.ndarray],
+    radix: Mapping[str, int],
+    columns: Sequence[np.ndarray],
+    agg: str,
+) -> Optional[Tuple[ViewTable, int]]:
+    """Merge delta rows into the sorted ``base`` by key code.
 
-    Both tables must be keyed on the same attributes; the result is
-    sorted (a by-product of the re-grouping) and answers with ``base``'s
-    key tuples.
+    ``keys`` holds the delta's key columns (with radices ``radix``) and
+    ``columns`` one measure column per measure of ``base``, primary
+    first.  Rows group on their codes and ``agg`` (``"sum"`` or
+    ``"count"``) folds each group in row order with the aggregation
+    :func:`materialize_view` uses.  A group already in ``base`` adds to
+    its row and a new one is inserted in key order, so every merged value
+    is ``0.0 + base + delta``, the order in which re-grouping the
+    concatenated rows sums them.  With no new group the merged table
+    keeps ``base``'s row numbering and shares its key columns.
+
+    Returns the merged table and the delta's group count, or ``None``
+    for the empty key and keys :func:`key_codes` cannot code.
     """
-    if base.view != delta.view or base.attrs != delta.attrs:
-        raise ValueError(
-            f"cannot merge {delta.view} ({delta.attrs}) into "
-            f"{base.view} ({base.attrs})"
+    if not base.attrs:
+        return None
+    dims = tuple(max(base.radix[a], radix[a]) for a in base.attrs)
+    base_codes = key_codes([base.key_columns[a] for a in base.attrs], dims)
+    codes = key_codes([keys[a] for a in base.attrs], dims)
+    if base_codes is None or codes is None:
+        return None
+    groups, inverse = np.unique(codes, return_inverse=True)
+    sums = [_aggregate(inverse, len(groups), column, agg) for column in columns]
+
+    pos = np.searchsorted(base_codes, groups)
+    found = pos < len(base_codes)
+    found[found] = base_codes[pos[found]] == groups[found]
+    merged = [column + 0.0 for column in (base.values, *base.extra_values.values())]
+    for column, added in zip(merged, sums):
+        column[pos[found]] += added[found]
+    key_columns = {
+        a: base.key_columns[a].astype(
+            np.result_type(base.key_columns[a], keys[a]), copy=False
         )
-    if set(base.extra_values) != set(delta.extra_values):
-        raise ValueError(
-            f"measure sets differ: {sorted(base.extra_values)} vs "
-            f"{sorted(delta.extra_values)}"
-        )
+        for a in base.attrs
+    }
+    new = ~found
+    if new.any():
+        # each new group goes before the base row at its search position
+        at = pos[new]
+        decoded = np.unravel_index(groups[new], dims)
+        key_columns = {
+            a: np.insert(column, at, values)
+            for (a, column), values in zip(key_columns.items(), decoded)
+        }
+        merged = [
+            np.insert(column, at, added[new]) for column, added in zip(merged, sums)
+        ]
+    table = ViewTable(
+        base.view,
+        base.attrs,
+        key_columns,
+        merged[0],
+        agg=base.agg,
+        extra_values=dict(zip(base.extra_values, merged[1:])),
+        measure=base.measure,
+    )
+    table.key_tuples = base.key_tuples
+    return table, len(groups)
+
+
+def _regroup(base: ViewTable, delta: ViewTable) -> ViewTable:
+    """Merge by re-grouping the concatenated rows of both tables: the
+    path for the empty key and for keys that cannot be coded."""
     key_cols = tuple(
         np.concatenate([base.key_columns[a], delta.key_columns[a]])
         for a in base.attrs
@@ -102,6 +167,37 @@ def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
     return table
 
 
+def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
+    """Merge two view tables over the same view by summing measures.
+
+    Both tables must be keyed on the same attributes and aggregate the
+    same measure with the same ``sum`` or ``count``; the result is
+    sorted and answers with ``base``'s key tuples.
+    """
+    if base.view != delta.view or base.attrs != delta.attrs:
+        raise ValueError(
+            f"cannot merge {delta.view} ({delta.attrs}) into "
+            f"{base.view} ({base.attrs})"
+        )
+    if base.agg != delta.agg or base.agg not in _MERGEABLE:
+        raise ValueError(
+            f"cannot merge a {delta.agg!r} table into a {base.agg!r} table: "
+            f"both must use the same aggregate, one of {_MERGEABLE}"
+        )
+    if base.measure != delta.measure:
+        raise ValueError(
+            f"cannot merge measure {delta.measure!r} into {base.measure!r}"
+        )
+    if set(base.extra_values) != set(delta.extra_values):
+        raise ValueError(
+            f"measure sets differ: {sorted(base.extra_values)} vs "
+            f"{sorted(delta.extra_values)}"
+        )
+    columns = [delta.values, *(delta.extra_values[name] for name in base.extra_values)]
+    merged = _merge_rows(base, delta.key_columns, delta.radix, columns, "sum")
+    return merged[0] if merged is not None else _regroup(base, delta)
+
+
 def apply_delta(
     catalog: Catalog,
     delta_columns: Mapping[str, np.ndarray],
@@ -112,9 +208,11 @@ def apply_delta(
 
     The delta is validated against the catalog's schema (same checks as
     :class:`FactTable`) and must carry the same measure set as the
-    existing facts.  Views are refreshed by aggregating the delta to each
-    view's grouping and merging; indexes on refreshed views are rebuilt
-    from the merged tables.
+    existing facts.  Each view merges the delta's groups in by key code;
+    an index whose view gained no group keeps its sorted index, and the
+    others are rebuilt from the merged tables.  The extended fact table,
+    the views and the indexes are staged and published together with the
+    version bump, so a refresh that fails part-way changes nothing.
     """
     schema = catalog.fact.schema
     delta = FactTable(
@@ -125,15 +223,20 @@ def apply_delta(
             f"delta measures {sorted(delta.measure_names)} do not match the "
             f"catalog's {sorted(catalog.fact.measure_names)}"
         )
-    for view in catalog.views():
-        if catalog.view_table(view).agg not in ("sum", "count"):
+    bases = {view: catalog.view_table(view) for view in catalog.views()}
+    for view, base in bases.items():
+        if base.agg not in _MERGEABLE:
             raise ValueError(
-                f"view {view} uses aggregate "
-                f"{catalog.view_table(view).agg!r}, which is not "
+                f"view {view} uses aggregate {base.agg!r}, which is not "
                 "self-maintainable under inserts"
             )
+        if set(base.extra_values) != set(delta.extra_measures):
+            raise ValueError(
+                f"view {view} measures {sorted(base.extra_values)} do not "
+                f"match the delta's {sorted(delta.extra_measures)}"
+            )
 
-    # 1. extend the raw fact table
+    # 1. stage the extended fact table
     merged_columns = {
         name: np.concatenate([catalog.fact.column(name), delta.column(name)])
         for name in schema.names
@@ -147,33 +250,45 @@ def apply_delta(
         schema, merged_columns, merged_measures, extra_measures=merged_extras
     )
     fact.key_tuples = catalog.fact.key_tuples
-    catalog.fact = fact
+    staged = Catalog(fact)
+    report = RefreshReport(
+        delta_rows=delta.n_rows, views_refreshed=tuple(str(view) for view in bases)
+    )
 
-    report = RefreshReport(delta_rows=delta.n_rows)
+    # 2. merge the delta into each view
+    views = {}
+    for view, base in bases.items():
+        columns = [
+            delta.measures,
+            *(delta.extra_measures[name] for name in base.extra_values),
+        ]
+        merged = _merge_rows(base, delta.columns, delta.radix, columns, base.agg)
+        if merged is None:
+            delta_table = materialize_view(delta, view, base.agg)
+            merged = _regroup(base, delta_table), delta_table.n_rows
+        table, groups = merged
+        views[view] = table
+        staged.add_view(table)
+        report.view_rows_scanned += base.n_rows + groups
 
-    # 2. refresh each materialized view by aggregate-and-merge
-    views_touched = []
-    for view in list(catalog.views()):
-        base = catalog.view_table(view)
-        delta_table = materialize_view(delta, view, base.agg)
-        merged = merge_view_tables(base, delta_table)
-        catalog.add_view(merged)
-        report.view_rows_scanned += base.n_rows + delta_table.n_rows
-        views_touched.append(str(view))
-    report.views_refreshed = tuple(views_touched)
-
-    # 3. rebuild indexes on refreshed views (merged tables renumber rows)
+    # 3. an index whose view gained no group keeps its row ids and keys;
+    # the others are rebuilt.  Catalog order is kept: the planner breaks
+    # cost ties by it.
+    indexes = {}
     rebuilt = []
-    for index in list(catalog.indexes()):
-        catalog.drop_index(index)
-        report.index_entries_rebuilt += len(catalog.build_index(index))
-        rebuilt.append(str(index))
+    for index in catalog.indexes():
+        if views[index.view].n_rows == bases[index.view].n_rows:
+            indexes[index] = catalog.sorted_index(index)
+        else:
+            indexes[index] = staged.build_index(index)
+            report.index_entries_rebuilt += len(indexes[index])
+            rebuilt.append(str(index))
     report.indexes_rebuilt = tuple(rebuilt)
 
-    # 4. publish the refresh: consumers holding cached answers (the
-    # serving result cache tags entries with this counter) must observe
-    # that the catalog's contents changed
-    catalog.version += 1
+    # 4. publish the refresh and bump the version: consumers holding
+    # cached answers (the serving result cache tags entries with it)
+    # must observe that the catalog's contents changed
+    catalog._publish(fact, views, indexes)
     return report
 
 
@@ -187,8 +302,8 @@ def estimate_refresh_cost(
     ``view_rows`` maps structure name → rows of the owning view;
     ``selection`` maps structure name → is_index.  Each view refresh
     scans the delta plus the view; each index rebuild touches the view's
-    rows once.  This mirrors what :func:`apply_delta` actually does, so
-    the estimate is checkable against :class:`RefreshReport`.
+    rows once.  This is an upper bound on what :func:`apply_delta` does:
+    an index whose view gained no group is kept.
     """
     if delta_rows < 0:
         raise ValueError("delta_rows must be >= 0")

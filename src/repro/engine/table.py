@@ -35,6 +35,42 @@ def _radix(columns: Mapping[str, np.ndarray]) -> Dict[str, int]:
     }
 
 
+def key_codes(
+    columns: Sequence[np.ndarray], dims: Sequence[int]
+) -> Optional[np.ndarray]:
+    """Each row's mixed-radix code of the key ``columns`` in radices
+    ``dims`` (one per column, above its max), so ascending codes are
+    lexicographic key order.  ``None`` when the codes would overflow
+    ``intp`` or a key is negative: such keys are grouped by sorting rows.
+    """
+    try:
+        return np.ravel_multi_index(tuple(columns), tuple(dims))
+    except ValueError:
+        return None
+
+
+def distinct_keys(columns: Sequence[np.ndarray], dims: Sequence[int]) -> int:
+    """Number of distinct rows of the key ``columns``, counted on their
+    :func:`key_codes` in radices ``dims``."""
+    codes = key_codes(columns, dims)
+    if codes is None:
+        return int(np.unique(np.stack(columns, axis=1), axis=0).shape[0])
+    return int(np.unique(codes).size)
+
+
+def _key_column(name: str, values) -> np.ndarray:
+    """A dimension column as int64, refusing keys that the cast would
+    change: a non-1-D column, or non-integral or non-finite values."""
+    column = np.asarray(values)
+    if column.ndim != 1:
+        raise ValueError(f"column {name!r} must be 1-D, got shape {column.shape}")
+    if column.dtype.kind not in "biu":
+        as_float = column.astype(np.float64)
+        if not (np.isfinite(as_float).all() and (as_float == np.trunc(as_float)).all()):
+            raise ValueError(f"column {name!r} holds non-integral or non-finite keys")
+    return column.astype(np.int64, copy=False)
+
+
 class KeyTuples:
     """Canonical key tuples, shared by the answers of a table and of the
     tables derived from it.
@@ -119,15 +155,15 @@ class FactTable:
             raise ValueError(
                 f"extra measures collide with schema names: {sorted(collisions)}"
             )
-        lengths = {name: len(columns[name]) for name in schema.names}
+        self.columns: Dict[str, np.ndarray] = {
+            name: _key_column(name, columns[name]) for name in schema.names
+        }
+        lengths = {name: len(column) for name, column in self.columns.items()}
         lengths[schema.measure] = len(measures)
         for name, values in extra_measures.items():
             lengths[name] = len(values)
         if len(set(lengths.values())) != 1:
             raise ValueError(f"column lengths differ: {lengths}")
-        self.columns: Dict[str, np.ndarray] = {
-            name: np.asarray(columns[name], dtype=np.int64) for name in schema.names
-        }
         for name, col in self.columns.items():
             card = schema.cardinality(name)
             if col.size and (col.min() < 0 or col.max() >= card):
@@ -170,8 +206,9 @@ class FactTable:
         exactly the size of the view grouping by them."""
         if not attrs:
             return 1
-        stacked = np.stack([self.columns[a] for a in attrs], axis=1)
-        return int(np.unique(stacked, axis=0).shape[0])
+        return distinct_keys(
+            [self.columns[a] for a in attrs], [self.radix[a] for a in attrs]
+        )
 
     def __repr__(self) -> str:
         return f"FactTable({self.schema.names}, rows={self.n_rows})"

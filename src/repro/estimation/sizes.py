@@ -122,13 +122,14 @@ def exact_sizes_from_rows(
     """
     import numpy as np
 
+    from repro.engine.table import _radix, distinct_keys
+
     columns: Mapping = rows
 
     def estimator(view: View) -> float:
         if not view.attrs:
             return 1.0
-        attrs = schema.sort_attrs(view.attrs)
-        stacked = np.stack([np.asarray(columns[a]) for a in attrs], axis=1)
-        return float(np.unique(stacked, axis=0).shape[0])
+        keys = {a: np.asarray(columns[a]) for a in schema.sort_attrs(view.attrs)}
+        return float(distinct_keys(list(keys.values()), list(_radix(keys).values())))
 
     return estimator
