@@ -19,6 +19,10 @@ so the first lookup after either sees a stale tag and drops the whole
 cache — a reselection or a maintenance delta can never serve stale rows.
 Late inserts from a worker that read the old state race-safely miss: a
 ``put`` whose tag disagrees with the cache's current tag is discarded.
+
+A served batch looks up all of its keys with one :meth:`ResultCache.get_many`
+call, which takes the cache lock once per batch; concurrent workers that
+share the cache serialize per batch, not per query.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Admission-sketch aging period: once this many lookups have been
 #: counted, every frequency halves (keeps the sketch adaptive to shifts).
@@ -161,39 +165,57 @@ class ResultCache:
 
     def get(self, key: tuple, tag: Tuple[int, int]) -> Optional[CachedResult]:
         """The cached result, or ``None`` on a miss (which also trains
-        the admission sketch)."""
+        the admission sketch).  A lookup of one key: see :meth:`get_many`."""
+        return self.get_many((key,), tag)[0]
+
+    def get_many(
+        self, keys: Sequence[tuple], tag: Tuple[int, int]
+    ) -> List[Optional[CachedResult]]:
+        """The cached result of each key, in order (``None`` on a miss),
+        under one lock acquisition.
+
+        Each key has a single lookup's effects, applied in order: a hit
+        moves the key to the most-recently-used end and counts a hit; a
+        miss trains the admission sketch and counts a miss.  A repeated
+        key is looked up each time.  Under a stale ``tag`` every key is a
+        miss.
+        """
         with self._lock:
             if self._tag != tag:
-                # caller should have run ensure_tag; treat as a miss
-                self._count(key)
-                self.misses += 1
-                return None
-            result = self._entries.get(key)
-            if result is None:
-                self._count(key)
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return result
+                # caller should have run ensure_tag; treat as misses
+                for key in keys:
+                    self._count(key)
+                self.misses += len(keys)
+                return [None] * len(keys)
+            results = list(map(self._entries.get, keys))
+            move_to_end = self._entries.move_to_end
+            hits = 0
+            for key, result in zip(keys, results):
+                if result is None:
+                    self._count(key)
+                else:
+                    move_to_end(key)
+                    hits += 1
+            self.hits += hits
+            self.misses += len(results) - hits
+            return results
 
     def put(self, key: tuple, result: CachedResult, tag: Tuple[int, int]) -> bool:
         """Insert a finished result; returns whether it was admitted.
 
         Inserts tagged with a stale ``tag`` (a worker that read the old
         serving state) are silently dropped.  A full cache consults the
-        admission sketch before displacing the LRU victim.
+        admission sketch before displacing the LRU victim.  Re-putting a
+        held key drops its old result first, then admits the new one like
+        a new key, so the byte budget holds after every call.
         """
         size = result.estimated_bytes
         with self._lock:
             if self._tag != tag:
                 return False
-            if key in self._entries:
-                self._bytes -= self._entries[key].estimated_bytes
-                self._entries[key] = result
-                self._entries.move_to_end(key)
-                self._bytes += size
-                return True
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self._bytes -= replaced.estimated_bytes
             if size > self.capacity_bytes:
                 self.rejected += 1
                 return False

@@ -311,7 +311,8 @@ class QueryServer:
         Latency accounting: executed entries report their plan group's
         elapsed time split evenly across the group's unique queries
         (duplicates share their execution's latency); cache hits report
-        the lookup time alone.
+        the batch's one cache-lookup pass split evenly across the
+        batch's entries.
         """
         if not entries:
             return []
@@ -328,22 +329,23 @@ class QueryServer:
         pending: Dict[tuple, List[int]] = {}
         if cache is not None:
             cache.ensure_tag(tag)
-            for pos, entry in enumerate(entries):
-                start = time.perf_counter()
-                key = result_key(entry)
-                hit = cache.get(key, tag)
+            start = time.perf_counter()
+            keys = list(map(result_key, entries))
+            found = cache.get_many(keys, tag)
+            latency_us = (time.perf_counter() - start) * 1e6 / len(entries)
+            for pos, hit in enumerate(found):
                 if hit is None:
-                    pending.setdefault(key, []).append(pos)
+                    pending.setdefault(keys[pos], []).append(pos)
                     continue
                 outcomes[pos] = ServeOutcome(
-                    entry=entry,
-                    structure=hit.structure,
-                    predicted_rows=hit.predicted_rows,
-                    actual_rows=hit.actual_rows,
-                    latency_us=(time.perf_counter() - start) * 1e6,
-                    fallback=hit.structure == RAW_LABEL,
-                    groups=hit.groups,
-                    cached=True,
+                    entries[pos],
+                    hit.structure,
+                    hit.predicted_rows,
+                    hit.actual_rows,
+                    latency_us,
+                    hit.structure == RAW_LABEL,
+                    hit.groups,
+                    True,  # cached
                 )
         else:
             for pos, entry in enumerate(entries):

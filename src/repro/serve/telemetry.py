@@ -143,54 +143,73 @@ class TelemetryCollector:
     ) -> None:
         """One served query.  ``structure`` is the answering structure's
         label (:data:`RAW_LABEL` for a raw-cube fallback)."""
-        with self._lock:
-            self._record_locked(
-                pattern, structure, latency_us, predicted_rows, actual_rows,
-                fallback,
-            )
+        self.record_many(
+            ((pattern, structure, latency_us, predicted_rows, actual_rows, fallback),)
+        )
 
     def record_many(self, observations: Iterable[tuple]) -> None:
         """Record a batch of ``(pattern, structure, latency_us,
-        predicted_rows, actual_rows, fallback)`` tuples under one lock
-        acquisition (the batched server's per-batch fast path)."""
-        with self._lock:
-            for observation in observations:
-                self._record_locked(*observation)
+        predicted_rows, actual_rows, fallback)`` tuples, in order, under
+        one lock acquisition (the batched server's per-batch fast path).
 
-    def _record_locked(
-        self,
-        pattern: str,
-        structure: str,
-        latency_us: float,
-        predicted_rows: float,
-        actual_rows: int,
-        fallback: bool = False,
-    ) -> None:
-        error = abs(float(actual_rows) - float(predicted_rows))
-        self._queries += 1
-        self._hits[structure] = self._hits.get(structure, 0) + 1
-        if fallback:
-            self._fallbacks += 1
-        if error == 0.0:
-            self._exact += 1
-        self._max_abs_error = max(self._max_abs_error, error)
-        self._predicted_total += float(predicted_rows)
-        self._actual_total += float(actual_rows)
-        self._latencies_us.append(float(latency_us))
-        for pos, bound in enumerate(LATENCY_BUCKETS_US):
-            if latency_us <= bound:
-                self._buckets[pos] += 1
-                break
-        if self.keep_records:
-            self._records.append(
-                {
-                    "pattern": pattern,
-                    "structure": structure,
-                    "predicted_rows": float(predicted_rows),
-                    "actual_rows": int(actual_rows),
-                    "fallback": bool(fallback),
-                }
-            )
+        The scalar counters are kept in locals for the loop and written
+        back once; the row totals still add one observation at a time.
+        """
+        with self._lock:
+            hits = self._hits
+            latencies = self._latencies_us
+            buckets = self._buckets
+            records = self._records if self.keep_records else None
+            queries = self._queries
+            fallbacks = self._fallbacks
+            exact = self._exact
+            max_abs_error = self._max_abs_error
+            predicted_total = self._predicted_total
+            actual_total = self._actual_total
+            try:
+                for (
+                    pattern,
+                    structure,
+                    latency_us,
+                    predicted_rows,
+                    actual_rows,
+                    fallback,
+                ) in observations:
+                    predicted = float(predicted_rows)
+                    actual = float(actual_rows)
+                    error = abs(actual - predicted)
+                    queries += 1
+                    hits[structure] = hits.get(structure, 0) + 1
+                    if fallback:
+                        fallbacks += 1
+                    if error == 0.0:
+                        exact += 1
+                    elif error > max_abs_error:
+                        max_abs_error = error
+                    predicted_total += predicted
+                    actual_total += actual
+                    latencies.append(latency_us)
+                    for pos, bound in enumerate(LATENCY_BUCKETS_US):
+                        if latency_us <= bound:
+                            buckets[pos] += 1
+                            break
+                    if records is not None:
+                        records.append(
+                            {
+                                "pattern": pattern,
+                                "structure": structure,
+                                "predicted_rows": predicted,
+                                "actual_rows": int(actual_rows),
+                                "fallback": bool(fallback),
+                            }
+                        )
+            finally:
+                self._queries = queries
+                self._fallbacks = fallbacks
+                self._exact = exact
+                self._max_abs_error = max_abs_error
+                self._predicted_total = predicted_total
+                self._actual_total = actual_total
 
     def note_swap(self) -> None:
         """Count a hot selection swap (shown in the snapshot header)."""

@@ -357,3 +357,65 @@ class TestConcurrentInvalidation:
             invalidator.join(5)
         for outcome, reference in zip(outcomes, golden):
             assert outcome.groups == reference.groups
+
+
+class TestReplacementBudget:
+    """Re-putting a held key is budgeted like a new key: the old result's
+    bytes are released first, then the size check and eviction apply."""
+
+    def _assert_within_budget(self, cache):
+        stats = cache.stats()
+        assert stats["bytes"] <= cache.capacity_bytes
+        assert stats["bytes"] == sum(
+            result.estimated_bytes for result in cache._entries.values()
+        )
+        for result in cache._entries.values():
+            assert result.estimated_bytes <= cache.capacity_bytes
+
+    def test_oversized_replacement_in_a_full_cache_is_rejected(self):
+        one = entry_result(1).estimated_bytes  # 248 B
+        cache = ResultCache(capacity_bytes=2 * one)
+        cache.ensure_tag(TAG)
+        assert cache.put(("a",), entry_result(1), TAG)
+        assert cache.put(("b",), entry_result(1), TAG)
+        big = entry_result(100)  # 5,000 B: larger than the whole cache
+        assert not cache.put(("a",), big, TAG)
+        assert cache.rejected == 1
+        self._assert_within_budget(cache)
+        assert cache.get(("a",), TAG) is None  # the old result was released
+
+    def test_oversized_replacement_is_rejected_like_a_new_key(self):
+        one = entry_result(1).estimated_bytes
+        cache = ResultCache(capacity_bytes=one)
+        cache.ensure_tag(TAG)
+        assert cache.put(("a",), entry_result(1), TAG)
+        assert not cache.put(("new",), entry_result(100), TAG)
+        assert not cache.put(("a",), entry_result(100), TAG)
+        assert cache.rejected == 2
+        self._assert_within_budget(cache)
+
+    def test_growing_replacement_evicts_to_fit(self):
+        one = entry_result(1).estimated_bytes
+        cache = ResultCache(capacity_bytes=2 * one, admission=False)
+        cache.ensure_tag(TAG)
+        cache.put(("a",), entry_result(1), TAG)
+        cache.put(("b",), entry_result(1), TAG)
+        grown = entry_result(2)
+        assert cache.put(("a",), grown, TAG)
+        assert cache.evictions == 1
+        assert cache.get(("b",), TAG) is None
+        assert cache.get(("a",), TAG) is grown
+        self._assert_within_budget(cache)
+
+    def test_same_size_replacement_keeps_both_entries(self):
+        one = entry_result(1).estimated_bytes
+        cache = ResultCache(capacity_bytes=2 * one)
+        cache.ensure_tag(TAG)
+        cache.put(("a",), entry_result(1), TAG)
+        cache.put(("b",), entry_result(1), TAG)
+        fresh = entry_result(1)
+        assert cache.put(("a",), fresh, TAG)
+        assert list(cache._entries) == [("b",), ("a",)]
+        assert cache.get(("a",), TAG) is fresh
+        assert cache.evictions == 0 and cache.rejected == 0
+        self._assert_within_budget(cache)
