@@ -3,11 +3,9 @@
 
 Runs the selection benchmarks through pytest-benchmark, measures the
 end-to-end pipeline (graph compile + engine compile + 1-greedy +
-2-greedy) in both the *seed-style* configuration (reference per-edge
-``from_cube`` loop, eager stage scans) and the *current* configuration
-(vectorized ``from_cube``, lazy stage loops), measures query serving on the d=5 TPC-D workload (qps and
-latency percentiles, serial vs. 2 replay workers), and writes everything
-to ``benchmarks/BENCH_selection.json``.
+2-greedy) at d=5, 6 and 7, measures query serving on the d=5 TPC-D
+workload (qps and latency percentiles, serial vs. 2 replay workers), and
+writes everything to ``benchmarks/BENCH_selection.json``.
 
 The committed copy of that file doubles as the regression baseline: a
 run whose pytest-benchmark medians or pipeline timings exceed the
@@ -75,26 +73,21 @@ def run_pytest_benchmarks() -> dict:
     return medians
 
 
-def _pipeline(
-    n_dims: int,
-    seed_style: bool,
-    include_r2: bool = True,
-    repeats: int = 2,
-) -> dict:
-    """Time one end-to-end selection pipeline configuration.
+def _pipeline(n_dims: int, include_r2: bool = True, repeats: int = 2) -> dict:
+    """Time one end-to-end selection pipeline.
 
     Takes the best of ``repeats`` runs (per-component): a single cold
     measurement jitters enough to trip the 2x gate spuriously.
     """
     best = None
     for _ in range(max(1, repeats)):
-        timings = _pipeline_once(n_dims, seed_style, include_r2)
+        timings = _pipeline_once(n_dims, include_r2)
         if best is None or timings["total"] < best["total"]:
             best = timings
     return best
 
 
-def _pipeline_once(n_dims: int, seed_style: bool, include_r2: bool) -> dict:
+def _pipeline_once(n_dims: int, include_r2: bool) -> dict:
     from repro.algorithms.rgreedy import RGreedy
     from repro.core.benefit import BenefitEngine
     from repro.core.qvgraph import QueryViewGraph
@@ -104,21 +97,18 @@ def _pipeline_once(n_dims: int, seed_style: bool, include_r2: bool) -> dict:
     lattice = cube_lattice(n_dims)
     timings = {}
     t0 = time.perf_counter()
-    graph = QueryViewGraph.from_cube(
-        lattice, vectorized=False if seed_style else None
-    )
+    graph = QueryViewGraph.from_cube(lattice)
     timings["from_cube"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     engine = BenefitEngine(graph)
     timings["engine"] = time.perf_counter() - t0
     space = budget_of(engine)
-    lazy = False if seed_style else None
     t0 = time.perf_counter()
-    r1 = RGreedy(1, lazy=lazy).run(engine, space)
+    r1 = RGreedy(1).run(engine, space)
     timings["rgreedy1"] = time.perf_counter() - t0
     if include_r2:
         t0 = time.perf_counter()
-        RGreedy(2, lazy=lazy).run(engine, space)
+        RGreedy(2).run(engine, space)
         timings["rgreedy2"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
     timings["n_selected_r1"] = len(r1.selected)
@@ -127,20 +117,13 @@ def _pipeline_once(n_dims: int, seed_style: bool, include_r2: bool) -> dict:
 
 def measure_pipelines(skip_d7: bool) -> dict:
     out = {
-        "d5_seed_style": _pipeline(5, seed_style=True),
-        "d5_current": _pipeline(5, seed_style=False),
-        "d6_current": _pipeline(6, seed_style=False),
+        "d5_current": _pipeline(5),
+        "d6_current": _pipeline(6),
     }
-    out["d5_speedup"] = (
-        out["d5_seed_style"]["total"] / out["d5_current"]["total"]
-    )
     if not skip_d7:
-        # d=7 is the scale target: only the current configuration is
-        # measured, including the 2-greedy leg (~900 stages over ~13.8k
-        # structures).
-        out["d7_current"] = _pipeline(
-            7, seed_style=False, include_r2=True, repeats=1
-        )
+        # d=7 is the scale target, measured once, including the 2-greedy
+        # leg (~900 stages over ~13.8k structures).
+        out["d7_current"] = _pipeline(7, include_r2=True, repeats=1)
     return out
 
 
@@ -893,10 +876,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"wrote {RESULT_PATH}")
 
-    speedup = result["pipelines"]["d5_speedup"]
-    print(f"d=5 end-to-end: seed-style {result['pipelines']['d5_seed_style']['total']:.3f}s"
-          f" -> current {result['pipelines']['d5_current']['total']:.3f}s"
-          f" ({speedup:.2f}x)")
+    print(f"d=5 end-to-end: {result['pipelines']['d5_current']['total']:.3f}s")
     print(f"d=6 end-to-end: {result['pipelines']['d6_current']['total']:.3f}s")
     if "d7_current" in result["pipelines"]:
         d7 = result["pipelines"]["d7_current"]

@@ -52,18 +52,6 @@ def as_engine(graph: GraphLike) -> BenefitEngine:
     )
 
 
-def resolve_lazy(lazy) -> bool:
-    """Resolve an algorithm's ``lazy`` parameter.
-
-    ``None`` (or ``"auto"``) runs the lazy stage loops (maintained
-    single-benefit cache); ``False`` forces the eager full-scan loops.  Lazy and eager loops are cross-checked to produce
-    identical selections.
-    """
-    if lazy is None or lazy == "auto":
-        return True
-    return bool(lazy)
-
-
 def check_fit(fit: str) -> str:
     if fit not in _FITS:
         raise ValueError(f"fit must be one of {_FITS}, got {fit!r}")

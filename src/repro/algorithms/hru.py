@@ -25,7 +25,6 @@ from repro.algorithms.base import (
     as_engine,
     check_fit,
     check_space,
-    resolve_lazy,
 )
 from repro.core.selection import SelectionResult
 
@@ -33,26 +32,16 @@ from repro.core.selection import SelectionResult
 class HRUGreedy(SelectionAlgorithm):
     """Greedy selection over views only ([HRU96]).
 
-    ``lazy=None`` (default) reads the incrementally maintained
-    single-benefit cache per stage; ``lazy=False`` forces the eager full
-    scan.  Both select the same views.
+    Each stage reads the incrementally maintained single-benefit cache.
     """
 
     name = "HRU greedy (views only)"
 
-    def __init__(
-        self,
-        fit: str = FIT_STRICT,
-        lazy: Optional[bool] = None,
-    ):
+    def __init__(self, fit: str = FIT_STRICT):
         self.fit = check_fit(fit)
-        self.lazy = lazy
 
     def config(self) -> dict:
-        return {
-            "class": "HRUGreedy",
-            "params": {"fit": self.fit, "lazy": self.lazy},
-        }
+        return {"class": "HRUGreedy", "params": {"fit": self.fit}}
 
     def run(
         self,
@@ -63,26 +52,24 @@ class HRUGreedy(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy)
         strict = self.fit == FIT_STRICT
         tracker = StageTracker(self, engine, space, context)
         try:
             tracker.apply_seed(seed)
-            self._stage_loop(engine, space, strict, lazy, tracker)
+            self._stage_loop(engine, space, strict, tracker)
         except RuntimeStop as stop:
             raise tracker.interrupted(stop)
         return tracker.finish()
 
-    def _stage_loop(self, engine, space, strict, lazy, tracker) -> None:
+    def _stage_loop(self, engine, space, strict, tracker) -> None:
         view_ids = engine.view_ids()
         while engine.space_used() < space - SPACE_EPS:
             if tracker.replay_stage() is not None:
                 continue
             space_left = space - engine.space_used()
-            # one best-single pass over the views: same candidate order,
-            # filters, and tie-break on the maintained cache or an eager scan
+            # one best-single pass over the views on the maintained cache
             pick = engine.best_single(
-                view_ids, space_left=space_left if strict else None, lazy=lazy
+                view_ids, space_left=space_left if strict else None
             )
             if pick is None:
                 break

@@ -44,7 +44,6 @@ from repro.algorithms.base import (
     as_engine,
     check_fit,
     check_space,
-    resolve_lazy,
 )
 from repro.core.benefit import BenefitEngine
 from repro.core.selection import SelectionResult
@@ -56,36 +55,26 @@ IG_PEAK = "peak"
 class InnerLevelGreedy(SelectionAlgorithm):
     """Inner-level greedy selection of views and indexes.
 
-    ``lazy=None`` (default) runs lazy: the maintained single-benefit cache
-    supplies an upper bound on every view's inner-greedy ratio (a set's
-    benefit/space never exceeds the best of its members' standalone
-    ratios), so views that cannot displace the stage incumbent skip the
-    inner greedy entirely.  Candidate order
-    and tie-break match the eager loop, so selections are identical.
+    The maintained single-benefit cache supplies an upper bound on every
+    view's inner-greedy ratio (a set's benefit/space never exceeds the
+    best of its members' standalone ratios), so views that cannot
+    displace the stage incumbent skip the inner greedy entirely.
+    Candidate order and tie-break are those of the unpruned scan, so the
+    prune never changes a selection.
     """
 
     name = "inner-level greedy"
 
-    def __init__(
-        self,
-        fit: str = FIT_PAPER,
-        ig_rule: str = IG_SPACE,
-        lazy: Optional[bool] = None,
-    ):
+    def __init__(self, fit: str = FIT_PAPER, ig_rule: str = IG_SPACE):
         self.fit = check_fit(fit)
         if ig_rule not in (IG_SPACE, IG_PEAK):
             raise ValueError(f"ig_rule must be 'space' or 'peak', got {ig_rule!r}")
         self.ig_rule = ig_rule
-        self.lazy = lazy
 
     def config(self) -> dict:
         return {
             "class": "InnerLevelGreedy",
-            "params": {
-                "fit": self.fit,
-                "ig_rule": self.ig_rule,
-                "lazy": self.lazy,
-            },
+            "params": {"fit": self.fit, "ig_rule": self.ig_rule},
         }
 
     def run(
@@ -97,14 +86,13 @@ class InnerLevelGreedy(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy)
         tracker = StageTracker(self, engine, space, context)
         try:
             tracker.apply_seed(seed)
             while engine.space_used() < space - SPACE_EPS:
                 if tracker.replay_stage() is not None:
                     continue
-                candidate = self._best_stage(engine, space, lazy)
+                candidate = self._best_stage(engine, space)
                 if candidate is None:
                     break
                 ids, cand_space = candidate
@@ -115,18 +103,18 @@ class InnerLevelGreedy(SelectionAlgorithm):
 
     # ------------------------------------------------------------ internals
 
-    def _best_stage(self, engine: BenefitEngine, space: float, lazy: bool):
+    def _best_stage(self, engine: BenefitEngine, space: float):
         """Return ``(ids, space)`` of the stage's winning set, or ``None``."""
         strict = self.fit == FIT_STRICT
         space_left = space - engine.space_used()
         ig_cap = space_left if strict else space
         sink = ChainSink()
-        singles = engine.single_benefits(lazy=True) if lazy else None
+        singles = engine.single_benefits()
         view_ids = engine.view_ids()
         self._scan_phase1(
             engine, view_ids, sink, singles, space_left, ig_cap, strict
         )
-        self._scan_phase2(engine, view_ids, sink, space_left, strict, lazy)
+        self._scan_phase2(engine, view_ids, sink, space_left, strict)
         if sink.ids is None:
             return None
         return sink.ids, sink.space
@@ -142,8 +130,8 @@ class InnerLevelGreedy(SelectionAlgorithm):
     def _scan_phase1(
         self, engine, view_ids, sink, singles, space_left, ig_cap, strict
     ) -> None:
-        """Phase 1 over ``view_ids``: per-view inner greedy.  ``singles``
-        is the maintained cache, or ``None`` to disable the lazy prune."""
+        """Phase 1 over ``view_ids``: per-view inner greedy, skipping the
+        views the single benefits ``singles`` prune."""
         best_vec = engine.best_costs
         freq = engine.frequencies
         selected_mask = engine.selected_mask
@@ -151,18 +139,14 @@ class InnerLevelGreedy(SelectionAlgorithm):
             view_id = int(view_id)
             if selected_mask[view_id]:
                 continue
-            if singles is not None and self._view_pruned(
-                engine, singles, view_id, selected_mask, sink
-            ):
+            if self._view_pruned(engine, singles, view_id, selected_mask, sink):
                 continue
             ig = self._grow_ig(engine, view_id, best_vec, freq, ig_cap, selected_mask)
             if ig is not None:
                 ids, benefit, cand_space = ig
                 self._offer(sink, ids, benefit, cand_space, space_left, strict)
 
-    def _scan_phase2(
-        self, engine, view_ids, sink, space_left, strict, lazy
-    ) -> None:
+    def _scan_phase2(self, engine, view_ids, sink, space_left, strict) -> None:
         """Phase 2 over ``view_ids``: single unselected indexes of
         already-selected views (vectorized benefits)."""
         selected_mask = engine.selected_mask
@@ -174,7 +158,7 @@ class InnerLevelGreedy(SelectionAlgorithm):
             if not selected_mask[int(idx)]
         ]
         if phase2:
-            benefits = engine.single_benefits(phase2, lazy=lazy)
+            benefits = engine.single_benefits(phase2)
             for pos, idx in enumerate(phase2):
                 self._offer(
                     sink,

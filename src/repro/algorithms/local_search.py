@@ -33,7 +33,6 @@ from repro.algorithms.base import (
     RuntimeStop,
     as_engine,
     check_space,
-    resolve_lazy,
 )
 from repro.core.benefit import BenefitEngine
 from repro.core.selection import SelectionResult, Stage, make_result
@@ -48,30 +47,28 @@ MOVE_SCOPE = "move"
 class LocalSearchRefiner:
     """Hill-climbing refinement of an existing selection.
 
+    The add-move scan consults the maintained single-benefit cache and
+    only evaluates structures whose cached benefit is positive — a
+    structure with zero cached benefit has exactly zero marginal gain,
+    so the skip never changes a pick.
+
     Parameters
     ----------
     max_rounds:
         Maximum improvement rounds (each round scans all moves once).
-    lazy:
-        ``None`` (default) and ``True`` run lazy: the add-move scan
-        consults the maintained single-benefit cache and only evaluates
-        structures whose cached benefit is positive — a
-        structure with zero cached benefit has exactly zero marginal
-        gain, so the scan's picks are identical to the eager one.
     """
 
     name = "local search"
 
-    def __init__(self, max_rounds: int = 20, lazy: Optional[bool] = None):
+    def __init__(self, max_rounds: int = 20):
         if max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         self.max_rounds = int(max_rounds)
-        self.lazy = lazy
 
     def config(self) -> dict:
         return {
             "class": "LocalSearchRefiner",
-            "params": {"max_rounds": self.max_rounds, "lazy": self.lazy},
+            "params": {"max_rounds": self.max_rounds},
         }
 
     def refine(
@@ -96,7 +93,6 @@ class LocalSearchRefiner:
         """
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy)
         current: Set[int] = {engine.structure_id(name) for name in selection}
         protected_ids = {engine.structure_id(name) for name in protected}
         missing = protected_ids - current
@@ -148,7 +144,7 @@ class LocalSearchRefiner:
             for _round in range(start_round, self.max_rounds):
                 improved = False
 
-                candidate = self._best_add(engine, current, space, lazy)
+                candidate = self._best_add(engine, current, space)
                 if candidate is not None:
                     added, gain = candidate
                     current.add(added)
@@ -270,22 +266,22 @@ class LocalSearchRefiner:
         return engine.tau()
 
     def _best_add(
-        self, engine: BenefitEngine, current: Set[int], space: float, lazy: bool = False
+        self, engine: BenefitEngine, current: Set[int], space: float
     ) -> Optional[Tuple[int, float]]:
         """Best single addition that fits; None if nothing helps."""
         engine.reset()
         engine.commit(self._view_first_order(engine, current))
         space_left = space - engine.space_used()
-        # lazy: a structure whose maintained single benefit is zero has
-        # exactly zero marginal gain (the cached value is a sum of the same
+        # a structure whose maintained single benefit is zero has exactly
+        # zero marginal gain (the cached value is a sum of the same
         # nonnegative per-query terms), so skipping it cannot change the
         # scan's outcome; surviving candidates still use benefit_of.
-        singles = engine.single_benefits(lazy=True) if lazy else None
+        singles = engine.single_benefits()
         best: Optional[Tuple[int, float]] = None
         for sid in range(engine.n_structures):
             if sid in current:
                 continue
-            if singles is not None and singles[sid] <= 0.0:
+            if singles[sid] <= 0.0:
                 continue
             if float(engine.spaces[sid]) > space_left + SPACE_EPS:
                 continue

@@ -26,17 +26,16 @@ dimensions practical without changing the result:
 * the inner subset search prunes with a submodularity-based upper bound
   (sound: individual index gains computed against the stage's base state
   dominate any later marginal gain);
-* in lazy mode (the default; ``lazy=False`` forces the eager scans)
-  per-structure benefits come from the engine's incrementally
+* per-structure benefits come from the engine's incrementally
   maintained cache instead of a full re-scan, and a whole view's index
   subtree is skipped when an upper bound on any bundle ratio cannot
   displace the stage incumbent.  The bound is tried first on the cached
   values, where the indexes of an unselected view may be *pending* upper
   bounds (see :mod:`repro.core.benefit`); only a subtree they fail to
   prune has its pending indexes re-scored, then the exact bound and the
-  subset search run.  Candidates are still offered in the exact eager
-  order with the same tie-break rule, so lazy and eager runs select
-  identical structures.
+  subset search run.  Candidates are still offered in the canonical
+  order with the same tie-break rule, so the stages equal those of an
+  unpruned full-rescan loop (the tests keep one as the reference).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.algorithms.base import (
     as_engine,
     check_fit,
     check_space,
-    resolve_lazy,
 )
 from repro.core.benefit import BenefitEngine, chain_pick
 from repro.core.selection import SelectionResult
@@ -92,30 +90,17 @@ class RGreedy(SelectionAlgorithm):
     fit:
         ``"paper"`` or ``"strict"`` space semantics (see
         :mod:`repro.algorithms.base`).
-    lazy:
-        ``None`` (default) and ``True`` run the maintained-cache stage
-        loop; ``False`` forces the full-rescan loop.
-        Both produce the same selection.
     """
 
-    def __init__(
-        self,
-        r: int = 1,
-        fit: str = FIT_STRICT,
-        lazy: Optional[bool] = None,
-    ):
+    def __init__(self, r: int = 1, fit: str = FIT_STRICT):
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
         self.r = int(r)
         self.fit = check_fit(fit)
-        self.lazy = lazy
         self.name = f"{self.r}-greedy"
 
     def config(self) -> dict:
-        return {
-            "class": "RGreedy",
-            "params": {"r": self.r, "fit": self.fit, "lazy": self.lazy},
-        }
+        return {"class": "RGreedy", "params": {"r": self.r, "fit": self.fit}}
 
     def run(
         self,
@@ -126,14 +111,13 @@ class RGreedy(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy)
         tracker = StageTracker(self, engine, space, context)
         try:
             tracker.apply_seed(seed)
             while engine.space_used() < space - SPACE_EPS:
                 if tracker.replay_stage() is not None:
                     continue
-                candidate = self._best_stage(engine, space, lazy)
+                candidate = self._best_stage(engine, space)
                 if candidate.ids is None:
                     break
                 tracker.commit_stage(candidate.ids, stage_space=candidate.space)
@@ -143,34 +127,28 @@ class RGreedy(SelectionAlgorithm):
 
     # ------------------------------------------------------------ internals
 
-    def _best_stage(
-        self, engine: BenefitEngine, space: float, lazy: bool
-    ) -> ChainSink:
+    def _best_stage(self, engine: BenefitEngine, space: float) -> ChainSink:
         best = ChainSink()
         space_left = space - engine.space_used()
         strict = self.fit == FIT_STRICT
         order = engine.stage_candidates()
 
-        if lazy and self.r < 2:
+        if self.r < 2:
             # pure single-structure stage: one pass over the maintained
             # cache over the static view-major candidate order; the
-            # selected/admissible filters inside lazy_best_single leave
-            # exactly the eager scan's offers, in the eager scan's order
-            pick = engine.lazy_best_single(order, space_left if strict else None)
+            # selected/admissible filters inside best_single leave exactly
+            # the single candidates below, in the same order
+            pick = engine.best_single(order, space_left if strict else None)
             if pick is not None:
                 sid, benefit, sid_space, _ratio = pick
                 best.offer((sid,), benefit, sid_space)
             return best
 
         # every structure's standalone benefit, for bare views and single
-        # indexes and as the subtree bound; in lazy mode the maintained
-        # cache, whose pending rows (indexes of unselected views) are
-        # upper bounds until a bundle root re-scores them
-        singles = (
-            engine.single_benefit_bounds()
-            if lazy
-            else engine.single_benefits(lazy=False)
-        )
+        # indexes and as the subtree bound: the maintained cache, whose
+        # pending rows (indexes of unselected views) are upper bounds
+        # until a bundle root re-scores them
+        singles = engine.single_benefit_bounds()
         # the single candidates, in the canonical view-major order:
         # unselected views and unselected indexes of selected views
         selected = engine.selected_mask
@@ -180,7 +158,7 @@ class RGreedy(SelectionAlgorithm):
             single &= engine.spaces[order] <= space_left + SPACE_EPS
         # each offered view roots bundles, offered right after it; the
         # singles between two roots go to the sink as one array run
-        roots = np.flatnonzero(single & is_view).tolist() if self.r >= 2 else []
+        roots = np.flatnonzero(single & is_view).tolist()
         start = 0
         for pos in roots:
             view_id = int(order[pos])
@@ -200,18 +178,17 @@ class RGreedy(SelectionAlgorithm):
             idx_singles = singles[unselected_idx]
             # offering the run first can only raise the incumbent, so a
             # subtree the cached bounds prune now stays pruned after it
-            if lazy and pruned(idx_singles):
+            if pruned(idx_singles):
                 continue
             offer_singles(best, order[start : pos + 1][single[start : pos + 1]],
                           singles, engine.spaces)
             start = pos + 1
-            if lazy:
-                if pruned(idx_singles):
-                    continue
-                # re-score the view's pending indexes for the exact prune
-                idx_singles = engine.single_benefits(unselected_idx, lazy=True)
-                if pruned(idx_singles):
-                    continue
+            if pruned(idx_singles):
+                continue
+            # re-score the view's pending indexes for the exact prune
+            idx_singles = engine.single_benefits(unselected_idx)
+            if pruned(idx_singles):
+                continue
             self._search_index_subsets(
                 engine,
                 best,
@@ -252,7 +229,7 @@ class RGreedy(SelectionAlgorithm):
         positive = idx_singles > 0.0
         if not positive.any():
             # every index gain against the view baseline would be <= 0,
-            # so the eager subset search would find nothing either
+            # so the subset search would find nothing either
             return True
         if best.ids is None:
             return False

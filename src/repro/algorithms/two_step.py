@@ -27,7 +27,6 @@ from repro.algorithms.base import (
     as_engine,
     check_fit,
     check_space,
-    resolve_lazy,
 )
 from repro.algorithms.hru import HRUGreedy
 from repro.core.selection import SelectionResult
@@ -49,10 +48,6 @@ class TwoStep(SelectionAlgorithm):
         ``"remaining"`` hands it whatever the view step left unused,
         a mildly smarter variant that still cannot redeem a bad split
         (tests demonstrate both).
-    lazy:
-        ``None`` (default) and ``True`` run both step loops on the
-        maintained single-benefit cache; ``False`` forces eager scans.
-        Selections are identical either way.
     """
 
     def __init__(
@@ -60,7 +55,6 @@ class TwoStep(SelectionAlgorithm):
         view_fraction: float = 0.5,
         fit: str = FIT_STRICT,
         index_budget_mode: str = "fraction",
-        lazy: Optional[bool] = None,
     ):
         if not 0.0 < view_fraction < 1.0:
             raise ValueError(
@@ -74,7 +68,6 @@ class TwoStep(SelectionAlgorithm):
         self.view_fraction = float(view_fraction)
         self.fit = check_fit(fit)
         self.index_budget_mode = index_budget_mode
-        self.lazy = lazy
         self.name = f"two-step (views {self.view_fraction:.0%})"
 
     def config(self) -> dict:
@@ -84,7 +77,6 @@ class TwoStep(SelectionAlgorithm):
                 "view_fraction": self.view_fraction,
                 "fit": self.fit,
                 "index_budget_mode": self.index_budget_mode,
-                "lazy": self.lazy,
             },
         }
 
@@ -97,7 +89,6 @@ class TwoStep(SelectionAlgorithm):
     ) -> SelectionResult:
         space = check_space(space)
         engine = as_engine(graph)
-        lazy = resolve_lazy(self.lazy)
         view_budget = space * self.view_fraction
         # bind before delegating so the checkpoint names TwoStep (first
         # bind wins); the index loop's stages carry this tracker's scope,
@@ -109,7 +100,7 @@ class TwoStep(SelectionAlgorithm):
         # committed, so the index step below starts from that state.
         # The seed (typically the top view) counts against the view
         # share.
-        hru = HRUGreedy(fit=self.fit, lazy=lazy)
+        hru = HRUGreedy(fit=self.fit)
         try:
             step1 = hru.run(engine, view_budget, seed=seed, context=context)
         except RuntimeStop as stop:
@@ -124,12 +115,12 @@ class TwoStep(SelectionAlgorithm):
         else:
             index_budget = space - view_budget
         try:
-            self._index_loop(engine, index_budget, lazy, tracker)
+            self._index_loop(engine, index_budget, tracker)
         except RuntimeStop as stop:
             raise tracker.interrupted(stop)
         return tracker.finish()
 
-    def _index_loop(self, engine, index_budget, lazy, tracker) -> None:
+    def _index_loop(self, engine, index_budget, tracker) -> None:
         index_used = 0.0
         strict = self.fit == FIT_STRICT
 
@@ -150,12 +141,10 @@ class TwoStep(SelectionAlgorithm):
                 index_used += replayed.space
                 continue
             space_left = index_budget - index_used
-            # one best-single pass over the candidate indexes: same
-            # candidate order, filters, and tie-break lazy or eager
+            # one best-single pass over the candidate indexes on the
+            # maintained cache
             pick = engine.best_single(
-                candidate_indexes,
-                space_left=space_left if strict else None,
-                lazy=lazy,
+                candidate_indexes, space_left=space_left if strict else None
             )
             if pick is None:
                 break

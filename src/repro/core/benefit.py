@@ -24,13 +24,13 @@ change.  Of those, only the ones a stage can pick — views, and indexes of
 selected views — are re-scored at once.  A stale index of an unselected
 view is left *pending*: its cached value is an upper bound on its benefit
 until its view is committed or a caller reads it through
-:meth:`single_benefits`, which re-score it.  :meth:`lazy_best_single`
+:meth:`single_benefits`, which re-score it.  :meth:`best_single`
 exploits this — a greedy stage costs ``O(stale pickable edges)`` instead
 of ``O(n_structures · n_queries)`` — :meth:`single_benefit_bounds` hands
 the bounds to subtree prunes as they stand, and :meth:`invalidate` drops
-the cache.  The eager full-recompute path is retained
-(``single_benefits(lazy=False)``) and cross-checked in tests: lazy and
-eager stage loops must produce identical selections.
+the cache.  Every read equals a full recompute bitwise; the tests keep
+the former full-rescan stage loops as the reference the stage loops
+must match with ``==``.
 
 An index is *usable* only when its owning view is materialized; the engine
 exposes :meth:`BenefitEngine.is_admissible` so algorithms can enforce the
@@ -56,7 +56,7 @@ INF = float("inf")
 
 #: Relative tolerance of the canonical greedy tie-break: a candidate only
 #: displaces the incumbent when its ratio exceeds the incumbent's by this
-#: factor.  Shared by every stage loop so lazy and eager paths agree.
+#: factor.  Shared by every stage loop and the tests' reference loops.
 RATIO_RTOL = 1e-12
 
 
@@ -336,7 +336,7 @@ class BenefitEngine:
     def stage_candidates(self) -> np.ndarray:
         """All structures in the canonical greedy offer order: each view
         followed by its indexes, views in id order.  Cached; combined with
-        the admissibility filter in :meth:`lazy_best_single` this is the
+        the admissibility filter in :meth:`best_single` this is the
         static candidate list for single-structure stage scans."""
         if self._stage_candidates is None:
             segments = []
@@ -523,7 +523,7 @@ class BenefitEngine:
     def invalidate(self, ids=None) -> None:
         """Drop (or selectively refresh) the maintained single-benefit cache.
 
-        ``ids=None`` discards the whole cache — the next lazy call pays a
+        ``ids=None`` discards the whole cache — the next read pays a
         full recompute.  With ``ids``, those rows (pending or not) are
         re-scored in place when the cache is live (no-op otherwise).
         Algorithms normally never need this — :meth:`commit`,
@@ -535,27 +535,23 @@ class BenefitEngine:
         elif self._singles_fresh:
             self._rescore(np.asarray(list(ids), dtype=np.int64))
 
-    def single_benefits(self, ids=None, lazy: bool = True) -> np.ndarray:
+    def single_benefits(self, ids=None) -> np.ndarray:
         """Benefit of each structure *alone* w.r.t. the committed selection.
 
         ``ids`` restricts the computation to the given structure ids
         (array-like); ``None`` evaluates all structures.  Missing edges
         contribute zero, as they must.
 
-        ``lazy=True`` (default) reads the maintained incremental cache,
-        ``lazy=False`` forces a full recompute.  The lazy read re-scores
-        the pending rows it returns, so it always equals the eager
-        recompute bitwise.
+        Reads the maintained incremental cache and re-scores the pending
+        rows it returns, so it always equals a full recompute bitwise.
         """
-        if lazy:
-            singles = self._ensure_singles()
-            if ids is None:
-                self._rescore(np.flatnonzero(self._pending))
-                return singles.copy()
-            arr = np.asarray(ids, dtype=np.int64)
-            self._rescore(arr[self._pending[arr]])
-            return singles[arr]
-        return self._eager_singles(ids)
+        singles = self._ensure_singles()
+        if ids is None:
+            self._rescore(np.flatnonzero(self._pending))
+            return singles.copy()
+        arr = np.asarray(ids, dtype=np.int64)
+        self._rescore(arr[self._pending[arr]])
+        return singles[arr]
 
     def single_benefit_bounds(self) -> np.ndarray:
         """The maintained single-benefit cache as it stands, without a
@@ -570,38 +566,22 @@ class BenefitEngine:
         bounds.flags.writeable = False
         return bounds
 
-    def lazy_best_single(self, ids, space_left: Optional[float] = None):
-        """Best single candidate by benefit per space, from the maintained
-        incremental cache — the lazy replacement for a full eager stage scan.
+    def best_single(self, ids, space_left: Optional[float] = None):
+        """Canonical single-structure stage pick over ``ids``, from the
+        maintained cache.
 
         Scans ``ids`` with the canonical greedy rule (first candidate at a
         strictly better ratio wins, tolerance :data:`RATIO_RTOL`), skipping
         selected structures, inadmissible indexes (owning view not yet
         selected), non-positive benefits and — when ``space_left`` is
-        given — candidates that do not fit.  Returns
-        ``(structure_id, benefit, space, ratio)`` or ``None``.
-        """
-        return self.best_single(ids, space_left=space_left, lazy=True)
-
-    def best_single(
-        self, ids, space_left: Optional[float] = None, lazy: bool = True
-    ):
-        """Canonical single-structure stage pick over ``ids``.
-
-        Same offer stream and tie-break either way; ``lazy=True`` reads
-        the maintained cache, ``lazy=False`` recomputes the benefits
-        eagerly (the two agree bitwise — the cache invariant).
-        The lazy read does not re-score pending rows: they are never
-        admissible here.
+        given — candidates that do not fit.  The read does not re-score
+        pending rows: they are never admissible here.
         Returns ``(structure_id, benefit, space, ratio)`` or ``None``.
         """
         arr = np.asarray(ids, dtype=np.int64)
         if arr.size == 0:
             return None
-        if lazy:
-            benefits = self._ensure_singles()[arr]
-        else:
-            benefits = self.single_benefits(arr, lazy=False)
+        benefits = self._ensure_singles()[arr]
         spaces = self.spaces[arr]
         eligible = (benefits > 0.0) & ~self._selected_mask[arr]
         eligible &= self.is_view[arr] | self._selected_mask[self.view_id_of[arr]]

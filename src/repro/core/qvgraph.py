@@ -52,6 +52,20 @@ INDEX_KIND = "index"
 _VEC_CHUNK_CELLS = 2_000_000
 
 
+def _index_enumerator(index_universe: str):
+    """The per-view index enumerator :meth:`QueryViewGraph.from_cube`
+    uses for ``index_universe`` (``"fat"``, ``"all"`` or ``"none"``)."""
+    if index_universe == "fat":
+        return enumerate_fat_indexes
+    if index_universe == "all":
+        return enumerate_all_indexes
+    if index_universe == "none":
+        return lambda view: iter(())
+    raise ValueError(
+        f"index_universe must be 'fat', 'all' or 'none', got {index_universe!r}"
+    )
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     """A query node: name, default (raw-data) cost, and frequency weight."""
@@ -378,9 +392,14 @@ class QueryViewGraph:
         cost_model: Optional[LinearCostModel] = None,
         index_universe: str = "fat",
         skip_useless_index_edges: bool = True,
-        vectorized: Optional[bool] = None,
     ) -> "QueryViewGraph":
         """Build the query-view graph of a data cube.
+
+        The bitmask fast path builds it whenever the inputs allow (plain
+        :class:`LinearCostModel` over this lattice, plain
+        :class:`SliceQuery` queries, at most 20 dimensions); any other
+        input goes through the per-edge loop.  Both paths produce
+        node-for-node, edge-for-edge identical graphs.
 
         Parameters
         ----------
@@ -401,14 +420,6 @@ class QueryViewGraph:
         skip_useless_index_edges:
             When True (default), index edges that do not beat the plain
             view scan are omitted — they can never influence a selection.
-        vectorized:
-            ``None`` (default) uses the bitmask fast path whenever the
-            inputs allow it (plain :class:`LinearCostModel` over this
-            lattice, plain :class:`SliceQuery` queries) and falls back to
-            the reference per-edge loop otherwise.  ``True`` demands the
-            fast path (raises ``ValueError`` if ineligible); ``False``
-            forces the reference loop.  Both paths produce node-for-node,
-            edge-for-edge identical graphs.
         """
         if cost_model is None:
             cost_model = LinearCostModel(lattice)
@@ -417,39 +428,39 @@ class QueryViewGraph:
         else:
             queries = list(queries)
         frequencies = dict(frequencies or {})
+        index_enum = _index_enumerator(index_universe)
 
-        if index_universe == "fat":
-            index_enum = enumerate_fat_indexes
-        elif index_universe == "all":
-            index_enum = enumerate_all_indexes
-        elif index_universe == "none":
-            def index_enum(view):  # noqa: D401 - tiny local stub
-                return iter(())
-        else:
-            raise ValueError(
-                f"index_universe must be 'fat', 'all' or 'none', got {index_universe!r}"
-            )
-
-        fast_ok = (
-            vectorized is not False
-            and type(cost_model) is LinearCostModel
+        if (
+            type(cost_model) is LinearCostModel
             and cost_model.lattice is lattice
             and isinstance(lattice, CubeLattice)
             and lattice.schema.n_dims <= 20
             and cost_model.default_view.attrs <= set(lattice.schema.names)
             and all(type(q) is SliceQuery for q in queries)
-        )
-        if vectorized and not fast_ok:
-            raise ValueError(
-                "vectorized=True requires a plain LinearCostModel over this "
-                "lattice and plain SliceQuery inputs"
-            )
-        if fast_ok:
+        ):
             return cls._from_cube_vectorized(
                 lattice, queries, frequencies, cost_model.default_view,
                 index_enum, skip_useless_index_edges,
             )
+        return cls._from_cube_per_edge(
+            lattice, queries, frequencies, cost_model,
+            index_enum, skip_useless_index_edges,
+        )
 
+    @classmethod
+    def _from_cube_per_edge(
+        cls,
+        lattice: CubeLattice,
+        queries: Sequence[SliceQuery],
+        frequencies: Mapping[SliceQuery, float],
+        cost_model: LinearCostModel,
+        index_enum,
+        skip_useless_index_edges: bool,
+    ) -> "QueryViewGraph":
+        """Per-edge loop of :meth:`from_cube`: one ``cost_model.cost``
+        call and one :meth:`add_edge` per (query, structure) pair.  The
+        only path for a subclassed cost model, non-:class:`SliceQuery`
+        queries, and more than 20 dimensions."""
         graph = cls()
         for query in queries:
             graph.add_query(

@@ -137,8 +137,9 @@ def _load_checkpoint(
             f"differs from this run's {space:g}"
         )
     stored = document.get("algorithm")
-    # checkpoints from before the workers= knob was removed still carry
-    # it; it never changed a selection, so it does not block a resume
+    # checkpoints from before the workers= and lazy= knobs were removed
+    # still carry them; neither changed a selection, so neither blocks a
+    # resume
     if not isinstance(stored, dict) or algorithm_identity(stored) != identity:
         raise ValueError(
             f"{path}: checkpoint algorithm {document.get('algorithm')!r} "

@@ -72,16 +72,6 @@ def _aggregate(inverse, n_groups: int, values: np.ndarray, agg: str) -> np.ndarr
     return out
 
 
-def _group_aggregate(
-    key_cols: Tuple[np.ndarray, ...],
-    values: np.ndarray,
-    agg: str,
-) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """Group rows on the key columns and aggregate one value column."""
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
-    return unique_cols, _aggregate(inverse, n_groups, values, agg)
-
-
 def materialize_view(
     fact: FactTable,
     view: View,

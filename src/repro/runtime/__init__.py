@@ -22,9 +22,9 @@ builds the salvage path:
 
 :mod:`repro.runtime.faults`
     A deterministic fault-injection harness: kill a run at every stage
-    boundary, resume from the checkpoint, and assert the resumed
-    selection equals the golden uninterrupted one — with the lazy stage
-    loops on and off.
+    boundary, resume from the checkpoint with the algorithm rebuilt from
+    it, and assert the resumed selection equals the golden uninterrupted
+    one.
 """
 
 from repro.runtime.checkpoint import (

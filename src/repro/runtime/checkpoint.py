@@ -186,17 +186,19 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
 
 
 def algorithm_identity(config: Dict) -> Dict:
-    """An algorithm config without the legacy ``workers`` param.
+    """An algorithm config without the legacy ``workers`` and ``lazy``
+    params.
 
-    Checkpoints written while the greedy algorithms still took a
-    ``workers=`` stage-parallelism knob carry it in ``params``.  It never
-    affected what got selected, so it is dropped wherever configs are
-    compared or rebuilt, and those checkpoints stay resumable.
+    Older checkpoints carry constructor params no algorithm takes any
+    more: ``workers`` (stage parallelism) and ``lazy`` (the switch to a
+    full-rescan stage loop).  Neither ever changed a selection, so both
+    are dropped wherever configs are compared or rebuilt, and those
+    checkpoints stay resumable.
     """
     params = {
         key: value
         for key, value in dict(config.get("params", {})).items()
-        if key != "workers"
+        if key not in ("workers", "lazy")
     }
     return {**config, "params": params}
 

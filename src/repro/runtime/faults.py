@@ -10,14 +10,15 @@ The harness is the executable proof behind the checkpoint design:
    raises :class:`~repro.runtime.context.InjectedFault` right after the
    k-th checkpoint is taken, exactly like a crash between stages;
 3. round-trip that checkpoint through JSON (what a real crash leaves on
-   disk), rebuild the algorithm from its recorded config, and resume on
-   a fresh engine state;
+   disk), rebuild the algorithm from its recorded config, and resume
+   with the rebuilt algorithm on a fresh engine state, as
+   ``repro resume`` does;
 4. compare the resumed result against the golden run — structure ids in
    pick order, total benefit, and τ must match *exactly* (``==`` on
    floats, no tolerance).
 
-The matrix covers every selection algorithm with the lazy stage loops
-forced on and off.  Run it from the command line for the CI smoke::
+The matrix covers every selection algorithm.  Run it from the command
+line for the CI smoke::
 
     PYTHONPATH=src python -m repro.runtime.faults --dims 4 --pruned
 """
@@ -47,10 +48,9 @@ from repro.runtime.context import InjectedFault, RunContext
 
 @dataclass(frozen=True)
 class FaultCase:
-    """One kill-and-resume experiment: algorithm × lazy × k."""
+    """One kill-and-resume experiment: algorithm × k."""
 
     algorithm: str
-    lazy: bool
     stage: int
     n_stages: int
     ok: bool
@@ -58,9 +58,8 @@ class FaultCase:
 
     def __str__(self) -> str:
         status = "ok" if self.ok else "FAIL"
-        mode = "lazy" if self.lazy else "eager"
         base = (
-            f"[{status}] {self.algorithm} / {mode} "
+            f"[{status}] {self.algorithm} "
             f"killed at {self.stage}/{self.n_stages}"
         )
         return base + (f": {self.detail}" if self.detail else "")
@@ -105,27 +104,29 @@ def _roundtrip(checkpoint: Checkpoint) -> Checkpoint:
 
 
 def fault_scan(
-    run: Callable[[Optional[RunContext]], SelectionResult],
+    run: Callable[[object, Optional[RunContext]], SelectionResult],
+    algorithm,
     *,
-    algorithm: str,
-    lazy: bool,
-    rebuild: bool = True,
+    label: str,
 ) -> Tuple[SelectionResult, List[FaultCase]]:
-    """Kill ``run`` at every stage boundary and resume; return the cases.
+    """Kill ``algorithm`` at every stage boundary and resume; return the
+    cases, labelled ``label``.
 
-    ``run`` takes an optional context and executes one full selection on
-    a deterministic engine (the harness calls it repeatedly).  With
-    ``rebuild`` the resumed algorithm is reconstructed from the
-    checkpoint's config block via :func:`algorithm_from_config`,
-    exercising the cold-start path a real recovery would take.
+    ``run(algorithm, context)`` executes one full selection with the
+    given algorithm and optional context on a deterministic engine (the
+    harness calls it repeatedly).  The golden and killed runs use
+    ``algorithm``; every resume uses the algorithm rebuilt from the
+    round-tripped checkpoint by :func:`algorithm_from_config` — the
+    cold-start path ``repro resume`` takes — so a ``config()`` that
+    loses a parameter fails the cases where it changes the selection.
     """
     golden_context = RunContext()
-    golden = run(golden_context)
+    golden = run(algorithm, golden_context)
     n_stages = golden_context.stage_counter
     cases: List[FaultCase] = []
     for k in range(1, n_stages + 1):
         try:
-            run(RunContext(fault_stage=k))
+            run(algorithm, RunContext(fault_stage=k))
         except InjectedFault as fault:
             checkpoint = fault.checkpoint
             detail = ""
@@ -134,7 +135,7 @@ def fault_scan(
                 # a real crash there leaves no checkpoint, and recovery is
                 # simply starting over — which must land on the golden
                 # selection (mining is deterministic)
-                resumed = run(RunContext())
+                resumed = run(algorithm, RunContext())
                 detail = compare_results(golden, resumed)
             elif fault.result is None or not fault.result.interrupted:
                 detail = "fault did not carry an interrupted partial result"
@@ -142,16 +143,14 @@ def fault_scan(
                 detail = "fault carried no checkpoint"
             if not detail and not getattr(fault, "pre_engine", False):
                 checkpoint = _roundtrip(checkpoint)
-                if rebuild:
-                    algorithm_from_config(checkpoint.algorithm)
-                resumed = run(RunContext(resume_from=checkpoint))
+                rebuilt = algorithm_from_config(checkpoint.algorithm)
+                resumed = run(rebuilt, RunContext(resume_from=checkpoint))
                 detail = compare_results(golden, resumed)
         else:
             detail = f"no fault fired at boundary {k}"
         cases.append(
             FaultCase(
-                algorithm=algorithm,
-                lazy=lazy,
+                algorithm=label,
                 stage=k,
                 n_stages=n_stages,
                 ok=not detail,
@@ -164,8 +163,8 @@ def fault_scan(
 # --------------------------------------------------------------- the matrix
 
 
-def default_algorithms(lazy: bool) -> List[Tuple[str, object]]:
-    """The selection algorithms under test, built for one lazy mode."""
+def default_algorithms() -> List[Tuple[str, object]]:
+    """The selection algorithms under test."""
     from repro.algorithms import (
         HRUGreedy,
         InnerLevelGreedy,
@@ -175,11 +174,11 @@ def default_algorithms(lazy: bool) -> List[Tuple[str, object]]:
     )
 
     return [
-        ("RGreedy(r=2)", RGreedy(2, lazy=lazy)),
-        ("HRUGreedy", HRUGreedy(lazy=lazy)),
-        ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy)),
-        ("TwoStep", TwoStep(lazy=lazy)),
-        ("LocalSearchRefiner", LocalSearchRefiner(lazy=lazy)),
+        ("RGreedy(r=2)", RGreedy(2)),
+        ("HRUGreedy", HRUGreedy()),
+        ("InnerLevelGreedy", InnerLevelGreedy()),
+        ("TwoStep", TwoStep()),
+        ("LocalSearchRefiner", LocalSearchRefiner()),
     ]
 
 
@@ -194,8 +193,7 @@ def fault_matrix(
     graph: QueryViewGraph,
     space: float,
     *,
-    lazy_modes: Sequence[bool] = (False, True),
-    algorithms: Optional[Callable[..., List[Tuple[str, object]]]] = None,
+    algorithms: Optional[Callable[[], List[Tuple[str, object]]]] = None,
     seed: Optional[Sequence[str]] = None,
 ) -> List[FaultCase]:
     """Run the full kill/resume matrix; returns every case (ok or not).
@@ -211,22 +209,19 @@ def fault_matrix(
     engine = BenefitEngine(graph)
     run_seed = list(seed) if seed is not None else [top_view_of(engine)]
     base = RGreedy(1).run(engine, space, seed=run_seed)
-    for lazy in lazy_modes:
-        for label, algorithm in make_algorithms(lazy):
-            if hasattr(algorithm, "refine"):
-                def run(context=None, _a=algorithm):
-                    return _a.refine(
-                        engine,
-                        space,
-                        base.selected,
-                        protected=run_seed,
-                        context=context,
-                    )
-            else:
-                def run(context=None, _a=algorithm):
-                    return _a.run(engine, space, seed=run_seed, context=context)
-            __, scan = fault_scan(run, algorithm=label, lazy=lazy)
-            cases.extend(scan)
+
+    def refine(algorithm, context=None):
+        return algorithm.refine(
+            engine, space, base.selected, protected=run_seed, context=context
+        )
+
+    def run(algorithm, context=None):
+        return algorithm.run(engine, space, seed=run_seed, context=context)
+
+    for label, algorithm in make_algorithms():
+        scan_run = refine if hasattr(algorithm, "refine") else run
+        __, scan = fault_scan(scan_run, algorithm, label=label)
+        cases.extend(scan)
     return cases
 
 
@@ -261,7 +256,6 @@ def mined_cube_instance(
 def pruned_fault_matrix(
     n_dims: int = 4,
     *,
-    lazy_modes: Sequence[bool] = (False, True),
     budget_fraction: float = 0.05,
 ) -> List[FaultCase]:
     """Kill/resume matrix for *pruned* (workload-mined) advise runs.
@@ -283,26 +277,21 @@ def pruned_fault_matrix(
     space = smoke_budget(probe, budget_fraction)
     run_seed = [top_view_of(probe)]
 
+    def run(algorithm, context=None):
+        mined = mine_candidates(log, lattice.schema.names, **params)
+        if context is not None:
+            context.mining_boundary({"fingerprint": mined.fingerprint(), **params})
+        engine = BenefitEngine(QueryViewGraph.from_mined(lattice, mined))
+        return algorithm.run(engine, space, seed=run_seed, context=context)
+
     cases: List[FaultCase] = []
-    for lazy in lazy_modes:
-        algorithms = [
-            ("RGreedy(r=1)", RGreedy(1, lazy=lazy)),
-            ("RGreedy(r=2)", RGreedy(2, lazy=lazy)),
-            ("InnerLevelGreedy", InnerLevelGreedy(lazy=lazy)),
-        ]
-        for label, algorithm in algorithms:
-
-            def run(context=None, _a=algorithm):
-                mined = mine_candidates(log, lattice.schema.names, **params)
-                if context is not None:
-                    context.mining_boundary(
-                        {"fingerprint": mined.fingerprint(), **params}
-                    )
-                engine = BenefitEngine(QueryViewGraph.from_mined(lattice, mined))
-                return _a.run(engine, space, seed=run_seed, context=context)
-
-            __, scan = fault_scan(run, algorithm=f"pruned:{label}", lazy=lazy)
-            cases.extend(scan)
+    for label, algorithm in [
+        ("RGreedy(r=1)", RGreedy(1)),
+        ("RGreedy(r=2)", RGreedy(2)),
+        ("InnerLevelGreedy", InnerLevelGreedy()),
+    ]:
+        __, scan = fault_scan(run, algorithm, label=f"pruned:{label}")
+        cases.extend(scan)
     return cases
 
 

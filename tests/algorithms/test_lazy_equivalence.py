@@ -1,9 +1,12 @@
-"""Cross-checks: lazy vs eager stage loops on the one cost store.
+"""Cross-checks: each algorithm's one stage loop against its full-rescan
+reference.
 
-Every selection algorithm has a ``lazy`` switch whose loops consult the
-engine's maintained single-benefit cache and skip provably-no-op work
-(CELF-style).  The contract is *bit-identical results*: on any graph the
-lazy and eager loops must return the same structures in the same order,
+Every selection algorithm runs one stage loop: it reads the engine's
+maintained single-benefit cache and skips provably-no-op work through
+exact prunes.  ``tests/algorithms/eager_reference.py`` keeps the former
+full-rescan loops (full recomputes, no prune) as the reference.  The
+contract is *bit-identical results*: on any graph the production loop
+and its reference must return the same structures in the same order,
 with ``==`` benefit and τ, and ``==`` stages (structures, benefit, space,
 τ after).  These tests enforce the contract on the paper fixtures, on
 seeded random graphs with small integer costs (exact ties are common)
@@ -27,6 +30,11 @@ from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.datasets.paper_figure2 import FIGURE2_SPACE
 from repro.runtime.faults import _cube_graph, smoke_budget, top_view_of
+from tests.algorithms.eager_reference import (
+    EagerLocalSearchRefiner,
+    EagerReadEngine,
+    reference_of,
+)
 
 SEEDS = [0, 1, 2, 3, 4, 5, 6, 7]
 
@@ -66,22 +74,37 @@ def budget_for(graph: QueryViewGraph) -> float:
 
 
 ALGORITHMS = [
-    ("1-greedy", lambda lz: RGreedy(1, lazy=lz)),
-    ("2-greedy", lambda lz: RGreedy(2, lazy=lz)),
-    ("3-greedy", lambda lz: RGreedy(3, lazy=lz)),
-    ("1-greedy-paper", lambda lz: RGreedy(1, fit="paper", lazy=lz)),
-    ("hru", lambda lz: HRUGreedy(lazy=lz)),
-    ("inner-space", lambda lz: InnerLevelGreedy(lazy=lz)),
-    ("inner-peak", lambda lz: InnerLevelGreedy(ig_rule="peak", lazy=lz)),
-    ("two-step", lambda lz: TwoStep(lazy=lz)),
-    ("two-step-remaining", lambda lz: TwoStep(index_budget_mode="remaining", lazy=lz)),
+    ("1-greedy", lambda: RGreedy(1)),
+    ("2-greedy", lambda: RGreedy(2)),
+    ("3-greedy", lambda: RGreedy(3)),
+    ("1-greedy-paper", lambda: RGreedy(1, fit="paper")),
+    ("hru", lambda: HRUGreedy()),
+    ("inner-space", lambda: InnerLevelGreedy()),
+    ("inner-peak", lambda: InnerLevelGreedy(ig_rule="peak")),
+    ("two-step", lambda: TwoStep()),
+    ("two-step-remaining", lambda: TwoStep(index_budget_mode="remaining")),
 ]
 
 
 def all_variants(make, graph, space, seed=()):
-    """The eager (reference) and lazy runs on one engine, keyed by lazy."""
+    """The reference run, then the production run, on one engine."""
     engine = BenefitEngine(graph)
-    return {lazy: make(lazy).run(engine, space, seed=seed) for lazy in (False, True)}
+    algorithm = make()
+    return {
+        "reference": reference_of(algorithm).run(engine, space, seed=seed),
+        "production": algorithm.run(engine, space, seed=seed),
+    }
+
+
+def refine_variants(engine, space, selection, protected=()):
+    """Local search from ``selection``: reference, then production."""
+    return {
+        name: refiner.refine(engine, space, selection, protected=protected)
+        for name, refiner in (
+            ("reference", EagerLocalSearchRefiner()),
+            ("production", LocalSearchRefiner()),
+        )
+    }
 
 
 def assert_identical(results):
@@ -143,13 +166,7 @@ def test_local_search_on_cubes(fraction, cube):
     engine = BenefitEngine(graph)
     space = smoke_budget(engine, fraction)
     start = RGreedy(1).run(engine, space, seed=(top,))
-    results = {
-        lazy: LocalSearchRefiner(lazy=lazy).refine(
-            engine, space, start.selected, protected=(top,)
-        )
-        for lazy in (False, True)
-    }
-    assert_identical(results)
+    assert_identical(refine_variants(engine, space, start.selected, (top,)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -158,26 +175,41 @@ def test_local_search_equivalence(seed):
     space = budget_for(graph)
     engine = BenefitEngine(graph)
     start = RGreedy(1).run(engine, space)
-    results = {
-        lazy: LocalSearchRefiner(lazy=lazy).refine(engine, space, start.selected)
-        for lazy in (False, True)
-    }
-    assert_identical(results)
+    assert_identical(refine_variants(engine, space, start.selected))
 
 
-class EagerReadEngine(BenefitEngine):
-    """An engine whose single-benefit reads always recompute eagerly —
-    the reference for algorithms without a ``lazy`` switch."""
+def add_moves(result) -> int:
+    return sum(stage.structures[0].startswith("+") for stage in result.stages)
 
-    def single_benefits(self, ids=None, lazy=True):
-        return super().single_benefits(ids, lazy=False)
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_local_search_add_moves(seed):
+    """Refinements that start from 1-greedy at half the budget, so the
+    add-move scan (where the zero-single skip lives) has room to pick."""
+    graph = random_graph(seed)
+    space = budget_for(graph)
+    engine = BenefitEngine(graph)
+    start = RGreedy(1).run(engine, space / 2)
+    assert_identical(refine_variants(engine, space, start.selected))
+
+
+def test_local_search_add_fixtures_make_add_moves():
+    """The half-budget starts above do exercise the add-move scan."""
+    picks = 0
+    for seed in SEEDS:
+        graph = random_graph(seed)
+        space = budget_for(graph)
+        engine = BenefitEngine(graph)
+        start = RGreedy(1).run(engine, space / 2)
+        picks += add_moves(LocalSearchRefiner().refine(engine, space, start.selected))
+    assert picks >= 7
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
 @pytest.mark.parametrize("weight", [0.0, 0.5])
 def test_maintenance_aware_backend_parity(seed, weight):
     """Maintenance-aware greedy reads the maintained cache; its result
-    equals the run on eager reads."""
+    equals the run on recomputed reads."""
     graph = random_graph(seed)
     space = budget_for(graph)
     results = {
@@ -192,7 +224,7 @@ def test_maintenance_aware_backend_parity(seed, weight):
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_pbs_backend_parity(seed):
     """Pick-by-smallest gives the same result on a fresh engine and on
-    one reset after a lazy run left its cache and selection behind."""
+    one reset after a 2-greedy run left its cache and selection behind."""
     graph = random_graph(seed)
     space = budget_for(graph)
     reused = BenefitEngine(graph)

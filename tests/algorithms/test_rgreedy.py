@@ -11,6 +11,7 @@ from repro.core.qvgraph import QueryViewGraph
 from repro.cube.schema import CubeSchema, Dimension
 from repro.datasets.paper_figure2 import FIGURE2_SPACE
 from repro.estimation.sizes import analytical_lattice
+from tests.algorithms.eager_reference import EagerRGreedy, full_singles
 
 
 def chain_graph() -> QueryViewGraph:
@@ -230,7 +231,7 @@ def reference_stage(engine: BenefitEngine, r: int, space_left: float, strict: bo
     alone, then each ``{view} ∪ T`` (``|T| <= r − 1``) depth-first over
     its indexes ranked by gain over the view."""
     sink = ChainSink()
-    singles = engine.single_benefits(lazy=False)
+    singles = full_singles(engine)
     spaces = engine.spaces
     freq = engine.frequencies
     selected = engine.selected_mask
@@ -297,8 +298,9 @@ def tie_heavy_graph(seed: int) -> QueryViewGraph:
 
 
 class TestAgainstReferenceScan:
-    """Every stage picks what the unpruned one-offer-at-a-time scan picks
-    (lazy and eager singles are bitwise equal on the store)."""
+    """Every stage of the production loop and of the full-rescan
+    reference picks what the unpruned one-offer-at-a-time scan picks
+    (the maintained singles equal the full recompute bitwise)."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_stages_match(self, seed):
@@ -317,10 +319,10 @@ class TestAgainstReferenceScan:
                         break
                     engine.commit(sink.ids)
                     expected.append(tuple(engine.name_of(i) for i in sink.ids))
-                for lazy in (True, False):
-                    result = RGreedy(r, fit=fit, lazy=lazy).run(engine, space)
+                for cls in (RGreedy, EagerRGreedy):
+                    result = cls(r, fit=fit).run(engine, space)
                     got = [stage.structures for stage in result.stages]
-                    assert got == expected, (r, fit, lazy)
+                    assert got == expected, (r, fit, cls.__name__)
 
 
 def cube_lattice(n_dims: int):

@@ -3,8 +3,9 @@
 A dense ``(m × k)`` cost matrix built here from ``graph.edges()`` is the
 reference: every store query below is checked for *exact* (bitwise, not
 approximate) agreement with it — ``gains_for`` alone at ``rtol=1e-13``,
-since a matrix product sums in another order — because the lazy stage
-loops rely on maintained values matching an eager recompute.
+since a matrix product sums in another order — because the stage loops
+rely on maintained values matching a full recompute
+(``full_singles``, the recompute the tests' reference loops use).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
 from repro.datasets.paper_figure2 import figure2_graph
 from repro.runtime.faults import _cube_graph
+from tests.algorithms.eager_reference import eager_best_single, full_singles
 
 
 def small_graph() -> QueryViewGraph:
@@ -190,53 +192,43 @@ class TestNumpyOnlyBuild:
 
 
 class TestMaintainedSingles:
-    """The incremental cache must be *bitwise* equal to an eager pass."""
+    """The incremental cache must be *bitwise* equal to a full recompute."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cache_matches_eager_after_every_commit(self, seed):
         g = random_graph(seed)
         eng = BenefitEngine(g)
         rng = np.random.default_rng(seed + 100)
-        eng.single_benefits(lazy=True)  # prime the cache
+        eng.single_benefits()  # prime the cache
         views = list(eng.view_ids())
         rng.shuffle(views)
         for view in views[:4]:
             view = int(view)
             eng.commit([view])
-            assert np.array_equal(
-                eng.single_benefits(lazy=True), eng.single_benefits(lazy=False)
-            )
+            assert np.array_equal(eng.single_benefits(), full_singles(eng))
             for idx in eng.index_ids_of(view)[:2]:
                 eng.commit([int(idx)])
-                assert np.array_equal(
-                    eng.single_benefits(lazy=True), eng.single_benefits(lazy=False)
-                )
+                assert np.array_equal(eng.single_benefits(), full_singles(eng))
 
     def test_reset_invalidates(self):
         eng = BenefitEngine(small_graph())
-        eng.single_benefits(lazy=True)
+        eng.single_benefits()
         eng.commit([0])
         eng.reset()
-        assert np.array_equal(
-            eng.single_benefits(lazy=True), eng.single_benefits(lazy=False)
-        )
+        assert np.array_equal(eng.single_benefits(), full_singles(eng))
 
     def test_invalidate_full_and_partial(self):
         eng = BenefitEngine(small_graph())
-        eng.single_benefits(lazy=True)
+        eng.single_benefits()
         eng.invalidate()
-        assert np.array_equal(
-            eng.single_benefits(lazy=True), eng.single_benefits(lazy=False)
-        )
+        assert np.array_equal(eng.single_benefits(), full_singles(eng))
         eng.invalidate(ids=[0, 1])  # selective refresh of a live cache
-        assert np.array_equal(
-            eng.single_benefits(lazy=True), eng.single_benefits(lazy=False)
-        )
+        assert np.array_equal(eng.single_benefits(), full_singles(eng))
 
     def test_restricted_ids_read_from_cache(self):
         eng = BenefitEngine(small_graph())
-        whole = eng.single_benefits(lazy=True)
-        some = eng.single_benefits([2, 0], lazy=True)
+        whole = eng.single_benefits()
+        some = eng.single_benefits([2, 0])
         assert some[0] == whole[2] and some[1] == whole[0]
 
 
@@ -278,45 +270,43 @@ class TestPendingRows:
     def test_contract_after_every_commit(self, seed):
         g = random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35)
         bounded = BenefitEngine(g)  # only bound reads
-        read = BenefitEngine(g)  # full lazy reads
+        read = BenefitEngine(g)  # full cache reads
         for eng in (bounded, read):
-            eng.single_benefits(lazy=True)
+            eng.single_benefits()
         order = bounded.stage_candidates()
         saw_pending = False
         for ids in random_commits(bounded, np.random.default_rng(seed)):
             bounded.commit(ids)
             read.commit(ids)
-            exact = bounded.single_benefits(lazy=False)
+            exact = full_singles(bounded)
             bounds = bounded.single_benefit_bounds()
             live = pickable(bounded)
             assert np.array_equal(bounds[live], exact[live])
             assert np.all(bounds >= exact)
             saw_pending |= bool(np.any(bounds != exact))
-            assert bounded.best_single(order, lazy=True) == bounded.best_single(
-                order, lazy=False
-            )
-            assert np.array_equal(read.single_benefits(lazy=True), exact)
+            assert bounded.best_single(order) == eager_best_single(bounded, order)
+            assert np.array_equal(read.single_benefits(), exact)
         assert saw_pending  # the seeds do exercise deferred rows
         # a full read re-scores every pending row in place
-        assert np.array_equal(bounded.single_benefits(lazy=True), exact)
+        assert np.array_equal(bounded.single_benefits(), exact)
         assert np.array_equal(bounded.single_benefit_bounds(), exact)
 
     def pending_engine(self, seed=3):
         """An engine with some pending rows, and the rows."""
         eng = BenefitEngine(random_graph(seed, n_views=8, n_queries=30, edge_prob=0.35))
-        eng.single_benefits(lazy=True)
+        eng.single_benefits()
         views = [int(v) for v in eng.view_ids()]
         eng.commit(views[:3])
         stale = np.flatnonzero(
-            eng.single_benefit_bounds() != eng.single_benefits(lazy=False)
+            eng.single_benefit_bounds() != full_singles(eng)
         )
         assert stale.size
         return eng, stale
 
     def test_restricted_read_rescores_only_what_it_returns(self):
         eng, stale = self.pending_engine()
-        got = eng.single_benefits(stale[:1], lazy=True)
-        exact = eng.single_benefits(lazy=False)
+        got = eng.single_benefits(stale[:1])
+        exact = full_singles(eng)
         assert got[0] == exact[stale[0]]
         bounds = eng.single_benefit_bounds()
         assert bounds[stale[0]] == exact[stale[0]]
@@ -327,14 +317,14 @@ class TestPendingRows:
         eng, stale = self.pending_engine()
         view = int(eng.view_id_of[stale[0]])
         eng.commit([view])
-        exact = eng.single_benefits(lazy=False)
+        exact = full_singles(eng)
         rows = eng.index_ids_of(view)
         assert np.array_equal(eng.single_benefit_bounds()[rows], exact[rows])
 
     def test_invalidate_reset_and_restore_leave_no_stale_bound(self):
         eng, stale = self.pending_engine()
         eng.invalidate(ids=stale[:2])
-        exact = eng.single_benefits(lazy=False)
+        exact = full_singles(eng)
         assert np.array_equal(eng.single_benefit_bounds()[stale[:2]], exact[stale[:2]])
         eng.invalidate()
         assert np.array_equal(eng.single_benefit_bounds(), exact)
@@ -343,11 +333,11 @@ class TestPendingRows:
         snap = eng.snapshot()
         eng.commit([int(v) for v in eng.view_ids()[3:5]])
         eng.restore(snap)
-        assert np.array_equal(eng.single_benefit_bounds(), eng.single_benefits(lazy=False))
+        assert np.array_equal(eng.single_benefit_bounds(), full_singles(eng))
 
         eng, stale = self.pending_engine()
         eng.reset()
-        assert np.array_equal(eng.single_benefit_bounds(), eng.single_benefits(lazy=False))
+        assert np.array_equal(eng.single_benefit_bounds(), full_singles(eng))
 
     def test_bounds_are_read_only(self):
         eng = BenefitEngine(small_graph())
@@ -357,7 +347,7 @@ class TestPendingRows:
 
 class TestLazyBestSingle:
     def eager_best(self, eng, ids, space_left=None):
-        benefits = eng.single_benefits(ids, lazy=False)
+        benefits = full_singles(eng, ids)
         best = None
         best_ratio = 0.0
         for pos, sid in enumerate(ids):
@@ -385,7 +375,7 @@ class TestLazyBestSingle:
         ids = eng.stage_candidates()
         while True:
             expected = self.eager_best(eng, ids)
-            got = eng.lazy_best_single(ids)
+            got = eng.best_single(ids)
             if expected is None:
                 assert got is None
                 break
@@ -394,20 +384,20 @@ class TestLazyBestSingle:
 
     def test_space_limit_filters(self):
         eng = BenefitEngine(small_graph())
-        unconstrained = eng.lazy_best_single(eng.stage_candidates())
+        unconstrained = eng.best_single(eng.stage_candidates())
         assert unconstrained is not None
-        tight = eng.lazy_best_single(eng.stage_candidates(), space_left=0.0)
+        tight = eng.best_single(eng.stage_candidates(), space_left=0.0)
         assert tight is None
 
     def test_empty_candidates(self):
         eng = BenefitEngine(small_graph())
-        assert eng.lazy_best_single(np.empty(0, dtype=np.int64)) is None
+        assert eng.best_single(np.empty(0, dtype=np.int64)) is None
 
     def test_inadmissible_indexes_skipped(self):
         eng = BenefitEngine(small_graph())
         idx = int(eng.structure_id("i0"))
         # i0 alone is not offerable: its view is unselected
-        assert eng.lazy_best_single(np.array([idx])) is None
+        assert eng.best_single(np.array([idx])) is None
         eng.commit([int(eng.structure_id("v0"))])
-        pick = eng.lazy_best_single(np.array([idx]))
+        pick = eng.best_single(np.array([idx]))
         assert pick is not None and pick[0] == idx

@@ -1,8 +1,9 @@
 """The bitmask fast path of :meth:`QueryViewGraph.from_cube` and the bulk
 edge-block storage behind it.
 
-The reference per-edge loop is kept verbatim; the fast path must produce a
-node-for-node, edge-for-edge, value-identical graph.
+The per-edge loop (``QueryViewGraph._from_cube_per_edge``, the path for
+inputs the fast path cannot take) is the reference; the fast path must
+produce a node-for-node, edge-for-edge, value-identical graph.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from repro.core.benefit import BenefitEngine
 from repro.core.costmodel import LinearCostModel
 from repro.core.lattice import CubeLattice
-from repro.core.qvgraph import QueryViewGraph
+from repro.core.qvgraph import QueryViewGraph, _index_enumerator
 from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
@@ -24,6 +25,26 @@ def lattice_of(n_dims: int) -> CubeLattice:
         [Dimension(chr(ord("a") + i), c) for i, c in enumerate(cards)]
     )
     return analytical_lattice(schema, max(1.0, 0.1 * schema.dense_cells))
+
+
+def per_edge(
+    lat: CubeLattice,
+    queries=None,
+    frequencies=None,
+    index_universe: str = "fat",
+    skip_useless_index_edges: bool = True,
+) -> QueryViewGraph:
+    """The per-edge loop on ``from_cube``'s default inputs."""
+    if queries is None:
+        queries = list(enumerate_slice_queries(lat.schema.names))
+    return QueryViewGraph._from_cube_per_edge(
+        lat,
+        list(queries),
+        dict(frequencies or {}),
+        LinearCostModel(lat),
+        _index_enumerator(index_universe),
+        skip_useless_index_edges,
+    )
 
 
 def graphs_equal(a: QueryViewGraph, b: QueryViewGraph) -> None:
@@ -45,10 +66,7 @@ def graphs_equal(a: QueryViewGraph, b: QueryViewGraph) -> None:
 def test_fast_path_identical_to_reference(n_dims, index_universe):
     lat = lattice_of(n_dims)
     fast = QueryViewGraph.from_cube(lat, index_universe=index_universe)
-    slow = QueryViewGraph.from_cube(
-        lat, index_universe=index_universe, vectorized=False
-    )
-    graphs_equal(fast, slow)
+    graphs_equal(fast, per_edge(lat, index_universe=index_universe))
 
 
 def test_fast_path_identical_with_frequencies_and_subset_of_queries():
@@ -56,19 +74,13 @@ def test_fast_path_identical_with_frequencies_and_subset_of_queries():
     queries = list(enumerate_slice_queries(lat.schema.names))[::3]
     freqs = {q: 1.0 + (i % 4) for i, q in enumerate(queries)}
     fast = QueryViewGraph.from_cube(lat, queries, frequencies=freqs)
-    slow = QueryViewGraph.from_cube(
-        lat, queries, frequencies=freqs, vectorized=False
-    )
-    graphs_equal(fast, slow)
+    graphs_equal(fast, per_edge(lat, queries, frequencies=freqs))
 
 
 def test_fast_path_identical_without_useless_edge_skip():
     lat = lattice_of(2)
     fast = QueryViewGraph.from_cube(lat, skip_useless_index_edges=False)
-    slow = QueryViewGraph.from_cube(
-        lat, skip_useless_index_edges=False, vectorized=False
-    )
-    graphs_equal(fast, slow)
+    graphs_equal(fast, per_edge(lat, skip_useless_index_edges=False))
 
 
 def test_fast_path_identical_when_empty_view_has_two_rows():
@@ -86,16 +98,14 @@ def test_fast_path_identical_when_empty_view_has_two_rows():
     for skip in (True, False):
         graphs_equal(
             QueryViewGraph.from_cube(lat, skip_useless_index_edges=skip),
-            QueryViewGraph.from_cube(
-                lat, skip_useless_index_edges=skip, vectorized=False
-            ),
+            per_edge(lat, skip_useless_index_edges=skip),
         )
 
 
 def test_compiled_engines_identical():
     lat = lattice_of(3)
     fast = BenefitEngine(QueryViewGraph.from_cube(lat))
-    slow = BenefitEngine(QueryViewGraph.from_cube(lat, vectorized=False))
+    slow = BenefitEngine(per_edge(lat))
     assert fast.n_structures == slow.n_structures
     for sid in range(fast.n_structures):
         assert np.array_equal(fast.cost_row(sid), slow.cost_row(sid))
@@ -104,37 +114,29 @@ def test_compiled_engines_identical():
     assert np.array_equal(fast.spaces, slow.spaces)
 
 
-def test_vectorized_true_rejects_foreign_queries():
+def test_subclassed_cost_model_falls_back_silently(monkeypatch):
+    """A subclassed cost model, or a subclassed query, takes the per-edge
+    loop and still builds the same graph."""
     lat = lattice_of(2)
+
+    class OddModel(LinearCostModel):
+        pass
 
     class OddQuery(SliceQuery):
         pass
 
-    # a subclassed query disables the fast path
-    odd = [SliceQuery.__new__(OddQuery)]
-    with pytest.raises(ValueError):
-        QueryViewGraph.from_cube(lat, odd, vectorized=True)
+    ref = QueryViewGraph.from_cube(lat)
 
+    def no_fast_path(*args):
+        raise AssertionError("a subclassed input took the fast path")
 
-def test_vectorized_true_rejects_foreign_cost_model():
-    lat = lattice_of(2)
-
-    class OddModel(LinearCostModel):
-        pass
-
-    with pytest.raises(ValueError):
-        QueryViewGraph.from_cube(lat, cost_model=OddModel(lat), vectorized=True)
-
-
-def test_subclassed_cost_model_falls_back_silently():
-    lat = lattice_of(2)
-
-    class OddModel(LinearCostModel):
-        pass
-
-    ref = QueryViewGraph.from_cube(lat, vectorized=False)
-    fallback = QueryViewGraph.from_cube(lat, cost_model=OddModel(lat))
-    graphs_equal(ref, fallback)
+    monkeypatch.setattr(QueryViewGraph, "_from_cube_vectorized", no_fast_path)
+    odd = [
+        OddQuery(q.groupby, q.selection)
+        for q in enumerate_slice_queries(lat.schema.names)
+    ]
+    graphs_equal(ref, QueryViewGraph.from_cube(lat, cost_model=OddModel(lat)))
+    graphs_equal(ref, QueryViewGraph.from_cube(lat, odd))
 
 
 class TestBulkEdges:

@@ -100,17 +100,21 @@ class TestCheckpoint:
     def test_legacy_workers_param_still_resumes(
         self, dist_model4, partitioned4, tmp_path
     ):
-        """Checkpoints from before the ``workers=`` knob was removed name
-        it in the algorithm params; they still resume every partition."""
+        """Checkpoints from before the ``workers=`` and ``lazy=`` knobs
+        were removed name them in the algorithm params; they still resume
+        every partition."""
         lattice = dist_model4.lattice
         path = tmp_path / "divergent.ckpt"
         first = advise(lattice, partitioned4, checkpoint_path=str(path))
         document = json.loads(path.read_text())
         document["algorithm"]["params"]["workers"] = None
-        path.write_text(json.dumps(document))
-        second = advise(lattice, partitioned4, checkpoint_path=str(path))
-        assert all(plan.resumed for plan in second.plans)
-        assert second.selections == first.selections
+        for lazy in (None, True, False):
+            document["algorithm"]["params"]["lazy"] = lazy
+            path.write_text(json.dumps(document))
+            second = advise(lattice, partitioned4, checkpoint_path=str(path))
+            assert all(plan.resumed for plan in second.plans), lazy
+            assert second.selections == first.selections, lazy
+            assert [p.tau for p in second.plans] == [p.tau for p in first.plans]
 
     def test_fingerprint_mismatch_rejected(
         self, dist_model4, dist_counts4, partitioned4, tmp_path

@@ -7,13 +7,16 @@ import math
 import pytest
 
 from repro.algorithms import (
+    FIT_PAPER,
     HRUGreedy,
     InnerLevelGreedy,
+    LocalSearchRefiner,
     MaintenanceAwareGreedy,
     RGreedy,
     TwoStep,
 )
 from repro.core.benefit import BenefitEngine
+from repro.datasets.paper_figure2 import FIGURE2_SPACE
 from repro.runtime import (
     CheckpointError,
     RunContext,
@@ -129,9 +132,9 @@ class TestValidation:
 
 class TestAlgorithmFromConfig:
     def test_round_trips_constructor_params(self):
-        rebuilt = algorithm_from_config(RGreedy(2, lazy=True).config())
+        rebuilt = algorithm_from_config(RGreedy(2, fit=FIT_PAPER).config())
         assert isinstance(rebuilt, RGreedy)
-        assert rebuilt.config() == RGreedy(2, lazy=True).config()
+        assert rebuilt.config() == RGreedy(2, fit=FIT_PAPER).config()
 
     def test_unknown_class_rejected(self):
         with pytest.raises(CheckpointError, match="unknown algorithm"):
@@ -183,11 +186,16 @@ class TestResumeGuards:
             )
 
 
+#: ``params.lazy`` as checkpoints written before the full-rescan stage
+#: loops were removed carry it (``None`` was the default)
+LEGACY_LAZY = (None, True, False)
+
+
 class TestLegacyCheckpoints:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: RGreedy(2, lazy=False),
+            lambda: RGreedy(2),
             lambda: HRUGreedy(),
             lambda: InnerLevelGreedy(),
             lambda: TwoStep(),
@@ -197,9 +205,10 @@ class TestLegacyCheckpoints:
     )
     def test_workers_fields_resume_bit_identically(self, make, tmp_path):
         """Checkpoints written while the greedy algorithms still took a
-        ``workers=`` knob carry ``params.workers`` and ``extra.workers``.
-        They rebuild, pass the resume guards, and finish bit-identical
-        to the uninterrupted run."""
+        ``workers=`` knob carry ``params.workers`` and ``extra.workers``,
+        and those written while they took ``lazy=`` carry
+        ``params.lazy``.  They rebuild, pass the resume guards, and
+        finish bit-identical to the uninterrupted run."""
         graph = _cube_graph(4)
         probe = BenefitEngine(graph)
         space = smoke_budget(probe, 0.3)
@@ -219,15 +228,51 @@ class TestLegacyCheckpoints:
         document["algorithm"]["params"]["workers"] = 2
         document["extra"]["workers"] = 2
         path = tmp_path / "legacy.ckpt"
-        path.write_text(json.dumps(document))
+        for lazy in LEGACY_LAZY:
+            document["algorithm"]["params"]["lazy"] = lazy
+            path.write_text(json.dumps(document))
 
-        legacy = load_checkpoint(path)
-        algorithm = algorithm_from_config(legacy.algorithm)
-        resumed = run(algorithm, RunContext(resume_from=legacy))
-        assert compare_results(golden, resumed) == ""
-        assert [s.benefit for s in resumed.stages] == [
-            s.benefit for s in golden.stages
-        ]
+            legacy = load_checkpoint(path)
+            algorithm = algorithm_from_config(legacy.algorithm)
+            resumed = run(algorithm, RunContext(resume_from=legacy))
+            assert compare_results(golden, resumed) == "", lazy
+            assert [s.benefit for s in resumed.stages] == [
+                s.benefit for s in golden.stages
+            ], lazy
+
+    def test_local_search_lazy_param_resumes(self, fig2_g, tmp_path):
+        """Local search checkpoints carried ``params.lazy`` too; they
+        resume through ``refine`` to the uninterrupted result."""
+        engine = BenefitEngine(fig2_g)
+        base = RGreedy(1, fit=FIT_PAPER).run(engine, FIGURE2_SPACE).selected
+
+        def refine(refiner, context):
+            return refiner.refine(engine, FIGURE2_SPACE, base, context=context)
+
+        golden = refine(LocalSearchRefiner(), RunContext())
+        with pytest.raises(InjectedFault) as excinfo:
+            refine(LocalSearchRefiner(), RunContext(fault_stage=1))
+        document = excinfo.value.checkpoint.to_dict()
+        path = tmp_path / "legacy.ckpt"
+        for lazy in LEGACY_LAZY:
+            document["algorithm"]["params"]["lazy"] = lazy
+            path.write_text(json.dumps(document))
+
+            legacy = load_checkpoint(path)
+            refiner = algorithm_from_config(legacy.algorithm)
+            assert isinstance(refiner, LocalSearchRefiner)
+            resumed = refine(refiner, RunContext(resume_from=legacy))
+            assert compare_results(golden, resumed) == "", lazy
+            assert resumed.stages == golden.stages, lazy
+
+    @pytest.mark.parametrize(
+        "make", [RGreedy, HRUGreedy, InnerLevelGreedy, TwoStep, LocalSearchRefiner]
+    )
+    def test_lazy_keyword_is_gone(self, make):
+        """Only a checkpoint's params may still name ``lazy``; passed to a
+        constructor it is an unknown keyword like any other."""
+        with pytest.raises(TypeError, match="lazy"):
+            make(lazy=None)
 
 
 class TestReplayTolerance:

@@ -23,10 +23,10 @@ from repro.runtime.faults import (
 
 class TestFaultMatrixD5:
     """The acceptance matrix at d=5: every algorithm, every stage
-    boundary, lazy loops on and off.
+    boundary.
 
     The budget fraction is the smallest that still gives local search an
-    improving move to checkpoint (~230 cases in ~5s); the CI smoke and
+    improving move to checkpoint (~115 cases in ~3s); the CI smoke and
     ``python -m repro.runtime.faults --dims 5`` run the wider-budget
     version.
     """
@@ -41,24 +41,21 @@ class TestFaultMatrixD5:
         failures = [str(case) for case in cases if not case.ok]
         assert failures == []
 
-    def test_matrix_covers_all_algorithms_and_modes(self, cases):
-        expected = {label for label, __ in default_algorithms(lazy=False)}
+    def test_matrix_covers_all_algorithms(self, cases):
+        expected = {label for label, __ in default_algorithms()}
         assert {case.algorithm for case in cases} == expected
-        assert {case.lazy for case in cases} == {False, True}
 
     def test_every_boundary_was_killed(self, cases):
-        """Each (algorithm, lazy) combination has one case per stage
-        boundary, 1..n_stages."""
-        by_combo = {}
+        """Each algorithm has one case per stage boundary, 1..n_stages."""
+        by_algorithm = {}
         for case in cases:
-            key = (case.algorithm, case.lazy)
-            by_combo.setdefault(key, []).append(case)
-        for key, combo_cases in by_combo.items():
-            stages = sorted(case.stage for case in combo_cases)
-            n = combo_cases[0].n_stages
-            assert stages == list(range(1, n + 1)), key
-            if key[0] != "LocalSearchRefiner":  # may have few moves
-                assert n >= 2, key  # the matrix must exercise resume
+            by_algorithm.setdefault(case.algorithm, []).append(case)
+        for label, algorithm_cases in by_algorithm.items():
+            stages = sorted(case.stage for case in algorithm_cases)
+            n = algorithm_cases[0].n_stages
+            assert stages == list(range(1, n + 1)), label
+            if label != "LocalSearchRefiner":  # may have few moves
+                assert n >= 2, label  # the matrix must exercise resume
 
 
 class TestLocalSearchOnFigure2:
@@ -68,17 +65,46 @@ class TestLocalSearchOnFigure2:
     def test_kill_resume_with_real_moves(self, fig2_g):
         engine = BenefitEngine(fig2_g)
         base = RGreedy(1, fit=FIT_PAPER).run(engine, FIGURE2_SPACE)
-        refiner = LocalSearchRefiner()
 
-        def run(context=None):
+        def run(refiner, context=None):
             return refiner.refine(
                 engine, FIGURE2_SPACE, base.selected, context=context
             )
 
-        golden, cases = fault_scan(run, algorithm="LocalSearchRefiner", lazy=False)
+        golden, cases = fault_scan(
+            run, LocalSearchRefiner(), label="LocalSearchRefiner"
+        )
         assert golden.benefit >= 194  # it escaped the 1-greedy trap (46)
         assert len(cases) >= 2  # improving rounds produced boundaries
         assert [str(c) for c in cases if not c.ok] == []
+
+
+class TestResumesWithRebuiltAlgorithm:
+    def test_config_that_drops_r_fails(self, fig2_g, monkeypatch):
+        """Every resume runs the algorithm rebuilt from the checkpoint,
+        as ``repro resume`` does, so a ``config()`` that loses a
+        parameter which changes selections shows up as failed cases."""
+        engine = BenefitEngine(fig2_g)
+
+        def scan():
+            def run(algorithm, context=None):
+                return algorithm.run(engine, FIGURE2_SPACE, context=context)
+
+            __, cases = fault_scan(run, RGreedy(2), label="RGreedy(r=2)")
+            return [str(case) for case in cases if not case.ok]
+
+        assert scan() == []
+        # without "r" the checkpoint rebuilds a 1-greedy, which resumes
+        # Figure 2 onto another selection than the golden 2-greedy
+        config = RGreedy.config
+
+        def config_without_r(self):
+            document = config(self)
+            del document["params"]["r"]
+            return document
+
+        monkeypatch.setattr(RGreedy, "config", config_without_r)
+        assert scan() != []
 
 
 class TestHarnessSelfChecks:

@@ -24,8 +24,8 @@ from repro.runtime.faults import mined_cube_instance, pruned_fault_matrix
 class TestPrunedFaultMatrix:
     @pytest.fixture(scope="class")
     def cases(self):
-        # d=3, eager+lazy: the fast cross-section (the d=4 matrix runs
-        # in CI via python -m repro.runtime.faults --pruned)
+        # d=3: the fast cross-section (the d=4 matrix runs in CI via
+        # python -m repro.runtime.faults --pruned)
         return pruned_fault_matrix(3)
 
     def test_every_case_resumes_bit_identical(self, cases):
@@ -33,13 +33,14 @@ class TestPrunedFaultMatrix:
         assert failures == []
 
     def test_mining_boundary_killed_in_every_combination(self, cases):
-        by_combo = {}
+        by_algorithm = {}
         for case in cases:
-            by_combo.setdefault((case.algorithm, case.lazy), []).append(case)
-        for key, combo_cases in by_combo.items():
-            stages = sorted(case.stage for case in combo_cases)
-            n = combo_cases[0].n_stages
-            assert stages == list(range(1, n + 1)), key
+            by_algorithm.setdefault(case.algorithm, []).append(case)
+        assert len(by_algorithm) == 3
+        for label, algorithm_cases in by_algorithm.items():
+            stages = sorted(case.stage for case in algorithm_cases)
+            n = algorithm_cases[0].n_stages
+            assert stages == list(range(1, n + 1)), label
             assert 1 in stages  # the mining boundary itself
 
     def test_algorithms_labeled_pruned(self, cases):

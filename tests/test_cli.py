@@ -306,6 +306,7 @@ class TestRuntimeFlags:
         )
         assert rc == 3
         assert "repro resume" in capsys.readouterr().err
+        document = json.loads(ckpt.read_text())
         resumed_file = tmp_path / "resumed.json"
         rc = main(
             ["resume", "--lattice", cube_file, "--checkpoint", str(ckpt),
@@ -319,6 +320,21 @@ class TestRuntimeFlags:
         assert resumed["selected"] == full["selected"]
         assert resumed["benefit"] == full["benefit"]
         assert resumed["interrupted"] is False
+
+        # checkpoints written while the algorithms took lazy= carry
+        # params.lazy; they finish to the same selection, benefit and τ
+        assert document["stage_counter"] == 1
+        for lazy in (None, True, False):
+            document["algorithm"]["params"]["lazy"] = lazy
+            ckpt.write_text(json.dumps(document))
+            assert main(
+                ["resume", "--lattice", cube_file, "--checkpoint", str(ckpt),
+                 "--output", str(resumed_file)]
+            ) == 0
+            resumed = json.loads(resumed_file.read_text())
+            for key in ("selected", "benefit", "tau"):
+                assert resumed[key] == full[key], (lazy, key)
+        capsys.readouterr()
 
     def test_resume_wrong_index_universe_exits_2(
         self, cube_file, tmp_path, capsys
