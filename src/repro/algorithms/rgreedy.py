@@ -18,10 +18,9 @@ uses at most ``S + r − 1`` units and achieves at least
 The running time is ``O(k · m^r)`` for ``m`` structures and ``k`` stages.
 A stage offers its candidates in one canonical view-major order, and
 runs of single candidates (bare views, and unselected indexes of selected
-views) between two bundle roots go to the incumbent chain as one array
-step (:func:`offer_singles`); Python runs once per unselected view that
-can root a bundle.  Two layers of pruning keep moderate-to-large
-dimensions practical without changing the result:
+views) between two visited bundle roots go to the incumbent chain as one
+array step (:func:`offer_singles`).  Three layers of pruning keep
+moderate-to-large dimensions practical without changing the result:
 
 * the inner subset search prunes with a submodularity-based upper bound
   (sound: individual index gains computed against the stage's base state
@@ -29,13 +28,19 @@ dimensions practical without changing the result:
 * per-structure benefits come from the engine's incrementally
   maintained cache instead of a full re-scan, and a whole view's index
   subtree is skipped when an upper bound on any bundle ratio cannot
-  displace the stage incumbent.  The bound is tried first on the cached
-  values, where the indexes of an unselected view may be *pending* upper
-  bounds (see :mod:`repro.core.benefit`); only a subtree they fail to
-  prune has its pending indexes re-scored, then the exact bound and the
-  subset search run.  Candidates are still offered in the canonical
-  order with the same tie-break rule, so the stages equal those of an
-  unpruned full-rescan loop (the tests keep one as the reference).
+  displace the stage incumbent;
+* one array pass before the per-root loop computes that bound for
+  every bundle root on the cached values, where the indexes of an
+  unselected view may be *pending* upper bounds (see
+  :mod:`repro.core.benefit`), and compares it with the running maximum
+  of the single candidates' ratios offered up to the root, which the
+  incumbent's prune ratio is never below.  Python runs only for the
+  roots that beat it: it re-scores their pending indexes, prunes again
+  on exact values and runs the subset search.
+
+Candidates are still offered in the canonical order with the same
+tie-break rule, so the stages equal those of an unpruned full-rescan
+loop (the tests keep one as the reference).
 """
 
 from __future__ import annotations
@@ -156,38 +161,27 @@ class RGreedy(SelectionAlgorithm):
         single = ~selected[order] & (is_view | selected[engine.view_id_of[order]])
         if strict:
             single &= engine.spaces[order] <= space_left + SPACE_EPS
-        # each offered view roots bundles, offered right after it; the
-        # singles between two roots go to the sink as one array run
-        roots = np.flatnonzero(single & is_view).tolist()
+        # a root the bound pass keeps has its bundles offered right after
+        # it; the singles between two kept roots go to the sink as one
+        # array run
         start = 0
-        for pos in roots:
-            view_id = int(order[pos])
-            idx_ids = engine.index_ids_of(view_id)
-            unselected_idx = idx_ids[~selected[idx_ids]]
-            if unselected_idx.size == 0:
-                continue
-            view_benefit = float(singles[view_id])
-            view_space = float(engine.spaces[view_id])
-
-            def pruned(idx_singles: np.ndarray) -> bool:
-                return self._subtree_pruned(
-                    engine, best, view_benefit, view_space,
-                    unselected_idx, idx_singles, space_left, strict,
-                )
-
-            idx_singles = singles[unselected_idx]
-            # offering the run first can only raise the incumbent, so a
-            # subtree the cached bounds prune now stays pruned after it
-            if pruned(idx_singles):
-                continue
+        for pos in self._bundle_roots(
+            engine, order, is_view, single, singles, space_left, strict
+        ):
             offer_singles(best, order[start : pos + 1][single[start : pos + 1]],
                           singles, engine.spaces)
             start = pos + 1
-            if pruned(idx_singles):
-                continue
+            view_id = int(order[pos])
+            idx_ids = engine.index_ids_of(view_id)
+            unselected_idx = idx_ids[~selected[idx_ids]]
+            view_benefit = float(singles[view_id])
+            view_space = float(engine.spaces[view_id])
             # re-score the view's pending indexes for the exact prune
             idx_singles = engine.single_benefits(unselected_idx)
-            if pruned(idx_singles):
+            if self._subtree_pruned(
+                engine, best, view_benefit, view_space,
+                unselected_idx, idx_singles, space_left, strict,
+            ):
                 continue
             self._search_index_subsets(
                 engine,
@@ -205,6 +199,69 @@ class RGreedy(SelectionAlgorithm):
         offer_singles(best, order[start:][single[start:]], singles, engine.spaces)
         return best
 
+    def _bundle_roots(
+        self,
+        engine: BenefitEngine,
+        order: np.ndarray,
+        is_view: np.ndarray,
+        single: np.ndarray,
+        singles: np.ndarray,
+        space_left: float,
+        strict: bool,
+    ) -> list:
+        """Positions in ``order`` of the offered views whose bundles the
+        stage must visit, from one array pass over every root.
+
+        A root's bound is :meth:`_subtree_pruned`'s on the cached
+        singles, computed with the same float operations.  Once the
+        stage has offered every single candidate up to a root, the
+        incumbent's prune ratio is at least the running maximum of those
+        candidates' ratios (each one either displaced the incumbent or
+        fell at or below its prune ratio, and the incumbent only rises).
+        A root whose bound does not beat that maximum would be pruned
+        there; skipping it only joins two runs of singles into one, which
+        ends the chain exactly as the two runs would.  A root with no
+        positive unselected index is never visited: its subtree holds no
+        bundle that beats the bare view.
+        """
+        spaces = engine.spaces[order]
+        values = singles[order]
+        # running maximum of the offered singles' ratios (a single of
+        # benefit 0 is not offered, and its ratio 0 raises no maximum)
+        running = np.maximum.accumulate(np.where(single, values / spaces, 0.0))
+        # each view heads the segment of its indexes in the offer order;
+        # a bundle adds positive index singles (under an unselected root
+        # every index is unselected: an index is selected with its view)
+        heads = np.flatnonzero(is_view)
+        rest = np.where(is_view, 0.0, values)
+        top = np.maximum.reduceat(rest, heads)
+        keep = single[heads] & (top > 0.0)
+        roots = heads[keep]
+        min_space = np.minimum.reduceat(np.where(rest > 0.0, spaces, np.inf), heads)
+        min_space = min_space[keep]
+        view_space = spaces[roots]
+        threshold = running[roots]
+        cum = values[roots]
+        beats = np.zeros(roots.size, dtype=bool)
+        for k in range(1, self.r):
+            if k > 1:
+                # take one copy of each segment's last top out of the run
+                seg_top = np.repeat(top, np.diff(heads, append=rest.size))
+                at_top = (rest > 0.0) & (rest == seg_top)
+                first = np.minimum.reduceat(
+                    np.where(at_top, np.arange(rest.size), rest.size), heads
+                )
+                rest[first[first < rest.size]] = 0.0
+                top = np.maximum.reduceat(rest, heads)
+            extra = top[keep]
+            cum = cum + extra
+            bundle_space = view_space + k * min_space
+            fits = extra > 0.0
+            if strict:
+                fits &= bundle_space <= space_left + SPACE_EPS
+            beats |= fits & (cum > threshold * bundle_space)
+        return roots[beats].tolist()
+
     def _subtree_pruned(
         self,
         engine,
@@ -218,7 +275,8 @@ class RGreedy(SelectionAlgorithm):
     ) -> bool:
         """True when no ``{view} ∪ T`` bundle can displace the incumbent.
 
-        Upper bound from the index singles (exact or cached upper bounds):
+        Upper bound from the index singles (re-scored, so exact; the
+        bound pass of :meth:`_bundle_roots` applies it to cached values):
         a ``k``-index bundle's benefit is at most ``view_benefit + (top k
         index singles)`` (subadditivity) and its space at least
         ``view_space + k · min index space``, so if every such ratio fails

@@ -32,6 +32,21 @@ the cache.  Every read equals a full recompute bitwise; the tests keep
 the former full-rescan stage loops as the reference the stage loops
 must match with ``==``.
 
+The cache runs on a *live* copy of the store without the *dead* edges,
+those whose cost is at or above their query's current best cost.  A
+dead edge adds ``f · max(best − c, 0) = ±0.0`` to its row's sum now and
+after every later commit (best costs only fall), and a ±0.0 addend
+leaves a sum that starts at +0.0 bitwise unchanged.  Commits count the
+edges they kill; once at least half the live edges are dead, CSR and CSC
+are compacted together, in order, which keeps a run's compaction work
+under twice the edge count.  Only the cache's own reads use the live
+store: its full pass, its row re-scores and the dirty-column gather of a
+commit.  Every read that takes a caller's base cost vector or describes
+the instance (:meth:`gains_for`, :meth:`minimum_with`,
+:meth:`min_cost_over`, :meth:`benefit_of`, :meth:`fingerprint`, ...)
+reads the full store, and :meth:`reset` and :meth:`restore`, after which
+best costs may rise, put the cache back on it.
+
 An index is *usable* only when its owning view is materialized; the engine
 exposes :meth:`BenefitEngine.is_admissible` so algorithms can enforce the
 rule, and raises on attempts to commit an index without its view.
@@ -40,7 +55,7 @@ rule, and raises on attempts to commit an index without its view.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -58,6 +73,11 @@ INF = float("inf")
 #: displaces the incumbent when its ratio exceeds the incumbent's by this
 #: factor.  Shared by every stage loop and the tests' reference loops.
 RATIO_RTOL = 1e-12
+
+
+def _row_ids(row_ptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR/CSC store, from its pointer."""
+    return np.repeat(np.arange(row_ptr.size - 1, dtype=np.int64), np.diff(row_ptr))
 
 
 def _gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -96,6 +116,33 @@ def csr_gains(
     contrib *= frequencies[cols]
     local = np.repeat(np.arange(arr.size, dtype=np.int64), lengths)
     return np.bincount(local, weights=contrib, minlength=arr.size)
+
+
+class _EdgeStore(NamedTuple):
+    """CSR (by structure) plus CSC (by query) edge arrays."""
+
+    row_ptr: np.ndarray
+    row_cols: np.ndarray
+    row_vals: np.ndarray
+    col_ptr: np.ndarray
+    col_rows: np.ndarray
+    col_vals: np.ndarray
+
+    def below(self, best: np.ndarray) -> "_EdgeStore":
+        """The edges whose cost is below their query's ``best``, in the
+        same order (numpy only)."""
+        keep = np.flatnonzero(self.row_vals < best[self.row_cols])
+        keep_c = np.flatnonzero(
+            self.col_vals < np.repeat(best, np.diff(self.col_ptr))
+        )
+        return _EdgeStore(
+            np.searchsorted(keep, self.row_ptr),
+            self.row_cols[keep],
+            self.row_vals[keep],
+            np.searchsorted(keep_c, self.col_ptr),
+            self.col_rows[keep_c],
+            self.col_vals[keep_c],
+        )
 
 
 def chain_pick(ratios: np.ndarray, incumbent: Optional[float] = None) -> Optional[int]:
@@ -215,7 +262,6 @@ class BenefitEngine:
                 v_sorted = np.minimum.reduceat(v_sorted, firsts)
                 s_sorted = s_sorted[firsts]
                 q_sorted = q_sorted[firsts]
-        self._nnz_rows = s_sorted.astype(np.int32)
         self._row_cols = q_sorted.astype(np.int32)
         self._row_vals = v_sorted
         counts = np.bincount(s_sorted, minlength=n_s) if s_sorted.size else np.zeros(
@@ -238,6 +284,10 @@ class BenefitEngine:
                 q_sorted, minlength=n_q
             ) if q_sorted.size else np.zeros(n_q, dtype=np.int64)
             self._col_ptr = np.concatenate(([0], np.cumsum(counts_c))).astype(np.int64)
+        self._full = _EdgeStore(
+            self._row_ptr, self._row_cols, self._row_vals,
+            self._col_ptr, self._col_rows, self._col_vals,
+        )
 
     def fingerprint(self) -> str:
         """SHA-256 over the compiled instance (checkpoint identity).
@@ -263,7 +313,7 @@ class BenefitEngine:
                 self.view_id_of,
                 self.defaults,
                 self.frequencies,
-                self._nnz_rows,
+                _row_ids(self._row_ptr).astype(np.int32),
                 self._row_cols,
                 self._row_vals,
             ):
@@ -289,10 +339,14 @@ class BenefitEngine:
         return int(self._row_vals.size)
 
     def cost_store_bytes(self) -> int:
-        """Actual bytes held by the cost store (CSR + CSC)."""
+        """Actual bytes held by the cost store (CSR + CSC).
+
+        Counts the full store only.  The live store the single-benefit
+        cache runs on is the full store itself until the first
+        compaction, and afterwards at most half its edges.
+        """
         return int(
-            self._nnz_rows.nbytes
-            + self._row_cols.nbytes
+            self._row_cols.nbytes
             + self._row_vals.nbytes
             + self._row_ptr.nbytes
             + self._col_rows.nbytes
@@ -389,7 +443,7 @@ class BenefitEngine:
         self._best = self.defaults.copy()
         self._selected: set = set()
         self._selected_mask = np.zeros(self.n_structures, dtype=bool)
-        self._singles_fresh = False
+        self._use_full_store()
 
     @property
     def selected_ids(self) -> frozenset:
@@ -458,19 +512,44 @@ class BenefitEngine:
 
     # ------------------------------------------------- single benefits (m×1)
 
+    def _use_full_store(self) -> None:
+        """Run the cache on the full store again: after a reset or a
+        restore, best costs may have risen and a dropped edge may count."""
+        self._live = self._full
+        self._dead = 0
+        self._singles_fresh = False
+
+    def _drop_dead_edges(self) -> None:
+        """Compact the live store once at least half its edges are dead.
+
+        An edge is *dead* when its cost is at or above its query's best
+        cost: its addend ``f · max(best − c, 0)`` is +0.0 now and stays
+        +0.0 until a reset or restore (best costs only fall), and a ±0.0
+        addend leaves a sequential sum that starts at +0.0 bitwise
+        unchanged, so the cached singles read the same without it.
+        Compacting at half keeps a run's compaction work under twice the
+        edge count.
+        """
+        if self._dead and 2 * self._dead >= self._live.row_vals.size:
+            self._live = self._live.below(self._best)
+            self._dead = 0
+
     def _eager_singles(self, ids) -> np.ndarray:
-        """Per-edge gains summed per structure over the CSR store."""
+        """Per-edge gains summed per structure over the live store; the
+        full pass (``ids=None``) also counts the live store's dead edges."""
+        live = self._live
         if ids is None:
-            contrib = self._best[self._row_cols] - self._row_vals
+            contrib = self._best[live.row_cols] - live.row_vals
+            self._dead = int(np.count_nonzero(contrib <= 0.0))
             np.maximum(contrib, 0.0, out=contrib)
-            contrib *= self.frequencies[self._row_cols]
+            contrib *= self.frequencies[live.row_cols]
             return np.bincount(
-                self._nnz_rows, weights=contrib, minlength=self.n_structures
+                _row_ids(live.row_ptr), weights=contrib, minlength=self.n_structures
             )
         return csr_gains(
-            self._row_ptr,
-            self._row_cols,
-            self._row_vals,
+            live.row_ptr,
+            live.row_cols,
+            live.row_vals,
             self.frequencies,
             self._best,
             ids,
@@ -481,6 +560,7 @@ class BenefitEngine:
             self._singles = self._eager_singles(None)
             self._pending = np.zeros(self.n_structures, dtype=bool)
             self._singles_fresh = True
+            self._drop_dead_edges()
         return self._singles
 
     def _rescore(self, ids: np.ndarray) -> None:
@@ -507,15 +587,26 @@ class BenefitEngine:
         ``f · max(best − c, 0)`` can only fall as ``best`` falls, and a
         sequential float sum of non-negative addends is monotone in them.
         Pending rows are re-scored here once their view is committed.
+
+        The edges that beat ``old_best`` but not the new best are the
+        newly dead ones; counting them here drives the live store's
+        compaction (:meth:`_drop_dead_edges`).
         """
         stale = self._pending.copy()
         dirty = np.flatnonzero(self._best < old_best)
         if dirty.size:
-            starts = self._col_ptr[dirty]
-            lengths = self._col_ptr[dirty + 1] - starts
+            live = self._live
+            starts = live.col_ptr[dirty]
+            lengths = live.col_ptr[dirty + 1] - starts
             flat = _gather_ranges(starts, lengths)
-            beating = self._col_vals[flat] < np.repeat(old_best[dirty], lengths)
-            stale[self._col_rows[flat[beating]]] = True
+            costs = live.col_vals[flat]
+            beating = costs < np.repeat(old_best[dirty], lengths)
+            stale[live.col_rows[flat[beating]]] = True
+            still_live = costs < np.repeat(self._best[dirty], lengths)
+            self._dead += int(np.count_nonzero(beating)) - int(
+                np.count_nonzero(still_live)
+            )
+            self._drop_dead_edges()
         pickable = self.is_view | self._selected_mask[self.view_id_of]
         self._pending = stale & ~pickable
         self._rescore(np.flatnonzero(stale & pickable))
@@ -528,7 +619,9 @@ class BenefitEngine:
         re-scored in place when the cache is live (no-op otherwise).
         Algorithms normally never need this — :meth:`commit`,
         :meth:`reset` and :meth:`restore` keep the cache consistent — but
-        external mutations of engine state should call it.
+        external mutations of engine state should call it.  The live
+        store stays: best costs are unchanged, so its dropped edges are
+        still dead.
         """
         if ids is None:
             self._singles_fresh = False
@@ -673,7 +766,7 @@ class BenefitEngine:
         self._selected_mask = np.zeros(self.n_structures, dtype=bool)
         if self._selected:
             self._selected_mask[np.fromiter(self._selected, dtype=np.int64)] = True
-        self._singles_fresh = False
+        self._use_full_store()
 
     # ------------------------------------------------------------- reporting
 

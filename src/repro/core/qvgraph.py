@@ -33,6 +33,7 @@ Python objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -76,11 +77,16 @@ class QuerySpec:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        # written as `not x >= 0` so that NaN fails the check too
+        # written as `not x >= 0` so that NaN fails the check too; an
+        # infinite cost or weight would turn a zero gain into NaN
         if not self.default_cost >= 0:
             raise ValueError(f"query {self.name!r}: default cost must be >= 0")
+        if not math.isfinite(self.default_cost):
+            raise ValueError(f"query {self.name!r}: default cost must be finite")
         if not self.frequency >= 0:
             raise ValueError(f"query {self.name!r}: frequency must be >= 0")
+        if not math.isfinite(self.frequency):
+            raise ValueError(f"query {self.name!r}: frequency must be finite")
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,8 @@ class Structure:
             raise ValueError(f"bad structure kind {self.kind!r}")
         if not self.space > 0:
             raise ValueError(f"structure {self.name!r}: space must be > 0")
+        if not math.isfinite(self.space):
+            raise ValueError(f"structure {self.name!r}: space must be finite")
 
     @property
     def is_view(self) -> bool:
@@ -195,6 +203,8 @@ class QueryViewGraph:
             raise ValueError(f"unknown structure {structure_name!r}")
         if not cost >= 0:
             raise ValueError("edge cost must be >= 0")
+        if not math.isfinite(cost):
+            raise ValueError("edge cost must be finite")
         key = (query_name, structure_name)
         prev = self._edges.get(key)
         if prev is None or cost < prev:
@@ -228,6 +238,8 @@ class QueryViewGraph:
             raise ValueError("bulk edge structure position out of range")
         if not np.all(c >= 0):
             raise ValueError("edge cost must be >= 0")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("edge cost must be finite")
         self._edge_blocks.append((q, s, c))
         self._n_block_edges += int(q.size)
         self._block_lookup = None
@@ -603,7 +615,9 @@ class EdgeKernel:
     usable prefix is the longest key prefix inside the query's selection
     mask, found by counting cumulative-prefix-mask subset tests
     (monotone in the prefix length), and ``max(1, |V| / |E|)`` is
-    evaluated on whole (index × query) blocks.
+    evaluated on whole (index × distinct selection mask) blocks: a d=6
+    view answers up to 729 queries, but at most 64 masks decide their
+    costs.
 
     Construction raises ``ValueError`` for a query the default view
     (the raw data; the lattice's top by default) cannot answer, as
@@ -686,7 +700,11 @@ class EdgeKernel:
         if not indexes:
             return blocks
 
-        not_sel = ~self.sel_masks[ans]  # high bits (incl. sentinel) set
+        # an index's usable prefix depends on the query's selection mask
+        # alone: price each distinct mask of the answering queries once,
+        # then gather the costs back to the queries
+        sel_masks, sel_of = np.unique(self.sel_masks[ans], return_inverse=True)
+        not_sel = ~sel_masks  # high bits (incl. sentinel) set
         kmax = max(len(index.key) for index in indexes)
         chunk_rows = max(1, _VEC_CHUNK_CELLS // int(ans.size))
         for lo in range(0, len(indexes), chunk_rows):
@@ -701,16 +719,16 @@ class EdgeKernel:
                     prefix_masks[i, j] = mask
             # usable prefix length: prefix_j usable iff its mask is a
             # subset of the selection mask; usability is monotone in j
-            usable_len = np.zeros((len(chunk), ans.size), dtype=np.int64)
+            usable_len = np.zeros((len(chunk), sel_masks.size), dtype=np.int64)
             for j in range(1, kmax + 1):
                 usable_len += (prefix_masks[:, j : j + 1] & not_sel[None, :]) == 0
             pair_prefix = np.take_along_axis(prefix_masks, usable_len, axis=1)
             costs = self.index_cost(view_mask, pair_prefix)
             if skip_useless_index_edges:
-                keep = costs < view_rows
+                keep = (costs < view_rows)[:, sel_of]
             else:
-                keep = np.ones(costs.shape, dtype=bool)
+                keep = np.ones((len(chunk), ans.size), dtype=bool)
             ii, aa = np.nonzero(keep)
             if ii.size:
-                blocks.append((ans[aa], view_pos + 1 + lo + ii, costs[keep]))
+                blocks.append((ans[aa], view_pos + 1 + lo + ii, costs[ii, sel_of[aa]]))
         return blocks

@@ -193,7 +193,6 @@ def fault_matrix(
     graph: QueryViewGraph,
     space: float,
     *,
-    algorithms: Optional[Callable[[], List[Tuple[str, object]]]] = None,
     seed: Optional[Sequence[str]] = None,
 ) -> List[FaultCase]:
     """Run the full kill/resume matrix; returns every case (ok or not).
@@ -204,7 +203,6 @@ def fault_matrix(
     """
     from repro.algorithms import RGreedy
 
-    make_algorithms = algorithms or default_algorithms
     cases: List[FaultCase] = []
     engine = BenefitEngine(graph)
     run_seed = list(seed) if seed is not None else [top_view_of(engine)]
@@ -218,7 +216,7 @@ def fault_matrix(
     def run(algorithm, context=None):
         return algorithm.run(engine, space, seed=run_seed, context=context)
 
-    for label, algorithm in make_algorithms():
+    for label, algorithm in default_algorithms():
         scan_run = refine if hasattr(algorithm, "refine") else run
         __, scan = fault_scan(scan_run, algorithm, label=label)
         cases.extend(scan)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.index import count_fat_indexes
@@ -83,6 +84,44 @@ class TestManualConstruction:
         for frequency in (-1, math.nan):
             with pytest.raises(ValueError, match="frequency"):
                 g.add_query("q", 10, frequency=frequency)
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda g: g.add_query("q1", math.inf), "default cost"),
+            (lambda g: g.add_query("q1", 10, frequency=math.inf), "frequency"),
+            (lambda g: g.add_view("w", math.inf), "space"),
+            (lambda g: g.add_index("v", "i", math.inf), "space"),
+            (lambda g: g.add_edge("q", "v", math.inf), "edge cost"),
+            (
+                lambda g: g.add_edges_bulk(
+                    np.array([0]), np.array([0]), np.array([math.inf])
+                ),
+                "edge cost",
+            ),
+        ],
+        ids=["default_cost", "frequency", "view_space", "index_space", "edge", "bulk_edge"],
+    )
+    def test_infinite_input_rejected(self, build, field):
+        # inf − inf and 0 · inf are NaN: a cached single benefit would be
+        # NaN and never re-scored
+        g = QueryViewGraph()
+        g.add_query("q", 10)
+        g.add_view("v", 1)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(g)
+        assert g.n_edges == 0 and g.n_queries == 1 and g.n_structures == 1
+
+    def test_graph_with_an_infinite_default_cost_is_refused(self):
+        g = QueryViewGraph()
+        with pytest.raises(ValueError, match="'q1': default cost must be finite"):
+            g.add_query("q1", math.inf)
+            g.add_query("q2", 100)
+            g.add_view("v", 5)
+            g.add_view("w", 5)
+            g.add_edge("q1", "v", math.inf)
+            g.add_edge("q2", "v", 50)
+            g.add_edge("q1", "w", 200)
 
     def test_totals(self):
         g = QueryViewGraph()
