@@ -43,10 +43,10 @@ from repro.core.lattice import index_label, view_label
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.engine.catalog import Catalog
-from repro.engine.table import FactTable, ViewTable
+from repro.engine.table import FactTable, ViewTable, group_rows
 
-#: Arithmetic-coded grouping is used while the key space stays below
-#: this; degenerate (huge-domain) keys fall back to ``np.unique``.
+#: Answers hand out the table's shared key tuples while the key space
+#: stays at most this; above it they build tuples from the group keys.
 MAX_CODED_KEY_SPACE = 1 << 20
 
 
@@ -56,39 +56,24 @@ def _grouped_sums(
     key_columns: Sequence[np.ndarray],
     values: np.ndarray,
 ) -> Dict[tuple, float]:
-    """Group-and-sum, adding each group's values in row order.
-
-    ``key_columns`` are the table's columns of ``attrs`` over the rows
-    read.  ``np.bincount`` adds weights sequentially (index order), the
-    order a per-row ``groups[key] += value`` loop uses — so the floats
-    match it bit-for-bit regardless of how the group *labels* are
-    derived.  Labels are the rows' codes in the table's radices (one
-    mixed-radix integer per row; no sort, unlike ``np.unique(axis=0)``),
-    and the populated codes' keys are the table's shared tuples.
+    """Group-and-sum by :func:`~repro.engine.table.group_rows`, adding
+    each group's values in row order, the order a per-row
+    ``groups[key] += value`` loop uses, so the floats match it bit for
+    bit.  ``key_columns`` are the table's columns of ``attrs`` over the
+    rows read, coded in the table's radices; groups come in key order.
     """
     if not len(values):
         return {}
-    if not attrs:
-        sums = np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)
-        return {(): float(sums[0])}
     dims = tuple(table.radix[a] for a in attrs)
-    space = math.prod(dims)
-    if space > MAX_CODED_KEY_SPACE:
-        stacked = np.stack(key_columns, axis=1)
-        unique, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=values, minlength=len(unique))
-        return {
-            tuple(row): float(total)
-            for row, total in zip(unique.tolist(), sums.tolist())
-        }
-    if len(key_columns) == 1:
-        codes = key_columns[0]
+    groups = group_rows(key_columns, dims)
+    sums = groups.fold(values).tolist()
+    if not attrs:
+        return {(): sums[0]}
+    if math.prod(dims) <= MAX_CODED_KEY_SPACE:
+        keys = table.key_tuples.tuples(attrs, dims, groups.codes)
     else:
-        codes = np.ravel_multi_index(tuple(key_columns), dims)
-    sums = np.bincount(codes, weights=values, minlength=space)
-    populated = np.nonzero(np.bincount(codes, minlength=space))[0]
-    keys = table.key_tuples.tuples(attrs, dims, populated)
-    return dict(zip(keys, sums[populated].tolist()))
+        keys = zip(*(column.tolist() for column in groups.keys))
+    return dict(zip(keys, sums))
 
 
 def aggregate_rows(

@@ -30,8 +30,8 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.catalog import Catalog
-from repro.engine.materialize import _aggregate, _group_keys, materialize_view
-from repro.engine.table import FactTable, ViewTable, key_codes
+from repro.engine.materialize import _fold, _grouped_table, materialize_view
+from repro.engine.table import FactTable, ViewTable, group_rows, key_codes
 
 _MERGEABLE = ("sum", "count")
 
@@ -74,7 +74,7 @@ def _merge_rows(
     ``keys`` holds the delta's key columns (with radices ``radix``) and
     ``columns`` one measure column per measure of ``base``, primary
     first.  Rows group on their codes and ``agg`` (``"sum"`` or
-    ``"count"``) folds each group in row order with the aggregation
+    ``"count"``) folds each group with the aggregation
     :func:`materialize_view` uses.  A group already in ``base`` adds to
     its row and a new one is inserted in key order, so every merged value
     is ``0.0 + base + delta``, the order in which re-grouping the
@@ -82,21 +82,21 @@ def _merge_rows(
     keeps ``base``'s row numbering and shares its key columns.
 
     Returns the merged table and the delta's group count, or ``None``
-    for the empty key and keys :func:`key_codes` cannot code.
+    for keys whose codes overflow ``intp``.
     """
-    if not base.attrs:
-        return None
     dims = tuple(max(base.radix[a], radix[a]) for a in base.attrs)
-    base_codes = key_codes([base.key_columns[a] for a in base.attrs], dims)
-    codes = key_codes([keys[a] for a in base.attrs], dims)
-    if base_codes is None or codes is None:
+    groups = group_rows([keys[a] for a in base.attrs], dims)
+    if groups.codes is None:
         return None
-    groups, inverse = np.unique(codes, return_inverse=True)
-    sums = [_aggregate(inverse, len(groups), column, agg) for column in columns]
+    if base.attrs:
+        base_codes = key_codes([base.key_columns[a] for a in base.attrs], dims)
+    else:  # the empty key's one code
+        base_codes = np.zeros(base.n_rows, dtype=np.intp)
+    sums = [_fold(groups, column, agg) for column in columns]
 
-    pos = np.searchsorted(base_codes, groups)
+    pos = np.searchsorted(base_codes, groups.codes)
     found = pos < len(base_codes)
-    found[found] = base_codes[pos[found]] == groups[found]
+    found[found] = base_codes[pos[found]] == groups.codes[found]
     merged = [column + 0.0 for column in (base.values, *base.extra_values.values())]
     for column, added in zip(merged, sums):
         column[pos[found]] += added[found]
@@ -110,10 +110,9 @@ def _merge_rows(
     if new.any():
         # each new group goes before the base row at its search position
         at = pos[new]
-        decoded = np.unravel_index(groups[new], dims)
         key_columns = {
-            a: np.insert(column, at, values)
-            for (a, column), values in zip(key_columns.items(), decoded)
+            a: np.insert(column, at, key[new])
+            for (a, column), key in zip(key_columns.items(), groups.keys)
         }
         merged = [
             np.insert(column, at, added[new]) for column, added in zip(merged, sums)
@@ -128,39 +127,31 @@ def _merge_rows(
         measure=base.measure,
     )
     table.key_tuples = base.key_tuples
-    return table, len(groups)
+    return table, groups.n_groups
 
 
 def _regroup(base: ViewTable, delta: ViewTable) -> ViewTable:
     """Merge by re-grouping the concatenated rows of both tables: the
-    path for the empty key and for keys that cannot be coded."""
-    key_cols = tuple(
+    path for keys whose codes overflow ``intp``."""
+    key_cols = [
         np.concatenate([base.key_columns[a], delta.key_columns[a]])
         for a in base.attrs
-    )
+    ]
+    dims = [max(base.radix[a], delta.radix[a]) for a in base.attrs]
+    groups = group_rows(key_cols, dims)
     # groups from both sides combine by summation for both sum- and
     # count-aggregated tables (counts of a union add up)
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
-    merged = _aggregate(
-        inverse, n_groups, np.concatenate([base.values, delta.values]), "sum"
-    )
-    extra_merged = {
-        name: _aggregate(
-            inverse,
-            n_groups,
-            np.concatenate([base.extra_values[name], delta.extra_values[name]]),
-            "sum",
-        )
-        for name in base.extra_values
-    }
-    key_columns = {a: col for a, col in zip(base.attrs, unique_cols)}
-    table = ViewTable(
+    table = _grouped_table(
         base.view,
         base.attrs,
-        key_columns,
-        merged,
+        groups,
+        np.concatenate([base.values, delta.values]),
+        {
+            name: np.concatenate([column, delta.extra_values[name]])
+            for name, column in base.extra_values.items()
+        },
+        "sum",
         agg=base.agg,
-        extra_values=extra_merged,
         measure=base.measure,
     )
     table.key_tuples = base.key_tuples

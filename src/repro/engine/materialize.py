@@ -11,65 +11,33 @@ relation ``⪯``), which is how real ROLAP loaders exploit the lattice.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.view import View
-from repro.engine.table import FactTable, ViewTable
-
-_AGGREGATES = ("sum", "count", "min", "max")
+from repro.engine.table import FactTable, Groups, ViewTable, group_rows
 
 
-def _group_keys(key_cols: Tuple[np.ndarray, ...]):
-    """Group rows on the key columns.
-
-    Returns ``(unique_cols, inverse, n_groups)`` — the distinct keys in
-    lexicographic order and each row's group, as
-    ``np.unique(np.stack(key_cols, axis=1), axis=0, return_inverse=True)``
-    gives them, from one ``lexsort`` of the columns instead of a sort of
-    rows as structured records.  For the empty key: the single
-    grand-total group with ``inverse=None``.
-    """
-    if not key_cols:
-        return (), None, 1
-    order = np.lexsort(key_cols[::-1])
-    sorted_cols = [column[order] for column in key_cols]
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for column in sorted_cols:
-        starts[1:] |= column[1:] != column[:-1]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    unique_cols = tuple(column[starts] for column in sorted_cols)
-    return unique_cols, inverse, int(np.count_nonzero(starts))
+def _fold(groups: Groups, values: np.ndarray, agg: str) -> np.ndarray:
+    """Each group's ``agg`` of ``values`` (:meth:`Groups.fold`), except
+    the empty key's grand total, whose ``sum``, ``min`` and ``max`` stay
+    ``ndarray`` reductions (0.0 over no rows), as tables have held it."""
+    if groups.dims or agg not in ("sum", "min", "max"):
+        return groups.fold(values, agg)
+    return np.array([getattr(values, agg)() if len(values) else 0.0])
 
 
-def _aggregate(inverse, n_groups: int, values: np.ndarray, agg: str) -> np.ndarray:
-    """Per-group aggregate of ``values`` for a grouping from ``_group_keys``."""
-    if agg not in _AGGREGATES:
-        raise ValueError(f"agg must be one of {_AGGREGATES}, got {agg!r}")
-    if inverse is None:  # grand total
-        if agg == "sum":
-            total = values.sum()
-        elif agg == "count":
-            total = float(len(values))
-        elif agg == "min":
-            total = values.min() if len(values) else 0.0
-        else:
-            total = values.max() if len(values) else 0.0
-        return np.array([total], dtype=np.float64)
-    if agg == "sum":
-        return np.bincount(inverse, weights=values, minlength=n_groups)
-    if agg == "count":
-        return np.bincount(inverse, minlength=n_groups).astype(np.float64)
-    if agg == "min":
-        out = np.full(n_groups, np.inf)
-        np.minimum.at(out, inverse, values)
-        return out
-    out = np.full(n_groups, -np.inf)
-    np.maximum.at(out, inverse, values)
-    return out
+def _grouped_table(view, attrs, groups, values, extras, fold, **table) -> ViewTable:
+    """The view ``attrs`` keyed by ``groups``' keys, with ``values`` and
+    each column of ``extras`` folded by :func:`_fold` with ``fold``
+    (``table`` holds the other :class:`ViewTable` arguments)."""
+    return ViewTable(
+        view,
+        attrs,
+        dict(zip(attrs, groups.keys)),
+        _fold(groups, values, fold),
+        extra_values={name: _fold(groups, col, fold) for name, col in extras.items()},
+        **table,
+    )
 
 
 def materialize_view(
@@ -85,22 +53,10 @@ def materialize_view(
     order.
     """
     attrs = fact.schema.sort_attrs(view.attrs)
-    key_cols = tuple(fact.column(a) for a in attrs)
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
-    values = _aggregate(inverse, n_groups, fact.measures, agg)
-    extra_values = {
-        name: _aggregate(inverse, n_groups, column, agg)
-        for name, column in fact.extra_measures.items()
-    }
-    key_columns = {a: col for a, col in zip(attrs, unique_cols)}
-    table = ViewTable(
-        view,
-        attrs,
-        key_columns,
-        values,
-        agg=agg,
-        extra_values=extra_values,
-        measure=fact.schema.measure,
+    groups = group_rows([fact.column(a) for a in attrs], [fact.radix[a] for a in attrs])
+    table = _grouped_table(
+        view, attrs, groups, fact.measures, fact.extra_measures, agg,
+        agg=agg, measure=fact.schema.measure,
     )
     table.key_tuples = fact.key_tuples
     return table
@@ -127,22 +83,12 @@ def rollup_view(
     order = schema.sort_attrs(view.attrs) if schema is not None else tuple(
         a for a in parent.attrs if a in view.attrs
     )
-    key_cols = tuple(parent.key_columns[a] for a in order)
-    unique_cols, inverse, n_groups = _group_keys(key_cols)
-    values = _aggregate(inverse, n_groups, parent.values, agg)
-    extra_values = {
-        name: _aggregate(inverse, n_groups, column, agg)
-        for name, column in parent.extra_values.items()
-    }
-    key_columns = {a: col for a, col in zip(order, unique_cols)}
-    table = ViewTable(
-        view,
-        order,
-        key_columns,
-        values,
-        agg=parent.agg,
-        extra_values=extra_values,
-        measure=parent.measure,
+    groups = group_rows(
+        [parent.key_columns[a] for a in order], [parent.radix[a] for a in order]
+    )
+    table = _grouped_table(
+        view, order, groups, parent.values, parent.extra_values, agg,
+        agg=parent.agg, measure=parent.measure,
     )
     table.key_tuples = parent.key_tuples
     return table

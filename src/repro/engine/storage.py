@@ -30,7 +30,7 @@ from repro.core.index import Index
 from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
-from repro.engine.table import FactTable, ViewTable
+from repro.engine.table import FactTable, ViewTable, _key_column, group_rows
 
 PathLike = Union[str, Path]
 
@@ -95,6 +95,22 @@ def save_catalog(catalog: Catalog, directory: PathLike) -> None:
         f.write("\n")
 
 
+def _view_keys(schema: CubeSchema, file: str, attrs, arrays) -> dict:
+    """A view file's key columns, checked as :class:`FactTable` checks
+    fact columns; their rows must strictly ascend (group to themselves)."""
+    columns = {
+        a: _key_column(f"key_{a} of {file}", arrays[f"key_{a}"], schema.cardinality(a))
+        for a in attrs
+    }
+    keys, rows = list(columns.values()), len(arrays["values"])
+    if any(len(column) != rows for column in keys):
+        raise ValueError(f"{file}: key and value columns differ in length")
+    groups = group_rows(keys, [schema.cardinality(a) for a in attrs])
+    if groups.n_groups != rows or not all(map(np.array_equal, groups.keys, keys)):
+        raise ValueError(f"{file}: keys of {attrs} do not strictly ascend")
+    return columns
+
+
 def load_catalog(directory: PathLike) -> Catalog:
     """Reload a catalog saved with :func:`save_catalog`.
 
@@ -131,7 +147,7 @@ def load_catalog(directory: PathLike) -> Catalog:
             table = ViewTable(
                 View(attrs),
                 attrs,
-                {a: arrays[f"key_{a}"] for a in attrs},
+                _view_keys(schema, entry["file"], attrs, arrays),
                 arrays["values"],
                 agg=entry.get("agg", "sum"),
                 extra_values={

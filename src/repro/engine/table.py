@@ -8,7 +8,8 @@ Two table kinds:
   combinations with the aggregated measure, sorted by key.
 
 Both are numpy-backed and deliberately simple; the engine exists to count
-rows processed, not to win benchmarks.  Each carries a :class:`KeyTuples`
+rows processed, not to win benchmarks.  Every GROUP BY of the engine goes
+through one kernel, :func:`group_rows`.  Each table carries a :class:`KeyTuples`
 (``key_tuples``): the one key tuple per group its answers hand out, so an
 answer allocates tuples only for groups no earlier answer returned.
 Tables derived from a fact table share its ``KeyTuples``.
@@ -49,18 +50,118 @@ def key_codes(
         return None
 
 
+#: :func:`group_rows` counts codes (``np.bincount``, one slot per code of
+#: the key space) while the space is at most ``COUNTED_SPACE`` or
+#: ``COUNTED_SPACE_PER_ROW`` times the rows grouped, and sorts them
+#: (``np.unique``) above.  On a 2-vCPU Xeon VM counting won up to 4,096
+#: slots at 100-1,000 rows and 4.4 per row at 3,000-30,000, sorting from
+#: 8,192 slots and 6.6 per row; at 1-10 rows the two tie at 4,096.
+COUNTED_SPACE = 4096
+COUNTED_SPACE_PER_ROW = 4
+
+
+class Groups:
+    """Rows grouped on their key (:func:`group_rows`), in key order:
+    ``dims`` are the key's radices, ``codes`` the groups' ascending codes
+    (``None`` for keys that could not be coded) and ``n_groups`` their
+    number; :attr:`keys` and :meth:`fold` give their keys and values.
+    """
+
+    __slots__ = ("dims", "codes", "n_groups", "_labels", "_size", "_pick",
+                 "_columns", "_keys")
+
+    def __init__(self, dims, codes, labels, size, pick=None, columns=(), keys=None):
+        self.dims = dims
+        self.codes = codes
+        # each row's slot in a fold (None: every row in slot 0), the
+        # fold's slot count and the slots that hold groups (None: all)
+        self._labels, self._size, self._pick = labels, size, pick
+        self.n_groups = size if pick is None else len(pick)
+        self._columns, self._keys = columns, keys
+
+    @property
+    def keys(self) -> Tuple[np.ndarray, ...]:
+        """The groups' key columns, C-contiguous and of the grouped
+        columns' dtypes; decoded from the codes on first use."""
+        if self._keys is None:
+            decoded = (
+                (self.codes,) if len(self.dims) == 1
+                else np.unravel_index(self.codes, self.dims)
+            )
+            # astype copies: unravel_index's columns are strided views
+            self._keys = tuple(
+                key.astype(column.dtype) for key, column in zip(decoded, self._columns)
+            )
+        return self._keys
+
+    def fold(self, values: np.ndarray, agg: str = "sum") -> np.ndarray:
+        """Each group's ``agg`` (``"sum"``, ``"count"``, ``"min"`` or
+        ``"max"``) of ``values``, one per row, folded in row order."""
+        labels = self._labels
+        if labels is None:
+            labels = np.zeros(len(values), dtype=np.intp)
+        if agg == "sum":
+            out = np.bincount(labels, weights=values, minlength=self._size)
+        elif agg == "count":
+            out = np.bincount(labels, minlength=self._size).astype(np.float64)
+        elif agg in ("min", "max"):
+            out = np.full(self._size, np.inf if agg == "min" else -np.inf)
+            (np.minimum if agg == "min" else np.maximum).at(out, labels, values)
+        else:
+            raise ValueError(f"agg must be sum, count, min or max, got {agg!r}")
+        return out if self._pick is None else out[self._pick]
+
+
+def group_rows(columns: Sequence[np.ndarray], dims: Sequence[int]) -> Groups:
+    """Group rows on the key ``columns`` (none: the empty key, whose one
+    group, code 0, holds every row) with radices ``dims``.
+
+    Rows group on their mixed-radix codes, counted or sorted as
+    ``COUNTED_SPACE`` says; a lone column is its own code.  Keys whose
+    codes overflow ``intp``, or negative keys, are grouped by a
+    ``lexsort`` of the columns.
+    """
+    dims = tuple(dims)
+    if not columns:
+        return Groups(dims, np.zeros(1, dtype=np.intp), None, 1, keys=())
+    lone, space = len(columns) == 1, math.prod(dims)
+    try:
+        codes = columns[0] if lone else np.ravel_multi_index(tuple(columns), dims)
+        if space <= COUNTED_SPACE or space <= COUNTED_SPACE_PER_ROW * len(codes):
+            # raises on a lone column's negative keys
+            found = np.bincount(codes, minlength=space).nonzero()[0]
+            return Groups(dims, found, codes, space, found, columns)
+    except ValueError:  # the codes overflow intp, or a key is negative
+        return _lexsorted(dims, columns)
+    found, inverse = np.unique(codes, return_inverse=True)
+    return Groups(dims, found, inverse, len(found), columns=columns)
+
+
+def _lexsorted(dims, columns) -> Groups:
+    """:func:`group_rows` of keys that cannot be coded: one ``lexsort``
+    of the columns."""
+    order = np.lexsort(columns[::-1])
+    sorted_cols = [column[order] for column in columns]
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in sorted_cols:
+        starts[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    keys = tuple(column[starts] for column in sorted_cols)
+    return Groups(dims, None, inverse, int(np.count_nonzero(starts)), keys=keys)
+
+
 def distinct_keys(columns: Sequence[np.ndarray], dims: Sequence[int]) -> int:
-    """Number of distinct rows of the key ``columns``, counted on their
-    :func:`key_codes` in radices ``dims``."""
-    codes = key_codes(columns, dims)
-    if codes is None:
-        return int(np.unique(np.stack(columns, axis=1), axis=0).shape[0])
-    return int(np.unique(codes).size)
+    """Number of distinct rows of the key ``columns`` with radices
+    ``dims``, counted by :func:`group_rows`."""
+    return group_rows(columns, dims).n_groups
 
 
-def _key_column(name: str, values) -> np.ndarray:
+def _key_column(name: str, values, card: int) -> np.ndarray:
     """A dimension column as int64, refusing keys that the cast would
-    change: a non-1-D column, or non-integral or non-finite values."""
+    change (a non-1-D column, or non-integral or non-finite values) and
+    keys outside ``[0, card)``."""
     column = np.asarray(values)
     if column.ndim != 1:
         raise ValueError(f"column {name!r} must be 1-D, got shape {column.shape}")
@@ -68,7 +169,10 @@ def _key_column(name: str, values) -> np.ndarray:
         as_float = column.astype(np.float64)
         if not (np.isfinite(as_float).all() and (as_float == np.trunc(as_float)).all()):
             raise ValueError(f"column {name!r} holds non-integral or non-finite keys")
-    return column.astype(np.int64, copy=False)
+    column = column.astype(np.int64, copy=False)
+    if column.size and (column.min() < 0 or column.max() >= card):
+        raise ValueError(f"column {name!r} has values outside [0, {card})")
+    return column
 
 
 class KeyTuples:
@@ -156,7 +260,8 @@ class FactTable:
                 f"extra measures collide with schema names: {sorted(collisions)}"
             )
         self.columns: Dict[str, np.ndarray] = {
-            name: _key_column(name, columns[name]) for name in schema.names
+            name: _key_column(name, columns[name], schema.cardinality(name))
+            for name in schema.names
         }
         lengths = {name: len(column) for name, column in self.columns.items()}
         lengths[schema.measure] = len(measures)
@@ -164,12 +269,6 @@ class FactTable:
             lengths[name] = len(values)
         if len(set(lengths.values())) != 1:
             raise ValueError(f"column lengths differ: {lengths}")
-        for name, col in self.columns.items():
-            card = schema.cardinality(name)
-            if col.size and (col.min() < 0 or col.max() >= card):
-                raise ValueError(
-                    f"column {name!r} has values outside [0, {card})"
-                )
         self.measures = np.asarray(measures, dtype=np.float64)
         self.extra_measures: Dict[str, np.ndarray] = {
             name: np.asarray(values, dtype=np.float64)
@@ -204,8 +303,6 @@ class FactTable:
     def distinct_count(self, attrs: Sequence[str]) -> int:
         """Number of distinct combinations of the given attributes —
         exactly the size of the view grouping by them."""
-        if not attrs:
-            return 1
         return distinct_keys(
             [self.columns[a] for a in attrs], [self.radix[a] for a in attrs]
         )

@@ -127,8 +127,6 @@ def exact_sizes_from_rows(
     columns: Mapping = rows
 
     def estimator(view: View) -> float:
-        if not view.attrs:
-            return 1.0
         keys = {a: np.asarray(columns[a]) for a in schema.sort_attrs(view.attrs)}
         return float(distinct_keys(list(keys.values()), list(_radix(keys).values())))
 

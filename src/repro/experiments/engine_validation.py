@@ -26,6 +26,7 @@ from repro.cube.generator import generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.engine.table import group_rows
 from repro.estimation.sizes import exact_sizes_from_rows
 from repro.experiments.reporting import ascii_table
 
@@ -125,8 +126,8 @@ def _selection_value_draws(fact, query: SliceQuery, prefix, max_draws, rng):
     if not prefix:
         yield dict(residual_values)
         return
-    stacked = np.stack([fact.column(a) for a in prefix], axis=1)
-    distinct = np.unique(stacked, axis=0)
+    dims = [fact.radix[a] for a in prefix]
+    distinct = np.stack(group_rows([fact.column(a) for a in prefix], dims).keys, axis=1)
     if len(distinct) > max_draws:
         picks = rng.choice(len(distinct), size=max_draws, replace=False)
         distinct = distinct[picks]

@@ -77,7 +77,6 @@ from repro.serve.telemetry import (
     TelemetryCollector,
     empty_fleet_stats,
     empty_resilience_stats,
-    upgrade_telemetry,
     validate_telemetry,
 )
 
@@ -126,6 +125,5 @@ __all__ = [
     "parse_structure",
     "resolve_selection",
     "result_key",
-    "upgrade_telemetry",
     "validate_telemetry",
 ]

@@ -19,19 +19,11 @@ recomputed nearest-rank over the union of the retained samples, so a
 merged report is indistinguishable from one collector having seen every
 query.
 
-Schema v2 added the ``cache`` block (result-cache hit/eviction counters)
-and ``merged_from`` (how many collectors the document combines).
-Schema v3 added the ``resilience`` block: per-structure executor errors,
-raw-cube rescues, circuit-breaker trips/resets/short-circuits, worker
-crashes and restarts, re-advise failures, fleet retries and deadline
-timeouts — the counters the chaos harness reconciles exactly against
-the faults it injected.  Schema v4 adds the ``fleet`` block: per-replica
-routed-hit and misroute counters for the cost-routed dispatch mode (a
-routed hit lands on the replica the routing table designated; a
-misroute was served correctly but elsewhere, after failover or a
-strike).  v1–v3 documents are still accepted by
-:func:`validate_telemetry` through :func:`upgrade_telemetry`, which
-fills newer fields with their empty defaults.
+A snapshot (schema v4, the only one :func:`validate_telemetry` accepts)
+also holds the result cache's counters, ``merged_from`` (how many
+collectors it combines), the ``resilience`` counters the chaos harness
+reconciles exactly against the faults it injected, and the ``fleet``
+block's per-replica routed hits and misroutes.
 """
 
 from __future__ import annotations
@@ -465,33 +457,6 @@ class TelemetryCollector:
         return doc
 
 
-def upgrade_telemetry(document: dict) -> dict:
-    """Upgrade a schema-v1/v2/v3 telemetry document to v4 (compat shim).
-
-    v1 predates the result cache and mergeable collectors; v2 predates
-    the resilience counters; v3 predates the fleet routing counters.
-    The upgrade fills each missing block with its empty default
-    (disabled cache, ``merged_from`` = 1, all-zero resilience, empty
-    fleet — older documents were recorded before the accounting
-    existed, which is indistinguishable from a run without those
-    events).  v4 documents pass through unchanged (the same object).
-    Anything else is left for :func:`validate_telemetry` to reject.
-    """
-    if not isinstance(document, dict) or document.get("schema_version") not in (
-        1,
-        2,
-        3,
-    ):
-        return document
-    upgraded = dict(document)
-    upgraded["schema_version"] = TELEMETRY_SCHEMA_VERSION
-    upgraded.setdefault("cache", _empty_cache_block())
-    upgraded.setdefault("merged_from", 1)
-    upgraded.setdefault("resilience", empty_resilience_stats())
-    upgraded.setdefault("fleet", empty_fleet_stats())
-    return upgraded
-
-
 def validate_telemetry(document: dict) -> dict:
     """Validate a telemetry snapshot; returns the validated document.
 
@@ -499,17 +464,14 @@ def validate_telemetry(document: dict) -> dict:
     integrity (bucket counts sum to the query count), and the hit/
     fallback accounting.  Raises ``ValueError`` with a one-line message
     on the first violation — this is what the CI serving smoke runs
-    against the uploaded artifact.  Schema-v1/v2/v3 documents are
-    upgraded through :func:`upgrade_telemetry` first and the upgraded
-    copy is returned; v4 documents are returned unchanged.
+    against the uploaded artifact.  The document is returned unchanged.
     """
     if not isinstance(document, dict):
         raise ValueError("telemetry must be a JSON object")
-    document = upgrade_telemetry(document)
     if document.get("schema_version") != TELEMETRY_SCHEMA_VERSION:
         raise ValueError(
-            f"telemetry schema_version must be {TELEMETRY_SCHEMA_VERSION} "
-            f"(or 1/2/3, upgraded), got {document.get('schema_version')!r}"
+            f"telemetry schema_version must be {TELEMETRY_SCHEMA_VERSION}, "
+            f"got {document.get('schema_version')!r}"
         )
     for field, kind in (
         ("queries", int),

@@ -21,8 +21,10 @@ from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog, SortedIndex
 from repro.engine.maintenance import RefreshReport, apply_delta, merge_view_tables
-from repro.engine.materialize import _aggregate, _group_keys, materialize_view
+from repro.engine.materialize import materialize_view
 from repro.engine.table import FactTable, ViewTable
+
+from tests.engine.grouping_reference import _aggregate, _group_keys
 
 # ---------------------------------------------------------------- reference
 

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from repro.core.view import View
 from repro.cube.generator import generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
-from repro.engine.materialize import (
-    _aggregate,
-    _group_keys,
-    materialize_view,
-    rollup_view,
-)
-from repro.engine.table import FactTable
+from repro.engine.materialize import materialize_view, rollup_view
+from repro.engine.table import FactTable, group_rows
+
+from tests.engine.grouping_reference import _aggregate
 
 
 @pytest.fixture
@@ -116,7 +113,7 @@ class TestRollup:
 
 
 class TestGroupKeys:
-    """``_group_keys`` gives exactly what ``np.unique(axis=0)`` gives."""
+    """:func:`group_rows` gives exactly what ``np.unique(axis=0)`` gives."""
 
     @pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 300])
     @pytest.mark.parametrize("n_cols", [1, 2, 3, 5])
@@ -124,20 +121,20 @@ class TestGroupKeys:
     def test_matches_unique_rows(self, n_rows, n_cols, high):
         rng = np.random.default_rng([n_rows, n_cols, high % 1000])
         key_cols = tuple(rng.integers(0, high, size=n_rows) for __ in range(n_cols))
-        unique_cols, inverse, n_groups = _group_keys(key_cols)
+        dims = [int(column.max()) + 1 if n_rows else 0 for column in key_cols]
+        groups = group_rows(key_cols, dims)
         unique, expected_inverse = np.unique(
             np.stack(key_cols, axis=1), axis=0, return_inverse=True
         )
-        assert n_groups == unique.shape[0]
-        assert len(unique_cols) == n_cols
-        for got, want in zip(unique_cols, unique.T):
+        n_groups = unique.shape[0]
+        assert groups.n_groups == n_groups
+        assert len(groups.keys) == n_cols
+        for got, want in zip(groups.keys, unique.T):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-        assert inverse.dtype == expected_inverse.dtype
-        assert np.array_equal(inverse, expected_inverse)
         values = rng.random(n_rows) * 100.0 - 50.0
         for agg in ("sum", "count", "min", "max"):
             assert (
-                _aggregate(inverse, n_groups, values, agg).tobytes()
+                groups.fold(values, agg).tobytes()
                 == _aggregate(expected_inverse, n_groups, values, agg).tobytes()
             )

@@ -159,3 +159,70 @@ class TestFormat:
             assert list(loaded.view_table(view).iter_rows()) == list(
                 catalog.view_table(view).iter_rows()
             )
+
+
+class TestViewFileChecks:
+    """A view file's key columns are outside input: ``load_catalog``
+    checks them as ``FactTable`` checks fact columns, and their rows must
+    strictly ascend in key order."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        from repro.cube.generator import dense_fact_table
+
+        schema = CubeSchema([Dimension("a", 4), Dimension("b", 3)])
+        catalog = Catalog(dense_fact_table(schema, rng=0))
+        for attrs in (("a",), ("a", "b"), ()):
+            catalog.materialize(View(attrs))
+        save_catalog(catalog, tmp_path)
+        return catalog, tmp_path
+
+    @staticmethod
+    def rewrite(directory, attrs, name, values):
+        """Replace array ``name`` of the view file holding ``attrs``."""
+        manifest = json.loads((directory / "manifest.json").read_text())
+        (entry,) = [e for e in manifest["views"] if tuple(e["attrs"]) == attrs]
+        path = directory / entry["file"]
+        with np.load(path) as arrays:
+            stored = dict(arrays)
+        stored[name] = np.asarray(values)
+        np.savez(path, **stored)
+        return entry["file"]
+
+    def test_valid_catalog_round_trips(self, saved):
+        catalog, directory = saved
+        loaded = load_catalog(directory)
+        for view in catalog.views():
+            assert list(loaded.view_table(view).iter_rows()) == list(
+                catalog.view_table(view).iter_rows()
+            )
+
+    @pytest.mark.parametrize(
+        "attrs, name, values, message",
+        [
+            (("a",), "key_a", [3, 0, 3, 9], r"key_a of .* has values outside \[0, 4\)"),
+            (("a",), "key_a", [-1, 0, 1, 2], r"key_a of .* values outside \[0, 4\)"),
+            (("a",), "key_a", [0.5, 1, 2, 3], "key_a of .* non-integral"),
+            (("a",), "key_a", [0, 1, 2, np.nan], "key_a of .* non-finite"),
+            (("a",), "key_a", [[0, 1], [2, 3]], "key_a of .* must be 1-D"),
+            (("a",), "key_a", [0, 1, 1, 3], r"keys of \('a',\) do not strictly ascend"),
+            (("a",), "key_a", [1, 0, 2, 3], r"keys of \('a',\) do not strictly ascend"),
+            (("a",), "key_a", [0, 1, 2], "key and value columns differ in length"),
+            (
+                ("a", "b"), "key_b", [0, 1, 2] * 3 + [2, 1, 0],
+                r"keys of \('a', 'b'\) do not strictly ascend",
+            ),
+            ((), "values", [1.0, 2.0], r"keys of \(\) do not strictly ascend"),
+        ],
+        ids=[
+            "repro", "negative", "float", "nan", "2-d", "duplicate", "unsorted",
+            "short", "pair-unsorted", "grand-total-twice",
+        ],
+    )
+    def test_bad_view_file_rejected(self, saved, attrs, name, values, message):
+        __, directory = saved
+        file = self.rewrite(directory, attrs, name, values)
+        with pytest.raises(ValueError, match=message) as raised:
+            load_catalog(directory)
+        assert file in str(raised.value)
+        assert "\n" not in str(raised.value)

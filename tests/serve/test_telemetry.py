@@ -214,103 +214,3 @@ class TestResilienceCounters:
         doc["resilience"]["retries"] = -1
         with pytest.raises(ValueError):
             validate_telemetry(doc)
-
-    def test_upgrades_v1_and_v2(self):
-        from repro.serve import upgrade_telemetry
-
-        t = TelemetryCollector()
-        t.record("q", "v", 1.0, 1.0, 1)
-        doc = t.snapshot()
-        for old_version in (1, 2):
-            legacy = {
-                k: v
-                for k, v in doc.items()
-                if k not in ("resilience", "cache", "merged_from")
-            }
-            legacy["schema_version"] = old_version
-            upgraded = upgrade_telemetry(legacy)
-            validated = validate_telemetry(upgraded)
-            assert validated["schema_version"] == TELEMETRY_SCHEMA_VERSION
-            assert validated["resilience"]["raw_rescues"] == 0
-            assert validated["resilience"]["executor_errors"] == {}
-
-
-class TestUpgradeChain:
-    """Every legacy version upgrades to v4 and the chain composes."""
-
-    #: What each historical schema version did not yet record.
-    MISSING = {
-        1: ("cache", "merged_from", "resilience", "fleet"),
-        2: ("resilience", "fleet"),
-        3: ("fleet",),
-    }
-
-    def _legacy(self, version):
-        from repro.serve import upgrade_telemetry  # noqa: F401  (import check)
-
-        t = TelemetryCollector()
-        t.record("q", "ps", 10.0, 5.0, 5)
-        t.record("q2", RAW_LABEL, 30.0, 100.0, 100, fallback=True)
-        doc = t.snapshot()
-        legacy = {
-            k: v for k, v in doc.items() if k not in self.MISSING[version]
-        }
-        legacy["schema_version"] = version
-        return legacy
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_each_version_upgrades_and_validates(self, version):
-        from repro.serve import upgrade_telemetry
-
-        upgraded = upgrade_telemetry(self._legacy(version))
-        validated = validate_telemetry(upgraded)
-        assert validated["schema_version"] == TELEMETRY_SCHEMA_VERSION
-        # every historically-missing block is filled with its empty default
-        assert validated["cache"]["enabled"] is False
-        assert validated["merged_from"] == 1
-        assert validated["resilience"]["raw_rescues"] == 0
-        from repro.serve.telemetry import empty_fleet_stats
-
-        assert validated["fleet"] == empty_fleet_stats()
-        # and the recorded counters survive the upgrade untouched
-        assert validated["queries"] == 2
-        assert validated["fallbacks"] == 1
-
-    def test_composed_chain_v1_through_v4(self):
-        """v1 → v4 then re-upgrading the result is the identity: the
-        whole chain composes into a single fixed point."""
-        from repro.serve import upgrade_telemetry
-
-        hop1 = upgrade_telemetry(self._legacy(1))
-        hop2 = upgrade_telemetry(hop1)
-        hop3 = upgrade_telemetry(hop2)
-        assert hop2 is hop1  # v4 documents pass through unchanged
-        assert hop3 is hop1
-        validated = validate_telemetry(hop3)
-        assert validated["schema_version"] == TELEMETRY_SCHEMA_VERSION
-
-    def test_upgrade_does_not_mutate_the_legacy_document(self):
-        from repro.serve import upgrade_telemetry
-
-        legacy = self._legacy(2)
-        upgrade_telemetry(legacy)
-        assert legacy["schema_version"] == 2
-        assert "resilience" not in legacy
-
-    @pytest.mark.parametrize("version", [0, 5, "4", "x", None])
-    def test_unknown_versions_are_rejected(self, version):
-        """Unknown versions pass through the upgrader unchanged and are
-        rejected by validation — never silently coerced."""
-        from repro.serve import upgrade_telemetry
-
-        legacy = self._legacy(1)
-        legacy["schema_version"] = version
-        passed = upgrade_telemetry(legacy)
-        assert passed is legacy
-        with pytest.raises(ValueError, match="schema_version must be 4"):
-            validate_telemetry(passed)
-
-    def test_non_dict_documents_pass_through(self):
-        from repro.serve import upgrade_telemetry
-
-        assert upgrade_telemetry("not a dict") == "not a dict"  # type: ignore[arg-type]

@@ -1,14 +1,9 @@
 """Mergeable telemetry: exact counter addition, percentiles over the
-union of samples, and the v1 -> v2 schema compatibility shim."""
+union of samples, and schema-version checks."""
 
 import pytest
 
-from repro.serve import (
-    TELEMETRY_SCHEMA_VERSION,
-    TelemetryCollector,
-    upgrade_telemetry,
-    validate_telemetry,
-)
+from repro.serve import TelemetryCollector, validate_telemetry
 from repro.serve.telemetry import _percentile
 
 
@@ -90,8 +85,7 @@ class TestMerge:
 
 class TestFleetBlockMerge:
     """The v4 fleet block: per-replica routed-hit/misroute counters
-    merge by exact addition, and legacy v2/v3 documents upgrade to an
-    empty block."""
+    merge by exact addition."""
 
     def test_counters_add_exactly_across_three_replicas(self):
         collectors = [TelemetryCollector() for _ in range(3)]
@@ -107,33 +101,6 @@ class TestFleetBlockMerge:
         snap = validate_telemetry(merged.snapshot())
         assert snap["fleet"]["routed_hits"] == {"0": 2, "1": 1, "2": 1}
         assert snap["fleet"]["misroutes"] == {"1": 2}
-
-    def test_mixed_v2_v3_inputs_upgrade_to_empty_fleet_block(self):
-        """A merged fleet report can fold in snapshots written by older
-        code; each upgrades to an empty (but present) fleet block."""
-        legacy = []
-        for old_version in (2, 3):
-            collector = TelemetryCollector()
-            fill(collector, [5.0])
-            document = collector.snapshot()
-            document["schema_version"] = old_version
-            del document["fleet"]
-            if old_version == 2:
-                del document["resilience"]
-            legacy.append(document)
-        current = TelemetryCollector()
-        fill(current, [1.0])
-        current.note_routed_hit(0)
-        documents = [upgrade_telemetry(doc) for doc in legacy] + [
-            current.snapshot()
-        ]
-        for document in documents:
-            validated = validate_telemetry(document)
-            assert validated["schema_version"] == TELEMETRY_SCHEMA_VERSION
-            assert "routed_hits" in validated["fleet"]
-            assert "misroutes" in validated["fleet"]
-        assert documents[0]["fleet"] == {"routed_hits": {}, "misroutes": {}}
-        assert documents[2]["fleet"]["routed_hits"] == {"0": 1}
 
     def test_counters_exceeding_queries_rejected(self):
         collector = TelemetryCollector()
@@ -153,38 +120,28 @@ class TestFleetBlockMerge:
 
 
 class TestSchemaCompatibility:
-    def _v1_document(self):
+    def _document(self, version):
         collector = TelemetryCollector()
         fill(collector, [5.0, 15.0])
         document = collector.snapshot()
-        document["schema_version"] = 1
-        del document["cache"]
-        del document["merged_from"]
+        document["schema_version"] = version
         return document
 
-    def test_v1_upgrades_and_validates(self):
-        upgraded = validate_telemetry(self._v1_document())
-        assert upgraded["schema_version"] == TELEMETRY_SCHEMA_VERSION
-        assert upgraded["merged_from"] == 1
-        assert upgraded["cache"]["enabled"] is False
-        assert upgraded["queries"] == 2
-
-    def test_upgrade_does_not_mutate_input(self):
-        document = self._v1_document()
-        upgrade_telemetry(document)
-        assert document["schema_version"] == 1
-        assert "cache" not in document
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, "4", "x", None])
+    def test_other_versions_rejected(self, version):
+        """Documents of schema v1-v3, or of unknown versions, are
+        rejected, never converted or coerced."""
+        with pytest.raises(ValueError, match="schema_version must be 4, got"):
+            validate_telemetry(self._document(version))
 
     def test_v2_passes_through_unchanged(self):
         collector = TelemetryCollector()
         fill(collector, [5.0])
         document = collector.snapshot()
-        assert upgrade_telemetry(document) is document
         assert validate_telemetry(document) is document
 
     def test_unknown_version_rejected(self):
-        document = self._v1_document()
-        document["schema_version"] = 99
+        document = self._document(99)
         with pytest.raises(ValueError, match="schema_version"):
             validate_telemetry(document)
 
