@@ -4,8 +4,9 @@
 Runs the selection benchmarks through pytest-benchmark, measures the
 end-to-end pipeline (graph compile + engine compile + 1-greedy +
 2-greedy) at d=5, 6 and 7, measures query serving on the d=5 TPC-D
-workload (qps and latency percentiles, serial vs. 2 replay workers), and
-writes everything to ``benchmarks/BENCH_selection.json``.
+workload (qps and latency percentiles: per-query, batched, cached, and
+through replica fleets), and writes everything to
+``benchmarks/BENCH_selection.json``.
 
 The committed copy of that file doubles as the regression baseline: a
 run whose pytest-benchmark medians or pipeline timings exceed the
@@ -196,28 +197,17 @@ def measure_checkpoint_overhead(n_dims: int = 5, repeats: int = 3) -> dict:
     }
 
 
-#: Worker counts measured for the serving throughput sweep.
-SERVING_WORKERS_SWEEP = (1, 2, 4)
-
-#: The last committed d5_serial qps from before the batched execution
-#: path landed (per-query serving).  The acceptance bar for the
-#: high-throughput serving work is ``d5_w4_cached`` >= 3x this.
-PRIOR_SERIAL_QPS_D5 = 5102.54
-
-
 def measure_serving(n_dims: int = 5, n_queries: int = 500, repeats: int = 2) -> dict:
     """Queries/sec and latency percentiles serving the d=5 TPC-D workload.
 
     Replays the same synthetic log through a materialized selection
     across the serving matrix: per-query execution (``batch1``, the
-    pre-batching reference shape), the vectorized batched path at
-    1/2/4 front-end workers, and the batched path with the result cache
-    on (best of ``repeats`` cold runs each — cache legs only benefit
-    from repetition *within* the log).  The serial legs are gated like
-    the pipeline timings; worker legs are informational (wall-clock
-    depends on the runner's core count).  ``d5_cached_w4_speedup`` is
-    the acceptance headline: batched+cached 4-worker qps over the
-    per-query serial qps of the same run.
+    pre-batching reference shape), the vectorized batched path, and the
+    batched path with the result cache on (best of ``repeats`` cold runs
+    each — cache legs only benefit from repetition *within* the log).
+    These legs are gated like the pipeline timings; the fleet legs are
+    informational (their client threads' wall-clock depends on the
+    runner's core count).
     """
     from repro.algorithms.rgreedy import RGreedy
     from repro.core.benefit import BenefitEngine
@@ -243,7 +233,7 @@ def measure_serving(n_dims: int = 5, n_queries: int = 500, repeats: int = 2) -> 
     )
     log = generate_query_log(schema, n_queries, rng=0)
 
-    def leg(workers: int, cached: bool = False, batch_size: int = None) -> dict:
+    def leg(cached: bool = False, batch_size: int = None) -> dict:
         best = None
         for _ in range(max(1, repeats)):
             server = QueryServer(
@@ -253,11 +243,10 @@ def measure_serving(n_dims: int = 5, n_queries: int = 500, repeats: int = 2) -> 
                 cache=ResultCache() if cached else None,
                 keep_records=False,
             )
-            report = server.replay(log, workers=workers, batch_size=batch_size)
+            report = server.replay(log, batch_size=batch_size)
             assert report.fallbacks == 0, "bench workload must not fall back"
             timings = {
                 "queries": report.queries,
-                "workers": workers,
                 "batch_size": report.batch_size,
                 "cache": cached,
                 "cache_hits": report.cache_hits,
@@ -270,22 +259,11 @@ def measure_serving(n_dims: int = 5, n_queries: int = 500, repeats: int = 2) -> 
                 best = timings
         return best
 
-    out = {f"d{n_dims}_batch1": leg(1, batch_size=1)}
-    for workers in SERVING_WORKERS_SWEEP:
-        suffix = "serial" if workers == 1 else f"w{workers}"
-        out[f"d{n_dims}_{suffix}"] = leg(workers)
-        out[f"d{n_dims}_{suffix}_cached"] = leg(workers, cached=True)
-    # within-run ablation: batched + cached + concurrent vs this run's
-    # per-query reference leg
-    out[f"d{n_dims}_cached_w4_speedup"] = (
-        out[f"d{n_dims}_w4_cached"]["qps"] / out[f"d{n_dims}_batch1"]["qps"]
-    )
-    if n_dims == 5:
-        # acceptance headline: vs the committed pre-batching serial qps
-        out["d5_cached_w4_vs_prior_committed"] = (
-            out["d5_w4_cached"]["qps"] / PRIOR_SERIAL_QPS_D5
-        )
-        out["d5_prior_committed_serial_qps"] = PRIOR_SERIAL_QPS_D5
+    out = {
+        f"d{n_dims}_batch1": leg(batch_size=1),
+        f"d{n_dims}_serial": leg(),
+        f"d{n_dims}_serial_cached": leg(cached=True),
+    }
     out[f"d{n_dims}_structures"] = len(selection)
     out.update(
         _fleet_legs(fact, model, selection, log, n_dims=n_dims)
@@ -303,8 +281,8 @@ def _divergent_legs(fact, model, log, n_dims: int) -> dict:
     Reports the serving throughput plus the acceptance number: the
     predicted workload cost of the divergent fleet over 4 identical
     copies of the workload-weighted single advise (must be <= 1.0; the
-    d=5 fixture lands well below).  ``workers=2`` opts out of the
-    regression gate like the other fleet legs.
+    d=5 fixture lands well below).  Its ``replicas`` key opts it out of
+    the regression gate like the other fleet legs.
     """
     from repro.algorithms.rgreedy import RGreedy
     from repro.core.qvgraph import QueryViewGraph
@@ -338,7 +316,6 @@ def _divergent_legs(fact, model, log, n_dims: int) -> dict:
         fact,
         advice.selections,
         cost_model=model,
-        workers=2,
         retry=RetryPolicy(max_attempts=3, base_delay=0.005),
         query_deadline=5.0,
         router=router,
@@ -368,7 +345,6 @@ def _divergent_legs(fact, model, log, n_dims: int) -> dict:
         f"d{n_dims}_divergent4": {
             "queries": len(served),
             "replicas": 4,
-            "workers": 2,  # per replica; also opts out of the gate
             "seconds": seconds,
             "qps": len(served) / seconds if seconds > 0 else 0.0,
             "p50_us": pct(0.50),
@@ -389,8 +365,8 @@ def _fleet_legs(fact, model, selection, log, n_dims: int) -> dict:
     """Informational fleet legs: 4 replicas healthy, then 4 replicas
     with one killed mid-run (the degraded-mode ablation).
 
-    Both carry ``workers >= 2`` so the regression gate skips them —
-    like the worker sweep, their wall-clock depends on core count.  The
+    Both carry ``replicas`` so the regression gate skips them: their
+    client threads' wall-clock depends on core count.  The
     degraded leg reports the unavailability window (expected 0: three
     replicas stay healthy) and asserts every query still answered.
     """
@@ -402,7 +378,6 @@ def _fleet_legs(fact, model, selection, log, n_dims: int) -> dict:
             selection,
             replicas=4,
             cost_model=model,
-            workers=2,
             retry=RetryPolicy(max_attempts=3, base_delay=0.005),
             query_deadline=5.0,
         )
@@ -432,7 +407,6 @@ def _fleet_legs(fact, model, selection, log, n_dims: int) -> dict:
             "queries": len(served),
             "replicas": 4,
             "killed": 1 if kill_one else 0,
-            "workers": 2,  # per replica; also opts out of the gate
             "seconds": seconds,
             "qps": len(served) / seconds if seconds > 0 else 0.0,
             "p50_us": pct(0.50),
@@ -741,11 +715,10 @@ def gate(current: dict, baseline: dict) -> list:
     for config, timings in current.get("serving", {}).items():
         if not isinstance(timings, dict):
             continue
-        if timings.get("workers", 1) > 1:
-            # multi-worker legs are informational: their wall-clock
-            # depends on the machine's core count (a 1-core runner pays
-            # pure thread overhead), so gating them would punish
-            # hardware, not code
+        if "replicas" in timings:
+            # fleet legs are informational: their client threads'
+            # wall-clock depends on the machine's core count, so gating
+            # them would punish hardware, not code
             continue
         then = base_serving.get(config)
         if isinstance(then, dict) and "seconds" in then:
@@ -908,21 +881,7 @@ def main(argv=None) -> int:
         print(
             f"serve {config}: {timings['qps']:.0f} q/s "
             f"(p50 {timings['p50_us']:.0f} us, p99 {timings['p99_us']:.0f} us, "
-            f"workers {timings['workers']}, "
             f"batch {timings.get('batch_size', 1)}{extra})"
-        )
-    headline = result["serving"].get("d5_cached_w4_speedup")
-    if headline is not None:
-        print(
-            f"serving headline: batched+cached w4 is {headline:.2f}x the "
-            f"per-query serial path"
-        )
-    prior = result["serving"].get("d5_cached_w4_vs_prior_committed")
-    if prior is not None:
-        print(
-            f"serving acceptance: batched+cached w4 is {prior:.2f}x the "
-            f"pre-batching committed serial baseline "
-            f"({PRIOR_SERIAL_QPS_D5:g} q/s)"
         )
 
     for config, leg in sorted(result.get("mining", {}).items()):

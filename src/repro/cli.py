@@ -10,9 +10,9 @@ Usage::
     python -m repro experiments [names...]   # regenerate paper tables
     python -m repro serve --dims 4 --queries 200 --record obs.jsonl \\
         --telemetry telemetry.json           # serve a synthetic workload
-    python -m repro serve --dims 4 --queries 500 --workers 2 \\
-        --cache-mb 16 --batch-size 64        # concurrent front-end + cache
-    python -m repro replay --dims 4 --log obs.jsonl --workers 2 \\
+    python -m repro serve --dims 4 --queries 500 --cache-mb 16 \\
+        --batch-size 64                      # batched serving + cache
+    python -m repro replay --dims 4 --log obs.jsonl \\
         --adaptive                           # replay a recorded log
     python -m repro serve --dims 4 --queries 500 --replicas 4 \\
         --retry-attempts 3                   # fault-tolerant replica fleet
@@ -337,13 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(ALGORITHMS),
             default="1greedy",
             help="algorithm for inline advise and re-advise (default: 1greedy)",
-        )
-        command.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="serving front-end worker threads (>= 2 runs the "
-            "concurrent front-end; default: serial batched serving)",
         )
         command.add_argument(
             "--batch-size",
@@ -1012,7 +1005,7 @@ def _report_serving(args: argparse.Namespace, server, report, recorder) -> int:
     print(
         f"served {report.queries} queries at {report.qps:.0f} q/s "
         f"(p50 {report.p50_us:.0f} us, p99 {report.p99_us:.0f} us, "
-        f"workers {report.workers}, batch {report.batch_size})"
+        f"batch {report.batch_size})"
     )
     print(
         f"rows scanned {cost['actual_rows']:g} "
@@ -1109,7 +1102,6 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
         replicas=args.replicas,
         cost_model=model,
         router=router,
-        workers=args.workers or 1,
         batch_size=(
             args.batch_size if args.batch_size is not None else DEFAULT_BATCH_SIZE
         ),
@@ -1165,17 +1157,7 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
             f"{sum(fleet_counters['misroutes'].values())} misroutes"
         )
     if args.telemetry:
-        snapshot = validate_telemetry(fleet.merged_telemetry().snapshot())
-        snapshot["fleet"].update(
-            {
-                "replicas": args.replicas,
-                "healthy": stats["healthy"],
-                "routed": stats["routed"],
-                "exhausted": stats["exhausted"],
-                "unavailable_seconds": stats["unavailable_seconds"],
-                "routed_dispatch": stats["routed_dispatch"],
-            }
-        )
+        snapshot = validate_telemetry(fleet.telemetry_snapshot())
         if ratio is not None:
             snapshot["fleet"]["predicted_cost_ratio"] = ratio
         with open(args.telemetry, "w") as f:
@@ -1261,8 +1243,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def _check_serving_flags(args: argparse.Namespace) -> None:
     """Flag combinations serve and replay reject as input errors."""
-    if args.workers is not None and args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.divergent and args.replicas < 2:
         raise ValueError("--divergent requires --replicas >= 2")
     if args.backend == "sqlite" and args.replicas >= 2:
@@ -1289,12 +1269,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"serving {len(log)} queries over {args.dims} dimensions "
         f"({len(server.selection)} structures materialized)"
     )
-    report = server.replay(log, workers=args.workers, batch_size=args.batch_size)
+    report = server.replay(log, batch_size=args.batch_size)
     return _report_serving(args, server, report, recorder)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    """Replay a recorded query log, optionally with worker threads."""
+    """Replay a recorded query log through the batched serving path."""
     from repro.io import load_query_log
 
     _check_serving_flags(args)
@@ -1316,7 +1296,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         f"replaying {len(log)} queries from {args.log} "
         f"({len(server.selection)} structures materialized)"
     )
-    report = server.replay(log, workers=args.workers, batch_size=args.batch_size)
+    report = server.replay(log, batch_size=args.batch_size)
     return _report_serving(args, server, report, recorder)
 
 

@@ -46,7 +46,6 @@ def run_smoke(
     algorithm: str = "1greedy",
     queries: Optional[int] = None,
     kill_replica: Optional[int] = 0,
-    workers: int = 1,
 ) -> dict:
     """Partition, advise, serve routed, and return the verdict report."""
     from repro.algorithms import FIT_STRICT, InnerLevelGreedy, RGreedy
@@ -119,7 +118,6 @@ def run_smoke(
         fact,
         advice.selections,
         cost_model=model,
-        workers=workers,
         router=router,
     )
     try:
@@ -142,8 +140,7 @@ def run_smoke(
         fleet_stats = fleet.stats()
     finally:
         fleet.close()
-    telemetry = fleet.merged_telemetry().snapshot()
-    validate_telemetry(telemetry)
+    telemetry = validate_telemetry(fleet.telemetry_snapshot())
 
     ratio = report["predicted_cost_ratio"]
     checks = {
@@ -211,10 +208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="serve the whole log without the mid-run replica kill",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="front-end workers per replica (default 1)",
-    )
-    parser.add_argument(
         "--output", default=None,
         help="write the divergence report (with the smoke verdict) here",
     )
@@ -228,7 +221,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         algorithm=args.algorithm,
         queries=args.queries,
         kill_replica=None if args.no_kill else args.kill_replica,
-        workers=args.workers,
     )
     smoke = report["smoke"]
     if args.output:

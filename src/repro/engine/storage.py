@@ -30,7 +30,13 @@ from repro.core.index import Index
 from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
-from repro.engine.table import FactTable, ViewTable, _key_column, group_rows
+from repro.engine.table import (
+    AGGREGATES,
+    FactTable,
+    ViewTable,
+    _key_column,
+    group_rows,
+)
 
 PathLike = Union[str, Path]
 
@@ -143,13 +149,18 @@ def load_catalog(directory: PathLike) -> Catalog:
 
     for entry in manifest["views"]:
         attrs = tuple(entry["attrs"])
+        agg = entry.get("agg", "sum")
+        if agg not in AGGREGATES:
+            raise ValueError(
+                f"{entry['file']}: aggregate {agg!r} is not one of {AGGREGATES}"
+            )
         with np.load(directory / entry["file"]) as arrays:
             table = ViewTable(
                 View(attrs),
                 attrs,
                 _view_keys(schema, entry["file"], attrs, arrays),
                 arrays["values"],
-                agg=entry.get("agg", "sum"),
+                agg=agg,
                 extra_values={
                     name: arrays[f"measure_{name}"]
                     for name in entry.get("extra_measures", [])

@@ -59,6 +59,9 @@ def key_codes(
 COUNTED_SPACE = 4096
 COUNTED_SPACE_PER_ROW = 4
 
+#: The aggregates :meth:`Groups.fold` computes: the ones a view may store.
+AGGREGATES = ("sum", "count", "min", "max")
+
 
 class Groups:
     """Rows grouped on their key (:func:`group_rows`), in key order:
@@ -95,8 +98,8 @@ class Groups:
         return self._keys
 
     def fold(self, values: np.ndarray, agg: str = "sum") -> np.ndarray:
-        """Each group's ``agg`` (``"sum"``, ``"count"``, ``"min"`` or
-        ``"max"``) of ``values``, one per row, folded in row order."""
+        """Each group's ``agg`` (one of :data:`AGGREGATES`) of
+        ``values``, one per row, folded in row order."""
         labels = self._labels
         if labels is None:
             labels = np.zeros(len(values), dtype=np.intp)
@@ -108,7 +111,7 @@ class Groups:
             out = np.full(self._size, np.inf if agg == "min" else -np.inf)
             (np.minimum if agg == "min" else np.maximum).at(out, labels, values)
         else:
-            raise ValueError(f"agg must be sum, count, min or max, got {agg!r}")
+            raise ValueError(f"agg must be one of {AGGREGATES}, got {agg!r}")
         return out if self._pick is None else out[self._pick]
 
 

@@ -9,15 +9,15 @@ The high-throughput layer on top: :meth:`QueryServer.serve_batch`
 answers query batches in vectorized per-plan passes, a
 :class:`ResultCache` memoizes repeated queries (generation-tagged, so
 hot swaps and maintenance deltas can never serve stale rows), and the
-:class:`ServingFrontend` runs a worker pool with a bounded admission
-queue, per-tenant fairness, and mergeable per-worker telemetry.
+:class:`ServingFrontend` puts a bounded admission queue with per-tenant
+fairness in front of one dispatcher thread.
 
 The fault-tolerance layer on top of *that*: a :class:`ReplicaFleet`
 routes queries over N supervised replicas with health checks, deadlines,
 and jittered retry/failover; per-structure :class:`CircuitBreaker`\\ s
 short-circuit repeatedly-failing structures onto the (slower but always
-correct) raw-cube path; crashed front-end workers restart and fail their
-in-flight queries with typed errors instead of hanging; and
+correct) raw-cube path; a crashed front-end dispatcher restarts and fails
+its in-flight queries with typed errors instead of hanging; and
 ``python -m repro.serve.chaos`` injects all four fault classes into live
 runs, asserting zero wrong answers and exact telemetry accounting.
 

@@ -17,12 +17,13 @@ swap bumps the serving generation and a fact-table delta applied through
 :func:`repro.engine.maintenance.apply_delta` bumps the catalog version,
 so the first lookup after either sees a stale tag and drops the whole
 cache — a reselection or a maintenance delta can never serve stale rows.
-Late inserts from a worker that read the old state race-safely miss: a
+Late inserts from a batch that read the old state race-safely miss: a
 ``put`` whose tag disagrees with the cache's current tag is discarded.
 
 A served batch looks up all of its keys with one :meth:`ResultCache.get_many`
-call, which takes the cache lock once per batch; concurrent workers that
-share the cache serialize per batch, not per query.
+call, which takes the cache lock once per batch; threads that share the
+cache (a replica's dispatcher and its health probes) serialize per
+batch, not per query.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class ResultCache:
     def put(self, key: tuple, result: CachedResult, tag: Tuple[int, int]) -> bool:
         """Insert a finished result; returns whether it was admitted.
 
-        Inserts tagged with a stale ``tag`` (a worker that read the old
+        Inserts tagged with a stale ``tag`` (a batch that read the old
         serving state) are silently dropped.  A full cache consults the
         admission sketch before displacing the LRU victim.  Re-putting a
         held key drops its old result first, then admits the new one like

@@ -5,10 +5,10 @@ stage boundaries); this module attacks the *serving* stack.  Four fault
 classes, one scenario each:
 
 ``worker_kill``
-    Front-end workers die mid-batch (via the supervision crash hook).
-    The fleet must re-route every affected query; supervision must
-    restart every worker; ``worker_crashes``/``worker_restarts`` must
-    equal the kills injected.
+    Front-end dispatchers die mid-batch (via the supervision crash
+    hook).  The fleet must re-route every affected query; supervision
+    must restart every dispatcher; ``worker_crashes``/``worker_restarts``
+    must equal the kills injected.
 ``structure_poison``
     Every execution against one materialized structure raises (a
     corrupted view/index).  Each poisoned execution must be rescued
@@ -198,33 +198,30 @@ def _score_answers(results, golden) -> Dict[str, int]:
 
 
 def _merged_resilience(fleet: ReplicaFleet) -> dict:
-    merged = fleet.merged_telemetry()
-    document = validate_telemetry(merged.snapshot())
-    return document["resilience"]
+    return validate_telemetry(fleet.telemetry_snapshot())["resilience"]
 
 
 # ----------------------------------------------------------- scenarios
 
 
-def scenario_worker_kill(ctx: ChaosContext, replicas: int, workers: int) -> ScenarioReport:
-    """Kill front-end workers mid-batch; supervision + retry recover."""
+def scenario_worker_kill(ctx: ChaosContext, replicas: int) -> ScenarioReport:
+    """Kill front-end dispatchers mid-batch; supervision + retry recover."""
     kills = 3
     fleet = ReplicaFleet(
         ctx.fact,
         ctx.selection,
         replicas=replicas,
         cost_model=ctx.cost_model,
-        workers=workers,
         retry=RetryPolicy(max_attempts=4, base_delay=0.005),
     )
     lock = threading.Lock()
     injected = [0]
 
-    def crash_hook(slot: int) -> None:
+    def crash_hook() -> None:
         with lock:
             if injected[0] < kills:
                 injected[0] += 1
-                raise InjectedWorkerKill(f"worker kill #{injected[0]}")
+                raise InjectedWorkerKill(f"dispatcher kill #{injected[0]}")
 
     for replica in fleet.replicas:
         replica.frontend.crash_hook = crash_hook
@@ -258,7 +255,7 @@ def scenario_worker_kill(ctx: ChaosContext, replicas: int, workers: int) -> Scen
 
 
 def scenario_structure_poison(
-    ctx: ChaosContext, replicas: int, workers: int
+    ctx: ChaosContext, replicas: int
 ) -> ScenarioReport:
     """Poison the hottest structure; raw rescue + breaker trip."""
     from collections import Counter
@@ -273,7 +270,6 @@ def scenario_structure_poison(
         ctx.selection,
         replicas=replicas,
         cost_model=ctx.cost_model,
-        workers=workers,
         breaker_threshold=threshold,
         breaker_cooldown=600.0,  # no half-open probes inside the run
         retry=RetryPolicy(max_attempts=3, base_delay=0.005),
@@ -339,7 +335,7 @@ def scenario_structure_poison(
 
 
 def scenario_slow_executor(
-    ctx: ChaosContext, replicas: int, workers: int
+    ctx: ChaosContext, replicas: int
 ) -> ScenarioReport:
     """Slow one replica's executor; deadlines + probes route around it."""
     delay = 0.12
@@ -349,7 +345,6 @@ def scenario_slow_executor(
         ctx.selection,
         replicas=replicas,
         cost_model=ctx.cost_model,
-        workers=workers,
         batch_size=4,  # bounds the in-flight tail of the slow replica
         retry=RetryPolicy(max_attempts=4, base_delay=0.005),
         query_deadline=deadline,
@@ -427,7 +422,7 @@ def scenario_slow_executor(
 
 
 def scenario_mid_swap_crash(
-    ctx: ChaosContext, replicas: int, workers: int
+    ctx: ChaosContext, replicas: int
 ) -> ScenarioReport:
     """Crash every adaptive hot swap mid-materialization; the old
     generation keeps serving."""
@@ -537,7 +532,6 @@ def run_matrix(
     dims: int = 4,
     queries: int = 300,
     replicas: int = 2,
-    workers: int = 2,
     seed: int = 0,
     scenarios: Optional[List[str]] = None,
 ) -> List[ScenarioReport]:
@@ -545,7 +539,7 @@ def run_matrix(
     ctx = build_context(dims, queries, seed)
     reports = []
     for name in names:
-        reports.append(RUNNERS[name](ctx, replicas, workers))
+        reports.append(RUNNERS[name](ctx, replicas))
     return reports
 
 
@@ -553,7 +547,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.chaos",
         description=(
-            "Inject worker kills, structure poison, slow executors, and "
+            "Inject dispatcher kills, structure poison, slow executors, and "
             "mid-swap crashes into live serving runs; assert zero wrong "
             "answers and exact per-fault telemetry accounting."
         ),
@@ -561,7 +555,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--dims", type=int, default=4)
     parser.add_argument("--queries", type=int, default=300)
     parser.add_argument("--replicas", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--scenario",
@@ -578,7 +571,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             dims=args.dims,
             queries=args.queries,
             replicas=args.replicas,
-            workers=args.workers,
             seed=args.seed,
             scenarios=args.scenario,
         )
@@ -601,7 +593,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "dims": args.dims,
             "queries": args.queries,
             "replicas": args.replicas,
-            "workers": args.workers,
             "seed": args.seed,
             "scenarios": [report.to_json() for report in reports],
             "failures": failures,

@@ -1,11 +1,11 @@
 """Supervised replica fleet: health-checked routing with retry/failover.
 
 A :class:`ReplicaFleet` runs N independent ``QueryServer`` +
-``ServingFrontend`` pairs — each with its own catalog, result cache, and
-per-structure circuit breaker — behind a router.  The router bounds
-every attempt with a per-query deadline, and on a timeout or typed
-serving failure retries with jittered exponential backoff on a replica
-it has not tried yet.  A query fails only with a typed
+``ServingFrontend`` pairs — each with its own catalog, result cache,
+per-structure circuit breaker and dispatcher thread — behind a router.
+The router bounds every attempt with a per-query deadline, and on a
+timeout or typed serving failure retries with jittered exponential
+backoff on a replica it has not tried yet.  A query fails only with a typed
 :class:`~repro.serve.resilience.ServingError` (retries exhausted, no
 healthy replica) — never by hanging, and never with a wrong answer.
 
@@ -26,7 +26,7 @@ anything; only the predicted latency is forfeited).
 Health has two inputs: **passive strikes** (submit failures, deadline
 timeouts observed by the router) and **active probes** (a
 :class:`HealthChecker` that serves a probe query against each replica,
-bounds its latency, and checks queue depth and live workers).  Either
+bounds its latency, and checks queue depth and the dispatcher).  Either
 can mark a replica unhealthy; only a passing probe brings it back.
 Fleet-level *unavailability* — wall-clock spans during which zero
 replicas were healthy — is accounted exactly and reported in
@@ -215,9 +215,9 @@ class HealthChecker:
     thread every ``interval`` seconds.  A probe serves one cheap query
     *directly* through ``server.serve_batch`` (bypassing the admission
     queue, into a private collector — probes never pollute serving
-    telemetry) and fails on: a dead replica, zero live workers, queue
-    depth over the limit, a raised probe, or probe latency over the
-    threshold.
+    telemetry) and fails on: a dead replica, a front-end dispatcher down
+    for good, queue depth over the limit, a raised probe, or probe
+    latency over the threshold.
     """
 
     def __init__(
@@ -251,7 +251,7 @@ class HealthChecker:
             return False, float("inf"), "dead"
         stats = replica.frontend.stats()
         if stats["live_workers"] <= 0:
-            return False, float("inf"), "no live workers"
+            return False, float("inf"), "dispatcher down"
         if self.queue_limit is not None and stats["pending"] > self.queue_limit:
             return False, float("inf"), f"queue depth {stats['pending']}"
         start = time.perf_counter()
@@ -331,7 +331,7 @@ class ReplicaFleet:
     replicas:
         Replica count when ``selections`` is a single selection
         (default 2; ignored and checked for consistency otherwise).
-    workers / batch_size / queue_depth / cache_bytes / keep_records /
+    batch_size / queue_depth / cache_bytes / keep_records /
     max_worker_restarts:
         Per-replica server and front-end configuration
         (``cache_bytes=0`` disables the result cache).
@@ -340,8 +340,9 @@ class ReplicaFleet:
     retry:
         The router's :class:`RetryPolicy` (attempts + backoff).
     query_deadline:
-        Per-attempt seconds a routed query may take (submit + answer)
-        before the router strikes the replica and re-routes.
+        Per-attempt seconds a routed query may take (submit + answer,
+        one monotonic deadline) before the router strikes the replica
+        and re-routes.
     strike_limit:
         Consecutive failures that mark a replica unhealthy.
     probe_interval:
@@ -361,7 +362,6 @@ class ReplicaFleet:
         selections: Union[Sequence[str], Sequence[Sequence[str]]],
         replicas: Optional[int] = None,
         cost_model: Optional[LinearCostModel] = None,
-        workers: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         cache_bytes: int = 0,
@@ -424,10 +424,8 @@ class ReplicaFleet:
             )
             frontend = ServingFrontend(
                 server,
-                workers=workers,
                 batch_size=batch_size,
                 queue_depth=queue_depth,
-                keep_records=keep_records,
                 max_worker_restarts=max_worker_restarts,
             )
             replica = Replica(replica_id, server, frontend, clock)
@@ -524,7 +522,9 @@ class ReplicaFleet:
         """Answer one query through the fleet.
 
         Each attempt routes to a healthy replica and waits at most
-        ``query_deadline`` for the answer; a timeout or typed serving
+        ``query_deadline`` for admission and answer together (measured
+        on the monotonic clock, not the injectable ``clock``, which
+        only accounts availability); a timeout or typed serving
         failure strikes the replica, backs off (jittered exponential),
         and retries elsewhere.  Raises :class:`NoHealthyReplica` when
         nothing is routable and :class:`RetriesExhausted` after the
@@ -550,6 +550,7 @@ class ReplicaFleet:
                     },
                 ) from last_error
             attempts += 1
+            deadline = time.monotonic() + self.query_deadline
             try:
                 future = replica.frontend.submit(
                     entry, tenant=tenant, block=True, timeout=self.query_deadline
@@ -560,7 +561,9 @@ class ReplicaFleet:
                 self._strike(replica, f"submit: {type(exc).__name__}")
                 continue
             try:
-                outcome = future.result(timeout=self.query_deadline)
+                outcome = future.result(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
             except FuturesTimeout:
                 self.telemetry.note_deadline_timeout()
                 last_error = QueryTimeout(
@@ -645,14 +648,40 @@ class ReplicaFleet:
     # ------------------------------------------------------------ reporting
 
     def merged_telemetry(self) -> TelemetryCollector:
-        """Fleet counters + every replica's collector, merged.
-
-        Call after :meth:`close` for complete worker accounting (worker
-        collectors fold into their server's on front-end close)."""
+        """Fleet counters + every replica's collector, merged."""
         return TelemetryCollector.merge(
             [self.telemetry]
             + [replica.server.telemetry for replica in self.replicas]
         )
+
+    def telemetry_snapshot(self) -> dict:
+        """The fleet's telemetry document, shaped like
+        :meth:`QueryServer.telemetry_snapshot`: the merged collectors,
+        the replicas' result-cache counters summed (enabled when any
+        replica has a cache), and the router's counters in ``fleet``."""
+        blocks = [
+            replica.server.cache.stats()
+            for replica in self.replicas
+            if replica.server.cache is not None
+        ]
+        cache = None
+        if blocks:
+            cache = {
+                field: sum(block[field] for block in blocks)
+                for field in blocks[0]
+            }
+            cache["enabled"] = True
+        stats = self.stats()
+        snapshot = self.merged_telemetry().snapshot(cache=cache)
+        snapshot["fleet"].update(
+            replicas=len(self.replicas),
+            healthy=stats["healthy"],
+            routed=stats["routed"],
+            exhausted=stats["exhausted"],
+            unavailable_seconds=stats["unavailable_seconds"],
+            routed_dispatch=stats["routed_dispatch"],
+        )
+        return snapshot
 
     def stats(self) -> dict:
         resilience = self.telemetry.resilience_stats()

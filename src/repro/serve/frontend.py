@@ -1,34 +1,31 @@
-"""Concurrent serving front-end: admission queue, workers, fair batching.
+"""Serving front-end: admission queue, fair batching, one dispatcher.
 
 :class:`ServingFrontend` is the request loop in front of a
 :class:`~repro.serve.server.QueryServer` — the shape cubes' slicer
 server has, scaled down to an in-process component.  Requests enter
 through a **bounded admission queue** (per-tenant FIFOs behind one
 condition variable; a full queue blocks or rejects, it never grows
-unbounded), worker threads drain the queue into batches, and every batch
-goes through the server's vectorized :meth:`serve_batch` path over the
-immutable serving state — which is lock-free to read and atomically
-swapped, so workers never contend on the data they serve from.
+unbounded), and one dispatcher thread drains the queue into batches,
+each answered by the server's vectorized :meth:`serve_batch` and
+recorded into the server's own telemetry collector as it finishes.
+
+One thread, not none: the dispatcher runs every execution, so a client
+waiting on its future can give up at a deadline even when one execution
+hangs — which is how :class:`~repro.serve.fleet.ReplicaFleet` abandons a
+slow replica.  One thread, not a pool: measured, extra workers lost to
+serial batching on both throughput and tail latency.
 
 **Fairness** is round-robin per tenant: a batch takes one queued entry
 from each tenant in rotation, so a tenant flooding the queue cannot
 starve the others — its requests just queue behind its own backlog.
 
-**Telemetry** is per-worker: each worker records into its own
-:class:`~repro.serve.telemetry.TelemetryCollector` (no shared-lock
-traffic on the hot path) and :meth:`close` merges them — exact counters,
-bucket-wise histograms, percentiles recomputed over the union of
-samples — into the server's collector, so a drained front-end leaves the
-server's snapshot indistinguishable from serial serving.
-
-**Supervision**: a worker thread that dies outside the serve path (the
-previous code let queued requests wait forever on one) now fails its
+**Supervision**: a dispatcher that dies outside the serve path fails its
 in-flight batch with a typed
-:class:`~repro.serve.resilience.WorkerCrashed`, is restarted in place
-(up to ``max_worker_restarts`` across the front-end's lifetime), and —
-should the *last* worker die with no restart budget left — every queued
-future is failed instead of hanging.  :meth:`close` likewise drains any
-still-queued futures with :class:`~repro.serve.resilience.FrontendClosed`.
+:class:`~repro.serve.resilience.WorkerCrashed` and is restarted (up to
+``max_worker_restarts`` across the front-end's lifetime); once that
+budget is spent, every queued future and every new submission fails
+instead of hanging.  :meth:`close` likewise fails any still-queued
+future with :class:`~repro.serve.resilience.FrontendClosed`.
 """
 
 from __future__ import annotations
@@ -36,12 +33,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.cube.query_log import LogEntry
 from repro.serve.batch import DEFAULT_BATCH_SIZE
 from repro.serve.resilience import FrontendClosed, ServingError, WorkerCrashed
-from repro.serve.telemetry import TelemetryCollector
 
 #: Default bound on queued-but-unserved entries across all tenants.
 DEFAULT_QUEUE_DEPTH = 4096
@@ -49,7 +45,7 @@ DEFAULT_QUEUE_DEPTH = 4096
 #: Tenant label for requests submitted without one.
 DEFAULT_TENANT = "default"
 
-#: Default lifetime budget of worker restarts per front-end.
+#: Default lifetime budget of dispatcher restarts per front-end.
 DEFAULT_MAX_WORKER_RESTARTS = 16
 
 
@@ -58,45 +54,36 @@ class AdmissionQueueFull(ServingError):
 
 
 class ServingFrontend:
-    """Thread-pool front-end over a :class:`QueryServer`.
+    """Admission queue and one dispatcher thread over a :class:`QueryServer`.
 
     Parameters
     ----------
     server:
         The query server whose :meth:`serve_batch` answers every batch.
-    workers:
-        Worker thread count (>= 1).
     batch_size:
-        Most entries a worker drains into one ``serve_batch`` call.
+        Most entries the dispatcher drains into one ``serve_batch`` call.
     queue_depth:
         Bound on queued entries across all tenants; :meth:`submit`
         blocks (or raises :class:`AdmissionQueueFull` with
         ``block=False`` / on timeout) once reached.
-    keep_records:
-        Whether per-worker collectors retain per-query records (match
-        the server's collector when the merged telemetry should).
     max_worker_restarts:
-        Lifetime budget of worker restarts after crashes; past it a
-        crashed worker stays down, and once the last one is down every
-        queued future fails with :class:`WorkerCrashed`.
+        Lifetime budget of dispatcher restarts after crashes; past it
+        the dispatcher stays down and every queued future fails with
+        :class:`WorkerCrashed`.
     crash_hook:
-        Optional ``hook(slot)`` called after a worker takes a batch and
-        before it serves — the chaos harness's worker-kill injection
-        point (anything it raises crashes the worker).
+        Optional ``hook()`` called after the dispatcher takes a batch and
+        before it serves — the chaos harness's dispatcher-kill injection
+        point (anything it raises crashes the dispatcher).
     """
 
     def __init__(
         self,
         server,
-        workers: int = 2,
         batch_size: int = DEFAULT_BATCH_SIZE,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        keep_records: bool = True,
         max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
         crash_hook=None,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if queue_depth < 1:
@@ -106,7 +93,6 @@ class ServingFrontend:
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
             )
         self.server = server
-        self.workers = int(workers)
         self.batch_size = int(batch_size)
         self.queue_depth = int(queue_depth)
         self.max_worker_restarts = int(max_worker_restarts)
@@ -120,30 +106,15 @@ class ServingFrontend:
         self._inflight = 0
         self._closing = False
         self._abandon = False
-        self._absorbed = False
+        self._live = True
         self.submitted = 0
         self.served = 0
         self.rejected = 0
         self.batches = 0
         self.worker_crashes = 0
         self.worker_restarts = 0
-        self._restarts_used = 0
-        self._live_workers = self.workers
-        self.collectors: List[TelemetryCollector] = [
-            TelemetryCollector(keep_records=keep_records)
-            for _ in range(self.workers)
-        ]
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(pos,),
-                name=f"serve-frontend-{pos}",
-                daemon=True,
-            )
-            for pos in range(self.workers)
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._threads: List[threading.Thread] = []
+        self._start_dispatcher()
 
     # -------------------------------------------------------------- submit
 
@@ -158,19 +129,19 @@ class ServingFrontend:
         :class:`~repro.serve.server.ServeOutcome`.
 
         A full queue blocks until space frees (``timeout`` bounds the
-        wait) or, with ``block=False``, raises
-        :class:`AdmissionQueueFull` immediately.
+        whole wait, however often the queue wakes it) or, with
+        ``block=False``, raises :class:`AdmissionQueueFull` immediately.
         """
         future: "Future[object]" = Future()
         with self._cond:
-            while not self._closing and self._pending >= self.queue_depth:
+            if not self._closing and self._pending >= self.queue_depth:
                 self._check_live_locked()
                 if not block:
                     self.rejected += 1
                     raise AdmissionQueueFull(
                         f"admission queue at capacity ({self.queue_depth})"
                     )
-                if not self._cond.wait(timeout):
+                if not self._cond.wait_for(self._admissible_locked, timeout):
                     self.rejected += 1
                     raise AdmissionQueueFull(
                         f"admission queue still full after {timeout}s"
@@ -190,52 +161,32 @@ class ServingFrontend:
             self._cond.notify_all()
         return future
 
-    def submit_many(
-        self, entries: Sequence[LogEntry], tenant: str = DEFAULT_TENANT
-    ) -> List["Future[object]"]:
-        """Queue many entries for one tenant (blocking admission).
+    def _admissible_locked(self) -> bool:
+        """A blocked submit may stop waiting: space, closing, or a
+        dispatcher that is down for good."""
+        return self._closing or not self._live or self._pending < self.queue_depth
 
-        Takes the queue lock once per admitted run instead of once per
-        entry; blocks whenever the queue is at capacity, exactly like a
-        sequence of blocking :meth:`submit` calls."""
-        futures: List["Future[object]"] = []
-        pos = 0
-        with self._cond:
-            while pos < len(entries):
-                while not self._closing and self._pending >= self.queue_depth:
-                    self._check_live_locked()
-                    self._cond.wait()
-                if self._closing:
-                    raise FrontendClosed("frontend is closed")
-                self._check_live_locked()
-                queue = self._queues.get(tenant)
-                if queue is None:
-                    queue = deque()
-                    self._queues[tenant] = queue
-                while pos < len(entries) and self._pending < self.queue_depth:
-                    future: "Future[object]" = Future()
-                    if not queue:
-                        self._rotation.append(tenant)
-                    queue.append((entries[pos], future))
-                    futures.append(future)
-                    self._pending += 1
-                    self.submitted += 1
-                    pos += 1
-                self._cond.notify_all()
-        return futures
-
-    # -------------------------------------------------------------- worker
+    # ---------------------------------------------------------- dispatcher
 
     def _check_live_locked(self) -> None:
-        """Fail fast (under the condition lock) once every worker has
-        crashed for good — blocking submitters must not hang on a pool
+        """Fail fast (under the condition lock) once the dispatcher has
+        crashed for good — blocking submitters must not hang on a queue
         that can never drain."""
-        if self._live_workers <= 0 and self.worker_crashes > 0:
+        if not self._live:
             raise WorkerCrashed(
-                f"all {self.workers} workers crashed "
-                f"({self.worker_crashes} crashes, restart budget "
-                f"{self.max_worker_restarts} spent)"
+                f"dispatcher crashed ({self.worker_crashes} crashes, restart "
+                f"budget {self.max_worker_restarts} spent)"
             )
+
+    def _start_dispatcher(self) -> None:
+        thread = threading.Thread(
+            target=self._dispatch,
+            name=f"serve-dispatcher-{len(self._threads)}",
+            daemon=True,
+        )
+        with self._cond:
+            self._threads.append(thread)
+        thread.start()
 
     def _take_batch(self) -> Optional[List[Tuple[LogEntry, Future]]]:
         """Wait for work; drain up to ``batch_size`` entries fairly.
@@ -261,8 +212,7 @@ class ServingFrontend:
             self._cond.notify_all()
             return batch
 
-    def _worker_loop(self, slot: int) -> None:
-        collector = self.collectors[slot]
+    def _dispatch(self) -> None:
         while True:
             batch = self._take_batch()
             if batch is None:
@@ -270,14 +220,12 @@ class ServingFrontend:
             try:
                 try:
                     if self.crash_hook is not None:
-                        self.crash_hook(slot)
+                        self.crash_hook()
                     entries = [entry for entry, __ in batch]
                     try:
-                        outcomes = self.server.serve_batch(
-                            entries, telemetry=collector
-                        )
+                        outcomes = self.server.serve_batch(entries)
                     except Exception as exc:
-                        # a serving error fails the batch, not the worker
+                        # a serving error fails the batch, not the dispatcher
                         for __, future in batch:
                             if not future.cancelled():
                                 future.set_exception(exc)
@@ -292,53 +240,41 @@ class ServingFrontend:
                         self.batches += 1
                         self._cond.notify_all()
             except BaseException as exc:
-                # the worker itself died (crash hook, future bookkeeping,
-                # interpreter-level errors): supervise instead of hanging
-                self._on_worker_crash(slot, batch, exc)
+                # the dispatcher itself died (crash hook, future
+                # bookkeeping, interpreter-level errors): supervise
+                # instead of hanging
+                self._on_crash(batch, exc)
                 return
 
-    def _on_worker_crash(
-        self, slot: int, batch: List[Tuple[LogEntry, Future]], exc: BaseException
+    def _on_crash(
+        self, batch: List[Tuple[LogEntry, Future]], exc: BaseException
     ) -> None:
-        """Supervision: fail the crashed batch with a typed error,
-        restart the worker while budget lasts, and fail the whole queue
-        when the last worker is gone."""
-        error = WorkerCrashed(f"worker {slot} crashed: {exc!r}")
+        """Supervision: fail the crashed batch with a typed error, then
+        restart the dispatcher while budget lasts, or fail the queue."""
+        error = WorkerCrashed(f"dispatcher crashed: {exc!r}")
         error.__cause__ = exc
         for __, future in batch:
             if not future.done():
                 future.set_exception(error)
-        # noted on the *server's* collector: per-worker collectors are
-        # absorbed into it on close, so this never double-counts
         self.server.telemetry.note_worker_crash()
-        restart = False
-        dead = False
         with self._cond:
             self.worker_crashes += 1
-            self._live_workers -= 1
-            if not self._closing and self._restarts_used < self.max_worker_restarts:
-                self._restarts_used += 1
+            restart = (
+                not self._closing
+                and self.worker_restarts < self.max_worker_restarts
+            )
+            if restart:
                 self.worker_restarts += 1
-                self._live_workers += 1
-                restart = True
-            elif self._live_workers <= 0:
-                dead = True
+            else:
+                self._live = False
             self._cond.notify_all()
         if restart:
             self.server.telemetry.note_worker_restart()
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(slot,),
-                name=f"serve-frontend-{slot}r{self._restarts_used}",
-                daemon=True,
-            )
-            with self._cond:
-                self._threads.append(thread)
-            thread.start()
-        elif dead:
+            self._start_dispatcher()
+        else:
             self._fail_pending(
                 WorkerCrashed(
-                    f"all workers crashed (restart budget "
+                    f"dispatcher crashed (restart budget "
                     f"{self.max_worker_restarts} spent); queued request failed"
                 )
             )
@@ -369,20 +305,14 @@ class ServingFrontend:
                 lambda: self._pending == 0 and self._inflight == 0, timeout
             )
 
-    def merged_telemetry(self) -> TelemetryCollector:
-        """Merge the per-worker collectors (without touching the
-        server's collector)."""
-        return TelemetryCollector.merge(self.collectors)
-
     def close(self, timeout: Optional[float] = None, drain: bool = True) -> None:
-        """Stop the workers and fold the per-worker telemetry into the
-        server's collector (once).
+        """Stop the dispatcher.
 
         ``drain=True`` (default) serves the remaining queue first;
-        ``drain=False`` abandons it — workers finish only their current
-        batch and every still-queued future fails with
+        ``drain=False`` abandons it — the dispatcher finishes only its
+        current batch and every still-queued future fails with
         :class:`FrontendClosed`.  Either way no future is ever left
-        pending: anything the workers did not serve is failed typed.
+        pending: anything the dispatcher did not serve is failed typed.
         """
         with self._cond:
             self._closing = True
@@ -397,10 +327,6 @@ class ServingFrontend:
             for thread in threads:
                 thread.join(timeout)
         self._fail_pending(FrontendClosed("frontend closed with queued requests"))
-        if not self._absorbed:
-            self._absorbed = True
-            for collector in self.collectors:
-                self.server.telemetry.absorb(collector)
 
     def __enter__(self) -> "ServingFrontend":
         return self
@@ -414,7 +340,6 @@ class ServingFrontend:
         """Front-end counters for reports and tests."""
         with self._cond:
             return {
-                "workers": self.workers,
                 "batch_size": self.batch_size,
                 "queue_depth": self.queue_depth,
                 "submitted": self.submitted,
@@ -423,7 +348,7 @@ class ServingFrontend:
                 "batches": self.batches,
                 "pending": self._pending,
                 "tenants": sorted(self._queues),
-                "live_workers": self._live_workers,
+                "live_workers": int(self._live),
                 "worker_crashes": self.worker_crashes,
                 "worker_restarts": self.worker_restarts,
             }

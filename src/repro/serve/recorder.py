@@ -4,8 +4,8 @@ The recorder appends every served query to a JSONL file in the
 :mod:`repro.io` query-log format (one record per line), so a serving
 session's observed workload can be replayed later — or fed back into the
 advisor — exactly as :func:`repro.io.load_query_log` reads it.  Writes
-are line-atomic under a lock; the concurrent replay driver shares one
-recorder across its worker threads.
+are line-atomic under a lock, so threads serving one server (a
+dispatcher and its health probes) can share one recorder.
 
 The file is opened **line-buffered**, so every recorded entry reaches
 the OS as soon as :meth:`record` returns — a server killed mid-stream

@@ -4,7 +4,7 @@ Three small, composable pieces keep a degraded server *correct* instead
 of wedged:
 
 * a **typed error hierarchy** rooted at :class:`ServingError` — every
-  failure the serving stack can hand a caller (a crashed worker, a
+  failure the serving stack can hand a caller (a crashed dispatcher, a
   closed front-end, an exhausted retry budget, a fleet with no healthy
   replica) is a distinct class, so callers and the chaos harness can
   tell "degraded but accounted for" apart from "bug";
@@ -58,8 +58,9 @@ class ServingError(RuntimeError):
 
 
 class WorkerCrashed(ServingError):
-    """A front-end worker thread died; the affected queries were failed
-    (never left hanging) and the worker was restarted if budget allows."""
+    """A front-end dispatcher thread died; the affected queries were
+    failed (never left hanging) and the dispatcher was restarted if
+    budget allows."""
 
 
 class FrontendClosed(ServingError):

@@ -33,15 +33,14 @@ Per batch, the server
    processed,
 3. records telemetry (latency, predicted vs. actual rows, per-structure
    hits, fallbacks) into its own collector — or a caller-supplied one,
-   which is how the concurrent front-end keeps workers lock-free —
+   which is how health probes stay out of serving telemetry —
    appends to the workload recorder, and feeds the drift monitor,
 4. when the observed workload has drifted and a reselector is
    configured, triggers one background re-advise; if its selection beats
    the current one by the margin, the server materializes it and swaps.
 
 The :meth:`replay` driver pushes a recorded log through the same
-batched path — serially in chunks, or through the concurrent
-:class:`~repro.serve.frontend.ServingFrontend` when ``workers >= 2``.
+batched path in ``batch_size`` chunks.
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ class ReplayReport:
 
     queries: int
     fallbacks: int
-    workers: int
     seconds: float
     latencies_us: List[float] = field(default_factory=list)
     batch_size: int = 1
@@ -131,7 +129,6 @@ class ReplayReport:
         return {
             "queries": self.queries,
             "fallbacks": self.fallbacks,
-            "workers": self.workers,
             "seconds": self.seconds,
             "qps": self.qps,
             "p50_us": self.p50_us,
@@ -228,8 +225,8 @@ class QueryServer:
         self.breaker = breaker
         self.fault_hook = fault_hook
         if breaker is not None:
-            # trips/resets are noted on the server's collector (not the
-            # per-worker ones) so absorbing workers never double-counts
+            # trips/resets land on the server's own collector, whichever
+            # collector the failing batch records into (probes pass theirs)
             if breaker.on_trip is None:
                 breaker.on_trip = lambda structure: self.telemetry.note_breaker_trip()
             if breaker.on_reset is None:
@@ -305,8 +302,8 @@ class QueryServer:
         groups the misses by routed plan, and answers each group in one
         pass over its target structure.  Outcomes come back in input
         order.  ``telemetry`` redirects recording to a caller-owned
-        collector (the concurrent front-end's per-worker collectors);
-        the workload recorder and drift monitor are always shared.
+        collector (a health probe's private one); the workload recorder
+        and drift monitor are always shared.
 
         Latency accounting: executed entries report their plan group's
         elapsed time split evenly across the group's unique queries
@@ -583,40 +580,18 @@ class QueryServer:
     def replay(
         self,
         entries: Sequence[LogEntry],
-        workers: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> ReplayReport:
-        """Serve a recorded log through the batched execution path.
-
-        ``workers`` <= 1 serves the log serially in ``batch_size``
-        chunks; ``workers`` >= 2 drives the same batches through the
-        concurrent :class:`~repro.serve.frontend.ServingFrontend` (whose
-        per-worker telemetry is merged back into the server's collector
-        on completion).  Entry *completion* order is nondeterministic
-        under workers but every entry is served exactly once, with
-        telemetry counters identical to a serial run.
-        """
-        from repro.serve.frontend import ServingFrontend
-
-        count = int(workers) if workers else 1
+        """Serve a recorded log through the batched execution path, in
+        ``batch_size`` chunks (default :data:`DEFAULT_BATCH_SIZE`)."""
         size = DEFAULT_BATCH_SIZE if batch_size is None else int(batch_size)
         if size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         cache_hits_before = self.cache.hits if self.cache is not None else 0
         start = time.perf_counter()
-        if count <= 1:
-            outcomes: List[ServeOutcome] = []
-            for lo in range(0, len(entries), size):
-                outcomes.extend(self.serve_batch(entries[lo : lo + size]))
-        else:
-            with ServingFrontend(
-                self,
-                workers=count,
-                batch_size=size,
-                keep_records=self.telemetry.keep_records,
-            ) as frontend:
-                futures = [frontend.submit(entry) for entry in entries]
-                outcomes = [future.result() for future in futures]
+        outcomes: List[ServeOutcome] = []
+        for lo in range(0, len(entries), size):
+            outcomes.extend(self.serve_batch(entries[lo : lo + size]))
         seconds = time.perf_counter() - start
         cache_hits = (
             self.cache.hits - cache_hits_before if self.cache is not None else 0
@@ -624,7 +599,6 @@ class QueryServer:
         return ReplayReport(
             queries=len(outcomes),
             fallbacks=sum(1 for o in outcomes if o.fallback),
-            workers=count,
             seconds=seconds,
             latencies_us=[o.latency_us for o in outcomes],
             batch_size=size,

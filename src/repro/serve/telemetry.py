@@ -4,20 +4,19 @@ Every served query contributes one observation: which structure answered
 it (or ``raw`` on a fallback), how long it took, how many rows the
 executor actually processed, and how many the linear cost model
 predicted (``|C| / |E|``).  The collector aggregates those under a lock
-— servers call it from the concurrent replay driver — and snapshots to
-a stable JSON document the CI smoke validates.
+— a fleet's client threads and its replicas' dispatchers record
+concurrently — and snapshots to a stable JSON document the CI smoke validates.
 
 Latency percentiles are exact (computed from the retained samples, not
 interpolated from buckets); the histogram is log-spaced buckets for
 eyeballing the distribution shape.
 
-Collectors are **mergeable**: the concurrent front-end gives every
-worker its own collector (no cross-worker lock traffic on the hot path)
-and combines them with :meth:`TelemetryCollector.merge` when reporting —
-counters add exactly, histograms add bucket-wise, and percentiles are
-recomputed nearest-rank over the union of the retained samples, so a
-merged report is indistinguishable from one collector having seen every
-query.
+Collectors are **mergeable**: a replica fleet combines its own
+collector with every replica's server collector through
+:meth:`TelemetryCollector.merge` when reporting — counters add exactly,
+histograms add bucket-wise, and percentiles are recomputed nearest-rank
+over the union of the retained samples, so a merged report is
+indistinguishable from one collector having seen every query.
 
 A snapshot (schema v4, the only one :func:`validate_telemetry` accepts)
 also holds the result cache's counters, ``merged_from`` (how many
@@ -363,7 +362,8 @@ class TelemetryCollector:
     def merge(
         cls, collectors: Iterable["TelemetryCollector"]
     ) -> "TelemetryCollector":
-        """Combine per-worker collectors into one validated aggregate.
+        """Combine collectors (a fleet's and its replicas') into one
+        validated aggregate.
 
         The merged collector reports ``merged_from`` = the number of
         inputs; an empty iterable merges to a fresh (empty) collector.

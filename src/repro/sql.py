@@ -35,8 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.query import SliceQuery
 from repro.cube.schema import CubeSchema
-
-_AGGREGATES = ("sum", "count", "min", "max")
+from repro.engine.table import AGGREGATES
 
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_]\w*$")
 
@@ -103,9 +102,9 @@ def to_sql(
             f"cannot emit SQL: values bind {sorted(extraneous)}, which are "
             "not selection attributes"
         )
-    if agg.lower() not in _AGGREGATES:
+    if agg.lower() not in AGGREGATES:
         raise SqlError(
-            f"unsupported aggregate {agg!r}; use one of {_AGGREGATES}"
+            f"unsupported aggregate {agg!r}; use one of {AGGREGATES}"
         )
     for name in (*query.groupby, *query.selection):
         if not _IDENTIFIER_RE.match(name):
@@ -221,9 +220,9 @@ def parse_query(
                 raise SqlError("only one aggregate is supported")
             agg = agg_match.group("agg").lower()
             measure = agg_match.group("measure")
-            if agg not in _AGGREGATES:
+            if agg not in AGGREGATES:
                 raise SqlError(
-                    f"unsupported aggregate {agg!r}; use one of {_AGGREGATES}"
+                    f"unsupported aggregate {agg!r}; use one of {AGGREGATES}"
                 )
             continue
         if not re.match(r"^[A-Za-z_]\w*$", part):

@@ -226,3 +226,18 @@ class TestViewFileChecks:
             load_catalog(directory)
         assert file in str(raised.value)
         assert "\n" not in str(raised.value)
+
+    def test_unknown_aggregate_rejected(self, saved):
+        """A manifest ``agg`` outside the engine's aggregates fails at
+        load, naming the view file, instead of answering stored sums
+        under another aggregate's name."""
+        __, directory = saved
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        (entry,) = [e for e in manifest["views"] if e["attrs"] == ["a"]]
+        entry["agg"] = "median"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'median' is not one of") as raised:
+            load_catalog(directory)
+        assert entry["file"] in str(raised.value)
+        assert "\n" not in str(raised.value)

@@ -325,8 +325,8 @@ class TestConcurrentInvalidation:
     def test_served_answers_stay_exact_across_live_swap(
         self, serve_fact4, serve_schema4, serve_model4
     ):
-        """End-to-end: concurrent replay while the cache is invalidated
-        mid-run still answers every query exactly."""
+        """End-to-end: four threads serving batches while the cache is
+        invalidated mid-run still answer every query exactly."""
         import threading
 
         selection = advise_selection(serve_model4.lattice)
@@ -346,16 +346,28 @@ class TestConcurrentInvalidation:
 
         invalidator = threading.Thread(target=invalidate_loop, daemon=True)
         invalidator.start()
-        try:
-            from repro.serve import ServingFrontend
+        chunks = [log[lo : lo + 16] for lo in range(0, len(log), 16)]
+        outcomes = [None] * len(chunks)
 
-            with ServingFrontend(server, workers=4, batch_size=16) as fe:
-                futures = [fe.submit(entry) for entry in log]
-                outcomes = [future.result(30) for future in futures]
+        def serve(pos):
+            for at in range(pos, len(chunks), 4):
+                outcomes[at] = server.serve_batch(chunks[at])
+
+        servers = [
+            threading.Thread(target=serve, args=(pos,)) for pos in range(4)
+        ]
+        try:
+            for thread in servers:
+                thread.start()
         finally:
+            for thread in servers:
+                thread.join(30)
             stop.set()
             invalidator.join(5)
-        for outcome, reference in zip(outcomes, golden):
+        assert not any(thread.is_alive() for thread in servers)
+        served = [outcome for batch in outcomes for outcome in batch]
+        assert len(served) == len(golden)
+        for outcome, reference in zip(served, golden):
             assert outcome.groups == reference.groups
 
 

@@ -429,10 +429,10 @@ def test_serve_batch_equals_per_query_hit_loop(
 
 
 def test_concurrent_batches_lose_no_lookup():
-    """Threads sharing one cache (as ``ServingFrontend``'s workers do),
-    each looking batches up and putting its misses, with the switch
-    interval shortened: every lookup is counted once, as a hit or a miss,
-    and the byte count matches the entries held."""
+    """Threads sharing one cache (as a replica's dispatcher and its
+    health probes do), each looking batches up and putting its misses,
+    with the switch interval shortened: every lookup is counted once, as
+    a hit or a miss, and the byte count matches the entries held."""
     cache = ResultCache(capacity_bytes=6 * ONE_GROUP_BYTES, admission=True)
     cache.ensure_tag(TAGS[0])
     rounds, batch_size, n_threads = 200, 16, 6

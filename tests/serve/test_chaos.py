@@ -21,7 +21,7 @@ from repro.serve.chaos import (
 
 @pytest.fixture(scope="module")
 def reports():
-    return run_matrix(dims=3, queries=120, replicas=2, workers=2, seed=0)
+    return run_matrix(dims=3, queries=120, replicas=2, seed=0)
 
 
 class TestScenarios:

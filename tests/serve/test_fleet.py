@@ -88,6 +88,30 @@ class TestRouting:
         document = validate_telemetry(fleet.merged_telemetry().snapshot())
         assert document["queries"] == len(log4)
         assert document["fallbacks"] == 0
+        assert fleet.telemetry_snapshot()["cache"]["enabled"] is False
+
+    def test_snapshot_sums_replica_caches(
+        self, serve_fact4, serve_model4, selection4, log4
+    ):
+        """The fleet's document carries its replicas' result-cache
+        counters, summed, instead of reporting a disabled cache."""
+        fleet = make_fleet(
+            serve_fact4, serve_model4, selection4, cache_bytes=1 << 20
+        )
+        try:
+            fleet.serve_many(log4 + log4)
+            document = validate_telemetry(fleet.telemetry_snapshot())
+            blocks = [replica.server.cache.stats() for replica in fleet.replicas]
+        finally:
+            fleet.close()
+        cache = document["cache"]
+        assert cache["enabled"] is True
+        for field in ("hits", "misses", "evictions", "entries", "bytes"):
+            assert cache[field] == sum(block[field] for block in blocks)
+        assert cache["hits"] > 0
+        assert cache["hits"] + cache["misses"] == 2 * len(log4)
+        assert document["fleet"]["replicas"] == 2
+        assert document["fleet"]["routed"] == 2 * len(log4)
 
     def test_per_replica_selections(self, serve_fact4, serve_model4, selection4):
         fleet = ReplicaFleet(
@@ -176,12 +200,11 @@ class TestFailover:
             serve_fact4,
             serve_model4,
             selection4,
-            workers=1,
             max_worker_restarts=0,
             strike_limit=1,
         )
 
-        def crash(slot):
+        def crash():
             raise Boom("worker down")
 
         fleet.replicas[0].frontend.crash_hook = crash
@@ -201,13 +224,12 @@ class TestFailover:
             serve_fact4,
             serve_model4,
             selection4,
-            workers=1,
             max_worker_restarts=0,
             strike_limit=1000,  # passive strikes never mark it unhealthy
             retry=RetryPolicy(max_attempts=2, base_delay=0.001),
         )
 
-        def crash(slot):
+        def crash():
             raise Boom("always down")
 
         for replica in fleet.replicas:
@@ -219,6 +241,69 @@ class TestFailover:
                 assert info.value.attempts == 2
         finally:
             fleet.close()
+
+
+class TestDeadline:
+    def test_attempt_ends_within_one_deadline(
+        self, serve_fact4, serve_model4, selection4, log4
+    ):
+        """Queue space that frees while an attempt waits for admission
+        does not buy the attempt a second deadline: admission and answer
+        share one."""
+        deadline = 0.4
+        fleet = make_fleet(
+            serve_fact4,
+            serve_model4,
+            selection4,
+            replicas=1,
+            batch_size=1,
+            queue_depth=1,
+            query_deadline=deadline,
+            retry=RetryPolicy(max_attempts=1),
+            strike_limit=1000,
+        )
+        frontend = fleet.replicas[0].frontend
+        real = fleet.replicas[0].server.serve_batch
+        started = [threading.Event(), threading.Event()]
+        gates = [threading.Event(), threading.Event()]
+        calls = [0]
+
+        def gated(entries, telemetry=None):
+            call = calls[0]
+            calls[0] += 1
+            if call < len(gates):
+                started[call].set()
+                assert gates[call].wait(10)
+            return real(entries, telemetry=telemetry)
+
+        fleet.replicas[0].server.serve_batch = gated
+        outcome = {}
+
+        def client():
+            start = time.monotonic()
+            try:
+                fleet.serve(log4[2])
+            except ServingError as exc:
+                outcome["error"] = exc
+            outcome["elapsed"] = time.monotonic() - start
+
+        thread = threading.Thread(target=client, daemon=True)
+        try:
+            frontend.submit(log4[0])  # in flight, parked on gate 0
+            assert started[0].wait(10)
+            frontend.submit(log4[1])  # fills the queue
+            thread.start()
+            time.sleep(0.75 * deadline)
+            gates[0].set()  # space frees; log4[1] parks on gate 1
+            assert started[1].wait(10)
+            thread.join(10)
+            assert not thread.is_alive()
+        finally:
+            for gate in gates:
+                gate.set()
+            fleet.close()
+        assert isinstance(outcome["error"], RetriesExhausted)
+        assert outcome["elapsed"] < deadline + 0.15
 
 
 class TestHealthChecker:

@@ -1,7 +1,8 @@
-"""Concurrent front-end: admission bounds, per-tenant fairness, merged
-per-worker telemetry indistinguishable from serial serving."""
+"""Serving front-end: admission bounds, per-tenant fairness, one
+dispatcher thread, and telemetry indistinguishable from serial serving."""
 
 import threading
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.cube.query_log import generate_query_log
 from repro.serve import (
     AdmissionQueueFull,
     QueryServer,
+    ReplicaFleet,
     ServingFrontend,
     validate_telemetry,
 )
@@ -27,7 +29,7 @@ def server4(serve_fact4, serve_model4):
 
 class _BlockedFirstBatch:
     """Wraps serve_batch so the first batch parks on an event — a
-    deterministic way to stage work behind a busy worker."""
+    deterministic way to stage work behind a busy dispatcher."""
 
     def __init__(self, server):
         self.real = server.serve_batch
@@ -48,10 +50,10 @@ class TestAdmission:
         log = generate_query_log(serve_schema4, 8, rng=1)
         blocker = _BlockedFirstBatch(server4)
         server4.serve_batch = blocker
-        frontend = ServingFrontend(server4, workers=1, queue_depth=2)
+        frontend = ServingFrontend(server4, queue_depth=2)
         try:
             frontend.submit(log[0])
-            assert blocker.started.wait(10)  # worker busy; queue now empty
+            assert blocker.started.wait(10)  # dispatcher busy; queue empty
             frontend.submit(log[1])
             frontend.submit(log[2])  # queue at capacity
             with pytest.raises(AdmissionQueueFull):
@@ -68,14 +70,14 @@ class TestAdmission:
         log = generate_query_log(serve_schema4, 6, rng=2)
         blocker = _BlockedFirstBatch(server4)
         server4.serve_batch = blocker
-        frontend = ServingFrontend(server4, workers=1, queue_depth=1)
+        frontend = ServingFrontend(server4, queue_depth=1)
         frontend.submit(log[0])
         assert blocker.started.wait(10)
         frontend.submit(log[1])  # fills the queue
         unblocked = threading.Event()
 
         def late_submit():
-            frontend.submit(log[2])  # must block until the worker drains
+            frontend.submit(log[2])  # must block until the dispatcher drains
             unblocked.set()
 
         thread = threading.Thread(target=late_submit, daemon=True)
@@ -88,14 +90,12 @@ class TestAdmission:
         assert frontend.stats()["served"] == 3
 
     def test_submit_after_close_raises(self, server4, serve_schema4):
-        frontend = ServingFrontend(server4, workers=1)
+        frontend = ServingFrontend(server4)
         frontend.close()
         with pytest.raises(RuntimeError, match="closed"):
             frontend.submit(generate_query_log(serve_schema4, 1, rng=3)[0])
 
     def test_invalid_parameters(self, server4):
-        with pytest.raises(ValueError, match="workers"):
-            ServingFrontend(server4, workers=0)
         with pytest.raises(ValueError, match="batch_size"):
             ServingFrontend(server4, batch_size=0)
         with pytest.raises(ValueError, match="queue_depth"):
@@ -112,7 +112,7 @@ class TestFairness:
         log = generate_query_log(serve_schema4, 9, rng=4)
         blocker = _BlockedFirstBatch(server4)
         server4.serve_batch = blocker
-        frontend = ServingFrontend(server4, workers=1, batch_size=8)
+        frontend = ServingFrontend(server4, batch_size=8)
         frontend.submit(log[0], tenant="warmup")
         assert blocker.started.wait(10)
         # tenant A floods; tenant B trickles
@@ -130,46 +130,54 @@ class TestFairness:
 
 
 class TestMergedTelemetry:
-    def test_pooled_equals_serial(self, serve_fact4, serve_schema4, serve_model4):
+    def test_counters_equal_serial(self, serve_fact4, serve_schema4, serve_model4):
+        """The dispatcher records into the server's own collector as
+        batches finish: before close its counters equal a serial run's,
+        and closing (twice) adds nothing."""
         selection = advise_selection(serve_model4.lattice)
         log = generate_query_log(serve_schema4, 200, rng=5)
         serial = QueryServer(serve_fact4, selection, cost_model=serve_model4)
         serial.replay(log)
-        pooled = QueryServer(serve_fact4, selection, cost_model=serve_model4)
-        with ServingFrontend(pooled, workers=3, batch_size=16) as frontend:
-            futures = frontend.submit_many(log)
-            outcomes = [f.result(30) for f in futures]
-            merged = frontend.merged_telemetry()
+        fronted = QueryServer(serve_fact4, selection, cost_model=serve_model4)
+        frontend = ServingFrontend(fronted, batch_size=16)
+        futures = [frontend.submit(entry) for entry in log]
+        outcomes = [future.result(30) for future in futures]
         assert len(outcomes) == 200
-        assert merged.merged_from == 3
-        assert merged.queries == 200
-        doc = validate_telemetry(merged.snapshot())
+        assert fronted.telemetry.queries == 200  # live, before close
+        frontend.close()
+        frontend.close()  # idempotent: no double counting
+        doc = validate_telemetry(fronted.telemetry_snapshot())
         reference = serial.telemetry_snapshot()
+        assert doc["queries"] == 200
+        assert doc["merged_from"] == 1
+        assert len(doc["records"]) == 200
         assert doc["hits"] == reference["hits"]
         assert doc["fallbacks"] == reference["fallbacks"]
         assert doc["cost"]["predicted_rows"] == reference["cost"]["predicted_rows"]
         assert doc["cost"]["actual_rows"] == reference["cost"]["actual_rows"]
         assert doc["cost"]["exact_matches"] == reference["cost"]["exact_matches"]
-        # percentiles are recomputed over the union of worker samples
-        assert len(merged._latencies_us) == 200
-        assert merged.percentile(0.5) in merged._latencies_us
 
-    def test_close_absorbs_into_server_once(
-        self, server4, serve_schema4
+    def test_live_fleet_counts_every_query_before_close(
+        self, serve_fact4, serve_schema4, serve_model4
     ):
-        log = generate_query_log(serve_schema4, 40, rng=6)
-        frontend = ServingFrontend(server4, workers=2)
-        futures = frontend.submit_many(log)
-        for future in futures:
-            future.result(30)
-        assert server4.telemetry.queries == 0  # workers own the records
-        frontend.close()
-        assert server4.telemetry.queries == 40
-        frontend.close()  # idempotent: no double counting
-        assert server4.telemetry.queries == 40
-        snap = validate_telemetry(server4.telemetry_snapshot())
-        assert snap["merged_from"] == 3  # server's own + 2 workers
-        assert len(snap["records"]) == 40
+        """A serving fleet's merged telemetry is complete while it runs,
+        not only once its front-ends close."""
+        from repro.serve import ServingError
+
+        selection = advise_selection(serve_model4.lattice)
+        log = generate_query_log(serve_schema4, 200, rng=6)
+        fleet = ReplicaFleet(
+            serve_fact4, selection, replicas=2, cost_model=serve_model4
+        )
+        try:
+            results = fleet.serve_many(log)
+            merged = fleet.merged_telemetry()
+            assert merged.queries == len(log)
+            assert merged.merged_from == 3  # the fleet's own + 2 replicas
+        finally:
+            fleet.close()
+        assert not any(isinstance(r, ServingError) for r in results)
+        assert fleet.merged_telemetry().queries == len(log)
 
     def test_worker_exception_propagates_to_future(
         self, server4, serve_schema4
@@ -180,7 +188,7 @@ class TestMergedTelemetry:
             raise RuntimeError("injected execution failure")
 
         server4.serve_batch = boom
-        with ServingFrontend(server4, workers=1) as frontend:
+        with ServingFrontend(server4) as frontend:
             future = frontend.submit(entry)
             with pytest.raises(RuntimeError, match="injected"):
                 future.result(10)
@@ -188,7 +196,8 @@ class TestMergedTelemetry:
     def test_replay_through_frontend_keeps_cache_coherent(
         self, serve_fact4, serve_schema4, serve_model4
     ):
-        """Concurrent replay with the cache on still answers exactly."""
+        """A log served twice through the front-end with the cache on
+        still answers exactly."""
         from repro.serve import ResultCache
 
         selection = advise_selection(serve_model4.lattice)
@@ -201,9 +210,11 @@ class TestMergedTelemetry:
             cost_model=serve_model4,
             cache=ResultCache(),
         )
-        cached.replay(log, workers=2)
-        report = cached.replay(log, workers=2)  # second pass: mostly hits
-        assert report.cache_hits > 0
+        with ServingFrontend(cached) as frontend:
+            for __ in range(2):  # second pass: mostly hits
+                for future in [frontend.submit(entry) for entry in log]:
+                    future.result(30)
+        assert cached.cache.hits > 0
         a, b = plain.telemetry_snapshot(), cached.telemetry_snapshot()
         assert b["queries"] == 300
         assert b["cost"]["exact_matches"] == 300
@@ -211,26 +222,113 @@ class TestMergedTelemetry:
         assert b["fallbacks"] == 0
 
 
+class TestDispatcher:
+    def test_one_thread_until_a_crash_restart(self, server4, serve_schema4):
+        """One dispatcher thread serves every batch; a crash hands over
+        to exactly one new thread."""
+        from repro.serve import WorkerCrashed
+
+        log = generate_query_log(serve_schema4, 24, rng=10)
+        real = server4.serve_batch
+        serving = []
+
+        def recording(entries, telemetry=None):
+            serving.append(threading.current_thread())
+            return real(entries, telemetry=telemetry)
+
+        server4.serve_batch = recording
+        crash = threading.Event()
+
+        def crash_hook():
+            if crash.is_set():
+                crash.clear()
+                raise KeyboardInterrupt("injected dispatcher death")
+
+        before = set(threading.enumerate())
+
+        def dispatchers():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread not in before
+                and thread.name.startswith("serve-dispatcher")
+            }
+
+        frontend = ServingFrontend(server4, batch_size=1, crash_hook=crash_hook)
+        try:
+            (first,) = dispatchers()
+            for entry in log[:12]:
+                frontend.submit(entry).result(10)
+            assert set(serving) == {first}
+            crash.set()
+            with pytest.raises(WorkerCrashed):
+                frontend.submit(log[12]).result(10)
+            for entry in log[13:]:
+                frontend.submit(entry).result(10)
+            first.join(10)
+            assert not first.is_alive()
+            (second,) = set(serving) - {first}
+            assert dispatchers() == {second}
+            assert frontend.stats()["live_workers"] == 1
+        finally:
+            frontend.close()
+        assert not second.is_alive()
+
+    def test_submit_timeout_bounds_the_whole_wait(self, server4, serve_schema4):
+        """Wake-ups on a still-full queue do not restart a submit's
+        timeout: it raises once, after ``timeout`` seconds in all."""
+        log = generate_query_log(serve_schema4, 3, rng=11)
+        blocker = _BlockedFirstBatch(server4)
+        server4.serve_batch = blocker
+        frontend = ServingFrontend(server4, queue_depth=1)
+        stop = threading.Event()
+
+        def poke():  # a notify every 20 ms for one second
+            for __ in range(50):
+                if stop.wait(0.02):
+                    return
+                with frontend._cond:
+                    frontend._cond.notify_all()
+
+        poker = threading.Thread(target=poke, daemon=True)
+        try:
+            frontend.submit(log[0])
+            assert blocker.started.wait(10)
+            frontend.submit(log[1])  # queue at capacity
+            poker.start()
+            start = time.monotonic()
+            with pytest.raises(AdmissionQueueFull):
+                frontend.submit(log[2], timeout=0.2)
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            blocker.release.set()
+            frontend.close()
+        poker.join(5)
+        assert not poker.is_alive()
+        assert 0.2 <= elapsed < 0.5
+
+
 class TestWorkerSupervision:
-    """Crashed workers restart; their queries fail typed, never hang."""
+    """A crashed dispatcher restarts; its queries fail typed, never hang."""
 
     def test_crash_fails_inflight_future_typed(self, server4, serve_schema4):
         from repro.serve import WorkerCrashed
 
         calls = [0]
 
-        def crash_once(slot):
+        def crash_once():
             calls[0] += 1
             if calls[0] == 1:
-                raise KeyboardInterrupt("injected worker death")
+                raise KeyboardInterrupt("injected dispatcher death")
 
         entry = generate_query_log(serve_schema4, 1, rng=0)[0]
-        with ServingFrontend(server4, workers=1, crash_hook=crash_once) as fe:
+        with ServingFrontend(server4, crash_hook=crash_once) as fe:
             future = fe.submit(entry)
             with pytest.raises(WorkerCrashed) as info:
                 future.result(10)
             assert isinstance(info.value.__cause__, KeyboardInterrupt)
-            # supervision restarted the worker: serving continues
+            # supervision restarted the dispatcher: serving continues
             assert fe.submit(entry).result(10).groups is not None
             stats = fe.stats()
         assert stats["worker_crashes"] == 1
@@ -240,13 +338,13 @@ class TestWorkerSupervision:
     def test_crash_lands_in_telemetry(self, server4, serve_schema4):
         calls = [0]
 
-        def crash_once(slot):
+        def crash_once():
             calls[0] += 1
             if calls[0] == 1:
                 raise SystemExit(3)
 
         log = generate_query_log(serve_schema4, 40, rng=1)
-        frontend = ServingFrontend(server4, workers=2, crash_hook=crash_once)
+        frontend = ServingFrontend(server4, crash_hook=crash_once)
         for entry in log:
             try:
                 frontend.submit(entry).result(10)
@@ -262,17 +360,17 @@ class TestWorkerSupervision:
     ):
         from repro.serve import WorkerCrashed
 
-        def always_crash(slot):
+        def always_crash():
             raise KeyboardInterrupt("dead on arrival")
 
         log = generate_query_log(serve_schema4, 8, rng=2)
         frontend = ServingFrontend(
-            server4, workers=1, max_worker_restarts=0, crash_hook=always_crash
+            server4, max_worker_restarts=0, crash_hook=always_crash
         )
         future = frontend.submit(log[0])
         with pytest.raises(WorkerCrashed):
             future.result(10)
-        # the pool is dead: submits fail fast instead of queueing forever
+        # the dispatcher is down: submits fail fast instead of queueing
         with pytest.raises(WorkerCrashed):
             deadline = 50
             for entry in log[1:]:
@@ -291,7 +389,7 @@ class TestWorkerSupervision:
         wrapper = _BlockedFirstBatch(server4)
         server4.serve_batch = wrapper
         log = generate_query_log(serve_schema4, 6, rng=3)
-        frontend = ServingFrontend(server4, workers=1, batch_size=1)
+        frontend = ServingFrontend(server4, batch_size=1)
         first = frontend.submit(log[0])
         assert wrapper.started.wait(10)
         queued = [frontend.submit(entry) for entry in log[1:]]
@@ -306,7 +404,7 @@ class TestWorkerSupervision:
         wrapper = _BlockedFirstBatch(server4)
         server4.serve_batch = wrapper
         log = generate_query_log(serve_schema4, 6, rng=4)
-        frontend = ServingFrontend(server4, workers=1, batch_size=1)
+        frontend = ServingFrontend(server4, batch_size=1)
         futures = [frontend.submit(entry) for entry in log]
         assert wrapper.started.wait(10)
         wrapper.release.set()

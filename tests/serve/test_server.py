@@ -143,35 +143,14 @@ class TestReplay:
         report = server.replay(log)
         assert report.queries == 50
         assert report.fallbacks == 0
-        assert report.workers == 1
         assert report.qps > 0
         assert report.p50_us <= report.p99_us
         assert len(report.latencies_us) == 50
 
-    def test_concurrent_replay_equivalent(
-        self, serve_fact4, serve_schema4, serve_model4
-    ):
-        """workers=2 serves the same queries to the same structures with
-        the same cost accounting as the serial replay."""
-        selection = advise_selection(serve_model4.lattice)
-        log = generate_query_log(serve_schema4, 80, rng=4)
-        serial = QueryServer(serve_fact4, selection, cost_model=serve_model4)
-        pooled = QueryServer(serve_fact4, selection, cost_model=serve_model4)
-        serial.replay(log)
-        report = pooled.replay(log, workers=2)
-        assert report.workers == 2
-        a, b = serial.telemetry_snapshot(), pooled.telemetry_snapshot()
-        assert a["queries"] == b["queries"] == 80
-        assert a["fallbacks"] == b["fallbacks"] == 0
-        assert a["hits"] == b["hits"]
-        assert a["cost"]["predicted_rows"] == b["cost"]["predicted_rows"]
-        assert a["cost"]["actual_rows"] == b["cost"]["actual_rows"]
-        assert a["cost"]["exact_matches"] == b["cost"]["exact_matches"]
-
     def test_replay_records_workload(
         self, serve_fact4, serve_schema4, serve_model4, tmp_path
     ):
-        """Recorder + concurrent replay: every entry lands in the log once."""
+        """Recorder + replay: every entry lands in the log once."""
         from repro.io import load_query_log
 
         selection = advise_selection(serve_model4.lattice)
@@ -181,7 +160,7 @@ class TestReplay:
             server = QueryServer(
                 serve_fact4, selection, cost_model=serve_model4, recorder=recorder
             )
-            server.replay(log, workers=2)
+            server.replay(log)
         replayed = load_query_log(path, serve_schema4)
         assert pattern_counts(replayed) == pattern_counts(log)
         assert sorted(e.values for e in replayed) == sorted(e.values for e in log)

@@ -389,42 +389,6 @@ class TestServeAndReplay:
         assert doc["cost"]["exact_matches"] == 40
         assert len(log.read_text().splitlines()) == 40
 
-    def test_replay_recorded_log_with_workers(self, tmp_path, capsys):
-        log = tmp_path / "observed.jsonl"
-        assert (
-            main(["serve", "--dims", "3", "--queries", "30",
-                  "--record", str(log)])
-            == 0
-        )
-        capsys.readouterr()
-        telemetry = tmp_path / "replayed.json"
-        rc = main(
-            ["replay", "--dims", "3", "--log", str(log), "--workers", "2",
-             "--telemetry", str(telemetry), "--fail-on-fallback"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "workers 2" in out
-        doc = json.loads(telemetry.read_text())
-        assert doc["queries"] == 30
-        assert doc["fallbacks"] == 0
-
-    @pytest.mark.parametrize("command", ["serve", "replay"])
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_is_input_error(
-        self, command, workers, tmp_path, capsys
-    ):
-        log = tmp_path / "observed.jsonl"
-        log.write_text("")
-        if command == "serve":
-            source = ["--queries", "5"]
-        else:
-            source = ["--log", str(log)]
-        rc = main([command, "--dims", "3", "--workers", workers, *source])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.strip() == f"error: --workers must be >= 1, got {workers}"
-
     def test_replay_missing_log_is_input_error(self, tmp_path, capsys):
         rc = main(
             ["replay", "--dims", "3", "--log", str(tmp_path / "missing.jsonl")]
@@ -474,18 +438,18 @@ class TestServeAndReplay:
         assert rc == 0
         assert "0 raw-cube fallbacks" in out
 
-    def test_serve_concurrent_with_cache(self, tmp_path, capsys):
-        """--workers/--cache-mb/--batch-size drive the batched front-end;
-        merged telemetry still validates with exact cost accounting."""
+    def test_serve_batched_with_cache(self, tmp_path, capsys):
+        """--cache-mb/--batch-size drive the batched path; telemetry
+        validates with exact cost accounting."""
         telemetry = tmp_path / "telemetry.json"
         rc = main(
-            ["serve", "--dims", "3", "--queries", "60", "--workers", "2",
+            ["serve", "--dims", "3", "--queries", "60",
              "--cache-mb", "4", "--batch-size", "16",
              "--telemetry", str(telemetry), "--fail-on-fallback"]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "workers 2, batch 16" in out
+        assert "batch 16)" in out
         assert "result cache:" in out
         from repro.serve import validate_telemetry
 
@@ -493,7 +457,7 @@ class TestServeAndReplay:
         assert doc["queries"] == 60
         assert doc["fallbacks"] == 0
         assert doc["cost"]["exact_matches"] == 60
-        assert doc["merged_from"] >= 2  # per-worker collectors merged in
+        assert doc["merged_from"] == 1
         assert doc["cache"]["enabled"] is True
         assert doc["cache"]["hits"] + doc["cache"]["misses"] == 60
 
@@ -583,6 +547,24 @@ class TestServeFleet:
         assert doc["fleet"]["replicas"] == 2
         assert doc["fleet"]["routed"] == 60
         assert doc["resilience"]["raw_rescues"] == 0
+
+    def test_fleet_telemetry_reports_replica_caches(self, tmp_path, capsys):
+        """With --cache-mb the fleet's telemetry carries its replicas'
+        cache counters, summed, instead of a disabled cache."""
+        from repro.serve import validate_telemetry
+
+        telemetry = tmp_path / "fleet.json"
+        rc = main(
+            ["serve", "--dims", "3", "--queries", "60", "--replicas", "2",
+             "--cache-mb", "4", "--telemetry", str(telemetry),
+             "--fail-on-fallback"]
+        )
+        assert rc == 0
+        doc = validate_telemetry(json.loads(telemetry.read_text()))
+        assert doc["cache"]["enabled"] is True
+        assert doc["cache"]["hits"] + doc["cache"]["misses"] == 60
+        assert doc["queries"] == 60
+        assert doc["merged_from"] == 3  # the fleet's own + 2 replicas
 
     def test_fleet_replay(self, tmp_path, capsys):
         log = tmp_path / "observed.jsonl"
