@@ -345,6 +345,7 @@ def _divergent_legs(fact, model, log, n_dims: int) -> dict:
         f"d{n_dims}_divergent4": {
             "queries": len(served),
             "replicas": 4,
+            "batch_size": fleet.replicas[0].frontend.batch_size,
             "seconds": seconds,
             "qps": len(served) / seconds if seconds > 0 else 0.0,
             "p50_us": pct(0.50),
@@ -406,6 +407,7 @@ def _fleet_legs(fact, model, selection, log, n_dims: int) -> dict:
         return {
             "queries": len(served),
             "replicas": 4,
+            "batch_size": fleet.replicas[0].frontend.batch_size,
             "killed": 1 if kill_one else 0,
             "seconds": seconds,
             "qps": len(served) / seconds if seconds > 0 else 0.0,

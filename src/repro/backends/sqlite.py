@@ -13,10 +13,10 @@ indexes.
 
 Result fidelity mirrors the row engine's semantics exactly:
 
-* group keys are tuples of the groupby attributes in schema order, the
-  same key shape :meth:`repro.engine.executor.Executor.execute` builds;
-* an ungrouped query over zero matching rows answers ``{}`` (SQLite's
-  ``SUM`` returns NULL there, which is mapped back to "no groups");
+* answers are :class:`~repro.engine.table.Answer` objects keyed by the
+  groupby attributes in schema order, in key order, like the engine's;
+* an ungrouped query over zero matching rows has no groups (SQLite's
+  ``SUM`` returns NULL there, which is mapped back to the empty answer);
 * ``rows_processed`` follows the engine's accounting — a usable index
   prefix counts the entries behind the bound prefix (computed by SQLite
   itself with ``COUNT(*)`` over the prefix predicates), a view scan
@@ -48,6 +48,7 @@ from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
+from repro.engine.table import Answer
 from repro.sql import _IDENTIFIER_RE, format_select
 
 #: Name of the mirrored fact table.
@@ -74,7 +75,7 @@ class SqlResult:
     view: Optional[View]
     index: Optional[Index]
     rows_processed: int
-    groups: Dict[tuple, float]
+    groups: Answer
     sql: str
     explain: Tuple[str, ...]
     wall_s: float
@@ -270,13 +271,13 @@ class SqliteBackend:
         return rows, explain, time.perf_counter() - start
 
     @staticmethod
-    def _groups_from_rows(rows: list, n_keys: int) -> Dict[tuple, float]:
-        if n_keys == 0:
-            (total,) = rows[0]
-            return {} if total is None else {(): float(total)}
-        return {
-            tuple(int(v) for v in row[:-1]): float(row[-1]) for row in rows
-        }
+    def _answer(rows: list, n_keys: int) -> Answer:
+        """The ``(key..., sum)`` rows in key order (the statements carry
+        no ``ORDER BY``: SQLite picks the row order)."""
+        if not rows or (n_keys == 0 and rows[0][0] is None):
+            return Answer()  # SUM over no rows is NULL: no groups
+        *keys, sums = zip(*sorted(rows))
+        return Answer(keys, sums)
 
     def execute(
         self,
@@ -308,7 +309,7 @@ class SqliteBackend:
                 groupby, "sum", table.measure, table_name, where, groupby
             )
             rows, explain, wall_s = self._run(sql)
-            groups = self._groups_from_rows(rows, len(groupby))
+            groups = self._answer(rows, len(groupby))
 
             prefix = index.usable_prefix(query) if index is not None else ()
             if prefix:
@@ -359,7 +360,7 @@ class SqliteBackend:
                 view=None,
                 index=None,
                 rows_processed=self._fact_rows,
-                groups=self._groups_from_rows(rows, len(groupby)),
+                groups=self._answer(rows, len(groupby)),
                 sql=sql,
                 explain=explain,
                 wall_s=wall_s,

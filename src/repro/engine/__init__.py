@@ -16,9 +16,10 @@ from repro.engine.pipeline import (
     materialize_selection,
     naive_load_cost,
 )
-from repro.engine.table import FactTable, ViewTable
+from repro.engine.table import Answer, FactTable, ViewTable
 
 __all__ = [
+    "Answer",
     "Catalog",
     "Executor",
     "FactTable",

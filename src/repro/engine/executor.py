@@ -20,14 +20,13 @@ plan through them and read the same :class:`Plan` records.
 
 Every plan, here and in :mod:`repro.serve.batch`, is answered by one
 kernel, :func:`aggregate_rows`: it filters the rows a plan reads and sums
-them per group in the order read.  An answer's keys are the table's
-shared tuples (:class:`~repro.engine.table.KeyTuples`), so answering a
-group again allocates no tuple; answers are read-only.
+them per group in the order read, into an immutable
+:class:`~repro.engine.table.Answer` (the groups' key columns and sums,
+read as a mapping from key tuple to sum).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
@@ -43,11 +42,7 @@ from repro.core.lattice import index_label, view_label
 from repro.core.query import SliceQuery
 from repro.core.view import View
 from repro.engine.catalog import Catalog
-from repro.engine.table import FactTable, ViewTable, group_rows
-
-#: Answers hand out the table's shared key tuples while the key space
-#: stays at most this; above it they build tuples from the group keys.
-MAX_CODED_KEY_SPACE = 1 << 20
+from repro.engine.table import Answer, FactTable, ViewTable, group_rows
 
 
 def _grouped_sums(
@@ -55,7 +50,7 @@ def _grouped_sums(
     attrs: Tuple[str, ...],
     key_columns: Sequence[np.ndarray],
     values: np.ndarray,
-) -> Dict[tuple, float]:
+) -> Answer:
     """Group-and-sum by :func:`~repro.engine.table.group_rows`, adding
     each group's values in row order, the order a per-row
     ``groups[key] += value`` loop uses, so the floats match it bit for
@@ -63,17 +58,9 @@ def _grouped_sums(
     rows read, coded in the table's radices; groups come in key order.
     """
     if not len(values):
-        return {}
-    dims = tuple(table.radix[a] for a in attrs)
-    groups = group_rows(key_columns, dims)
-    sums = groups.fold(values).tolist()
-    if not attrs:
-        return {(): sums[0]}
-    if math.prod(dims) <= MAX_CODED_KEY_SPACE:
-        keys = table.key_tuples.tuples(attrs, dims, groups.codes)
-    else:
-        keys = zip(*(column.tolist() for column in groups.keys))
-    return dict(zip(keys, sums))
+        return Answer()
+    groups = group_rows(key_columns, [table.radix[a] for a in attrs])
+    return Answer(groups.keys, groups.fold(values))
 
 
 def aggregate_rows(
@@ -83,7 +70,7 @@ def aggregate_rows(
     rows: Optional[np.ndarray] = None,
     matched: tuple = (),
     measure: Optional[str] = None,
-) -> Dict[tuple, float]:
+) -> Answer:
     """The query's groups over ``rows`` of ``table``, summed in that order.
 
     ``rows`` defaults to every row (a view scan); an index plan passes
@@ -91,7 +78,7 @@ def aggregate_rows(
     rows already equal.  Rows whose other selection attributes differ
     from ``bound`` are dropped; the rest are keyed by the group-by
     attributes and their ``measure`` column (default: the primary one)
-    summed.  The keys are ``table.key_tuples``' shared tuples.
+    summed.
     """
     mask = None
     for attr in table.attrs:
@@ -193,7 +180,7 @@ class QueryResult:
     view: View
     index: Optional[Index]
     rows_processed: int
-    groups: Dict[tuple, float] = field(default_factory=dict)
+    groups: Answer = field(default_factory=Answer)
 
     @property
     def n_groups(self) -> int:

@@ -126,7 +126,6 @@ def _merge_rows(
         extra_values=dict(zip(base.extra_values, merged[1:])),
         measure=base.measure,
     )
-    table.key_tuples = base.key_tuples
     return table, groups.n_groups
 
 
@@ -141,7 +140,7 @@ def _regroup(base: ViewTable, delta: ViewTable) -> ViewTable:
     groups = group_rows(key_cols, dims)
     # groups from both sides combine by summation for both sum- and
     # count-aggregated tables (counts of a union add up)
-    table = _grouped_table(
+    return _grouped_table(
         base.view,
         base.attrs,
         groups,
@@ -154,8 +153,6 @@ def _regroup(base: ViewTable, delta: ViewTable) -> ViewTable:
         agg=base.agg,
         measure=base.measure,
     )
-    table.key_tuples = base.key_tuples
-    return table
 
 
 def merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
@@ -240,7 +237,6 @@ def apply_delta(
     fact = FactTable(
         schema, merged_columns, merged_measures, extra_measures=merged_extras
     )
-    fact.key_tuples = catalog.fact.key_tuples
     staged = Catalog(fact)
     report = RefreshReport(
         delta_rows=delta.n_rows, views_refreshed=tuple(str(view) for view in bases)

@@ -54,12 +54,10 @@ def materialize_view(
     """
     attrs = fact.schema.sort_attrs(view.attrs)
     groups = group_rows([fact.column(a) for a in attrs], [fact.radix[a] for a in attrs])
-    table = _grouped_table(
+    return _grouped_table(
         view, attrs, groups, fact.measures, fact.extra_measures, agg,
         agg=agg, measure=fact.schema.measure,
     )
-    table.key_tuples = fact.key_tuples
-    return table
 
 
 def rollup_view(
@@ -86,9 +84,7 @@ def rollup_view(
     groups = group_rows(
         [parent.key_columns[a] for a in order], [parent.radix[a] for a in order]
     )
-    table = _grouped_table(
+    return _grouped_table(
         view, order, groups, parent.values, parent.extra_values, agg,
         agg=parent.agg, measure=parent.measure,
     )
-    table.key_tuples = parent.key_tuples
-    return table

@@ -167,7 +167,6 @@ def load_catalog(directory: PathLike) -> Catalog:
                 },
                 measure=entry.get("measure", schema.measure),
             )
-        table.key_tuples = fact.key_tuples
         catalog.add_view(table)
 
     for entry in manifest["indexes"]:

@@ -9,16 +9,15 @@ Two table kinds:
 
 Both are numpy-backed and deliberately simple; the engine exists to count
 rows processed, not to win benchmarks.  Every GROUP BY of the engine goes
-through one kernel, :func:`group_rows`.  Each table carries a :class:`KeyTuples`
-(``key_tuples``): the one key tuple per group its answers hand out, so an
-answer allocates tuples only for groups no earlier answer returned.
-Tables derived from a fact table share its ``KeyTuples``.
+through one kernel, :func:`group_rows`, and every query is answered with
+an :class:`Answer`: the groups' key columns and sums as arrays, read as
+a mapping from key tuple to sum.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from collections import abc
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,62 +177,73 @@ def _key_column(name: str, values, card: int) -> np.ndarray:
     return column
 
 
-class KeyTuples:
-    """Canonical key tuples, shared by the answers of a table and of the
-    tables derived from it.
+class Answer(abc.Mapping):
+    """A query's answer: one integer key column per group-by attribute
+    (``columns``, in the table's attribute order) and float64 ``sums``,
+    one row per group, rows in ascending key order.
 
-    A group-by set's keys are coded mixed-radix with one radix per
-    attribute, the table's ``radix`` (that key column's max + 1 over the
-    whole table), so ascending codes are lexicographic key order.  One
-    slot per code holds the group's tuple, made the first time an answer
-    returns that group; every later answer hands out the same object.
-
-    A table derived from another takes over its ``KeyTuples``: views
-    materialized from a fact table or rolled up from a view, a view
-    merged with a delta, the fact table a delta extends and the views
-    loaded with a fact table.  Derivation keeps each column's maximum,
-    so these tables code a group-by set alike and share its slots; a
-    table coding it with other radices (a delta grew a column's maximum)
-    starts that set over, replacing the slots of the other coding.
-
-    Reads take no lock: a slot's tuple is stored before its ``filled``
-    flag, and a reader that finds a flag unset, or the set coded with
-    other radices, fills under the lock.
+    It reads as the ``Mapping[tuple, float]`` a per-row
+    ``groups[key] += value`` loop builds, item for item and in order
+    (the ungrouped answer's one key is ``()``); a lookup is a binary
+    search of the columns.  Answers are immutable and reading one stores
+    nothing in it.  Answers compare by their arrays, and with any other
+    mapping as dicts.
     """
 
-    def __init__(self):
-        #: group-by attributes -> (radices, tuple per code, filled per code)
-        self._slots: Dict[Tuple[str, ...], Tuple[tuple, np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()
+    __slots__ = ("columns", "sums")
 
-    def tuples(
-        self, attrs: Tuple[str, ...], dims: Tuple[int, ...], codes: np.ndarray
-    ) -> List[tuple]:
-        """The key tuples of ``codes`` (ascending), which code ``attrs``
-        with radices ``dims``; tuples are made only for new codes."""
-        slot = self._slots.get(attrs)
-        if slot is None or slot[0] != dims or not slot[2][codes].all():
-            slot = self._fill(attrs, dims, codes)
-        return slot[1][codes].tolist()
+    def __init__(self, columns: Sequence[np.ndarray] = (), sums=()):
+        columns = tuple(map(np.asarray, columns))
+        sums = np.asarray(sums, dtype=np.float64)
+        for array in (*columns, sums):
+            array.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "sums", sums)
 
-    def _fill(self, attrs, dims, codes):
-        with self._lock:
-            slot = self._slots.get(attrs)
-            if slot is None or slot[0] != dims:
-                space = math.prod(dims)
-                slot = (
-                    dims,
-                    np.full(space, None, dtype=object),
-                    np.zeros(space, dtype=bool),
-                )
-                self._slots[attrs] = slot
-            __, keys, filled = slot
-            missing = codes[~filled[codes]]
-            rows = np.stack(np.unravel_index(missing, dims), axis=1)
-            for code, row in zip(missing.tolist(), rows.tolist()):
-                keys[code] = tuple(row)
-            filled[missing] = True
-        return slot
+    def __setattr__(self, name, value):
+        raise AttributeError("an Answer is read-only")
+
+    def __len__(self) -> int:
+        return len(self.sums)
+
+    def __iter__(self) -> Iterator[tuple]:
+        if not self.columns:
+            return iter([()] * len(self.sums))
+        return zip(*(column.tolist() for column in self.columns))
+
+    def __getitem__(self, key) -> float:
+        if not isinstance(key, tuple) or len(key) != len(self.columns):
+            raise KeyError(key)
+        lo, hi = 0, len(self.sums)
+        try:
+            for column, value in zip(self.columns, key):
+                part = column[lo:hi]
+                hi = lo + part.searchsorted(value, "right")
+                lo += part.searchsorted(value)
+        except TypeError:  # a value that does not compare with ints
+            raise KeyError(key) from None
+        if lo == hi:
+            raise KeyError(key)
+        return float(self.sums[lo])
+
+    def items(self) -> List[Tuple[tuple, float]]:  # one pass, no lookups
+        return list(zip(self, self.sums.tolist()))
+
+    def values(self) -> List[float]:
+        return self.sums.tolist()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Answer):
+            return super().__eq__(other)
+        return len(self) == len(other) and (
+            not len(self)
+            or len(self.columns) == len(other.columns)
+            and all(map(np.array_equal, (*self.columns, self.sums),
+                        (*other.columns, other.sums)))
+        )
+
+    def __repr__(self) -> str:
+        return f"Answer({dict(self.items())!r})"
 
 
 class FactTable:
@@ -278,7 +288,6 @@ class FactTable:
             for name, values in extra_measures.items()
         }
         self.radix = _radix(self.columns)
-        self.key_tuples = KeyTuples()
 
     @property
     def n_rows(self) -> int:
@@ -350,7 +359,6 @@ class ViewTable:
         if len(lengths) != 1:
             raise ValueError("key/value column lengths differ")
         self.radix = _radix(self.key_columns)
-        self.key_tuples = KeyTuples()
 
     @property
     def n_rows(self) -> int:

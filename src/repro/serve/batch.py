@@ -33,6 +33,7 @@ import numpy as np
 from repro.core.query import SliceQuery
 from repro.cube.query_log import LogEntry
 from repro.engine.executor import Plan, _grouped_sums, aggregate_rows
+from repro.engine.table import Answer
 from repro.serve.telemetry import RAW_LABEL
 
 #: Default queries per batch for the chunked replay/serving drivers.
@@ -53,7 +54,7 @@ class ExecResult:
     structure: str
     predicted_rows: float
     actual_rows: int
-    groups: Dict[tuple, float]
+    groups: Answer
     latency_us: float
     fallback: bool
     rescued: bool = False
@@ -131,14 +132,12 @@ def execute_raw(fact, entry: LogEntry, plan: Plan) -> ExecResult:
         mask &= fact.columns[attr] == value
     groupby = fact.schema.sort_attrs(entry.query.groupby)
     measures = fact.measures[mask]
-    if groupby:
+    if groupby or not len(measures):
         groups = _grouped_sums(
             fact, groupby, [fact.columns[a][mask] for a in groupby], measures
         )
-    elif len(measures):
-        groups = {(): float(measures.sum())}
     else:
-        groups = {}
+        groups = Answer((), measures.sum(keepdims=True))
     return ExecResult(
         structure=RAW_LABEL,
         predicted_rows=plan.predicted,

@@ -33,6 +33,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.table import Answer
+
 #: Admission-sketch aging period: once this many lookups have been
 #: counted, every frequency halves (keeps the sketch adaptive to shifts).
 SKETCH_AGING_PERIOD = 100_000
@@ -40,7 +42,7 @@ SKETCH_AGING_PERIOD = 100_000
 #: Fixed per-entry overhead estimate, in bytes (key, dict slots, tag).
 ENTRY_OVERHEAD_BYTES = 200
 
-#: Estimated bytes per result group (key tuple + float payload).
+#: Estimated bytes per result group (sized for a dict's key tuple + float).
 GROUP_BYTES = 48
 
 
@@ -48,14 +50,14 @@ GROUP_BYTES = 48
 class CachedResult:
     """One finished query: the answer plus the cost accounting it had.
 
-    ``groups`` is shared, never copied — consumers treat results as
-    read-only (the same contract executor results already have).
+    ``groups`` is the immutable :class:`~repro.engine.table.Answer`
+    every hit hands out.
     """
 
     structure: str
     predicted_rows: float
     actual_rows: int
-    groups: Dict[tuple, float]
+    groups: Answer
 
     @property
     def estimated_bytes(self) -> int:

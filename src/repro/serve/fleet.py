@@ -526,7 +526,9 @@ class ReplicaFleet:
         on the monotonic clock, not the injectable ``clock``, which
         only accounts availability); a timeout or typed serving
         failure strikes the replica, backs off (jittered exponential),
-        and retries elsewhere.  Raises :class:`NoHealthyReplica` when
+        and retries elsewhere.  A timed-out attempt cancels its future,
+        so a replica that has not started the query never executes
+        it.  Raises :class:`NoHealthyReplica` when
         nothing is routable and :class:`RetriesExhausted` after the
         last allowed attempt — never a wrong answer, never a hang.
         """
@@ -565,6 +567,7 @@ class ReplicaFleet:
                     timeout=max(0.0, deadline - time.monotonic())
                 )
             except FuturesTimeout:
+                future.cancel()  # a still-queued entry is dropped unserved
                 self.telemetry.note_deadline_timeout()
                 last_error = QueryTimeout(
                     f"no answer within {self.query_deadline}s from "

@@ -131,6 +131,8 @@ class ServingFrontend:
         A full queue blocks until space frees (``timeout`` bounds the
         whole wait, however often the queue wakes it) or, with
         ``block=False``, raises :class:`AdmissionQueueFull` immediately.
+        Cancelling the future before the dispatcher takes the entry
+        drops it unserved.
         """
         future: "Future[object]" = Future()
         with self._cond:
@@ -217,6 +219,8 @@ class ServingFrontend:
             batch = self._take_batch()
             if batch is None:
                 return
+            # claim each future; one its client cancelled is dropped unserved
+            batch = [item for item in batch if item[1].set_running_or_notify_cancel()]
             try:
                 try:
                     if self.crash_hook is not None:
@@ -227,12 +231,10 @@ class ServingFrontend:
                     except Exception as exc:
                         # a serving error fails the batch, not the dispatcher
                         for __, future in batch:
-                            if not future.cancelled():
-                                future.set_exception(exc)
+                            future.set_exception(exc)
                     else:
                         for (__, future), outcome in zip(batch, outcomes):
-                            if not future.cancelled():
-                                future.set_result(outcome)
+                            future.set_result(outcome)
                 finally:
                     with self._cond:
                         self._inflight -= 1
@@ -293,7 +295,7 @@ class ServingFrontend:
             self._pending = 0
             self._cond.notify_all()
         for future in victims:
-            if not future.done():
+            if future.set_running_or_notify_cancel():  # not cancelled
                 future.set_exception(error)
 
     # --------------------------------------------------------------- drain

@@ -56,7 +56,7 @@ from repro.cube.query_log import LogEntry
 from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor, Plan
 from repro.engine.pipeline import materialize_selection
-from repro.engine.table import FactTable
+from repro.engine.table import Answer, FactTable
 from repro.serve.adaptive import AdaptiveReselector, ReadviseOutcome
 from repro.serve.batch import DEFAULT_BATCH_SIZE, execute_unique
 from repro.serve.cache import CachedResult, ResultCache, result_key
@@ -97,7 +97,7 @@ class ServeOutcome:
     actual_rows: int
     latency_us: float
     fallback: bool
-    groups: Dict[tuple, float] = field(default_factory=dict)
+    groups: Answer = field(default_factory=Answer)
     cached: bool = False
     rescued: bool = False
 

@@ -22,7 +22,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.pipeline import materialize_selection
 from repro.engine.maintenance import apply_delta
-from repro.engine.table import FactTable
+from repro.engine.table import Answer, FactTable
 from repro.serve.batch import execute_raw, raw_plan
 
 from .conftest import build_bundle
@@ -220,6 +220,30 @@ class TestSqlitePlans:
         assert result.sql.startswith("SELECT ")
         assert result.wall_s >= 0.0
         assert result.n_groups == len(result.groups)
+
+
+class TestAnswerOrder:
+    def test_index_ordered_group_by_comes_back_in_key_order(self):
+        """With an index on ``(b, a)``, SQLite answers ``GROUP BY a, b``
+        by scanning that index, so its rows come in ``(b, a)`` order; the
+        mirror's answer is still an :class:`Answer` in key order, equal
+        item for item to the engine's."""
+        schema = CubeSchema([Dimension("a", 6), Dimension("b", 5), Dimension("c", 4)])
+        catalog = Catalog(dense_fact_table(schema, rng=0, integral_measures=True))
+        view = catalog.materialize(View.of("a", "b")).view
+        index = Index(view, ("b", "a"))
+        catalog.build_index(index)
+        table = view_table_name(catalog.view_table(view).attrs)
+        query = SliceQuery(groupby=("a", "b"))
+        executor = Executor(catalog)
+        with SqliteBackend(catalog) as backend:
+            for plan in ((view, None), (view, index)):
+                mirror = backend.execute(query, {}, plan=plan)
+                assert mirror.used_index == index_name(index, table)
+                assert isinstance(mirror.groups, Answer)
+                assert list(mirror.groups) == sorted(mirror.groups)
+                engine = executor.execute(query, {}, plan=plan).groups
+                assert list(mirror.groups.items()) == list(engine.items())
 
 
 class EmptySliceSetup:

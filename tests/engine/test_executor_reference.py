@@ -12,18 +12,15 @@ slice pattern × answering view × plan (a scan, or any index on the view)
 of non-integral, partly empty cubes — before and after a maintenance
 delta.
 
-The group-and-sum kernel used to make a new key tuple for every group of
-every answer; it now hands out each table's shared tuples
-(:class:`~repro.engine.table.KeyTuples`).  The former kernel is kept
-here as :func:`reference_grouped_sums`, and answers must equal it item
-by item, in its order, with every sum's ``float.hex``.
+The group-and-sum kernel used to make a dict with a new key tuple for
+every group of every answer; it now returns an array
+:class:`~repro.engine.table.Answer`.  The former kernel is kept here as
+:func:`reference_grouped_sums`, and answers must equal it item by item,
+in its order, with every sum's ``float.hex``.
 """
 
 import gc
 import itertools
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -32,16 +29,11 @@ from repro.core.index import Index, enumerate_fat_indexes
 from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
 from repro.cube.generator import dense_fact_table
-from repro.cube.query_log import LogEntry
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
-from repro.engine.executor import (
-    MAX_CODED_KEY_SPACE, Executor, Plan, _grouped_sums, aggregate_rows,
-)
+from repro.engine.executor import Executor, _grouped_sums, aggregate_rows
 from repro.engine.maintenance import apply_delta
-from repro.engine.materialize import materialize_view
-from repro.engine.table import FactTable, KeyTuples
-from repro.serve.batch import execute_raw
+from repro.engine.table import FactTable
 
 from tests.engine.btree import BPlusTree
 
@@ -52,6 +44,9 @@ CARDINALITIES = [(5, 4, 3), (4, 3, 3, 2), (7, 2, 6)]
 DENSITY = 0.7
 #: Concrete selection values drawn per slice pattern.
 DRAWS = 3
+#: The former kernel built tuples from codes up to this key space and
+#: from sorted rows above it.
+MAX_CODED_KEY_SPACE = 1 << 20
 
 
 def reference_tree(table, index) -> BPlusTree:
@@ -365,7 +360,7 @@ def dense_cube(cards) -> FactTable:
     return dense_fact_table(schema, rng=0, integral_measures=True)
 
 
-class TestSharedKeyTuples:
+class TestAnswerAllocation:
     CARDS = (12, 10, 8, 6, 5)
 
     def test_second_answer_allocates_no_tuples(self):
@@ -387,82 +382,3 @@ class TestSharedKeyTuples:
                 gc.enable()
         assert second.groups == first.groups
         assert allocated < 1000
-
-    def test_view_and_raw_answers_share_keys_across_a_delta(self):
-        fact = dense_cube(self.CARDS)
-        catalog = Catalog(fact)
-        schema = fact.schema
-        top = catalog.materialize(View(schema.names)).view
-        entry = LogEntry(SliceQuery(groupby="abcd", selection="e"), (("e", 2),))
-        raw = Plan("raw", None, None, (), "raw", 0.0)
-
-        def answers():
-            table = catalog.view_table(top)
-            return (
-                aggregate_rows(table, entry.query, entry.bound_values),
-                execute_raw(catalog.fact, entry, raw).groups,
-            )
-
-        before = answers()
-        rng = np.random.default_rng(4)
-        apply_delta(
-            catalog,
-            {d.name: rng.integers(0, d.cardinality, size=288) for d in schema.dimensions},
-            rng.integers(1, 100, size=288).astype(np.float64),
-        )
-        after = answers()
-        assert before[0] == before[1] and after[0] == after[1]
-        assert after[0] != before[0]  # the delta changed the sums
-        keys = list(before[0])
-        for groups in before + after:
-            assert all(a is b for a, b in zip(groups, keys, strict=True))
-
-
-class TestConcurrentFills:
-    def test_threads_filling_one_table(self):
-        """More threads than cores answer every pattern of one fresh top
-        view in the same order, so they race to fill the same slots."""
-        fact = dense_cube((6, 5, 4, 3, 2))
-        top = View(fact.schema.names)
-        patterns = [
-            (query, {a: 1 for a in query.selection})
-            for query in enumerate_slice_queries(fact.schema.names)
-        ]
-        reference = materialize_view(fact, top)
-        expected = [
-            exact_items(reference_answer(reference, query, bound))
-            for query, bound in patterns
-        ]
-        failures = []
-
-        def worker(table, order):
-            for pos in order:
-                query, bound = patterns[pos]
-                groups = aggregate_rows(table, query, bound)
-                if any(key is None for key in groups):
-                    failures.append(("None key", str(query)))
-                elif exact_items(groups) != expected[pos]:
-                    failures.append(("wrong answer", str(query)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            deadline = time.monotonic() + 2.0
-            rounds = 0
-            while rounds < 3 or (rounds < 50 and time.monotonic() < deadline):
-                table = materialize_view(fact, top)
-                table.key_tuples = KeyTuples()  # every slot empty again
-                order = np.random.default_rng(rounds).permutation(len(patterns))
-                threads = [
-                    threading.Thread(target=worker, args=(table, order))
-                    for __ in range(6)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                rounds += 1
-        finally:
-            sys.setswitchinterval(interval)
-        assert not failures, failures[:5]

@@ -68,7 +68,6 @@ def reference_merge_view_tables(base: ViewTable, delta: ViewTable) -> ViewTable:
         extra_values=extra_merged,
         measure=base.measure,
     )
-    table.key_tuples = base.key_tuples
     return table
 
 
@@ -90,7 +89,6 @@ def reference_apply_delta(catalog, delta_columns, delta_measures, delta_extras=N
     fact = FactTable(
         schema, merged_columns, merged_measures, extra_measures=merged_extras
     )
-    fact.key_tuples = catalog.fact.key_tuples
     catalog.fact = fact
     report = RefreshReport(delta_rows=delta.n_rows)
     views_touched = []
@@ -272,9 +270,6 @@ def test_deltas_equal_reference(d, dense, agg, extras, seed):
         assert got.index_entries_rebuilt == sum(
             len(engine.sorted_index(i)) for i in engine.indexes() if str(i) not in kept
         )
-        for view in engine.views():
-            table = engine.view_table(view)
-            assert table.key_tuples is engine.fact.key_tuples
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -327,7 +322,6 @@ def test_merge_view_tables_equals_reference(seed):
                 got = merge_view_tables(a, b)
                 want = reference_merge_view_tables(a, b)
                 assert table_state(got) == table_state(want)
-                assert got.key_tuples is a.key_tuples
 
 
 # ------------------------------------------------------------ index reuse

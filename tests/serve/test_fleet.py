@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+from repro.core.costmodel import LinearCostModel
 from repro.cube.query_log import generate_query_log
+from repro.datasets.tpcd import tpcd_serving_fact
 from repro.serve import (
     NoHealthyReplica,
     QueryServer,
@@ -304,6 +306,48 @@ class TestDeadline:
             fleet.close()
         assert isinstance(outcome["error"], RetriesExhausted)
         assert outcome["elapsed"] < deadline + 0.15
+
+
+    def test_timed_out_attempt_is_not_executed(self):
+        """An attempt that hits its deadline while still queued is
+        cancelled: the slow replica never executes it, and the fleet's
+        telemetry counts each served query once."""
+        fact = tpcd_serving_fact(3, rng=0, integral_measures=True)
+        model = LinearCostModel.from_fact(fact)
+        fleet = make_fleet(
+            fact,
+            model,
+            advise_selection(model.lattice),
+            batch_size=1,
+            query_deadline=0.1,
+            strike_limit=10,
+        )
+        # round-robin routes the fleet's first query to replica 1
+        slow = fleet.replicas[1]
+        started, gate = threading.Event(), threading.Event()
+        executed = []
+
+        def hook(structure, entry):
+            executed.append(entry)
+            if len(executed) == 1:
+                started.set()
+                assert gate.wait(10)
+
+        slow.server.fault_hook = hook
+        log = generate_query_log(fact.schema, 2, rng=0)
+        try:
+            held = slow.frontend.submit(log[0])  # parks the slow dispatcher
+            assert started.wait(10)
+            outcome = fleet.serve(log[1])
+            gate.set()
+            held.result(10)
+        finally:
+            gate.set()
+            fleet.close()
+        assert fleet.stats()["deadline_timeouts"] == 1
+        assert outcome.entry is log[1]
+        assert executed == [log[0]]
+        assert fleet.merged_telemetry().queries == 2
 
 
 class TestHealthChecker:

@@ -1,6 +1,7 @@
 """Serving front-end: admission bounds, per-tenant fairness, one
 dispatcher thread, and telemetry indistinguishable from serial serving."""
 
+import sys
 import threading
 import time
 
@@ -307,6 +308,46 @@ class TestDispatcher:
         poker.join(5)
         assert not poker.is_alive()
         assert 0.2 <= elapsed < 0.5
+
+
+class TestCancellation:
+    def test_cancelled_entries_are_dropped_under_contention(
+        self, server4, serve_schema4
+    ):
+        """More clients than cores cancel half their futures while the
+        dispatcher takes batches: every future ends cancelled or
+        answered, the dispatcher never crashes on a cancelled future,
+        and only answered entries are served and recorded."""
+        log = generate_query_log(serve_schema4, 64, rng=3)
+        frontend = ServingFrontend(server4, batch_size=8)
+        futures, lock = [], threading.Lock()
+
+        def client(k):
+            mine = [frontend.submit(entry, tenant=f"t{k}") for entry in log]
+            for future in mine[k % 2 :: 2]:
+                future.cancel()
+            with lock:
+                futures.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            frontend.close(timeout=30)
+        answered = [future for future in futures if not future.cancelled()]
+        assert len(futures) == 6 * len(log) and all(f.done() for f in futures)
+        assert all(future.exception() is None for future in answered)
+        assert 0 < len(answered) < len(futures)
+        stats = frontend.stats()
+        assert stats["worker_crashes"] == 0
+        assert stats["served"] == len(answered) == server4.telemetry.snapshot()["queries"]
 
 
 class TestWorkerSupervision:
