@@ -209,10 +209,8 @@ def measure_serving(n_dims: int = 5, n_queries: int = 500, repeats: int = 2) -> 
     informational (their client threads' wall-clock depends on the
     runner's core count).
     """
-    from repro.algorithms.rgreedy import RGreedy
-    from repro.core.benefit import BenefitEngine
+    from repro.algorithms import serving_advise
     from repro.core.costmodel import LinearCostModel
-    from repro.core.qvgraph import QueryViewGraph
     from repro.cube.query_log import generate_query_log
     from repro.datasets.tpcd import tpcd_serving_fact, tpcd_serving_schema
     from repro.serve import QueryServer, ResultCache
@@ -220,17 +218,7 @@ def measure_serving(n_dims: int = 5, n_queries: int = 500, repeats: int = 2) -> 
     schema = tpcd_serving_schema(n_dims)
     fact = tpcd_serving_fact(n_dims)
     model = LinearCostModel.from_fact(fact)
-    lattice = model.lattice
-    graph = QueryViewGraph.from_cube(lattice)
-    selection = (
-        RGreedy(1)
-        .run(
-            BenefitEngine(graph),
-            3.0 * lattice.size(lattice.top),
-            seed=(lattice.label(lattice.top),),
-        )
-        .selected
-    )
+    selection = serving_advise(model).selected
     log = generate_query_log(schema, n_queries, rng=0)
 
     def leg(cached: bool = False, batch_size: int = None) -> dict:
@@ -284,32 +272,12 @@ def _divergent_legs(fact, model, log, n_dims: int) -> dict:
     d=5 fixture lands well below).  Its ``replicas`` key opts it out of
     the regression gate like the other fleet legs.
     """
-    from repro.algorithms.rgreedy import RGreedy
-    from repro.core.qvgraph import QueryViewGraph
     from repro.cube.query_log import pattern_counts
-    from repro.distributed import divergence_report, plan_divergent
+    from repro.distributed import plan_divergent
     from repro.serve import ReplicaFleet, RetryPolicy, ServingError
 
-    lattice = model.lattice
-    top_label = lattice.label(lattice.top)
-    space = 3.0 * lattice.size(lattice.top)
-    counts = pattern_counts(log)
-    partitioned, advice, router = plan_divergent(
-        lattice, counts, RGreedy(1), space, 4,
-        seed=(top_label,), cost_model=model,
-    )
-    identical = (
-        RGreedy(1)
-        .run(
-            QueryViewGraph.from_cube(lattice, frequencies=counts),
-            space,
-            seed=(top_label,),
-        )
-        .selected
-    )
-    report = divergence_report(
-        model, counts, advice, identical,
-        partitioned=partitioned, router=router,
+    __, advice, router, report = plan_divergent(
+        model, pattern_counts(log), "1greedy", 4
     )
 
     fleet = ReplicaFleet(
@@ -447,10 +415,10 @@ def _mining_quality_leg(n_dims: int, n_entries: int = 2000, rng: int = 11) -> di
     is a pure candidate-pruning quality number and ``within_bound``
     checks the certified forgone-benefit bound against the measured gap.
     """
+    from repro.algorithms import serving_space, workload_weights
     from repro.algorithms.rgreedy import RGreedy
     from repro.core.benefit import BenefitEngine
     from repro.core.qvgraph import QueryViewGraph
-    from repro.core.query import enumerate_slice_queries
     from repro.cube.query_log import generate_query_log, pattern_counts
     from repro.mining import compute_benefit_bound, mine_candidates
 
@@ -460,13 +428,11 @@ def _mining_quality_leg(n_dims: int, n_entries: int = 2000, rng: int = 11) -> di
     schema = lattice.schema
     top_label = lattice.label(lattice.top)
     counts = pattern_counts(generate_query_log(schema, n_entries, rng=rng))
-    space = 3.0 * lattice.size(lattice.top)  # the serving-style budget
+    space = serving_space(lattice)
 
     # full-universe reference: every pattern, observed weight or 0
     t0 = time.perf_counter()
-    frequencies = {
-        q: float(counts.get(q, 0.0)) for q in enumerate_slice_queries(schema.names)
-    }
+    frequencies = workload_weights(lattice, counts)
     full_engine = BenefitEngine(
         QueryViewGraph.from_cube(lattice, frequencies=frequencies)
     )
@@ -505,6 +471,7 @@ def _mining_quality_leg(n_dims: int, n_entries: int = 2000, rng: int = 11) -> di
 #: reads its own image's high-water mark, ``VmHWM``, where it exists.
 _D9_CHILD = """
 import json, resource, sys, time
+from repro.algorithms import serving_space
 from repro.algorithms.rgreedy import RGreedy
 from repro.core.benefit import BenefitEngine
 from repro.core.qvgraph import QueryViewGraph
@@ -540,7 +507,7 @@ mine_seconds = time.perf_counter() - t0
 t0 = time.perf_counter()
 engine = BenefitEngine(QueryViewGraph.from_mined(lattice, mined))
 compile_seconds = time.perf_counter() - t0
-space = 3.0 * lattice.size(lattice.top)  # the serving-style budget
+space = serving_space(lattice)
 t0 = time.perf_counter()
 result = RGreedy(1).run(
     engine, space, seed=(top_label,), context=RunContext(deadline=deadline)
@@ -623,26 +590,15 @@ def measure_sql_backend(n_dims: int = 4, n_queries: int = 400) -> dict:
     d=3..4 including the post-delta mirror-rebuild replay.  Any answer
     mismatch anywhere aborts the whole bench run.
     """
-    from repro.algorithms.rgreedy import RGreedy
+    from repro.algorithms import serving_advise
     from repro.backends import validate_cost
     from repro.backends.diff import run_diff
-    from repro.core.benefit import BenefitEngine
     from repro.core.costmodel import LinearCostModel
-    from repro.core.qvgraph import QueryViewGraph
     from repro.datasets.tpcd import tpcd_serving_fact
 
     fact = tpcd_serving_fact(n_dims, integral_measures=True)
     model = LinearCostModel.from_fact(fact)
-    lattice = model.lattice
-    selection = (
-        RGreedy(1)
-        .run(
-            BenefitEngine(QueryViewGraph.from_cube(lattice)),
-            3.0 * lattice.size(lattice.top),
-            seed=(lattice.label(lattice.top),),
-        )
-        .selected
-    )
+    selection = serving_advise(model).selected
 
     t0 = time.perf_counter()
     report = validate_cost(

@@ -1,5 +1,11 @@
 """Selection algorithms: r-greedy, inner-level greedy, baselines, optimal."""
 
+from repro.algorithms.advise import (
+    ALGORITHMS,
+    serving_advise,
+    serving_space,
+    workload_weights,
+)
 from repro.algorithms.base import FIT_PAPER, FIT_STRICT, SelectionAlgorithm, as_engine
 from repro.algorithms.guarantees import (
     guarantee_curve,
@@ -27,6 +33,7 @@ from repro.algorithms.rgreedy import RGreedy
 from repro.algorithms.two_step import TwoStep
 
 __all__ = [
+    "ALGORITHMS",
     "FIT_PAPER",
     "FIT_STRICT",
     "BranchAndBoundOptimal",
@@ -48,5 +55,8 @@ __all__ = [
     "r_greedy_guarantee",
     "r_greedy_limit",
     "r_greedy_space_bound",
+    "serving_advise",
+    "serving_space",
     "structure_update_costs",
+    "workload_weights",
 ]

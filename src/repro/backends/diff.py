@@ -3,9 +3,11 @@
 ``python -m repro.backends.diff`` generates seeded random star schemas
 at d=3..5 (random cardinalities, *sparse* integer-valued facts, so
 empty-result slices occur naturally and sums are order-exact), advises a
-selection with the paper's greedy algorithm, mirrors the catalog into
+selection with the shared serving advise
+(:func:`repro.algorithms.serving_advise`), mirrors the catalog into
 SQLite, and replays a generated workload through **both** engines with
-the same routed plan — asserting, per query, identical group dictionaries
+the same routed plan (:func:`repro.backends.validate.replay_both`, the
+loop ``validate-cost`` runs) — asserting, per query, identical answers
 and identical rows-processed accounting.  Raw-cube fallbacks are forced
 for a slice of the workload so the fact-table path is exercised even
 when the advised selection answers everything.
@@ -16,13 +18,13 @@ bump must rebuild the SQLite mirror (the harness asserts the reload
 happened) and the refreshed answers must again match.
 
 Exit status 0 means zero mismatches anywhere — the contract the
-``sql-backend-smoke`` CI job enforces.
+``sql-backend-smoke`` CI job enforces; 1 a mismatch or a missed mirror
+rebuild; 2 bad input (one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import string
 import sys
 import time
@@ -30,10 +32,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms import FIT_STRICT, RGreedy
+from repro.algorithms import serving_advise
 from repro.backends.sqlite import SqliteBackend
+from repro.backends.validate import replay_both
+from repro.checks import EXIT_FAILED, EXIT_OK, run_checked
 from repro.core.costmodel import LinearCostModel
-from repro.core.qvgraph import QueryViewGraph
 from repro.cube.query_log import LogEntry, generate_query_log
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog
@@ -41,7 +44,7 @@ from repro.engine.executor import Executor
 from repro.engine.maintenance import apply_delta
 from repro.engine.pipeline import materialize_selection
 from repro.engine.table import FactTable
-from repro.serve.batch import execute_raw, raw_plan
+from repro.io import write_json
 from repro.serve.structures import resolve_selection
 
 
@@ -74,32 +77,14 @@ def random_fact(
     return FactTable(schema, columns, measures)
 
 
-def advise_selection(fact: FactTable, model: LinearCostModel) -> tuple:
-    """The paper's r=1 greedy selection at 3x the raw-cube space."""
-    lattice = model.lattice
-    graph = QueryViewGraph.from_cube(lattice)
-    top_label = lattice.label(lattice.top)
-    result = RGreedy(1, fit=FIT_STRICT).run(
-        graph, 3.0 * lattice.size(lattice.top), seed=(top_label,)
-    )
-    return tuple(result.selected)
-
-
-def replay_both(
+def diff_replay(
     executor: Executor,
     backend: SqliteBackend,
     fact: FactTable,
     cost_model: LinearCostModel,
     entries: Sequence[LogEntry],
-    force_raw_every: int = 0,
 ) -> dict:
-    """Replay a log through both engines; return match accounting.
-
-    ``force_raw_every`` > 0 additionally answers every n-th entry
-    through both raw paths (engine fact scan vs SQLite ``fact`` table),
-    so the fallback path is differentially exercised even when the
-    selection answers the whole workload.
-    """
+    """Count :func:`replay_both` over a log, every 10th entry also raw."""
     counts: Dict[str, int] = {
         "queries": 0,
         "mismatches": 0,
@@ -109,49 +94,17 @@ def replay_both(
         "empty_results": 0,
     }
     details: List[dict] = []
-
-    def compare(engine_rows, engine_groups, result, entry):
+    for run in replay_both(
+        executor, backend, fact, cost_model, entries, force_raw_every=10
+    ):
         counts["queries"] += 1
-        if not engine_groups:
+        counts[run.plan.kind] += 1
+        if not run.engine_groups:
             counts["empty_results"] += 1
-        if engine_groups != result.groups or engine_rows != result.rows_processed:
+        if not run.match:
             counts["mismatches"] += 1
             if len(details) < 10:
-                details.append(
-                    {
-                        "query": str(entry.query),
-                        "values": dict(entry.bound_values),
-                        "engine_rows": engine_rows,
-                        "sqlite_rows": result.rows_processed,
-                        "groups_equal": engine_groups == result.groups,
-                        "sql": result.sql,
-                    }
-                )
-
-    for position, entry in enumerate(entries):
-        query = entry.query
-        bound = dict(entry.bound_values)
-        try:
-            plan = executor.choose_plan(query)
-        except LookupError:
-            plan = raw_plan(cost_model, query)
-        if plan.kind == "raw":
-            raw = execute_raw(fact, entry, plan)
-            compare(raw.actual_rows, raw.groups, backend.execute_raw(query, bound), entry)
-        else:
-            forced = (plan.view, plan.index)
-            engine = executor.execute(query, bound, plan=forced)
-            compare(
-                engine.rows_processed,
-                engine.groups,
-                backend.execute(query, bound, plan=forced),
-                entry,
-            )
-        counts[plan.kind] += 1
-        if force_raw_every and position % force_raw_every == 0:
-            raw = execute_raw(fact, entry, raw_plan(cost_model, query))
-            compare(raw.actual_rows, raw.groups, backend.execute_raw(query, bound), entry)
-            counts["raw"] += 1
+                details.append(run.mismatch_detail())
     counts["mismatch_details"] = details
     return counts
 
@@ -170,7 +123,7 @@ def run_diff(
         schema = random_schema(n_dims, rng)
         fact = random_fact(schema, rng, density=density)
         model = LinearCostModel.from_fact(fact)
-        selection = advise_selection(fact, model)
+        selection = tuple(serving_advise(model).selected)
         views, indexes = resolve_selection(selection)
         catalog = Catalog(fact)
         materialize_selection(catalog, views, indexes)
@@ -179,9 +132,7 @@ def run_diff(
         with SqliteBackend(cost_model=model) as backend:
             backend.sync(catalog)
             log = generate_query_log(schema, queries, rng=rng)
-            before = replay_both(
-                executor, backend, fact, model, log, force_raw_every=10
-            )
+            before = diff_replay(executor, backend, fact, model, log)
 
             # the maintenance leg: a delta bumps catalog.version, which
             # must rebuild the mirror before the replay sees fresh rows
@@ -195,9 +146,8 @@ def run_diff(
             fact = catalog.fact
             executor = Executor(catalog, model)
             reloaded = backend.sync(catalog)
-            after = replay_both(
-                executor, backend, fact, model, log[: queries // 2],
-                force_raw_every=10,
+            after = diff_replay(
+                executor, backend, fact, model, log[: queries // 2]
             )
 
         runs.append(
@@ -253,14 +203,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--output", help="write the JSON report here")
     args = parser.parse_args(argv)
+    return run_checked(lambda: _run(args))
 
+
+def _run(args: argparse.Namespace) -> int:
     dims = [int(part) for part in args.dims.split(",") if part.strip()]
     report = run_diff(
         dims=dims, queries=args.queries, seed=args.seed, density=args.density
     )
     if args.output:
-        with open(args.output, "w") as f:
-            json.dump(report, f, indent=2)
+        write_json(report, args.output)
 
     total = report["total"]
     for run in report["runs"]:
@@ -279,8 +231,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if total["mismatches"] or report["reload_failures"]:
         print("DIFFERENTIAL FAILURE", file=sys.stderr)
-        return 1
-    return 0
+        return EXIT_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,20 +22,24 @@ constant (e.g. ``raw``, where every query predicts the full fact scan)
 report ``None`` rather than a fabricated coefficient.
 
 This is the engine behind the ``repro validate-cost`` CLI subcommand and
-the ``sql_backend`` benchmark leg.
+the ``sql_backend`` benchmark leg.  Its engine-vs-SQLite loop,
+:func:`replay_both`, is also the differential harness's
+(:mod:`repro.backends.diff`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.backends.sqlite import SqliteBackend, SqlResult
 from repro.core.costmodel import LinearCostModel
 from repro.cube.query_log import LogEntry, generate_query_log
 from repro.engine.catalog import Catalog
-from repro.engine.executor import Executor
+from repro.engine.executor import Executor, Plan
 from repro.engine.pipeline import materialize_selection
-from repro.engine.table import FactTable
+from repro.engine.table import Answer, FactTable
+from repro.serve.batch import execute_raw, raw_plan
 from repro.serve.structures import resolve_selection
 
 #: Structure classes the correlation is reported over, one per plan kind.
@@ -94,6 +98,74 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
     return cov / (vx * vy) ** 0.5
 
 
+@dataclass(frozen=True)
+class DualExecution:
+    """One entry answered on one plan by the row engine and by SQLite."""
+
+    entry: LogEntry
+    plan: Plan
+    engine_rows: int
+    engine_groups: Answer
+    sql: SqlResult
+
+    @property
+    def match(self) -> bool:
+        """Equal answers and equal rows processed."""
+        return (
+            self.engine_groups == self.sql.groups
+            and self.engine_rows == self.sql.rows_processed
+        )
+
+    def mismatch_detail(self) -> dict:
+        """The JSON record a report keeps for a mismatch."""
+        return {
+            "query": str(self.entry.query),
+            "values": dict(self.entry.bound_values),
+            "engine_rows": self.engine_rows,
+            "sqlite_rows": self.sql.rows_processed,
+            "groups_equal": self.engine_groups == self.sql.groups,
+            "sql": self.sql.sql,
+        }
+
+
+def replay_both(
+    executor: Executor,
+    backend,
+    fact: FactTable,
+    cost_model: LinearCostModel,
+    entries: Sequence[LogEntry],
+    force_raw_every: int = 0,
+) -> Iterator[DualExecution]:
+    """Answer each entry through both engines on the same plan.
+
+    The plan is the executor's pick, or the raw plan when no
+    materialized view answers.  ``force_raw_every`` > 0 answers every
+    n-th entry once more on the raw plan (engine fact scan against the
+    SQLite ``fact`` table), so the fallback path is compared even when
+    the selection answers the whole workload.
+    """
+    for position, entry in enumerate(entries):
+        query = entry.query
+        bound = dict(entry.bound_values)
+        try:
+            plans = [executor.choose_plan(query)]
+        except LookupError:
+            plans = [raw_plan(cost_model, query)]
+        if force_raw_every and position % force_raw_every == 0:
+            plans.append(raw_plan(cost_model, query))
+        for plan in plans:
+            if plan.kind == "raw":
+                engine = execute_raw(fact, entry, plan)
+                engine_rows = engine.actual_rows
+                sql = backend.execute_raw(query, bound)
+            else:
+                forced = (plan.view, plan.index)
+                engine = executor.execute(query, bound, plan=forced)
+                engine_rows = engine.rows_processed
+                sql = backend.execute(query, bound, plan=forced)
+            yield DualExecution(entry, plan, engine_rows, engine.groups, sql)
+
+
 @dataclass
 class Observation:
     """One query's differential execution, measured on the SQLite side."""
@@ -143,9 +215,6 @@ def validate_cost(
     count (expected 0), per-class and overall Spearman correlations, and
     the observation rows behind them.
     """
-    from repro.backends.sqlite import SqliteBackend
-    from repro.serve.batch import execute_raw, raw_plan
-
     if cost_model is None:
         cost_model = LinearCostModel.from_fact(fact)
     if entries is None:
@@ -158,48 +227,21 @@ def validate_cost(
     observations: List[Observation] = []
     mismatches: List[dict] = []
     with SqliteBackend(catalog, cost_model=cost_model) as backend:
-        for entry in entries:
-            query = entry.query
-            bound = dict(entry.bound_values)
-            try:
-                plan = executor.choose_plan(query)
-            except LookupError:
-                plan = raw_plan(cost_model, query)
-            if plan.kind == "raw":
-                engine = execute_raw(fact, entry, plan)
-                engine_rows, engine_groups = engine.actual_rows, engine.groups
-                result = backend.execute_raw(query, bound)
-            else:
-                forced = (plan.view, plan.index)
-                engine_result = executor.execute(query, bound, plan=forced)
-                engine_rows = engine_result.rows_processed
-                engine_groups = engine_result.groups
-                result = backend.execute(query, bound, plan=forced)
-            match = (
-                engine_groups == result.groups
-                and engine_rows == result.rows_processed
-            )
-            if not match:
-                mismatches.append(
-                    {
-                        "query": str(query),
-                        "values": bound,
-                        "engine_rows": engine_rows,
-                        "sqlite_rows": result.rows_processed,
-                        "groups_equal": engine_groups == result.groups,
-                    }
-                )
+        for run in replay_both(executor, backend, fact, cost_model, entries):
+            plan = run.plan
+            if not run.match:
+                mismatches.append(run.mismatch_detail())
             observations.append(
                 Observation(
-                    pattern=str(query),
+                    pattern=str(run.entry.query),
                     structure_class=_CLASS_OF_KIND[plan.kind],
                     structure=plan.structure,
                     predicted=float(plan.predicted),
-                    engine_rows=engine_rows,
-                    sqlite_rows=result.rows_processed,
-                    wall_s=result.wall_s,
-                    used_index=result.used_index,
-                    match=match,
+                    engine_rows=run.engine_rows,
+                    sqlite_rows=run.sql.rows_processed,
+                    wall_s=run.sql.wall_s,
+                    used_index=run.sql.used_index,
+                    match=run.match,
                 )
             )
 

@@ -25,27 +25,26 @@ Usage::
 either exact per-view row counts or a raw row count for analytical
 sizing.
 
-Exit codes: 0 on success; 2 on bad input (malformed documents, missing
-files, invalid budgets — one-line message on stderr, ``--traceback`` to
-see the full stack); 3 when a run stopped early on a deadline, memory
-budget, or signal — the best-so-far selection is still printed (and
-written to ``--output``, flagged ``"interrupted": true``).
+Exit codes: 0 on success; 1 when a check failed (``--fail-on-fallback``,
+failed fleet queries, ``validate-cost`` mismatches); 2 on bad input
+(malformed documents, missing files, invalid budgets or flag values —
+one-line message on stderr, ``--traceback`` to see the full stack); 3
+when a run stopped early on a deadline, memory budget, or signal — the
+best-so-far selection is still printed (and written to ``--output``,
+flagged ``"interrupted": true``).  The check harnesses
+(``python -m repro.serve.chaos`` and the others) exit the same way,
+through :func:`repro.checks.run_checked`.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
-from repro.algorithms import (
-    FIT_PAPER,
-    FIT_STRICT,
-    HRUGreedy,
-    InnerLevelGreedy,
-    RGreedy,
-    TwoStep,
-)
+from repro.algorithms import ALGORITHMS, FIT_PAPER, FIT_STRICT
+from repro.checks import EXIT_FAILED, EXIT_OK, run_checked
 from repro.core.qvgraph import QueryViewGraph
 from repro.io import (
     graph_from_dict,
@@ -54,21 +53,12 @@ from repro.io import (
     is_hierarchical_document,
     lattice_from_dict,
     save_selection,
+    write_json,
 )
 
-#: CLI exit codes (documented in docs/API.md).
-EXIT_OK = 0
-EXIT_ERROR = 2
+#: Exit code of a run stopped early (docs/API.md); 0, 1 and 2 are
+#: :mod:`repro.checks`' ``EXIT_OK``, ``EXIT_FAILED`` and ``EXIT_ERROR``.
 EXIT_INTERRUPTED = 3
-
-ALGORITHMS = {
-    "1greedy": lambda fit: RGreedy(1, fit=fit),
-    "2greedy": lambda fit: RGreedy(2, fit=fit),
-    "3greedy": lambda fit: RGreedy(3, fit=fit),
-    "inner": lambda fit: InnerLevelGreedy(fit=fit),
-    "two-step": lambda fit: TwoStep(0.5, fit=fit),
-    "hru": lambda fit: HRUGreedy(fit=fit),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -701,17 +691,8 @@ def _advise_pruned(args: argparse.Namespace) -> int:
         f"{3 ** n} patterns)"
     )
 
-    top_label = lattice.label(lattice.top)
-    top_rows = lattice.size(lattice.top)
-    seed = () if args.no_seed_top else (top_label,)
-    if seed and top_rows > args.space:
-        print(
-            f"error: the top view needs {top_rows:g} rows, "
-            f"more than the {args.space:g}-row budget "
-            "(pass --no-seed-top to skip it)",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+    seed = () if args.no_seed_top else (lattice.label(lattice.top),)
+    _check_seed_fits(seed, lattice.size(lattice.top), args.space)
 
     def graph_factory(context):
         if context is not None:
@@ -730,12 +711,10 @@ def _advise_pruned(args: argparse.Namespace) -> int:
             f"ideal tau {bound.ideal_tau:g}, kept tau {bound.kept_tau:g}"
         )
         if args.benefit_bound is not None and relative > args.benefit_bound:
-            print(
-                f"error: certified forgone-benefit bound {relative:.3g} "
-                f"exceeds --benefit-bound {args.benefit_bound:g}",
-                file=sys.stderr,
+            raise ValueError(
+                f"certified forgone-benefit bound {relative:.3g} "
+                f"exceeds --benefit-bound {args.benefit_bound:g}"
             )
-            return EXIT_ERROR
         return code
 
     algorithm = ALGORITHMS[args.algorithm](args.fit)
@@ -750,13 +729,32 @@ def _advise_pruned(args: argparse.Namespace) -> int:
     )
 
 
+def _check_seed_fits(seed, top_rows: float, space: float) -> None:
+    """A seeded top view must fit the budget."""
+    if seed and top_rows > space:
+        raise ValueError(
+            f"the top view needs {top_rows:g} rows, more than the "
+            f"{space:g}-row budget (pass --no-seed-top to skip it)"
+        )
+
+
+def _load_selected(path: str) -> list:
+    """The ``selected`` list of a selection document (advise --output)."""
+    import json
+
+    with open(path) as f:
+        selected = json.load(f).get("selected")
+    if not isinstance(selected, list):
+        raise ValueError(f"{path}: selection document has no 'selected' list")
+    return selected
+
+
 def cmd_mine(args: argparse.Namespace) -> int:
     """Mine a recorded query log and report the pruned candidate space."""
     from repro.core.index import count_fat_indexes
     from repro.mining import (
         compute_benefit_bound,
         mining_report,
-        save_mining_report,
     )
 
     lattice = _load_flat_lattice(args.lattice)
@@ -789,7 +787,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         f"(kept tau {bound.kept_tau:g} vs ideal tau {bound.ideal_tau:g})"
     )
     if args.output:
-        save_mining_report(mining_report(mined, bound, lattice), args.output)
+        write_json(mining_report(mined, bound, lattice), args.output)
         print(f"mined-candidate report written to {args.output}")
     return EXIT_OK
 
@@ -813,14 +811,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
         return _advise_pruned(args)
     graph, top_name, top_rows = _load_graph(args.lattice, args.index_universe)
     seed = () if (args.no_seed_top or top_name is None) else (top_name,)
-    if seed and top_rows > args.space:
-        print(
-            f"error: the top view needs {top_rows:g} rows, "
-            f"more than the {args.space:g}-row budget "
-            "(pass --no-seed-top to skip it)",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+    _check_seed_fits(seed, top_rows, args.space)
     algorithm = ALGORITHMS[args.algorithm](args.fit)
     return _run_with_context(algorithm, graph, args.space, seed, args)
 
@@ -873,18 +864,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Explain a saved selection against its cube document."""
-    import json
-
     from repro.analysis import explain
 
     graph, __, __rows = _load_graph(args.lattice, args.index_universe)
-    with open(args.selection) as f:
-        document = json.load(f)
-    selected = document.get("selected")
-    if not isinstance(selected, list):
-        print("error: selection document has no 'selected' list", file=sys.stderr)
-        return EXIT_ERROR
-    explanation = explain(graph, selected)
+    explanation = explain(graph, _load_selected(args.selection))
     print(explanation.table())
     print()
     print(
@@ -904,40 +887,40 @@ def cmd_tpcd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_selection(args: argparse.Namespace, integral_measures: bool = False):
-    """Shared serve/replay fixture: cube, cost model, and the selection.
+def _serving_cube(args: argparse.Namespace, integral_measures: bool = False):
+    """The dense serving cube of ``--dims`` and its cost model.
 
-    Returns ``(schema, fact, model, selected, space, top_label)``.
-    ``integral_measures`` builds the cube with whole-number measures —
-    the fixture ``validate-cost`` uses so engine-vs-SQLite sums are
-    order-exact and byte-comparable.
+    Returns ``(fact, model)``.  ``integral_measures`` builds the cube with
+    whole-number measures — the fixture ``validate-cost`` uses so
+    engine-vs-SQLite sums are order-exact and byte-comparable.
     """
-    import json
-
     from repro.core.costmodel import LinearCostModel
-    from repro.datasets.tpcd import tpcd_serving_fact, tpcd_serving_schema
+    from repro.datasets.tpcd import tpcd_serving_fact
 
-    schema = tpcd_serving_schema(args.dims)
     fact = tpcd_serving_fact(args.dims, integral_measures=integral_measures)
-    model = LinearCostModel.from_fact(fact)
-    lattice = model.lattice
-    top_label = lattice.label(lattice.top)
-    space = (
-        args.space if args.space is not None else 3.0 * lattice.size(lattice.top)
-    )
+    return fact, LinearCostModel.from_fact(fact)
+
+
+def _serving_selection(args: argparse.Namespace, model):
+    """The ``--selection`` document's structures, or the serving advise
+    (:func:`repro.algorithms.serving_advise`) with ``--algorithm`` under
+    ``--space``.  Returns ``(selected, space)``."""
+    from repro.algorithms import serving_advise, serving_space
+
+    space = args.space if args.space is not None else serving_space(model.lattice)
     if args.selection:
-        with open(args.selection) as f:
-            document = json.load(f)
-        selected = document.get("selected")
-        if not isinstance(selected, list):
-            raise ValueError(
-                f"{args.selection}: selection document has no 'selected' list"
-            )
-    else:
-        algorithm = ALGORITHMS[args.algorithm](FIT_STRICT)
-        graph = QueryViewGraph.from_cube(lattice)
-        selected = algorithm.run(graph, space, seed=(top_label,)).selected
-    return schema, fact, model, selected, space, top_label
+        return _load_selected(args.selection), space
+    return serving_advise(model, args.algorithm, space).selected, space
+
+
+def _cache_bytes(args: argparse.Namespace) -> int:
+    """The result cache's capacity in bytes; 0 turns the cache off."""
+    if not args.cache_mb:
+        return 0
+    capacity = int(args.cache_mb * 2**20)
+    if capacity < 1:
+        raise ValueError(f"--cache-mb {args.cache_mb:g} is less than one byte")
+    return capacity
 
 
 def _build_server(args: argparse.Namespace):
@@ -954,8 +937,10 @@ def _build_server(args: argparse.Namespace):
         WorkloadRecorder,
     )
 
-    schema, fact, model, selected, space, top_label = _serving_selection(args)
+    fact, model = _serving_cube(args)
+    selected, space = _serving_selection(args, model)
     lattice = model.lattice
+    schema = lattice.schema
     advised = {q: 1.0 for q in enumerate_slice_queries(schema.names)}
     reselector = None
     if args.adaptive:
@@ -964,15 +949,14 @@ def _build_server(args: argparse.Namespace):
             ALGORITHMS[args.algorithm](FIT_STRICT),
             space,
             margin=args.margin if args.margin is not None else 0.05,
-            seed=(top_label,),
+            seed=(lattice.label(lattice.top),),
             deadline=args.deadline,
             checkpoint_path=args.checkpoint,
             prune=not args.full_readvise,
         )
     recorder = WorkloadRecorder(args.record) if args.record else None
-    cache = None
-    if args.cache_mb is not None and args.cache_mb > 0:
-        cache = ResultCache(capacity_bytes=int(args.cache_mb * 2**20))
+    cache_bytes = _cache_bytes(args)
+    cache = ResultCache(capacity_bytes=cache_bytes) if cache_bytes else None
     backend = None
     if getattr(args, "backend", "engine") == "sqlite":
         from repro.backends import SqliteBackend
@@ -995,8 +979,6 @@ def _build_server(args: argparse.Namespace):
 
 def _report_serving(args: argparse.Namespace, server, report, recorder) -> int:
     """Print the serving summary, persist telemetry, pick the exit code."""
-    import json
-
     from repro.serve import validate_telemetry
 
     server.close(timeout=60)
@@ -1030,8 +1012,7 @@ def _report_serving(args: argparse.Namespace, server, report, recorder) -> int:
             f"{cache['invalidations']} invalidations"
         )
     if args.telemetry:
-        with open(args.telemetry, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
+        write_json(snapshot, args.telemetry)
         print(f"telemetry written to {args.telemetry}")
     if args.record:
         print(f"workload recorded to {args.record}")
@@ -1040,7 +1021,7 @@ def _report_serving(args: argparse.Namespace, server, report, recorder) -> int:
             f"error: {report.fallbacks} queries fell back to the raw cube",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -1048,7 +1029,6 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
     """Serve a workload through a supervised replica fleet
     (``--replicas >= 2``): health-checked routing, per-query deadlines,
     retry/failover, per-structure circuit breakers."""
-    import json
     import time as _time
 
     from repro.serve import (
@@ -1066,31 +1046,21 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
             "the single-server features --adaptive and --record are "
             "rejected on the fleet path; drop them or use --replicas 1"
         )
-    __schema, fact, model, selected, space, top_label = _serving_selection(args)
-    selections = selected
+    fact, model = _serving_cube(args)
     router = None
     ratio = None
-    if getattr(args, "divergent", False):
+    if args.divergent:
         from repro.cube.query_log import pattern_counts
-        from repro.distributed import divergence_report, plan_divergent
+        from repro.distributed import plan_divergent
 
-        counts = pattern_counts(entries)
-        lattice = model.lattice
-        partitioned, advice, router = plan_divergent(
-            lattice,
-            counts,
-            ALGORITHMS[args.algorithm](FIT_STRICT),
-            space,
-            args.replicas,
-            seed=(top_label,),
-            cost_model=model,
+        __, advice, router, divergence = plan_divergent(
+            model, pattern_counts(entries), args.algorithm, args.replicas,
+            args.space,
         )
         selections = advice.selections
-        divergence = divergence_report(
-            model, counts, advice, selected,
-            partitioned=partitioned, router=router,
-        )
         ratio = divergence["predicted_cost_ratio"]
+    else:
+        selections, __ = _serving_selection(args, model)
     retry = RetryPolicy(
         max_attempts=(
             args.retry_attempts if args.retry_attempts is not None else 3
@@ -1105,9 +1075,7 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
         batch_size=(
             args.batch_size if args.batch_size is not None else DEFAULT_BATCH_SIZE
         ),
-        cache_bytes=(
-            int(args.cache_mb * 2**20) if args.cache_mb else 0
-        ),
+        cache_bytes=_cache_bytes(args),
         retry=retry,
         query_deadline=(
             args.query_deadline
@@ -1126,7 +1094,7 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
     else:
         print(
             f"serving {len(entries)} queries through {args.replicas} "
-            f"replicas ({len(selected)} structures materialized per replica)"
+            f"replicas ({len(selections)} structures materialized per replica)"
         )
     start = _time.perf_counter()
     results = fleet.serve_many(entries)
@@ -1160,63 +1128,36 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
         snapshot = validate_telemetry(fleet.telemetry_snapshot())
         if ratio is not None:
             snapshot["fleet"]["predicted_cost_ratio"] = ratio
-        with open(args.telemetry, "w") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
+        write_json(snapshot, args.telemetry)
         print(f"telemetry written to {args.telemetry}")
     if args.fail_on_fallback and fallbacks:
         print(
             f"error: {fallbacks} queries fell back to the raw cube",
             file=sys.stderr,
         )
-        return 1
-    return 1 if failed else EXIT_OK
+        return EXIT_FAILED
+    return EXIT_FAILED if failed else EXIT_OK
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
     """Partition a recorded workload and advise per-replica selections."""
-    from repro.core.costmodel import LinearCostModel
     from repro.cube.query_log import pattern_counts
-    from repro.datasets.tpcd import tpcd_serving_fact
-    from repro.distributed import (
-        divergence_report,
-        plan_divergent,
-        save_divergence_report,
-    )
+    from repro.distributed import plan_divergent
     from repro.io import iter_query_log
 
-    model = LinearCostModel.from_fact(tpcd_serving_fact(args.dims))
-    lattice = model.lattice
-    schema = lattice.schema
-    top_label = lattice.label(lattice.top)
-    space = (
-        args.space if args.space is not None else 3.0 * lattice.size(lattice.top)
-    )
-    counts = pattern_counts(iter_query_log(args.log, schema))
+    __, model = _serving_cube(args)
+    counts = pattern_counts(iter_query_log(args.log, model.lattice.schema))
     if not counts:
         raise ValueError(f"{args.log}: query log is empty, nothing to partition")
-    partitioned, advice, router = plan_divergent(
-        lattice,
+    partitioned, advice, __, report = plan_divergent(
+        model,
         counts,
-        ALGORITHMS[args.algorithm](FIT_STRICT),
-        space,
+        args.algorithm,
         args.partitions,
-        seed=(top_label,),
+        args.space,
         similarity=args.similarity,
         support=args.support,
-        cost_model=model,
         checkpoint_path=args.checkpoint,
-    )
-    identical = (
-        ALGORITHMS[args.algorithm](FIT_STRICT)
-        .run(
-            QueryViewGraph.from_cube(lattice, frequencies=counts),
-            space,
-            seed=(top_label,),
-        )
-        .selected
-    )
-    report = divergence_report(
-        model, counts, advice, identical, partitioned=partitioned, router=router
     )
     print(
         f"partitioned {sum(p.n_patterns for p in partitioned.partitions)} "
@@ -1236,15 +1177,28 @@ def cmd_partition(args: argparse.Namespace) -> int:
         f"{report['identical_predicted_cost']:g})"
     )
     if args.output:
-        save_divergence_report(report, args.output)
+        write_json(report, args.output)
         print(f"divergence report written to {args.output}")
     return EXIT_OK
 
 
 def _check_serving_flags(args: argparse.Namespace) -> None:
-    """Flag combinations serve and replay reject as input errors."""
+    """Flag values and combinations serve and replay reject as input
+    errors."""
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
+    if args.cache_mb is not None and not (
+        math.isfinite(args.cache_mb) and args.cache_mb >= 0
+    ):
+        raise ValueError(
+            f"--cache-mb must be a finite number >= 0, got {args.cache_mb:g}"
+        )
     if args.divergent and args.replicas < 2:
         raise ValueError("--divergent requires --replicas >= 2")
+    if args.divergent and args.selection:
+        raise ValueError(
+            "--divergent advises one selection per replica; drop --selection"
+        )
     if args.backend == "sqlite" and args.replicas >= 2:
         raise ValueError("--backend sqlite serves single-server only")
 
@@ -1302,22 +1256,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_validate_cost(args: argparse.Namespace) -> int:
     """Differentially validate the cost model on the SQLite backend."""
-    import json
-
     from repro.backends import validate_cost
     from repro.backends.validate import format_report
 
-    schema, fact, model, selected, space, top_label = _serving_selection(
-        args, integral_measures=True
-    )
+    fact, model = _serving_cube(args, integral_measures=True)
+    selected, __ = _serving_selection(args, model)
     report = validate_cost(
         fact, selected, cost_model=model, n_queries=args.queries, rng=args.rng
     )
     report["dims"] = args.dims
     print(format_report(report))
     if args.output:
-        with open(args.output, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
+        write_json(report, args.output)
         print(f"correlation report written to {args.output}")
     if report["mismatches"]:
         print(
@@ -1325,7 +1275,7 @@ def cmd_validate_cost(args: argparse.Namespace) -> int:
             "mismatches",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_FAILED
     return EXIT_OK
 
 
@@ -1336,6 +1286,20 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return experiments_main(args.names)
 
 
+COMMANDS = {
+    "advise": cmd_advise,
+    "mine": cmd_mine,
+    "explain": cmd_explain,
+    "resume": cmd_resume,
+    "tpcd": cmd_tpcd,
+    "partition": cmd_partition,
+    "serve": cmd_serve,
+    "replay": cmd_replay,
+    "validate-cost": cmd_validate_cost,
+    "experiments": cmd_experiments,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point: parse arguments and dispatch to the subcommand.
 
@@ -1344,32 +1308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     restores the full stack for debugging.
     """
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "advise":
-            return cmd_advise(args)
-        if args.command == "mine":
-            return cmd_mine(args)
-        if args.command == "explain":
-            return cmd_explain(args)
-        if args.command == "resume":
-            return cmd_resume(args)
-        if args.command == "tpcd":
-            return cmd_tpcd(args)
-        if args.command == "partition":
-            return cmd_partition(args)
-        if args.command == "serve":
-            return cmd_serve(args)
-        if args.command == "replay":
-            return cmd_replay(args)
-        if args.command == "validate-cost":
-            return cmd_validate_cost(args)
-        if args.command == "experiments":
-            return cmd_experiments(args)
-    except (OSError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError, the io.py document
-        # validators, bad budgets (check_space), and CheckpointError
-        if args.traceback:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
+    command = COMMANDS[args.command]
+    # ValueError covers json.JSONDecodeError, the io.py document
+    # validators, bad budgets (check_space), and CheckpointError
+    return run_checked(lambda: command(args), traceback=args.traceback)

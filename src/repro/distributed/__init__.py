@@ -18,8 +18,13 @@ divergent index tuning):
 4. :func:`divergence_report` quantifies the win: total predicted
    workload cost, divergent fleet over N identical copies.
 
-:func:`plan_divergent` chains 1–3; hand the resulting selections and
-router to :class:`repro.serve.ReplicaFleet` for routed dispatch, or run
+:func:`plan_divergent` chains 1–4 and is the one divergent plan of
+``repro partition``, ``repro serve/replay --divergent``, the divergent
+smoke and the benchmark's divergent leg.  Its identical copies run the
+workload-weighted serving advise
+(:func:`repro.algorithms.serving_advise` with the observed counts).
+Hand the resulting selections and router to
+:class:`repro.serve.ReplicaFleet` for routed dispatch, or run
 ``python -m repro.distributed.smoke`` for the end-to-end contract.
 """
 
@@ -34,7 +39,7 @@ from repro.distributed.partition import (
     WorkloadPartition,
     partition_workload,
 )
-from repro.distributed.report import divergence_report, save_divergence_report
+from repro.distributed.report import divergence_report
 from repro.distributed.routing import RouteDecision, RoutingTable
 
 __all__ = [
@@ -49,48 +54,58 @@ __all__ = [
     "divergence_report",
     "partition_workload",
     "plan_divergent",
-    "save_divergence_report",
 ]
 
 
 def plan_divergent(
-    lattice,
+    cost_model,
     counts,
-    algorithm,
-    space: float,
+    algorithm: str,
     n_partitions: int,
+    space=None,
     *,
-    seed=(),
     similarity=None,
     support: float = 0.0,
-    cost_model=None,
-    context=None,
     checkpoint_path=None,
 ):
-    """Partition, advise, and build the router in one call.
+    """Partition, advise, route, and price against identical copies.
 
-    Returns ``(partitioned, advice, router)`` — everything a routed
-    :class:`~repro.serve.fleet.ReplicaFleet` needs.  ``algorithm`` is a
-    constructed selection algorithm; ``space`` is the per-replica
-    budget; ``seed`` is force-materialized on every replica (normally
-    the top view).
+    Returns ``(partitioned, advice, router, report)``: the partitions,
+    one selection per replica, the router a routed
+    :class:`~repro.serve.fleet.ReplicaFleet` needs, and the
+    :func:`divergence_report`.  ``algorithm`` is a name from
+    :data:`repro.algorithms.ALGORITHMS`, run with strict fit and the top
+    view seeded on every replica; ``space`` is the per-replica budget
+    (default :func:`repro.algorithms.serving_space`).  The identical
+    copies run :func:`repro.algorithms.serving_advise` on the same
+    counts under the same budget.
     """
-    from repro.core.costmodel import LinearCostModel
+    from repro.algorithms import (
+        ALGORITHMS,
+        FIT_STRICT,
+        serving_advise,
+        serving_space,
+    )
     from repro.mining.candidates import DEFAULT_SIMILARITY
 
+    lattice = cost_model.lattice
+    if space is None:
+        space = serving_space(lattice)
     if similarity is None:
         similarity = DEFAULT_SIMILARITY
     partitioned = partition_workload(counts, n_partitions, similarity=similarity)
     advice = advise_partitions(
         lattice,
         partitioned,
-        algorithm,
+        ALGORITHMS[algorithm](FIT_STRICT),
         space,
-        seed=tuple(seed),
+        seed=(lattice.label(lattice.top),),
         support=support,
-        context=context,
         checkpoint_path=checkpoint_path,
     )
-    model = cost_model if cost_model is not None else LinearCostModel(lattice)
-    router = RoutingTable(model, advice.selections)
-    return partitioned, advice, router
+    router = RoutingTable(cost_model, advice.selections)
+    identical = serving_advise(cost_model, algorithm, space, counts).selected
+    report = divergence_report(
+        cost_model, counts, advice, identical, partitioned, router
+    )
+    return partitioned, advice, router, report

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.qvgraph import QueryViewGraph
 from repro.core.selection import SelectionResult
 from repro.distributed.partition import PartitionedWorkload
+from repro.io import write_json
 from repro.mining.candidates import (
     DEFAULT_MAX_INDEXES_PER_VIEW,
     mine_candidates,
@@ -85,24 +85,6 @@ def _plan_record(plan: ReplicaPlan) -> dict:
         "tau": plan.tau,
         "space_used": plan.space_used,
     }
-
-
-def _write_checkpoint(path: str, document: dict) -> None:
-    """Atomic JSON replace, same contract as the runtime checkpoints."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=".divergent-ckpt-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(document, f, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def _load_checkpoint(
@@ -236,8 +218,7 @@ def advise_partitions(
         plans.append(plan)
         plan_records.append(_plan_record(plan))
         if checkpoint_path is not None:
-            _write_checkpoint(
-                checkpoint_path,
+            write_json(
                 {
                     "version": ADVISOR_CHECKPOINT_VERSION,
                     "fingerprint": fingerprint,
@@ -245,6 +226,7 @@ def advise_partitions(
                     "algorithm": identity,
                     "plans": plan_records,
                 },
+                checkpoint_path,
             )
     return DivergentAdvice(
         plans=tuple(plans),

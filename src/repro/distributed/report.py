@@ -8,13 +8,12 @@ below 1.0 means specialization pays; the ``d5_divergent4`` bench leg and
 the divergent-serving CI smoke both report (and the test suite asserts)
 it.  The identical-fleet cost needs no router — every copy answers every
 query at the same price, so one replica's pricing stands for all N.
+:func:`repro.distributed.plan_divergent` supplies the identical
+selection: the workload-weighted serving advise.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from typing import Sequence
 
 from repro.core.costmodel import LinearCostModel
@@ -28,20 +27,17 @@ def divergence_report(
     counts,
     advice: DivergentAdvice,
     identical_selection: Sequence[str],
-    partitioned: PartitionedWorkload = None,
-    router: RoutingTable = None,
+    partitioned: PartitionedWorkload,
+    router: RoutingTable,
 ) -> dict:
     """Predicted-cost comparison of a divergent fleet vs identical copies.
 
     ``counts`` is the observed workload ({pattern: weight}); the
     divergent side prices each pattern at its cheapest replica under
-    ``router`` (built from ``advice.selections`` when not supplied), the
-    identical side prices every pattern on one copy of
+    ``router``, the identical side prices every pattern on one copy of
     ``identical_selection``.  The returned document is JSON-serializable
     and carries per-replica routed load so starvation is visible.
     """
-    if router is None:
-        router = RoutingTable(cost_model, advice.selections)
     identical = RoutingTable(cost_model, [tuple(identical_selection)])
 
     divergent_cost = 0.0
@@ -69,18 +65,14 @@ def divergence_report(
         "algorithm": advice.algorithm,
         "space_per_replica": advice.space,
         "workload_fingerprint": advice.fingerprint,
-        "partitions": (
-            [
-                {
-                    "partition_id": p.partition_id,
-                    "weight": p.weight,
-                    "patterns": p.n_patterns,
-                }
-                for p in partitioned.partitions
-            ]
-            if partitioned is not None
-            else None
-        ),
+        "partitions": [
+            {
+                "partition_id": p.partition_id,
+                "weight": p.weight,
+                "patterns": p.n_patterns,
+            }
+            for p in partitioned.partitions
+        ],
         "selections": [list(s) for s in advice.selections],
         "identical_selection": list(identical_selection),
         "divergent_predicted_cost": divergent_cost,
@@ -92,20 +84,3 @@ def divergence_report(
         },
     }
 
-
-def save_divergence_report(report: dict, path: str) -> None:
-    """Atomically write a divergence report as indented JSON."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=".divergence-report-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise

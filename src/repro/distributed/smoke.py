@@ -2,15 +2,18 @@
 
 End-to-end contract over a recorded query log:
 
-1. partition the log into N balanced slices by attribute-set similarity;
-2. advise every partition under the same per-replica budget;
-3. serve the log through a routed :class:`~repro.serve.fleet.ReplicaFleet`
+1. plan the divergent fleet (:func:`repro.distributed.plan_divergent`):
+   partition the log into N balanced slices by attribute-set similarity,
+   advise every partition under the same per-replica budget, and price
+   it against N identical copies of the workload-weighted serving
+   advise;
+2. serve the log through a routed :class:`~repro.serve.fleet.ReplicaFleet`
    (each query to its predicted-cheapest replica), killing one replica
    halfway so failover re-routes down the cost ranking;
-4. assert **zero wrong answers** — every routed answer byte-identical to
-   a golden serial :class:`~repro.serve.server.QueryServer` run over the
-   single-budget selection — and a predicted-cost ratio ≤ 1.0
-   (divergence must never price the workload above identical copies).
+3. assert **zero wrong answers** — every routed answer ``==`` its
+   raw-cube scan (:func:`repro.checks.golden_answers`) — and a
+   predicted-cost ratio ≤ 1.0 (divergence must never price the workload
+   above identical copies).
 
 Run it against a log produced by ``repro serve --record``::
 
@@ -18,9 +21,10 @@ Run it against a log produced by ``repro serve --record``::
     python -m repro.distributed.smoke --dims 4 --log obs.jsonl \\
         --partitions 3 --output divergent-report.json
 
-Exits 0 when every check holds, 1 otherwise; the JSON report (the
-divergence report plus the serving verdict) is written either way so CI
-uploads a useful artifact even on failure.
+Exits 0 when every check holds, 1 otherwise, 2 on bad input (a missing
+or empty log: one ``error:`` line); the JSON report (the divergence
+report plus the serving verdict) is written whether the checks pass or
+fail, so CI uploads a useful artifact even on failure.
 
 The fixture fact uses *integral* measures: replicas answer the same
 query from different structures, and only integer-valued float64 sums
@@ -30,9 +34,23 @@ are bit-identical under every aggregation order.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
+
+from repro.algorithms import ALGORITHMS
+from repro.checks import (
+    EXIT_FAILED,
+    EXIT_OK,
+    golden_answers,
+    run_checked,
+    score_answers,
+)
+from repro.core.costmodel import LinearCostModel
+from repro.cube.query_log import pattern_counts
+from repro.datasets.tpcd import tpcd_serving_fact
+from repro.distributed import plan_divergent
+from repro.io import iter_query_log, write_json
+from repro.serve import ReplicaFleet, ServingError, validate_telemetry
 
 #: Absolute slack for the predicted-cost-ratio comparison.
 EPS = 1e-9
@@ -48,72 +66,22 @@ def run_smoke(
     kill_replica: Optional[int] = 0,
 ) -> dict:
     """Partition, advise, serve routed, and return the verdict report."""
-    from repro.algorithms import FIT_STRICT, InnerLevelGreedy, RGreedy
-    from repro.core.costmodel import LinearCostModel
-    from repro.core.qvgraph import QueryViewGraph
-    from repro.cube.query_log import pattern_counts
-    from repro.datasets.tpcd import tpcd_serving_fact
-    from repro.distributed import divergence_report, plan_divergent
-    from repro.io import iter_query_log
-    from repro.serve import (
-        QueryServer,
-        ReplicaFleet,
-        ServingError,
-        validate_telemetry,
-    )
-
     fact = tpcd_serving_fact(dims, integral_measures=True)
     model = LinearCostModel.from_fact(fact)
-    lattice = model.lattice
-    schema = lattice.schema
-    top_label = lattice.label(lattice.top)
-    if space is None:
-        space = 3.0 * lattice.size(lattice.top)
-    make_algorithm = {
-        "1greedy": lambda: RGreedy(1, fit=FIT_STRICT),
-        "2greedy": lambda: RGreedy(2, fit=FIT_STRICT),
-        "inner": lambda: InnerLevelGreedy(fit=FIT_STRICT),
-    }[algorithm]
 
-    log = list(iter_query_log(log_path, schema))
+    log = list(iter_query_log(log_path, model.lattice.schema))
     if queries is not None:
         log = log[: int(queries)]
     if not log:
         raise ValueError(f"{log_path}: query log is empty, nothing to serve")
-    counts = pattern_counts(log)
 
-    partitioned, advice, router = plan_divergent(
-        lattice,
-        counts,
-        make_algorithm(),
-        space,
-        n_partitions,
-        seed=(top_label,),
-        cost_model=model,
+    partitioned, advice, router, report = plan_divergent(
+        model, pattern_counts(log), algorithm, n_partitions, space
     )
 
-    # the identical-copies reference: one advise over the whole workload
-    identical = (
-        make_algorithm()
-        .run(
-            QueryViewGraph.from_cube(lattice, frequencies=counts),
-            space,
-            seed=(top_label,),
-        )
-        .selected
-    )
-    report = divergence_report(
-        model, counts, advice, identical, partitioned=partitioned, router=router
-    )
-
-    # golden serial answers over the identical selection
-    with QueryServer(fact, identical, cost_model=model) as golden_server:
-        golden = [golden_server.serve(entry).groups for entry in log]
-
-    wrong = 0
-    failed = 0
     kill_at = len(log) // 2
     killed = None
+    results = []
     fleet = ReplicaFleet(
         fact,
         advice.selections,
@@ -131,16 +99,14 @@ def run_smoke(
                 fleet.replicas[kill_replica].kill()
                 killed = kill_replica
             try:
-                outcome = fleet.serve(entry)
-            except ServingError:
-                failed += 1
-                continue
-            if outcome.groups != golden[i]:
-                wrong += 1
+                results.append(fleet.serve(entry))
+            except ServingError as error:
+                results.append(error)
         fleet_stats = fleet.stats()
     finally:
         fleet.close()
     telemetry = validate_telemetry(fleet.telemetry_snapshot())
+    wrong, failed = score_answers(results, golden_answers(fact, model, log))
 
     ratio = report["predicted_cost_ratio"]
     checks = {
@@ -156,7 +122,7 @@ def run_smoke(
         "log": str(log_path),
         "queries": len(log),
         "partitions": n_partitions,
-        "space_per_replica": space,
+        "space_per_replica": advice.space,
         "algorithm": algorithm,
         "killed_replica": killed,
         "wrong_answers": wrong,
@@ -192,8 +158,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="per-replica space budget in rows (default: 3x the top view)",
     )
     parser.add_argument(
-        "--algorithm", choices=("1greedy", "2greedy", "inner"),
-        default="1greedy",
+        "--algorithm", choices=sorted(ALGORITHMS), default="1greedy",
     )
     parser.add_argument(
         "--queries", type=int, default=None,
@@ -212,7 +177,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the divergence report (with the smoke verdict) here",
     )
     args = parser.parse_args(argv)
+    return run_checked(lambda: _run(args))
 
+
+def _run(args: argparse.Namespace) -> int:
     report = run_smoke(
         args.dims,
         args.log,
@@ -224,8 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     smoke = report["smoke"]
     if args.output:
-        with open(args.output, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
+        write_json(report, args.output)
     print(
         f"served {smoke['queries']} queries over {smoke['partitions']} "
         f"divergent replicas (killed: {smoke['killed_replica']}): "
@@ -236,9 +203,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  {name}: {'ok' if ok else 'FAILED'}")
     if not smoke["ok"]:
         print("divergent-serving smoke FAILED", file=sys.stderr)
-        return 1
+        return EXIT_FAILED
     print("divergent-serving smoke ok")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""JSON persistence for cubes, lattices, and selections.
+"""JSON persistence for cubes, lattices, selections and query logs.
 
 A deployed advisor needs its inputs (schema + sizes) and outputs
 (selections) to survive a process; this module defines a small, stable
-JSON format for both.
+JSON format for both, and :func:`write_json`, the one atomic writer for
+reports and checkpoints.
 
 Lattice document::
 
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 from typing import Dict, Union
 
@@ -273,6 +276,31 @@ def save_selection(result: SelectionResult, path: PathLike) -> None:
 def round_trip_lattice(lattice: CubeLattice) -> CubeLattice:
     """Serialize and re-parse (used by tests; exact sizes preserved)."""
     return lattice_from_dict(lattice_to_dict(lattice))
+
+
+def write_json(document, path: PathLike) -> None:
+    """Write a report or checkpoint as indented, key-sorted JSON, atomically.
+
+    The document goes to a temporary file in the target's directory,
+    which then replaces the target.  A crash or a failed write leaves
+    the previous file intact and no temporary file behind, which is what
+    a checkpoint must survive.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 # ----------------------------------------------------------- query logs

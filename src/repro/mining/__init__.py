@@ -32,7 +32,7 @@ from repro.mining.candidates import (
     mine_candidates,
 )
 from repro.mining.cluster import QueryCluster, cluster_queries, jaccard
-from repro.mining.report import mining_report, save_mining_report
+from repro.mining.report import mining_report
 
 __all__ = [
     "BenefitBound",
@@ -46,5 +46,4 @@ __all__ = [
     "jaccard",
     "mine_candidates",
     "mining_report",
-    "save_mining_report",
 ]

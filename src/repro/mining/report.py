@@ -2,15 +2,14 @@
 certified price of the pruning.
 
 Emitted by ``repro mine --output`` and uploaded as a CI artifact by the
-pruned-advise smoke, so every pruned selection ships with an auditable
-record of the candidate space it ran on.
+pruned-advise smoke (both write it with :func:`repro.io.write_json`), so
+every pruned selection ships with an auditable record of the candidate
+space it ran on.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.index import Index, count_fat_indexes
 from repro.core.lattice import CubeLattice
@@ -18,8 +17,6 @@ from repro.core.view import View
 
 from repro.mining.bound import BenefitBound
 from repro.mining.candidates import MinedCandidates
-
-PathLike = Union[str, Path]
 
 REPORT_KIND = "repro-mining-report"
 REPORT_VERSION = 1
@@ -86,10 +83,3 @@ def mining_report(
     if bound is not None:
         report["bound"] = bound.to_dict()
     return report
-
-
-def save_mining_report(report: dict, path: PathLike) -> None:
-    """Write a mining report to a JSON file."""
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -1,8 +1,10 @@
 """Pruned-advise smoke check: the CI gate behind workload mining.
 
 Mines a recorded query log, advises on the pruned candidate space and on
-the full 3^n universe under the *same* observed frequencies, and checks
-the certified guarantees end to end:
+the full 3^n universe under the *same* observed frequencies (the full
+run is the shared workload-weighted serving advise,
+:func:`repro.algorithms.serving_advise`), and checks the certified
+guarantees end to end:
 
 1. ``ideal_tau`` really is a floor: the full-universe selection's τ is
    never below it.
@@ -15,17 +17,26 @@ Run it against a log produced by ``repro serve --record``::
     python -m repro.mining.smoke --dims 4 --log obs.jsonl \\
         --output mined-report.json
 
-Exits 0 when both checks hold, 1 otherwise; the JSON report (the mined
-candidate space plus the measured τ values) is written either way so CI
-uploads a useful artifact even on failure.
+Exits 0 when both checks hold, 1 otherwise, 2 on bad input (a missing
+or empty log: one ``error:`` line); the JSON report (the mined candidate
+space plus the measured τ values) is written whether the checks pass or
+fail, so CI uploads a useful artifact even on failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
+
+from repro.algorithms import ALGORITHMS, FIT_STRICT, serving_advise, serving_space
+from repro.checks import EXIT_FAILED, EXIT_OK, run_checked
+from repro.core.costmodel import LinearCostModel
+from repro.core.qvgraph import QueryViewGraph
+from repro.cube.query_log import pattern_counts
+from repro.datasets.tpcd import tpcd_serving_fact
+from repro.io import iter_query_log, write_json
+from repro.mining import compute_benefit_bound, mine_candidates, mining_report
 
 #: Absolute slack for float comparisons between two greedy runs.
 EPS = 1e-6
@@ -39,31 +50,12 @@ def run_smoke(
     support: Optional[float] = None,
 ) -> dict:
     """Mine ``log_path``, advise pruned + full, and return the verdict."""
-    from repro.algorithms import FIT_STRICT, RGreedy, InnerLevelGreedy
-    from repro.core.benefit import BenefitEngine
-    from repro.core.costmodel import LinearCostModel
-    from repro.core.qvgraph import QueryViewGraph
-    from repro.core.query import enumerate_slice_queries
-    from repro.cube.query_log import pattern_counts
-    from repro.datasets.tpcd import tpcd_serving_fact
-    from repro.io import iter_query_log
-    from repro.mining import (
-        compute_benefit_bound,
-        mine_candidates,
-        mining_report,
-    )
-
     model = LinearCostModel.from_fact(tpcd_serving_fact(dims))
     lattice = model.lattice
     schema = lattice.schema
     top_label = lattice.label(lattice.top)
     if space is None:
-        space = 3.0 * lattice.size(lattice.top)
-    make_algorithm = {
-        "1greedy": lambda: RGreedy(1, fit=FIT_STRICT),
-        "2greedy": lambda: RGreedy(2, fit=FIT_STRICT),
-        "inner": lambda: InnerLevelGreedy(fit=FIT_STRICT),
-    }[algorithm]
+        space = serving_space(lattice)
 
     counts = pattern_counts(iter_query_log(log_path, schema))
     if not counts:
@@ -74,14 +66,10 @@ def run_smoke(
     bound = compute_benefit_bound(mined, lattice)
 
     pruned_graph = QueryViewGraph.from_mined(lattice, mined)
-    pruned = make_algorithm().run(pruned_graph, space, seed=(top_label,))
-
-    # the full-universe reference: every pattern, observed weight or 0
-    frequencies = {
-        q: float(counts.get(q, 0.0)) for q in enumerate_slice_queries(schema.names)
-    }
-    full_graph = QueryViewGraph.from_cube(lattice, frequencies=frequencies)
-    full = make_algorithm().run(full_graph, space, seed=(top_label,))
+    pruned = ALGORITHMS[algorithm](FIT_STRICT).run(
+        pruned_graph, space, seed=(top_label,)
+    )
+    full = serving_advise(model, algorithm, space, counts)
 
     forgone = bound.forgone_bound(pruned.tau)
     ideal_is_floor = full.tau >= bound.ideal_tau - EPS
@@ -125,8 +113,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="space budget in rows (default: 3x the top view)",
     )
     parser.add_argument(
-        "--algorithm", choices=("1greedy", "2greedy", "inner"),
-        default="1greedy",
+        "--algorithm", choices=sorted(ALGORITHMS), default="1greedy",
     )
     parser.add_argument(
         "--support", type=float, default=None,
@@ -137,15 +124,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="write the mined-candidate report (with the smoke verdict) here",
     )
     args = parser.parse_args(argv)
+    return run_checked(lambda: _run(args))
 
+
+def _run(args: argparse.Namespace) -> int:
     report = run_smoke(
         args.dims, args.log,
         space=args.space, algorithm=args.algorithm, support=args.support,
     )
     smoke = report["smoke"]
     if args.output:
-        with open(args.output, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
+        write_json(report, args.output)
     print(
         f"pruned tau {smoke['tau_pruned']:g} vs full tau "
         f"{smoke['tau_full']:g} (gap {smoke['tau_gap']:g}, "
@@ -155,9 +144,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  {name}: {'ok' if ok else 'FAILED'}")
     if not smoke["ok"]:
         print("pruned-advise smoke FAILED", file=sys.stderr)
-        return 1
+        return EXIT_FAILED
     print("pruned-advise smoke ok")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,11 +27,11 @@ the schema.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
+
+from repro.io import write_json
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_KIND = "repro-selection-checkpoint"
@@ -153,26 +153,12 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: PathLike) -> None:
-    """Write a checkpoint atomically (write-then-rename).
+    """Write a checkpoint atomically (:func:`repro.io.write_json`).
 
     A crash during the write leaves the previous checkpoint intact —
     the whole point of checkpointing is surviving exactly that.
     """
-    path = Path(path)
-    payload = json.dumps(checkpoint.to_dict(), indent=2) + "\n"
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_json(checkpoint.to_dict(), path)
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:

@@ -9,9 +9,9 @@ structures are force-kept so the incumbent configuration stays priceable
 — and re-runs the configured greedy algorithm on the pruned graph.
 This is what lets a d≥9 catalog re-advise online: the full 3^n universe
 the original path rebuilt on every drift event cannot even be
-enumerated there.  ``prune=False`` restores the full-universe rebuild
-(unseen patterns get weight 0 — ``from_cube`` would otherwise default
-them to 1).
+enumerated there.  ``prune=False`` restores the full-universe rebuild,
+weighted by :func:`repro.algorithms.workload_weights` (unseen patterns
+get weight 0 — ``from_cube`` would otherwise default them to 1).
 
 The run honors the runtime deadline/checkpoint machinery via a fresh
 :class:`~repro.runtime.context.RunContext`, then compares the new
@@ -25,12 +25,13 @@ forgone-benefit bound (τ gap vs a full-universe re-advise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from repro.algorithms import workload_weights
 from repro.core.benefit import BenefitEngine
 from repro.core.lattice import CubeLattice
 from repro.core.qvgraph import QueryViewGraph
-from repro.core.query import SliceQuery, enumerate_slice_queries
+from repro.core.query import SliceQuery
 from repro.core.selection import SelectionResult
 from repro.mining import (
     DEFAULT_MAX_INDEXES_PER_VIEW,
@@ -126,9 +127,6 @@ class AdaptiveReselector:
         self.support = float(support)
         self.similarity = float(similarity)
         self.max_indexes_per_view = int(max_indexes_per_view)
-        # the 3^n pattern universe is only enumerable (and only needed)
-        # on the full-universe path; materialize it lazily
-        self._patterns: Optional[list] = None
 
     def _observed_graph(
         self,
@@ -155,11 +153,7 @@ class AdaptiveReselector:
             mined.ensure_structures([*self.seed, *current_selection])
             bound = compute_benefit_bound(mined, self.lattice)
             return QueryViewGraph.from_mined(self.lattice, mined), bound
-        if self._patterns is None:
-            self._patterns = list(enumerate_slice_queries(self.lattice.schema.names))
-        frequencies: Dict[SliceQuery, float] = {
-            query: float(observed.get(query, 0.0)) for query in self._patterns
-        }
+        frequencies = workload_weights(self.lattice, observed)
         return QueryViewGraph.from_cube(self.lattice, frequencies=frequencies), None
 
     def _tau_of(self, engine: BenefitEngine, names: Sequence[str]) -> float:

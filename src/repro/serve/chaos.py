@@ -28,46 +28,53 @@ classes, one scenario each:
     pinned at 0) and ``readvise_failures`` must equal the crashes.
 
 Every scenario asserts **zero wrong answers** — each query's groups are
-compared ``==`` against a golden serial run — and **exact fault
-accounting**: the injected-fault count reconciles with the telemetry
-counters, so a fault the counters missed fails the harness.
+compared ``==`` against its raw-cube scan
+(:func:`repro.checks.golden_answers`) — and **exact fault accounting**:
+the injected-fault count reconciles with the telemetry counters, so a
+fault the counters missed fails the harness.
 
-Answers are compared on an integer-measure variant of the dense serving
-fixture: integer sums are exact in float64 regardless of accumulation
-order, so raw-cube rescues are *byte-identical* to the structure path
-(verified 120/120 at d=4) rather than merely close — wrong answers
-cannot hide in float reassociation.
+The fixture is the dense serving cube with integral measures
+(``tpcd_serving_fact(dims, integral_measures=True)``), its selection the
+shared serving advise (:func:`repro.algorithms.serving_advise`).
+Integer sums are exact in float64 regardless of accumulation order, so
+every path's answer is *byte-identical* to the raw scan rather than
+merely close — wrong answers cannot hide in float reassociation.
 
 Run ``python -m repro.serve.chaos --dims 4`` (the CI smoke matrix).
-Exit codes: 0 all scenarios pass, 1 any failure, 2 usage error.
+Exit codes: 0 all scenarios pass, 1 any failure, 2 bad input (one
+``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
-from repro.algorithms.rgreedy import RGreedy
-from repro.core.benefit import BenefitEngine
+from repro.algorithms import RGreedy, serving_advise, serving_space
+from repro.checks import (
+    EXIT_FAILED,
+    EXIT_OK,
+    golden_answers,
+    run_checked,
+    score_answers,
+)
 from repro.core.costmodel import LinearCostModel
-from repro.core.qvgraph import QueryViewGraph
 from repro.core.query import enumerate_slice_queries
-from repro.cube.generator import dense_fact_table
 from repro.cube.query_log import LogEntry, generate_query_log
-from repro.datasets.tpcd import tpcd_serving_schema
-from repro.engine.table import FactTable
+from repro.datasets.tpcd import tpcd_serving_fact
+from repro.distributed.routing import RoutingTable
+from repro.engine.table import Answer, FactTable
+from repro.io import write_json
 from repro.serve.adaptive import AdaptiveReselector, ReadviseOutcome
 from repro.serve.fleet import ReplicaFleet
-from repro.serve.resilience import RetryPolicy, ServingError
+from repro.serve.resilience import RetryPolicy
 from repro.serve.server import QueryServer
-from repro.serve.telemetry import RAW_LABEL, validate_telemetry
+from repro.serve.telemetry import validate_telemetry
 
 SCENARIOS = ("worker_kill", "structure_poison", "slow_executor", "mid_swap_crash")
 
@@ -105,17 +112,9 @@ class ScenarioReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "queries": self.queries,
-            "injected": self.injected,
-            "accounted": self.accounted,
-            "wrong_answers": self.wrong_answers,
-            "failed_queries": self.failed_queries,
-            "ok": self.ok,
-            "detail": self.detail,
-            **self.extra,
-        }
+        document = asdict(self)
+        extra = document.pop("extra")
+        return {**document, **extra}
 
 
 @dataclass
@@ -128,28 +127,7 @@ class ChaosContext:
     cost_model: LinearCostModel
     selection: List[str]
     log: List[LogEntry]
-    golden: List[dict]
-    golden_structures: List[str]
-
-
-def integer_measure_fact(dims: int, rng: int = 0) -> FactTable:
-    """The dense serving fixture with measures rounded to integers —
-    integer sums are order-independent in float64, so every execution
-    path yields byte-identical answers."""
-    schema = tpcd_serving_schema(dims)
-    base = dense_fact_table(schema, rng=rng)
-    return FactTable(schema, base.columns, np.rint(base.measures))
-
-
-def advise_selection(cost_model: LinearCostModel, space_factor: float = 3.0):
-    lattice = cost_model.lattice
-    engine = BenefitEngine(QueryViewGraph.from_cube(lattice))
-    result = RGreedy(1).run(
-        engine,
-        space_factor * lattice.size(lattice.top),
-        seed=(lattice.label(lattice.top),),
-    )
-    return list(result.selected)
+    golden: List[Answer]
 
 
 def unique_entries(log: List[LogEntry]) -> List[LogEntry]:
@@ -166,35 +144,19 @@ def unique_entries(log: List[LogEntry]) -> List[LogEntry]:
 
 
 def build_context(dims: int, queries: int, seed: int) -> ChaosContext:
-    fact = integer_measure_fact(dims, rng=seed)
+    fact = tpcd_serving_fact(dims, rng=seed, integral_measures=True)
     cost_model = LinearCostModel.from_fact(fact)
-    selection = advise_selection(cost_model)
     log = unique_entries(
         generate_query_log(fact.schema, queries, rng=seed + 1)
     )
-    golden_server = QueryServer(fact, selection, cost_model=cost_model)
-    outcomes = golden_server.serve_batch(log)
     return ChaosContext(
         dims=dims,
         fact=fact,
         cost_model=cost_model,
-        selection=selection,
+        selection=list(serving_advise(cost_model).selected),
         log=log,
-        golden=[outcome.groups for outcome in outcomes],
-        golden_structures=[outcome.structure for outcome in outcomes],
+        golden=golden_answers(fact, cost_model, log),
     )
-
-
-def _score_answers(results, golden) -> Dict[str, int]:
-    """Wrong answers and typed failures over fleet results."""
-    wrong = 0
-    failed = 0
-    for result, reference in zip(results, golden):
-        if isinstance(result, ServingError):
-            failed += 1
-        elif result.groups != reference:
-            wrong += 1
-    return {"wrong": wrong, "failed": failed}
 
 
 def _merged_resilience(fleet: ReplicaFleet) -> dict:
@@ -227,12 +189,12 @@ def scenario_worker_kill(ctx: ChaosContext, replicas: int) -> ScenarioReport:
         replica.frontend.crash_hook = crash_hook
     results = fleet.serve_many(ctx.log, client_threads=4)
     fleet.close()
-    score = _score_answers(results, ctx.golden)
+    wrong, failed = score_answers(results, ctx.golden)
     resilience = _merged_resilience(fleet)
     accounted = resilience["worker_crashes"]
     ok = (
-        score["wrong"] == 0
-        and score["failed"] == 0
+        wrong == 0
+        and failed == 0
         and injected[0] == kills
         and accounted == kills
         and resilience["worker_restarts"] == kills
@@ -242,8 +204,8 @@ def scenario_worker_kill(ctx: ChaosContext, replicas: int) -> ScenarioReport:
         queries=len(ctx.log),
         injected=injected[0],
         accounted=accounted,
-        wrong_answers=score["wrong"],
-        failed_queries=score["failed"],
+        wrong_answers=wrong,
+        failed_queries=failed,
         ok=ok,
         detail=(
             f"{accounted} crashes / {resilience['worker_restarts']} restarts "
@@ -258,11 +220,9 @@ def scenario_structure_poison(
     ctx: ChaosContext, replicas: int
 ) -> ScenarioReport:
     """Poison the hottest structure; raw rescue + breaker trip."""
-    from collections import Counter
-
-    counts = Counter(
-        label for label in ctx.golden_structures if label != RAW_LABEL
-    )
+    router = RoutingTable(ctx.cost_model, [ctx.selection])
+    picks = (router.route(entry.query) for entry in ctx.log)
+    counts = Counter(pick.structure for pick in picks if not pick.fallback)
     target = counts.most_common(1)[0][0]
     threshold = 3
     fleet = ReplicaFleet(
@@ -287,7 +247,7 @@ def scenario_structure_poison(
         replica.server.fault_hook = poison
     results = fleet.serve_many(ctx.log, client_threads=4)
     fleet.close()
-    score = _score_answers(results, ctx.golden)
+    wrong, failed = score_answers(results, ctx.golden)
     resilience = _merged_resilience(fleet)
     errors = resilience["executor_errors"].get(target, 0)
     trips = resilience["breaker_trips"]
@@ -304,8 +264,8 @@ def scenario_structure_poison(
         for replica in fleet.replicas
     )
     ok = (
-        score["wrong"] == 0
-        and score["failed"] == 0
+        wrong == 0
+        and failed == 0
         and injected[0] > 0
         and errors == injected[0]
         and resilience["raw_rescues"] == injected[0]
@@ -317,8 +277,8 @@ def scenario_structure_poison(
         queries=len(ctx.log),
         injected=injected[0],
         accounted=errors,
-        wrong_answers=score["wrong"],
-        failed_queries=score["failed"],
+        wrong_answers=wrong,
+        failed_queries=failed,
         ok=ok,
         detail=(
             f"target {target}: {errors} errors rescued raw, breaker open on "
@@ -367,7 +327,7 @@ def scenario_slow_executor(
     # abandon the slow replica's stale backlog instead of serving it at
     # 120 ms/query; its in-flight batch still completes (and is counted)
     fleet.close(drain=False)
-    score = _score_answers(results, ctx.golden)
+    wrong, failed = score_answers(results, ctx.golden)
     resilience = _merged_resilience(fleet)
     slow_cut_us = delay * 0.5 * 1e6
     slow_samples = sum(
@@ -389,8 +349,8 @@ def scenario_slow_executor(
     accounted = slow_samples + slow_probes
     unavailable = fleet.unavailable_seconds
     ok = (
-        score["wrong"] == 0
-        and score["failed"] == 0
+        wrong == 0
+        and failed == 0
         and injected[0] > 0
         and accounted == injected[0]
         and fast_leak == 0
@@ -403,8 +363,8 @@ def scenario_slow_executor(
         queries=len(ctx.log),
         injected=injected[0],
         accounted=accounted,
-        wrong_answers=score["wrong"],
-        failed_queries=score["failed"],
+        wrong_answers=wrong,
+        failed_queries=failed,
         ok=ok,
         detail=(
             f"{slow_samples} slow queries + {slow_probes} slow probes, "
@@ -433,7 +393,7 @@ def scenario_mid_swap_crash(
     reselector = AdaptiveReselector(
         lattice,
         RGreedy(1),
-        space=3.0 * lattice.size(lattice.top),
+        space=serving_space(lattice),
         seed=(lattice.label(lattice.top),),
         margin=0.0,
     )
@@ -477,21 +437,13 @@ def scenario_mid_swap_crash(
         return real_materialize(names, generation)
 
     server._materialize = crashing_materialize
-    # a skewed workload (one hot pattern) guarantees drift fires
-    hot = ctx.log[0]
-    skew = [
-        entry if pos % 2 else hot for pos, entry in enumerate(ctx.log)
-    ]
-    skew_golden = {id(hot): ctx.golden[0]}
-    outcomes = []
-    for entry in skew:
-        outcomes.append(server.serve(entry))
+    # a skewed workload (every other query the first one) guarantees
+    # drift fires
+    picks = [pos if pos % 2 else 0 for pos in range(len(ctx.log))]
+    skew = [ctx.log[pos] for pos in picks]
+    outcomes = [server.serve(entry) for entry in skew]
     server.close()
-    wrong = 0
-    for pos, (entry, outcome) in enumerate(zip(skew, outcomes)):
-        reference = ctx.golden[0] if entry is hot else ctx.golden[pos]
-        if outcome.groups != reference:
-            wrong += 1
+    wrong, __ = score_answers(outcomes, [ctx.golden[pos] for pos in picks])
     document = validate_telemetry(server.telemetry_snapshot())
     failures = document["resilience"]["readvise_failures"]
     ok = (
@@ -502,7 +454,6 @@ def scenario_mid_swap_crash(
         and server.swap_count == 0
         and document["swaps"] == 0
     )
-    del skew_golden
     return ScenarioReport(
         scenario="mid_swap_crash",
         queries=len(skew),
@@ -566,6 +517,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--json", type=str, default=None, help="write the fault-accounting report here"
     )
     args = parser.parse_args(argv)
+    return run_checked(lambda: _run(args))
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         reports = run_matrix(
             dims=args.dims,
@@ -576,7 +531,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except InjectedFault as exc:  # an injected fault escaped the stack
         print(f"FATAL: injected fault leaked out of the serving stack: {exc!r}")
-        return 1
+        return EXIT_FAILED
     failures = 0
     for report in reports:
         status = "ok" if report.ok else "FAIL"
@@ -597,16 +552,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             "scenarios": [report.to_json() for report in reports],
             "failures": failures,
         }
-        with open(args.json, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(document, args.json)
         print(f"report -> {args.json}")
     if failures:
         print(f"{failures} scenario(s) FAILED")
-        return 1
+        return EXIT_FAILED
     print(f"all {len(reports)} chaos scenarios passed "
           "(zero wrong answers, faults fully accounted)")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

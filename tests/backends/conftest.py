@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms import serving_advise
 from repro.backends import SqliteBackend
-from repro.backends.diff import advise_selection
 from repro.core.costmodel import LinearCostModel
 from repro.datasets.tpcd import tpcd_serving_fact
 from repro.engine.catalog import Catalog
@@ -26,7 +26,7 @@ class Bundle:
     def __init__(self, n_dims: int):
         self.fact = tpcd_serving_fact(n_dims, integral_measures=True)
         self.model = LinearCostModel.from_fact(self.fact)
-        self.selection = advise_selection(self.fact, self.model)
+        self.selection = tuple(serving_advise(self.model).selected)
         views, indexes = resolve_selection(self.selection)
         self.catalog = Catalog(self.fact)
         materialize_selection(self.catalog, views, indexes)

@@ -2,6 +2,8 @@
 
 * d=5, 4 divergent replicas: predicted-cost ratio strictly below 1.0
   against N identical copies of the workload-weighted single advise.
+* Every divergent path (``repro partition``, ``repro replay --divergent``,
+  the smoke) prices the same identical copies.
 * Routed fleet answers are byte-identical to a golden serial server.
 * Killing any one replica mid-run re-routes with zero wrong answers.
 * The ``repro.distributed.smoke`` module passes end to end.
@@ -9,35 +11,19 @@
 
 import pytest
 
-from repro.core.qvgraph import QueryViewGraph
+from repro.algorithms import serving_advise
 from repro.distributed import divergence_report, plan_divergent
 from repro.io import save_query_log
 from repro.serve import QueryServer, ReplicaFleet, validate_telemetry
-from tests.distributed.conftest import make_algorithm
 
 
 def plan(model, counts, n_replicas):
-    lattice = model.lattice
-    top_label = lattice.label(lattice.top)
-    return plan_divergent(
-        lattice,
-        counts,
-        make_algorithm(),
-        3.0 * lattice.size(lattice.top),
-        n_replicas,
-        seed=(top_label,),
-        cost_model=model,
-    )
+    return plan_divergent(model, counts, "1greedy", n_replicas)
 
 
 def identical_selection(model, counts):
-    lattice = model.lattice
-    top_label = lattice.label(lattice.top)
-    return make_algorithm().run(
-        QueryViewGraph.from_cube(lattice, frequencies=counts),
-        3.0 * lattice.size(lattice.top),
-        seed=(top_label,),
-    ).selected
+    """The identical copies' selection: the workload-weighted advise."""
+    return serving_advise(model, "1greedy", counts=counts).selected
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +37,8 @@ class TestDivergenceWins:
     ):
         """The headline number: 4 divergent replicas price the d=5
         workload strictly below 4 identical copies."""
-        partitioned, advice, router = planned5
-        report = divergence_report(
+        partitioned, advice, router, report = planned5
+        assert report == divergence_report(
             dist_model5,
             dist_counts5,
             advice,
@@ -69,15 +55,7 @@ class TestDivergenceWins:
     def test_report_routed_load_accounts_every_pattern(
         self, dist_model5, dist_counts5, planned5
     ):
-        partitioned, advice, router = planned5
-        report = divergence_report(
-            dist_model5,
-            dist_counts5,
-            advice,
-            identical_selection(dist_model5, dist_counts5),
-            partitioned=partitioned,
-            router=router,
-        )
+        report = planned5[3]
         load = report["routed_load"]
         assert sum(entry["patterns"] for entry in load.values()) == len(
             dist_counts5
@@ -91,7 +69,7 @@ class TestRoutedServing:
     def test_answers_byte_identical_to_serial_golden(
         self, dist_fact4, dist_model4, dist_counts4, dist_log4
     ):
-        __partitioned, advice, router = plan(dist_model4, dist_counts4, 3)
+        __, advice, router, __ = plan(dist_model4, dist_counts4, 3)
         identical = identical_selection(dist_model4, dist_counts4)
         with QueryServer(
             dist_fact4, identical, cost_model=dist_model4
@@ -118,7 +96,7 @@ class TestRoutedServing:
     def test_killing_any_replica_reroutes_without_wrong_answers(
         self, dist_fact4, dist_model4, dist_counts4, dist_log4, victim
     ):
-        __partitioned, advice, router = plan(dist_model4, dist_counts4, 3)
+        __, advice, router, __ = plan(dist_model4, dist_counts4, 3)
         identical = identical_selection(dist_model4, dist_counts4)
         with QueryServer(
             dist_fact4, identical, cost_model=dist_model4
@@ -151,7 +129,7 @@ class TestRoutedServing:
     ):
         """With the cheapest replica dead, queries land on the runner-up
         from the routing table, not an arbitrary rotation slot."""
-        __partitioned, advice, router = plan(dist_model4, dist_counts4, 3)
+        __, advice, router, __ = plan(dist_model4, dist_counts4, 3)
         fleet = ReplicaFleet(
             dist_fact4,
             advice.selections,
@@ -171,7 +149,7 @@ class TestRoutedServing:
     def test_router_replica_count_must_match_fleet(
         self, dist_fact4, dist_model4, dist_counts4
     ):
-        __partitioned, advice, router = plan(dist_model4, dist_counts4, 3)
+        __, advice, router, __ = plan(dist_model4, dist_counts4, 3)
         with pytest.raises(ValueError, match="router"):
             ReplicaFleet(
                 dist_fact4,
@@ -193,3 +171,74 @@ class TestSmoke:
         assert smoke["wrong_answers"] == 0
         assert smoke["killed_replica"] == 0
         assert report["predicted_cost_ratio"] <= 1.0
+
+
+class TestOneIdenticalBaseline:
+    def test_every_divergent_path_prices_the_zero_filled_advise(self, tmp_path):
+        """``repro partition``, ``repro replay --divergent`` and the
+        divergent smoke price the same identical copies: strict 1-greedy
+        on the observed counts over all 3^d patterns, unobserved at 0."""
+        import json
+
+        from repro.algorithms import RGreedy
+        from repro.cli import main as cli_main
+        from repro.core.costmodel import LinearCostModel
+        from repro.core.qvgraph import QueryViewGraph
+        from repro.core.query import enumerate_slice_queries
+        from repro.cube.query_log import generate_query_log, pattern_counts
+        from repro.datasets.tpcd import tpcd_serving_fact, tpcd_serving_schema
+        from repro.distributed import (
+            RoutingTable,
+            advise_partitions,
+            partition_workload,
+        )
+        from repro.distributed.smoke import run_smoke
+        from repro.mining.candidates import DEFAULT_SIMILARITY
+
+        schema = tpcd_serving_schema(3)
+        log = generate_query_log(schema, 60, rng=0)
+        log_path = tmp_path / "observed.jsonl"
+        save_query_log(log, log_path)
+        partition = tmp_path / "partition.json"
+        telemetry = tmp_path / "telemetry.json"
+        assert cli_main(
+            ["partition", "--dims", "3", "--log", str(log_path),
+             "--partitions", "3", "--output", str(partition)]
+        ) == 0
+        assert cli_main(
+            ["replay", "--dims", "3", "--log", str(log_path), "--replicas",
+             "3", "--divergent", "--telemetry", str(telemetry)]
+        ) == 0
+        ratios = [
+            json.loads(partition.read_text())["predicted_cost_ratio"],
+            json.loads(telemetry.read_text())["fleet"]["predicted_cost_ratio"],
+            run_smoke(3, str(log_path), n_partitions=3)["predicted_cost_ratio"],
+        ]
+
+        model = LinearCostModel.from_fact(tpcd_serving_fact(3))
+        lattice = model.lattice
+        counts = pattern_counts(log)
+        space = 3.0 * lattice.size(lattice.top)
+        seed = (lattice.label(lattice.top),)
+        zero_filled = {
+            query: float(counts.get(query, 0))
+            for query in enumerate_slice_queries(schema.names)
+        }
+        identical = RGreedy(1).run(
+            QueryViewGraph.from_cube(lattice, frequencies=zero_filled),
+            space,
+            seed=seed,
+        ).selected
+        partitioned = partition_workload(
+            counts, 3, similarity=DEFAULT_SIMILARITY
+        )
+        advice = advise_partitions(
+            lattice, partitioned, RGreedy(1), space, seed=seed
+        )
+        expected = divergence_report(
+            model, counts, advice, identical,
+            partitioned=partitioned,
+            router=RoutingTable(model, advice.selections),
+        )["predicted_cost_ratio"]
+        assert ratios == [expected] * 3
+        assert expected == pytest.approx(0.9495, abs=5e-5)

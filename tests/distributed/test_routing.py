@@ -10,22 +10,11 @@ from repro.cube.schema import CubeSchema, Dimension
 from repro.distributed import RoutingTable, plan_divergent
 from repro.serve import QueryServer
 from repro.serve.telemetry import RAW_LABEL
-from tests.distributed.conftest import make_algorithm
 
 
 @pytest.fixture(scope="module")
 def planned4(dist_model4, dist_counts4):
-    lattice = dist_model4.lattice
-    top_label = lattice.label(lattice.top)
-    return plan_divergent(
-        lattice,
-        dist_counts4,
-        make_algorithm(),
-        3.0 * lattice.size(lattice.top),
-        3,
-        seed=(top_label,),
-        cost_model=dist_model4,
-    )
+    return plan_divergent(dist_model4, dist_counts4, "1greedy", 3)
 
 
 def tied_case():
@@ -47,7 +36,7 @@ class TestPricing:
         """best_plan's predicted cost and structure equal what that
         replica's server records when it actually serves the query — the
         property that makes routed dispatch honest, cost ties included."""
-        __partitioned, __advice, router4 = planned4
+        router4 = planned4[2]
         for fact, model, router, entries in (
             (dist_fact4, dist_model4, router4, dist_log4),
             tied_case(),
@@ -91,7 +80,7 @@ class TestPricing:
 
 class TestRanking:
     def test_ranking_is_cheapest_first(self, dist_counts4, planned4):
-        __partitioned, __advice, router = planned4
+        router = planned4[2]
         for query in dist_counts4:
             ranking = router.ranking(query)
             assert len(ranking) == router.n_replicas
@@ -100,12 +89,12 @@ class TestRanking:
             assert router.route(query) == ranking[0]
 
     def test_ranking_memoized(self, dist_counts4, planned4):
-        __partitioned, __advice, router = planned4
+        router = planned4[2]
         query = next(iter(dist_counts4))
         assert router.ranking(query) is router.ranking(query)
 
     def test_to_dict_shape(self, dist_counts4, planned4):
-        __partitioned, __advice, router = planned4
+        router = planned4[2]
         table = router.to_dict(list(dist_counts4))
         assert table["replicas"] == router.n_replicas
         assert len(table["routes"]) == len(set(dist_counts4))

@@ -327,12 +327,12 @@ class TestAtomicSave:
         path = tmp_path / "run.ckpt"
         save_checkpoint(checkpoint_at(engine, space, seed, stage=1), path)
         bad = checkpoint_at(engine, space, seed, stage=2)
-        import repro.runtime.checkpoint as ckpt_module
+        import repro.io as io_module
 
         def boom(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(ckpt_module.os, "replace", boom)
+        monkeypatch.setattr(io_module.os, "replace", boom)
         with pytest.raises(OSError):
             save_checkpoint(bad, path)
         monkeypatch.undo()

@@ -10,13 +10,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve.chaos import (
-    SCENARIOS,
-    build_context,
-    integer_measure_fact,
-    main,
-    run_matrix,
-)
+from repro.algorithms import serving_advise
+from repro.datasets.tpcd import tpcd_serving_fact
+from repro.serve.chaos import SCENARIOS, build_context, main, run_matrix
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +47,13 @@ class TestScenarios:
 
 class TestFixture:
     def test_integer_measures_are_integral(self):
-        fact = integer_measure_fact(3)
-        assert np.array_equal(fact.measures, np.rint(fact.measures))
+        """The harness runs on the shared integral serving fixture and
+        the shared serving advise."""
+        ctx = build_context(3, 60, seed=0)
+        shared = tpcd_serving_fact(3, rng=0, integral_measures=True)
+        assert np.array_equal(ctx.fact.measures, shared.measures)
+        assert np.array_equal(ctx.fact.measures, np.rint(ctx.fact.measures))
+        assert ctx.selection == list(serving_advise(ctx.cost_model).selected)
 
     def test_golden_answers_deterministic(self):
         a = build_context(3, 60, seed=0)
