@@ -1227,25 +1227,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return _report_serving(args, server, report, recorder)
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    """Replay a recorded query log through the batched serving path."""
+def _replay_log(args: argparse.Namespace, schema) -> list:
+    """The recorded log ``replay`` serves; an empty one is bad input."""
     from repro.io import load_query_log
 
+    log = load_query_log(args.log, schema)
+    if not log:
+        raise ValueError(f"{args.log}: query log is empty, nothing to replay")
+    return log
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    """Replay a recorded query log through the batched serving path."""
     _check_serving_flags(args)
     if args.replicas >= 2:
         from repro.datasets.tpcd import tpcd_serving_schema
 
-        schema = tpcd_serving_schema(args.dims)
-        log = load_query_log(args.log, schema)
-        if not log:
-            print(f"{args.log}: empty query log, nothing to replay")
-            return EXIT_OK
-        return _serve_fleet(args, log)
+        return _serve_fleet(args, _replay_log(args, tpcd_serving_schema(args.dims)))
     schema, server, recorder = _build_server(args)
-    log = load_query_log(args.log, schema)
-    if not log:
-        print(f"{args.log}: empty query log, nothing to replay")
-        return EXIT_OK
+    log = _replay_log(args, schema)
     print(
         f"replaying {len(log)} queries from {args.log} "
         f"({len(server.selection)} structures materialized)"

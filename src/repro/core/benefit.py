@@ -61,12 +61,6 @@ import numpy as np
 
 from repro.core.qvgraph import QueryViewGraph
 
-try:  # scipy does the CSR->CSC transpose in C; optional, numpy fallback.
-    # Imported at module load so the first engine build doesn't pay it.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - scipy is normally available
-    _scipy_sparse = None
-
 INF = float("inf")
 
 #: Relative tolerance of the canonical greedy tie-break: a candidate only
@@ -264,26 +258,24 @@ class BenefitEngine:
                 q_sorted = q_sorted[firsts]
         self._row_cols = q_sorted.astype(np.int32)
         self._row_vals = v_sorted
-        counts = np.bincount(s_sorted, minlength=n_s) if s_sorted.size else np.zeros(
-            n_s, dtype=np.int64
+        self._row_ptr = np.searchsorted(s_sorted, np.arange(n_s + 1)).astype(
+            np.int64, copy=False
         )
-        self._row_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-        if _scipy_sparse is not None and s_sorted.size:
-            csc = _scipy_sparse.csr_matrix(
-                (v_sorted, self._row_cols, self._row_ptr), shape=(n_s, n_q)
-            ).tocsc()
-            self._col_rows = csc.indices.astype(np.int32, copy=False)
-            self._col_vals = np.ascontiguousarray(csc.data, dtype=np.float64)
-            self._col_ptr = csc.indptr.astype(np.int64, copy=False)
-        else:
-            order_c = np.lexsort((s_sorted, q_sorted))
-            self._col_rows = s_sorted[order_c].astype(np.int32)
-            self._col_vals = v_sorted[order_c]
-            counts_c = np.bincount(
-                q_sorted, minlength=n_q
-            ) if q_sorted.size else np.zeros(n_q, dtype=np.int64)
-            self._col_ptr = np.concatenate(([0], np.cumsum(counts_c))).astype(np.int64)
+        # CSC: the CSR positions ordered stably by query, which is what
+        # sorting the packed keys (query << shift) | position in place
+        # gives (they fit int64 while queries x edges < 2**62); the
+        # positions then gather rows and costs once each.
+        shift = int(s_sorted.size).bit_length()
+        keys = q_sorted << shift
+        keys |= np.arange(s_sorted.size, dtype=np.int64)
+        keys.sort()
+        self._col_ptr = np.searchsorted(
+            keys, np.arange(n_q + 1, dtype=np.int64) << shift
+        ).astype(np.int64, copy=False)
+        keys &= (1 << shift) - 1
+        self._col_rows = s_sorted.astype(np.int32)[keys]
+        self._col_vals = v_sorted[keys]
         self._full = _EdgeStore(
             self._row_ptr, self._row_cols, self._row_vals,
             self._col_ptr, self._col_rows, self._col_vals,

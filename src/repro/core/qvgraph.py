@@ -43,7 +43,7 @@ from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index, enumerate_all_indexes, enumerate_fat_indexes
 from repro.core.lattice import CubeLattice
 from repro.core.query import SliceQuery, enumerate_slice_queries
-from repro.core.view import View
+from repro.core.view import View, join_attrs
 
 VIEW_KIND = "view"
 INDEX_KIND = "index"
@@ -598,7 +598,9 @@ class QueryViewGraph:
         view_name = lattice.label(view)
         self.add_view(view_name, space=lattice.size(view), payload=view)
         for index in indexes:
-            self.add_index(view_name, lattice.index_label(index), payload=index)
+            # index_label's name, without re-deriving the view's label
+            name = f"I_{join_attrs(index.key)}({view_name})"
+            self.add_index(view_name, name, payload=index)
         for query_pos, structure_pos, costs in blocks:
             self.add_edges_bulk(query_pos, structure_pos, costs)
 

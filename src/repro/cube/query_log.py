@@ -73,18 +73,24 @@ def generate_query_log(
         raise ValueError("pattern frequencies must have a positive sum")
     weights = weights / weights.sum()
 
-    picks = rng.choice(len(patterns), size=n_entries, p=weights)
-    entries = []
-    for pick in picks:
-        query = patterns[int(pick)]
-        # draw in attribute order: a frozenset's iteration order follows
-        # string hashing, which varies between processes
-        values = tuple(
-            (attr, int(rng.integers(0, schema.cardinality(attr))))
-            for attr in sorted(query.selection)
+    picks = rng.choice(len(patterns), size=n_entries, p=weights).tolist()
+    # draw in attribute order: a frozenset's iteration order follows
+    # string hashing, which varies between processes
+    selections = [sorted(query.selection) for query in patterns]
+    bounds = [[schema.cardinality(attr) for attr in sel] for sel in selections]
+    highs = np.array(
+        [high for pick in picks for high in bounds[pick]], dtype=np.int64
+    )
+    # one call over every value's bound draws what one scalar call per
+    # value in turn would, and leaves the generator in the same state
+    values = iter(rng.integers(0, highs).tolist())
+    return [
+        LogEntry(
+            query=patterns[pick],
+            values=tuple((attr, next(values)) for attr in selections[pick]),
         )
-        entries.append(LogEntry(query=query, values=values))
-    return entries
+        for pick in picks
+    ]
 
 
 def pattern_counts(log: Iterable[LogEntry]) -> Dict[SliceQuery, int]:

@@ -16,6 +16,7 @@ standard populations:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Union
 
 import numpy as np
@@ -84,7 +85,7 @@ def normalize_frequencies(
     frequencies: Dict[SliceQuery, float], total: float = 1.0
 ) -> Dict[SliceQuery, float]:
     """Rescale frequencies to sum to ``total``."""
-    current = sum(frequencies.values())
+    current = math.fsum(frequencies.values())
     if current <= 0:
         raise ValueError("frequencies must have a positive sum")
     scale = total / current
@@ -100,11 +101,14 @@ def total_variation(
     count as 0), so the result is in ``[0, 1]``: 0 when the observed
     workload matches the advised one exactly, 1 when they are disjoint.
     This is the drift metric the serving layer watches — the largest
-    probability mass the advisor assigned to the wrong queries.
+    probability mass the advisor assigned to the wrong queries.  The
+    normalizing sums and the distance's sum are exactly rounded
+    (``math.fsum``), so the result does not depend on the order of the
+    queries, which follows string hashing.
     """
     observed = normalize_frequencies(observed)
     advised = normalize_frequencies(advised)
     keys = set(observed) | set(advised)
-    return 0.5 * sum(
+    return 0.5 * math.fsum(
         abs(observed.get(q, 0.0) - advised.get(q, 0.0)) for q in keys
     )

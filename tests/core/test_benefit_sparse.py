@@ -11,9 +11,8 @@ rely on maintained values matching a full recompute
 import numpy as np
 import pytest
 
-import repro.core.benefit as benefit_module
 from repro.algorithms import RGreedy
-from repro.core.benefit import BenefitEngine
+from repro.core.benefit import BenefitEngine, _row_ids
 from repro.core.qvgraph import QueryViewGraph
 from repro.datasets.paper_figure2 import figure2_graph
 from repro.runtime.faults import _cube_graph
@@ -165,28 +164,91 @@ class TestStateParity:
         assert not eng.selected_ids
 
 
-class TestNumpyOnlyBuild:
-    """``pyproject.toml`` declares only numpy: without scipy the CSC
-    arrays come from the numpy ``lexsort`` fallback, which must build the
-    same store as the scipy transpose."""
+def lexsort_csc(engine: BenefitEngine):
+    """The former numpy fallback: the CSC arrays by one ``lexsort`` of the
+    CSR edges on (query, structure)."""
+    rows = _row_ids(engine._row_ptr)
+    cols = engine._row_cols.astype(np.int64)
+    order = np.lexsort((rows, cols))
+    counts = np.bincount(cols, minlength=engine.n_queries)
+    return (
+        np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        rows[order].astype(np.int32),
+        engine._row_vals[order],
+    )
 
-    @pytest.fixture(params=["cube_d5", "random_7"])
+
+def scipy_csc(engine: BenefitEngine):
+    """The former scipy path: ``csr_matrix(...).tocsc()``."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csc = sparse.csr_matrix(
+        (engine._row_vals, engine._row_cols, engine._row_ptr),
+        shape=(engine.n_structures, engine.n_queries),
+    ).tocsc()
+    return (
+        csc.indptr.astype(np.int64, copy=False),
+        csc.indices.astype(np.int32, copy=False),
+        np.ascontiguousarray(csc.data, dtype=np.float64),
+    )
+
+
+def engine_with_csc(graph: QueryViewGraph, transpose) -> BenefitEngine:
+    """An engine over ``graph`` whose CSC arrays come from ``transpose``."""
+    engine = BenefitEngine(graph)
+    col_ptr, col_rows, col_vals = transpose(engine)
+    engine._col_ptr, engine._col_rows, engine._col_vals = col_ptr, col_rows, col_vals
+    engine._full = engine._full._replace(
+        col_ptr=col_ptr, col_rows=col_rows, col_vals=col_vals
+    )
+    engine.reset()
+    return engine
+
+
+def edgeless_graph(with_edges: bool) -> QueryViewGraph:
+    """``small_graph`` plus a structure and a query without edges; with
+    ``with_edges=False``, no edge at all (an empty store)."""
+    if with_edges:
+        g = small_graph()
+    else:
+        g = QueryViewGraph()
+        g.add_view("v0", 4)
+        g.add_index("v0", "i0", 4)
+        g.add_query("q0", 100, frequency=2.0)
+    g.add_view("lonely", 3)
+    g.add_query("unanswered", 50)
+    return g
+
+
+class TestTranspose:
+    """The CSC arrays are one numpy transpose of the CSR store; they must
+    equal the former ``lexsort`` fallback and scipy's ``tocsc()`` in
+    dtype and value, so fingerprints and selections cannot change."""
+
+    @pytest.fixture(
+        params=["cube_d5", "random_0", "random_1", "random_2", "random_7",
+                "edgeless", "empty"]
+    )
     def graph(self, request):
-        return _cube_graph(5) if request.param == "cube_d5" else random_graph(7)
+        name = request.param
+        if name == "cube_d5":
+            return _cube_graph(5)
+        if name.startswith("random_"):
+            return random_graph(int(name.split("_")[1]))
+        return edgeless_graph(with_edges=name == "edgeless")
 
-    def test_same_store_fingerprint_and_selection(self, graph, monkeypatch):
-        if benefit_module._scipy_sparse is None:
-            pytest.skip("scipy is not installed: nothing to compare against")
-        with_scipy = BenefitEngine(graph)
-        monkeypatch.setattr(benefit_module, "_scipy_sparse", None)
-        numpy_only = BenefitEngine(graph)
+    @pytest.mark.parametrize(
+        "transpose", [lexsort_csc, scipy_csc], ids=["lexsort", "scipy"]
+    )
+    def test_equals_former_build(self, graph, transpose):
+        built = BenefitEngine(graph)
+        ref = engine_with_csc(graph, transpose)
         for name in ("_col_ptr", "_col_rows", "_col_vals"):
-            a, b = getattr(with_scipy, name), getattr(numpy_only, name)
+            a, b = getattr(built, name), getattr(ref, name)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
-        assert with_scipy.fingerprint() == numpy_only.fingerprint()
-        space = 0.3 * float(with_scipy.spaces.sum())
-        a, b = RGreedy(2).run(with_scipy, space), RGreedy(2).run(numpy_only, space)
+        assert built.fingerprint() == ref.fingerprint()
+        space = 0.3 * float(built.spaces.sum())
+        a, b = RGreedy(2).run(built, space), RGreedy(2).run(ref, space)
         assert (a.selected, a.benefit, a.tau) == (b.selected, b.benefit, b.tau)
         assert a.stages == b.stages
 

@@ -15,6 +15,7 @@ from repro.cube.query_log import (
     hot_selection_values,
 )
 from repro.cube.schema import CubeSchema, Dimension
+from repro.cube.workload import zipf_frequencies
 
 
 @pytest.fixture
@@ -77,6 +78,54 @@ class TestGenerateLog:
     def test_n_entries_validation(self, schema):
         with pytest.raises(ValueError):
             generate_query_log(schema, 0)
+
+
+def loop_query_log(schema, n_entries, rng, pattern_frequencies=None):
+    """The former ``generate_query_log``: one scalar ``rng.integers``
+    call per selection value, in entry order, attributes sorted."""
+    patterns = list(enumerate_slice_queries(schema.names))
+    if pattern_frequencies is None:
+        pattern_frequencies = zipf_frequencies(patterns, 1.0, rng=rng)
+    weights = np.array([pattern_frequencies.get(q, 0.0) for q in patterns])
+    weights = weights / weights.sum()
+    entries = []
+    for pick in rng.choice(len(patterns), size=n_entries, p=weights):
+        query = patterns[int(pick)]
+        values = tuple(
+            (attr, int(rng.integers(0, schema.cardinality(attr))))
+            for attr in sorted(query.selection)
+        )
+        entries.append(LogEntry(query=query, values=values))
+    return entries
+
+
+class TestOneCallDraws:
+    """All selection values of a log come from one ``rng.integers`` call;
+    the log and the generator's next draw must equal the per-value loop's,
+    so seeded logs and every stream drawn after them stay the same."""
+
+    SCHEMAS = {
+        "ab": [("a", 8), ("b", 5)],
+        "five": [("p", 7), ("s", 1), ("c", 300), ("d", 2), ("t", 40)],
+        "long_names": [("part", 3), ("customer", 9), ("supplier", 1 << 20)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240601])
+    @pytest.mark.parametrize("patterns", ["zipf", "uniform", "unselected", "mixed"])
+    def test_matches_the_per_value_loop(self, name, seed, patterns):
+        schema = CubeSchema([Dimension(n, c) for n, c in self.SCHEMAS[name]])
+        universe = list(enumerate_slice_queries(schema.names))
+        frequencies = {
+            "zipf": None,
+            "uniform": {q: 1.0 for q in universe},
+            "unselected": {q: 1.0 for q in universe if not q.selection},
+            "mixed": {q: 1.0 + len(q.selection) for q in universe[::3]},
+        }[patterns]
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        log = generate_query_log(schema, 300, rng=ours, pattern_frequencies=frequencies)
+        assert log == loop_query_log(schema, 300, theirs, frequencies)
+        assert ours.integers(0, 1 << 62) == theirs.integers(0, 1 << 62)
 
 
 class TestLogEntryBinding:

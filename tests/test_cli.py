@@ -405,12 +405,20 @@ class TestServeAndReplay:
         assert rc == 2
         assert "zz" in capsys.readouterr().err
 
-    def test_replay_empty_log_is_ok(self, tmp_path, capsys):
+    def test_replay_empty_log_is_bad_input(self, tmp_path, capsys):
+        """An empty log exits 2 with one ``error:`` line on the
+        single-server and the fleet path, as ``repro partition`` and both
+        smokes do on the same file."""
         log = tmp_path / "empty.jsonl"
         log.write_text("")
-        rc = main(["replay", "--dims", "3", "--log", str(log)])
-        assert rc == 0
-        assert "nothing to replay" in capsys.readouterr().out
+        for fleet in ([], ["--replicas", "3", "--divergent"]):
+            rc = main(["replay", "--dims", "3", "--log", str(log), *fleet])
+            assert rc == 2, fleet
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: {log}: query log is empty, nothing to replay"
+            ], fleet
+            assert "replaying" not in captured.out, fleet
 
     def test_serve_with_saved_selection(self, tmp_path, capsys):
         """A selection advised on the matching lattice document serves

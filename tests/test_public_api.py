@@ -7,6 +7,8 @@ an undocumented export is a regression.
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -101,3 +103,18 @@ def test_no_private_leaks_in_all():
             assert not name.startswith("_") or name == "__version__", (
                 f"{package} exports private name {name}"
             )
+
+
+def test_import_path_loads_no_scipy():
+    """scipy is optional: the package, serving, mining and the CLI import
+    without loading it (only ``repro.backends.validate``'s Spearman
+    imports it, when called)."""
+    program = (
+        "import sys\n"
+        "import repro, repro.serve, repro.mining, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
