@@ -120,6 +120,14 @@ def max_rss_mb() -> float:
     return peak / 1024.0
 
 
+def check_deadline(deadline: Optional[float]) -> Optional[float]:
+    """``deadline`` unchanged when it is ``None`` or >= 0 seconds (``inf``
+    included); a negative or NaN deadline raises ``ValueError``."""
+    if deadline is not None and not deadline >= 0:
+        raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
+    return deadline
+
+
 class RunContext:
     """Budgets, checkpoints, and stop requests for one selection run.
 
@@ -165,9 +173,7 @@ class RunContext:
         clock=time.monotonic,
         checkpoint_interval: float = 0.25,
     ):
-        if deadline is not None and deadline < 0:
-            raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
-        if memory_limit_mb is not None and memory_limit_mb <= 0:
+        if memory_limit_mb is not None and not memory_limit_mb > 0:
             raise ValueError(
                 f"memory_limit_mb must be positive, got {memory_limit_mb}"
             )
@@ -175,7 +181,7 @@ class RunContext:
             raise ValueError(
                 f"checkpoint_interval must be >= 0, got {checkpoint_interval}"
             )
-        self.deadline = deadline
+        self.deadline = check_deadline(deadline)
         self.memory_limit_mb = memory_limit_mb
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval = checkpoint_interval

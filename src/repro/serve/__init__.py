@@ -9,12 +9,13 @@ The high-throughput layer on top: :meth:`QueryServer.serve_batch`
 answers query batches in vectorized per-plan passes, a
 :class:`ResultCache` memoizes repeated queries (generation-tagged, so
 hot swaps and maintenance deltas can never serve stale rows), and the
-:class:`ServingFrontend` puts a bounded admission queue with per-tenant
-fairness in front of one dispatcher thread.
+:class:`ServingFrontend` puts one bounded admission queue in front of
+one dispatcher thread, which takes batches in submission order.
 
 The fault-tolerance layer on top of *that*: a :class:`ReplicaFleet`
-routes queries over N supervised replicas with health checks, deadlines,
-and jittered retry/failover; per-structure :class:`CircuitBreaker`\\ s
+routes queries over N supervised replicas with deadlines, jittered
+retry/failover, and health probes that run through each replica's
+executor (never its result cache or serving telemetry); per-structure :class:`CircuitBreaker`\\ s
 short-circuit repeatedly-failing structures onto the (slower but always
 correct) raw-cube path; a crashed front-end dispatcher restarts and fails
 its in-flight queries with typed errors instead of hanging; and

@@ -33,15 +33,8 @@ from repro.core.lattice import CubeLattice
 from repro.core.qvgraph import QueryViewGraph
 from repro.core.query import SliceQuery
 from repro.core.selection import SelectionResult
-from repro.mining import (
-    DEFAULT_MAX_INDEXES_PER_VIEW,
-    DEFAULT_SIMILARITY,
-    DEFAULT_SUPPORT,
-    MinedCandidates,
-    compute_benefit_bound,
-    mine_candidates,
-)
-from repro.runtime.context import RunContext, RuntimeStop
+from repro.mining import MinedCandidates, compute_benefit_bound, mine_candidates
+from repro.runtime.context import RunContext, RuntimeStop, check_deadline
 
 #: Default relative τ improvement a new selection must deliver to swap.
 READVISE_MARGIN = 0.05
@@ -91,13 +84,14 @@ class AdaptiveReselector:
     deadline / checkpoint_path:
         Forwarded into the :class:`RunContext` of every re-selection
         run, so a background re-advise obeys the same wall-clock budget
-        and crash-recovery rules as a foreground ``repro advise``.
-    prune / support / similarity / max_indexes_per_view:
-        ``prune=True`` (default) mines the observed log into a pruned
-        candidate space before re-advising; the remaining knobs forward
-        to :func:`repro.mining.mine_candidates`.  ``prune=False``
-        rebuilds the full 3^n universe on every drift event (only
-        feasible at small d).
+        and crash-recovery rules as a foreground ``repro advise`` (a
+        negative or NaN ``deadline`` is rejected here, not per run).
+    prune:
+        ``True`` (default) mines the observed log into a pruned
+        candidate space with :func:`repro.mining.mine_candidates`'
+        default thresholds before re-advising.  ``False`` rebuilds the
+        full 3^n universe on every drift event (only feasible at small
+        d).
     """
 
     def __init__(
@@ -110,9 +104,6 @@ class AdaptiveReselector:
         deadline: Optional[float] = None,
         checkpoint_path=None,
         prune: bool = True,
-        support: float = DEFAULT_SUPPORT,
-        similarity: float = DEFAULT_SIMILARITY,
-        max_indexes_per_view: int = DEFAULT_MAX_INDEXES_PER_VIEW,
     ):
         if not 0.0 <= margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {margin}")
@@ -121,12 +112,9 @@ class AdaptiveReselector:
         self.space = float(space)
         self.margin = float(margin)
         self.seed = tuple(seed)
-        self.deadline = deadline
+        self.deadline = check_deadline(deadline)
         self.checkpoint_path = checkpoint_path
         self.prune = bool(prune)
-        self.support = float(support)
-        self.similarity = float(similarity)
-        self.max_indexes_per_view = int(max_indexes_per_view)
 
     def _observed_graph(
         self,
@@ -140,13 +128,7 @@ class AdaptiveReselector:
                 for query, weight in observed.items()
                 if float(weight) > 0
             }
-            mined = mine_candidates(
-                counts,
-                self.lattice.schema.names,
-                support=self.support,
-                similarity=self.similarity,
-                max_indexes_per_view=self.max_indexes_per_view,
-            )
+            mined = mine_candidates(counts, self.lattice.schema.names)
             # force-keep the incumbent structures (and the seed): τ_current
             # must be computable on the pruned graph, or the comparison
             # would silently favor the challenger

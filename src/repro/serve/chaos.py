@@ -72,7 +72,7 @@ from repro.engine.table import Answer, FactTable
 from repro.io import write_json
 from repro.serve.adaptive import AdaptiveReselector, ReadviseOutcome
 from repro.serve.fleet import ReplicaFleet
-from repro.serve.resilience import RetryPolicy
+from repro.serve.resilience import BREAKER_FAILURE_THRESHOLD, RetryPolicy
 from repro.serve.server import QueryServer
 from repro.serve.telemetry import validate_telemetry
 
@@ -187,7 +187,7 @@ def scenario_worker_kill(ctx: ChaosContext, replicas: int) -> ScenarioReport:
 
     for replica in fleet.replicas:
         replica.frontend.crash_hook = crash_hook
-    results = fleet.serve_many(ctx.log, client_threads=4)
+    results = fleet.serve_many(ctx.log)
     fleet.close()
     wrong, failed = score_answers(results, ctx.golden)
     resilience = _merged_resilience(fleet)
@@ -224,13 +224,11 @@ def scenario_structure_poison(
     picks = (router.route(entry.query) for entry in ctx.log)
     counts = Counter(pick.structure for pick in picks if not pick.fallback)
     target = counts.most_common(1)[0][0]
-    threshold = 3
     fleet = ReplicaFleet(
         ctx.fact,
         ctx.selection,
         replicas=replicas,
         cost_model=ctx.cost_model,
-        breaker_threshold=threshold,
         breaker_cooldown=600.0,  # no half-open probes inside the run
         retry=RetryPolicy(max_attempts=3, base_delay=0.005),
     )
@@ -245,7 +243,7 @@ def scenario_structure_poison(
 
     for replica in fleet.replicas:
         replica.server.fault_hook = poison
-    results = fleet.serve_many(ctx.log, client_threads=4)
+    results = fleet.serve_many(ctx.log)
     fleet.close()
     wrong, failed = score_answers(results, ctx.golden)
     resilience = _merged_resilience(fleet)
@@ -260,7 +258,7 @@ def scenario_structure_poison(
         replica.server.telemetry.resilience_stats()["executor_errors"].get(
             target, 0
         )
-        <= threshold
+        <= BREAKER_FAILURE_THRESHOLD
         for replica in fleet.replicas
     )
     ok = (
@@ -322,7 +320,7 @@ def scenario_slow_executor(
 
     slow.server.fault_hook = sleeper
     fleet.checker.start(0.05)
-    results = fleet.serve_many(ctx.log, client_threads=4)
+    results = fleet.serve_many(ctx.log)
     fleet.checker.stop()
     # abandon the slow replica's stale backlog instead of serving it at
     # 120 ms/query; its in-flight batch still completes (and is counted)

@@ -25,9 +25,9 @@ anything; only the predicted latency is forfeited).
 
 Health has two inputs: **passive strikes** (submit failures, deadline
 timeouts observed by the router) and **active probes** (a
-:class:`HealthChecker` that serves a probe query against each replica,
-bounds its latency, and checks queue depth and the dispatcher).  Either
-can mark a replica unhealthy; only a passing probe brings it back.
+:class:`HealthChecker` that runs a probe query through each replica's
+executor, bounds its latency, and checks the dispatcher).  Either can
+mark a replica unhealthy; only a passing probe brings it back.
 Fleet-level *unavailability* — wall-clock spans during which zero
 replicas were healthy — is accounted exactly and reported in
 :meth:`ReplicaFleet.stats`.
@@ -35,6 +35,7 @@ replicas were healthy — is accounted exactly and reported in
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -45,17 +46,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.core.costmodel import LinearCostModel
 from repro.core.query import SliceQuery
 from repro.cube.query_log import LogEntry
-from repro.serve.batch import DEFAULT_BATCH_SIZE
-from repro.serve.cache import ResultCache
-from repro.serve.frontend import (
-    DEFAULT_MAX_WORKER_RESTARTS,
-    DEFAULT_QUEUE_DEPTH,
-    DEFAULT_TENANT,
-    ServingFrontend,
-)
+from repro.serve.batch import DEFAULT_BATCH_SIZE, execute_unique
+from repro.serve.cache import ResultCache, result_key
+from repro.serve.frontend import ServingFrontend
 from repro.serve.resilience import (
     BREAKER_COOLDOWN_SECONDS,
-    BREAKER_FAILURE_THRESHOLD,
     CircuitBreaker,
     NoHealthyReplica,
     QueryTimeout,
@@ -78,6 +73,22 @@ DEFAULT_STRIKE_LIMIT = 3
 
 #: Bounded per-replica probe history retained by the health checker.
 PROBE_HISTORY_LIMIT = 256
+
+#: The health probe's query: the grand total (no group-by, no selection).
+PROBE_ENTRY = LogEntry(query=SliceQuery((), ()), values=())
+
+#: Client threads :meth:`ReplicaFleet.serve_many` serves from.
+CLIENT_THREADS = 4
+
+
+def _positive_seconds(name: str, value: float) -> float:
+    """``value`` as float seconds; a one-line ``ValueError`` unless it is
+    finite and > 0 (a NaN deadline times out every attempt, an infinite
+    one overflows the wait, and a zero interval spins the prober)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0 seconds, got {value}")
+    return value
 
 
 class Replica:
@@ -212,36 +223,26 @@ class HealthChecker:
 
     :meth:`check_now` runs one deterministic sweep (what tests and the
     chaos harness call); :meth:`start` runs sweeps on a background
-    thread every ``interval`` seconds.  A probe serves one cheap query
-    *directly* through ``server.serve_batch`` (bypassing the admission
-    queue, into a private collector — probes never pollute serving
-    telemetry) and fails on: a dead replica, a front-end dispatcher down
-    for good, queue depth over the limit, a raised probe, or probe
-    latency over the threshold.
+    thread every ``interval`` seconds.  A probe runs :data:`PROBE_ENTRY`
+    through the replica's executor (``execute_unique`` with the server's
+    breaker and fault hook), bypassing the admission queue and
+    ``serve_batch``: the result cache cannot answer it, and nothing is
+    recorded in the server's telemetry, cache, recorder or drift
+    monitor.  It fails on a dead replica, a front-end dispatcher down
+    for good, a raised probe, or probe latency over the threshold.
     """
 
     def __init__(
         self,
         fleet: "ReplicaFleet",
-        probe_entry: Optional[LogEntry] = None,
         latency_threshold_us: float = DEFAULT_PROBE_LATENCY_US,
-        queue_limit: Optional[int] = None,
-        history_limit: int = PROBE_HISTORY_LIMIT,
     ):
         self.fleet = fleet
-        self.probe_entry = (
-            probe_entry
-            if probe_entry is not None
-            else LogEntry(query=SliceQuery((), ()), values=())
-        )
         self.latency_threshold_us = float(latency_threshold_us)
-        self.queue_limit = queue_limit
-        self.history_limit = int(history_limit)
         self.history: Dict[int, List[dict]] = {
             replica.replica_id: [] for replica in fleet.replicas
         }
         self.checks = 0
-        self._collector = TelemetryCollector(keep_records=False)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -249,14 +250,19 @@ class HealthChecker:
     def _probe(self, replica: Replica) -> tuple:
         if replica.dead:
             return False, float("inf"), "dead"
-        stats = replica.frontend.stats()
-        if stats["live_workers"] <= 0:
+        if replica.frontend.stats()["live_workers"] <= 0:
             return False, float("inf"), "dispatcher down"
-        if self.queue_limit is not None and stats["pending"] > self.queue_limit:
-            return False, float("inf"), f"queue depth {stats['pending']}"
+        server = replica.server
         start = time.perf_counter()
         try:
-            replica.server.serve_batch([self.probe_entry], telemetry=self._collector)
+            execute_unique(
+                server.state,
+                server.fact,
+                server.cost_model,
+                [(result_key(PROBE_ENTRY), PROBE_ENTRY)],
+                breaker=server.breaker,
+                fault_hook=server.fault_hook,
+            )
         except Exception as exc:
             latency_us = (time.perf_counter() - start) * 1e6
             return False, latency_us, f"probe raised: {exc!r}"
@@ -275,7 +281,7 @@ class HealthChecker:
                 history.append(
                     {"ok": ok, "latency_us": latency_us, "reason": reason}
                 )
-                del history[: -self.history_limit]
+                del history[:-PROBE_HISTORY_LIMIT]
             if ok:
                 if replica.record_probe_ok():
                     self.fleet._health_event()
@@ -294,6 +300,8 @@ class HealthChecker:
             return list(self.history[replica_id])
 
     def start(self, interval: float) -> None:
+        """Sweep every ``interval`` seconds (finite, > 0) until :meth:`stop`."""
+        interval = _positive_seconds("probe_interval", interval)
         if self._thread is not None:
             return
         self._stop.clear()
@@ -331,23 +339,28 @@ class ReplicaFleet:
     replicas:
         Replica count when ``selections`` is a single selection
         (default 2; ignored and checked for consistency otherwise).
-    batch_size / queue_depth / cache_bytes / keep_records /
-    max_worker_restarts:
-        Per-replica server and front-end configuration
-        (``cache_bytes=0`` disables the result cache).
-    breaker_threshold / breaker_cooldown:
-        Per-replica circuit-breaker configuration.
+    batch_size / cache_bytes:
+        Per-replica front-end batch size and result-cache budget
+        (``cache_bytes=0`` disables the result cache).  A front-end's
+        ``queue_depth`` and ``max_worker_restarts`` are its own
+        defaults; set them on ``replica.frontend``.
+    breaker_cooldown:
+        Seconds a replica's open circuit waits before a half-open probe.
     retry:
         The router's :class:`RetryPolicy` (attempts + backoff).
     query_deadline:
-        Per-attempt seconds a routed query may take (submit + answer,
-        one monotonic deadline) before the router strikes the replica
-        and re-routes.
+        Per-attempt seconds (finite, > 0) a routed query may take
+        (submit + answer, one monotonic deadline) before the router
+        strikes the replica and re-routes.
     strike_limit:
         Consecutive failures that mark a replica unhealthy.
     probe_interval:
-        Seconds between background health sweeps (``None`` = active
-        probing only via ``checker.check_now()``).
+        Seconds (finite, > 0) between background health sweeps
+        (``None`` = active probing only via ``checker.check_now()``).
+    probe_latency_threshold_us:
+        Probe latency above which a health check fails.
+    clock:
+        Time source for the availability accounting (a test's fake).
     router:
         Optional :class:`repro.distributed.RoutingTable` built over the
         same per-replica selections.  When set, dispatch is cost-routed:
@@ -363,21 +376,14 @@ class ReplicaFleet:
         replicas: Optional[int] = None,
         cost_model: Optional[LinearCostModel] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         cache_bytes: int = 0,
-        keep_records: bool = False,
-        max_worker_restarts: int = DEFAULT_MAX_WORKER_RESTARTS,
-        breaker_threshold: int = BREAKER_FAILURE_THRESHOLD,
         breaker_cooldown: float = BREAKER_COOLDOWN_SECONDS,
         retry: Optional[RetryPolicy] = None,
         query_deadline: float = DEFAULT_QUERY_DEADLINE,
         strike_limit: int = DEFAULT_STRIKE_LIMIT,
         probe_interval: Optional[float] = None,
         probe_latency_threshold_us: float = DEFAULT_PROBE_LATENCY_US,
-        probe_queue_limit: Optional[int] = None,
-        rng_seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         router=None,
     ):
         selection_list = self._normalize_selections(selections, replicas)
@@ -387,16 +393,15 @@ class ReplicaFleet:
                 f"has {len(selection_list)}"
             )
         self.router = router
-        if query_deadline <= 0:
-            raise ValueError(f"query_deadline must be > 0, got {query_deadline}")
+        self.query_deadline = _positive_seconds("query_deadline", query_deadline)
+        if probe_interval is not None:  # checked before any thread starts
+            _positive_seconds("probe_interval", probe_interval)
         if strike_limit < 1:
             raise ValueError(f"strike_limit must be >= 1, got {strike_limit}")
         self.retry = retry if retry is not None else RetryPolicy()
-        self.query_deadline = float(query_deadline)
         self.strike_limit = int(strike_limit)
         self.clock = clock
-        self._sleep = sleep
-        self._rng = random.Random(rng_seed)
+        self._rng = random.Random(0)
         self.telemetry = TelemetryCollector(keep_records=False)
         model = (
             cost_model
@@ -406,10 +411,7 @@ class ReplicaFleet:
         self.cost_model = model
         self.replicas: List[Replica] = []
         for replica_id, selection in enumerate(selection_list):
-            breaker = CircuitBreaker(
-                failure_threshold=breaker_threshold,
-                cooldown_seconds=breaker_cooldown,
-            )
+            breaker = CircuitBreaker(cooldown_seconds=breaker_cooldown)
             server = QueryServer(
                 fact,
                 selection,
@@ -419,15 +421,10 @@ class ReplicaFleet:
                     if cache_bytes
                     else None
                 ),
-                keep_records=keep_records,
+                keep_records=False,
                 breaker=breaker,
             )
-            frontend = ServingFrontend(
-                server,
-                batch_size=batch_size,
-                queue_depth=queue_depth,
-                max_worker_restarts=max_worker_restarts,
-            )
+            frontend = ServingFrontend(server, batch_size=batch_size)
             replica = Replica(replica_id, server, frontend, clock)
             replica.on_transition = self._health_event
             self.replicas.append(replica)
@@ -440,9 +437,7 @@ class ReplicaFleet:
         self._unavailable_seconds = 0.0
         self._closed = False
         self.checker = HealthChecker(
-            self,
-            latency_threshold_us=probe_latency_threshold_us,
-            queue_limit=probe_queue_limit,
+            self, latency_threshold_us=probe_latency_threshold_us
         )
         if probe_interval is not None:
             self.checker.start(probe_interval)
@@ -518,7 +513,7 @@ class ReplicaFleet:
 
     # -------------------------------------------------------------- serve
 
-    def serve(self, entry: LogEntry, tenant: str = DEFAULT_TENANT) -> ServeOutcome:
+    def serve(self, entry: LogEntry) -> ServeOutcome:
         """Answer one query through the fleet.
 
         Each attempt routes to a healthy replica and waits at most
@@ -538,7 +533,7 @@ class ReplicaFleet:
         for attempt in range(self.retry.max_attempts):
             if attempt:
                 self.telemetry.note_retry()
-                self._sleep(self.retry.delay(attempt - 1, self._rng))
+                time.sleep(self.retry.delay(attempt - 1, self._rng))
             replica = self._route(tried, entry.query)
             if replica is None:
                 with self._lock:
@@ -554,9 +549,7 @@ class ReplicaFleet:
             attempts += 1
             deadline = time.monotonic() + self.query_deadline
             try:
-                future = replica.frontend.submit(
-                    entry, tenant=tenant, block=True, timeout=self.query_deadline
-                )
+                future = replica.frontend.submit(entry, timeout=self.query_deadline)
             except ServingError as exc:
                 last_error = exc
                 tried.add(replica.replica_id)
@@ -601,12 +594,9 @@ class ReplicaFleet:
         )
 
     def serve_many(
-        self,
-        entries: Sequence[LogEntry],
-        tenant: str = DEFAULT_TENANT,
-        client_threads: int = 4,
+        self, entries: Sequence[LogEntry]
     ) -> List[Union[ServeOutcome, ServingError]]:
-        """Serve entries from a client thread pool.
+        """Serve entries from :data:`CLIENT_THREADS` client threads.
 
         Returns, in input order, each entry's outcome — or the typed
         :class:`ServingError` it definitively failed with.  Untyped
@@ -614,11 +604,11 @@ class ReplicaFleet:
 
         def attempt(entry: LogEntry):
             try:
-                return self.serve(entry, tenant=tenant)
+                return self.serve(entry)
             except ServingError as exc:
                 return exc
 
-        with ThreadPoolExecutor(max_workers=client_threads) as pool:
+        with ThreadPoolExecutor(max_workers=CLIENT_THREADS) as pool:
             return list(pool.map(attempt, entries))
 
     # ----------------------------------------------------------- lifecycle

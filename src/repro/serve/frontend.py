@@ -1,23 +1,20 @@
-"""Serving front-end: admission queue, fair batching, one dispatcher.
+"""Serving front-end: one admission queue, one dispatcher.
 
 :class:`ServingFrontend` is the request loop in front of a
 :class:`~repro.serve.server.QueryServer` — the shape cubes' slicer
 server has, scaled down to an in-process component.  Requests enter
-through a **bounded admission queue** (per-tenant FIFOs behind one
-condition variable; a full queue blocks or rejects, it never grows
-unbounded), and one dispatcher thread drains the queue into batches,
-each answered by the server's vectorized :meth:`serve_batch` and
-recorded into the server's own telemetry collector as it finishes.
+through a **bounded admission queue** (one FIFO behind one condition
+variable; a full queue blocks until ``timeout`` and then rejects, it
+never grows unbounded), and one dispatcher thread drains it into
+batches of the next ``batch_size`` entries in submission order, each
+answered by the server's vectorized :meth:`serve_batch` and recorded
+into the server's own telemetry collector as it finishes.
 
 One thread, not none: the dispatcher runs every execution, so a client
 waiting on its future can give up at a deadline even when one execution
 hangs — which is how :class:`~repro.serve.fleet.ReplicaFleet` abandons a
 slow replica.  One thread, not a pool: measured, extra workers lost to
 serial batching on both throughput and tail latency.
-
-**Fairness** is round-robin per tenant: a batch takes one queued entry
-from each tenant in rotation, so a tenant flooding the queue cannot
-starve the others — its requests just queue behind its own backlog.
 
 **Supervision**: a dispatcher that dies outside the serve path fails its
 in-flight batch with a typed
@@ -31,7 +28,7 @@ future with :class:`~repro.serve.resilience.FrontendClosed`.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future
 from typing import Deque, List, Optional, Tuple
 
@@ -39,11 +36,8 @@ from repro.cube.query_log import LogEntry
 from repro.serve.batch import DEFAULT_BATCH_SIZE
 from repro.serve.resilience import FrontendClosed, ServingError, WorkerCrashed
 
-#: Default bound on queued-but-unserved entries across all tenants.
+#: Default bound on queued-but-unserved entries.
 DEFAULT_QUEUE_DEPTH = 4096
-
-#: Tenant label for requests submitted without one.
-DEFAULT_TENANT = "default"
 
 #: Default lifetime budget of dispatcher restarts per front-end.
 DEFAULT_MAX_WORKER_RESTARTS = 16
@@ -63,9 +57,8 @@ class ServingFrontend:
     batch_size:
         Most entries the dispatcher drains into one ``serve_batch`` call.
     queue_depth:
-        Bound on queued entries across all tenants; :meth:`submit`
-        blocks (or raises :class:`AdmissionQueueFull` with
-        ``block=False`` / on timeout) once reached.
+        Bound on queued entries; once reached, :meth:`submit` blocks
+        and raises :class:`AdmissionQueueFull` on timeout.
     max_worker_restarts:
         Lifetime budget of dispatcher restarts after crashes; past it
         the dispatcher stays down and every queued future fails with
@@ -98,11 +91,7 @@ class ServingFrontend:
         self.max_worker_restarts = int(max_worker_restarts)
         self.crash_hook = crash_hook
         self._cond = threading.Condition()
-        self._queues: "OrderedDict[str, Deque[Tuple[LogEntry, Future]]]" = (
-            OrderedDict()
-        )
-        self._rotation: Deque[str] = deque()
-        self._pending = 0
+        self._queue: Deque[Tuple[LogEntry, Future]] = deque()
         self._inflight = 0
         self._closing = False
         self._abandon = False
@@ -119,46 +108,29 @@ class ServingFrontend:
     # -------------------------------------------------------------- submit
 
     def submit(
-        self,
-        entry: LogEntry,
-        tenant: str = DEFAULT_TENANT,
-        block: bool = True,
-        timeout: Optional[float] = None,
+        self, entry: LogEntry, timeout: Optional[float] = None
     ) -> "Future[object]":
         """Queue one query; returns a future resolving to its
         :class:`~repro.serve.server.ServeOutcome`.
 
-        A full queue blocks until space frees (``timeout`` bounds the
-        whole wait, however often the queue wakes it) or, with
-        ``block=False``, raises :class:`AdmissionQueueFull` immediately.
+        A full queue blocks until space frees; ``timeout`` bounds the
+        whole wait, however often the queue wakes it, and then raises
+        :class:`AdmissionQueueFull` (``timeout=0`` rejects at once).
         Cancelling the future before the dispatcher takes the entry
         drops it unserved.
         """
         future: "Future[object]" = Future()
         with self._cond:
-            if not self._closing and self._pending >= self.queue_depth:
-                self._check_live_locked()
-                if not block:
-                    self.rejected += 1
-                    raise AdmissionQueueFull(
-                        f"admission queue at capacity ({self.queue_depth})"
-                    )
-                if not self._cond.wait_for(self._admissible_locked, timeout):
-                    self.rejected += 1
-                    raise AdmissionQueueFull(
-                        f"admission queue still full after {timeout}s"
-                    )
+            if not self._cond.wait_for(self._admissible_locked, timeout):
+                self.rejected += 1
+                raise AdmissionQueueFull(
+                    f"admission queue still at capacity ({self.queue_depth}) "
+                    f"after {timeout}s"
+                )
             if self._closing:
                 raise FrontendClosed("frontend is closed")
             self._check_live_locked()
-            queue = self._queues.get(tenant)
-            if queue is None:
-                queue = deque()
-                self._queues[tenant] = queue
-            if not queue:
-                self._rotation.append(tenant)
-            queue.append((entry, future))
-            self._pending += 1
+            self._queue.append((entry, future))
             self.submitted += 1
             self._cond.notify_all()
         return future
@@ -166,7 +138,9 @@ class ServingFrontend:
     def _admissible_locked(self) -> bool:
         """A blocked submit may stop waiting: space, closing, or a
         dispatcher that is down for good."""
-        return self._closing or not self._live or self._pending < self.queue_depth
+        return (
+            self._closing or not self._live or len(self._queue) < self.queue_depth
+        )
 
     # ---------------------------------------------------------- dispatcher
 
@@ -191,25 +165,19 @@ class ServingFrontend:
         thread.start()
 
     def _take_batch(self) -> Optional[List[Tuple[LogEntry, Future]]]:
-        """Wait for work; drain up to ``batch_size`` entries fairly.
+        """Wait for work; take the next ``batch_size`` entries in
+        submission order.
 
-        One entry per tenant per rotation step, so interleaved tenants
-        share each batch evenly.  Returns ``None`` when closing and
-        drained (or closing with ``drain=False`` — the abandoned queue
-        is failed by :meth:`close`, not served)."""
+        Returns ``None`` when closing and drained (or closing with
+        ``drain=False`` — the abandoned queue is failed by :meth:`close`,
+        not served)."""
         with self._cond:
-            while not self._closing and self._pending == 0:
+            while not self._closing and not self._queue:
                 self._cond.wait()
-            if self._pending == 0 or self._abandon:
+            if not self._queue or self._abandon:
                 return None
-            batch: List[Tuple[LogEntry, Future]] = []
-            while len(batch) < self.batch_size and self._rotation:
-                tenant = self._rotation.popleft()
-                queue = self._queues[tenant]
-                batch.append(queue.popleft())
-                self._pending -= 1
-                if queue:
-                    self._rotation.append(tenant)
+            queue = self._queue
+            batch = [queue.popleft() for __ in range(min(self.batch_size, len(queue)))]
             self._inflight += 1
             self._cond.notify_all()
             return batch
@@ -285,14 +253,8 @@ class ServingFrontend:
         """Fail every still-queued future with a typed error (never let
         a request hang on a queue nobody will drain)."""
         with self._cond:
-            victims: List[Future] = []
-            for queue in self._queues.values():
-                while queue:
-                    __, future = queue.popleft()
-                    victims.append(future)
-            self._queues.clear()
-            self._rotation.clear()
-            self._pending = 0
+            victims = [future for __, future in self._queue]
+            self._queue.clear()
             self._cond.notify_all()
         for future in victims:
             if future.set_running_or_notify_cancel():  # not cancelled
@@ -304,7 +266,7 @@ class ServingFrontend:
         """Wait until the queue is empty and no batch is in flight."""
         with self._cond:
             return self._cond.wait_for(
-                lambda: self._pending == 0 and self._inflight == 0, timeout
+                lambda: not self._queue and self._inflight == 0, timeout
             )
 
     def close(self, timeout: Optional[float] = None, drain: bool = True) -> None:
@@ -348,8 +310,7 @@ class ServingFrontend:
                 "served": self.served,
                 "rejected": self.rejected,
                 "batches": self.batches,
-                "pending": self._pending,
-                "tenants": sorted(self._queues),
+                "pending": len(self._queue),
                 "live_workers": int(self._live),
                 "worker_crashes": self.worker_crashes,
                 "worker_restarts": self.worker_restarts,

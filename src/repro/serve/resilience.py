@@ -38,6 +38,13 @@ BREAKER_FAILURE_THRESHOLD = 3
 #: Seconds an open circuit waits before allowing one half-open probe.
 BREAKER_COOLDOWN_SECONDS = 5.0
 
+#: Retry backoff: each delay is the previous one times this, at most
+#: ``RETRY_MAX_DELAY`` seconds, then scaled by a uniform factor in
+#: ``[1 - RETRY_JITTER, 1 + RETRY_JITTER]``.
+RETRY_MULTIPLIER = 2.0
+RETRY_MAX_DELAY = 0.5
+RETRY_JITTER = 0.5
+
 #: Circuit states (string-valued for easy snapshotting).
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -255,31 +262,24 @@ class CircuitBreaker:
 class RetryPolicy:
     """Bounded retries with jittered exponential backoff.
 
-    ``delay(attempt)`` is ``base_delay * multiplier**attempt`` capped at
-    ``max_delay``, then scaled by a uniform jitter in
-    ``[1 - jitter, 1 + jitter]`` — the standard decorrelation so a
-    thundering herd of retries does not re-land in lockstep.
+    ``delay(attempt)`` is ``base_delay * RETRY_MULTIPLIER**attempt``
+    capped at :data:`RETRY_MAX_DELAY`, then scaled by a uniform jitter in
+    ``[1 - RETRY_JITTER, 1 + RETRY_JITTER]`` — the standard decorrelation
+    so a thundering herd of retries does not re-land in lockstep.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.01
-    multiplier: float = 2.0
-    max_delay: float = 0.5
-    jitter: float = 0.5
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be nonnegative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
+        if self.base_delay < 0:
+            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
 
     def delay(self, attempt: int, rng: Optional[random.Random] = None) -> float:
         """Backoff before retry number ``attempt`` (0-based)."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
-        if self.jitter and rng is not None:
-            raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        raw = min(RETRY_MAX_DELAY, self.base_delay * RETRY_MULTIPLIER**attempt)
+        if rng is not None:
+            raw *= 1.0 + RETRY_JITTER * (2.0 * rng.random() - 1.0)
         return max(0.0, raw)

@@ -32,9 +32,8 @@ Per batch, the server
 2. executes each plan group in one pass, counting rows actually
    processed,
 3. records telemetry (latency, predicted vs. actual rows, per-structure
-   hits, fallbacks) into its own collector — or a caller-supplied one,
-   which is how health probes stay out of serving telemetry —
-   appends to the workload recorder, and feeds the drift monitor,
+   hits, fallbacks) into its own collector, appends to the workload
+   recorder, and feeds the drift monitor,
 4. when the observed workload has drifted and a reselector is
    configured, triggers one background re-advise; if its selection beats
    the current one by the margin, the server materializes it and swaps.
@@ -225,8 +224,8 @@ class QueryServer:
         self.breaker = breaker
         self.fault_hook = fault_hook
         if breaker is not None:
-            # trips/resets land on the server's own collector, whichever
-            # collector the failing batch records into (probes pass theirs)
+            # trips/resets land on the server's own collector, also when
+            # a fleet health probe's execution trips the breaker
             if breaker.on_trip is None:
                 breaker.on_trip = lambda structure: self.telemetry.note_breaker_trip()
             if breaker.on_reset is None:
@@ -290,20 +289,14 @@ class QueryServer:
         """
         return self.serve_batch([entry])[0]
 
-    def serve_batch(
-        self,
-        entries: Sequence[LogEntry],
-        telemetry: Optional[TelemetryCollector] = None,
-    ) -> List[ServeOutcome]:
+    def serve_batch(self, entries: Sequence[LogEntry]) -> List[ServeOutcome]:
         """Answer a batch of concrete queries in grouped passes.
 
         The batch reads the serving state once (stable across the call),
         consults the result cache, collapses duplicate concrete queries,
         groups the misses by routed plan, and answers each group in one
         pass over its target structure.  Outcomes come back in input
-        order.  ``telemetry`` redirects recording to a caller-owned
-        collector (a health probe's private one); the workload recorder
-        and drift monitor are always shared.
+        order.
 
         Latency accounting: executed entries report their plan group's
         elapsed time split evenly across the group's unique queries
@@ -313,7 +306,6 @@ class QueryServer:
         """
         if not entries:
             return []
-        collector = telemetry if telemetry is not None else self.telemetry
         state = self._state  # single atomic read: stable across the batch
         tag = (state.generation, state.catalog.version)
         if self.backend is not None:
@@ -366,10 +358,10 @@ class QueryServer:
                 if result.error_structure:
                     # one executor error + one raw rescue per *unique*
                     # execution — reconciles 1:1 with injected faults
-                    collector.note_executor_error(result.error_structure)
-                    collector.note_raw_rescue()
+                    self.telemetry.note_executor_error(result.error_structure)
+                    self.telemetry.note_raw_rescue()
                 elif result.short_circuited:
-                    collector.note_breaker_short_circuit()
+                    self.telemetry.note_breaker_short_circuit()
                 if cache is not None and not (
                     result.rescued or result.short_circuited
                 ):
@@ -397,12 +389,10 @@ class QueryServer:
                         groups=result.groups,
                         rescued=result.rescued,
                     )
-        self._observe_batch(outcomes, collector)
+        self._observe_batch(outcomes)
         return outcomes
 
-    def _observe_batch(
-        self, outcomes: Sequence[ServeOutcome], collector: TelemetryCollector
-    ) -> None:
+    def _observe_batch(self, outcomes: Sequence[ServeOutcome]) -> None:
         labels = self._pattern_labels
         observations = []
         for outcome in outcomes:
@@ -420,7 +410,7 @@ class QueryServer:
                     outcome.fallback,
                 )
             )
-        collector.record_many(observations)
+        self.telemetry.record_many(observations)
         if self.recorder is not None:
             for outcome in outcomes:
                 self.recorder.record(outcome.entry)

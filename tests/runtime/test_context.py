@@ -70,6 +70,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="memory_limit_mb"):
             RunContext(memory_limit_mb=0)
 
+    def test_nan_budgets_rejected_infinite_deadline_allowed(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="deadline"):
+            RunContext(deadline=nan)
+        with pytest.raises(ValueError, match="memory_limit_mb"):
+            RunContext(memory_limit_mb=nan)
+        assert RunContext(deadline=inf).deadline == inf
+
     def test_negative_checkpoint_interval_rejected(self):
         with pytest.raises(ValueError, match="checkpoint_interval"):
             RunContext(checkpoint_interval=-0.1)

@@ -63,10 +63,10 @@ class ReferenceServer(QueryServer):
     """The server with its former per-query hit loop (cache path only:
     no backend, which these tests do not attach)."""
 
-    def serve_batch(self, entries, telemetry=None):
+    def serve_batch(self, entries):
         if not entries:
             return []
-        collector = telemetry if telemetry is not None else self.telemetry
+        collector = self.telemetry
         state = self._state
         tag = (state.generation, state.catalog.version)
         cache = self.cache
@@ -132,7 +132,7 @@ class ReferenceServer(QueryServer):
                         groups=result.groups,
                         rescued=result.rescued,
                     )
-        self._observe_batch(outcomes, collector)
+        self._observe_batch(outcomes)
         return outcomes
 
 

@@ -198,17 +198,13 @@ class TestFailover:
     def test_crashing_replica_strikes_out_and_queries_survive(
         self, serve_fact4, serve_model4, selection4, log4
     ):
-        fleet = make_fleet(
-            serve_fact4,
-            serve_model4,
-            selection4,
-            max_worker_restarts=0,
-            strike_limit=1,
-        )
+        fleet = make_fleet(serve_fact4, serve_model4, selection4, strike_limit=1)
 
         def crash():
             raise Boom("worker down")
 
+        for replica in fleet.replicas:
+            replica.frontend.max_worker_restarts = 0
         fleet.replicas[0].frontend.crash_hook = crash
         try:
             results = fleet.serve_many(log4)
@@ -226,7 +222,6 @@ class TestFailover:
             serve_fact4,
             serve_model4,
             selection4,
-            max_worker_restarts=0,
             strike_limit=1000,  # passive strikes never mark it unhealthy
             retry=RetryPolicy(max_attempts=2, base_delay=0.001),
         )
@@ -235,6 +230,7 @@ class TestFailover:
             raise Boom("always down")
 
         for replica in fleet.replicas:
+            replica.frontend.max_worker_restarts = 0
             replica.frontend.crash_hook = crash
         try:
             with pytest.raises((RetriesExhausted, NoHealthyReplica)) as info:
@@ -259,24 +255,24 @@ class TestDeadline:
             selection4,
             replicas=1,
             batch_size=1,
-            queue_depth=1,
             query_deadline=deadline,
             retry=RetryPolicy(max_attempts=1),
             strike_limit=1000,
         )
         frontend = fleet.replicas[0].frontend
+        frontend.queue_depth = 1
         real = fleet.replicas[0].server.serve_batch
         started = [threading.Event(), threading.Event()]
         gates = [threading.Event(), threading.Event()]
         calls = [0]
 
-        def gated(entries, telemetry=None):
+        def gated(entries):
             call = calls[0]
             calls[0] += 1
             if call < len(gates):
                 started[call].set()
                 assert gates[call].wait(10)
-            return real(entries, telemetry=telemetry)
+            return real(entries)
 
         fleet.replicas[0].server.serve_batch = gated
         outcome = {}
@@ -399,22 +395,26 @@ class TestHealthChecker:
             fleet.close()
 
     def test_probe_raise_strikes(self, serve_fact4, serve_model4, selection4):
+        """An executor error inside the probe fails it.  Replica 1
+        materializes nothing, so its probe runs on the raw cube, where
+        an error has no rescue (a structure's error is rescued raw)."""
         fleet = make_fleet(
-            serve_fact4, serve_model4, selection4, strike_limit=1
+            serve_fact4, serve_model4, [selection4, ()], strike_limit=1
         )
 
-        def boom_batch(entries, telemetry=None):
-            # a structure error would be rescued raw; only the serving
-            # call itself raising reaches the checker's except path
-            raise Boom("probe poisoned")
+        def boom(structure, entry):
+            raise Boom(f"probe poisoned on {structure}")
 
-        fleet.replicas[0].server.serve_batch = boom_batch
+        for replica in fleet.replicas:
+            replica.server.fault_hook = boom
         try:
             sweep = fleet.checker.check_now()
         finally:
             fleet.close()
-        assert sweep[0] is False
-        assert "probe raised" in fleet.checker.probe_history(0)[-1]["reason"]
+        assert sweep == {0: True, 1: False}
+        assert not fleet.replicas[1].available
+        reason = fleet.checker.probe_history(1)[-1]["reason"]
+        assert reason.startswith("probe raised: Boom('probe poisoned on raw")
 
     def test_background_checker_runs(
         self, serve_fact4, serve_model4, selection4
@@ -433,18 +433,54 @@ class TestHealthChecker:
         time.sleep(0.08)
         assert fleet.checker.checks == checks_at_close  # stopped with fleet
 
+    @pytest.mark.parametrize("cache_bytes", [0, 1 << 20], ids=["no-cache", "cache"])
     def test_probes_stay_out_of_serving_telemetry(
-        self, serve_fact4, serve_model4, selection4, log4
+        self, serve_fact4, serve_model4, selection4, log4, cache_bytes
     ):
-        fleet = make_fleet(serve_fact4, serve_model4, selection4)
+        fleet = make_fleet(
+            serve_fact4, serve_model4, selection4, cache_bytes=cache_bytes
+        )
         try:
             for _ in range(5):
                 fleet.checker.check_now()
             fleet.serve_many(log4)
+            for _ in range(5):
+                fleet.checker.check_now()
         finally:
             fleet.close()
-        document = fleet.merged_telemetry().snapshot()
+        document = fleet.telemetry_snapshot()
         assert document["queries"] == len(log4)
+        cache = document["cache"]
+        if cache_bytes:
+            assert cache["hits"] + cache["misses"] == len(log4)
+        else:
+            assert cache["enabled"] is False
+
+    def test_cached_slow_replica_fails_every_probe(
+        self, serve_fact4, serve_model4, selection4
+    ):
+        """Each probe runs on the executor, so a cached answer cannot
+        pass a slow replica after its first probe."""
+        fleet = make_fleet(
+            serve_fact4, serve_model4, selection4, cache_bytes=16 << 20
+        )
+        slow_calls = []
+
+        def sleeper(structure, entry):
+            slow_calls.append(structure)
+            time.sleep(0.06)  # over the 50 ms probe threshold
+
+        fleet.replicas[0].server.fault_hook = sleeper
+        try:
+            sweeps = [fleet.checker.check_now() for __ in range(5)]
+        finally:
+            fleet.close()
+        assert [sweep[0] for sweep in sweeps] == [False] * 5
+        assert [sweep[1] for sweep in sweeps] == [True] * 5
+        assert len(slow_calls) == 5
+        history = fleet.checker.probe_history(0)
+        assert [record["reason"] for record in history] == ["slow probe"] * 5
+        assert not fleet.replicas[0].available
 
 
 class TestUnavailabilityAccounting:

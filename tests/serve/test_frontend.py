@@ -1,4 +1,4 @@
-"""Serving front-end: admission bounds, per-tenant fairness, one
+"""Serving front-end: admission bounds, batches in submission order, one
 dispatcher thread, and telemetry indistinguishable from serial serving."""
 
 import sys
@@ -38,12 +38,12 @@ class _BlockedFirstBatch:
         self.release = threading.Event()
         self.batches = []
 
-    def __call__(self, entries, telemetry=None):
+    def __call__(self, entries):
         self.batches.append(list(entries))
         if len(self.batches) == 1:
             self.started.set()
             assert self.release.wait(10)
-        return self.real(entries, telemetry=telemetry)
+        return self.real(entries)
 
 
 class TestAdmission:
@@ -58,7 +58,7 @@ class TestAdmission:
             frontend.submit(log[1])
             frontend.submit(log[2])  # queue at capacity
             with pytest.raises(AdmissionQueueFull):
-                frontend.submit(log[3], block=False)
+                frontend.submit(log[3], timeout=0)
             with pytest.raises(AdmissionQueueFull):
                 frontend.submit(log[4], timeout=0.05)
             assert frontend.rejected == 2
@@ -103,31 +103,43 @@ class TestAdmission:
             ServingFrontend(server4, queue_depth=0)
 
 
-class TestFairness:
-    def test_batches_interleave_tenants_round_robin(
+class TestOrder:
+    def test_batches_take_entries_in_submission_order(
         self, server4, serve_schema4
     ):
-        """A tenant with a deep backlog gets one slot per rotation — the
-        drained batch alternates tenants instead of serving the flood
-        first."""
-        log = generate_query_log(serve_schema4, 9, rng=4)
+        """Interleaved submitters share one FIFO: behind a busy
+        dispatcher, each batch is the next ``batch_size`` entries in the
+        order they were submitted, whichever thread submitted them."""
+        log = generate_query_log(serve_schema4, 41, rng=4)
         blocker = _BlockedFirstBatch(server4)
         server4.serve_batch = blocker
         frontend = ServingFrontend(server4, batch_size=8)
-        frontend.submit(log[0], tenant="warmup")
-        assert blocker.started.wait(10)
-        # tenant A floods; tenant B trickles
-        for entry in log[1:5]:
-            frontend.submit(entry, tenant="A")
-        for entry in log[5:7]:
-            frontend.submit(entry, tenant="B")
-        blocker.release.set()
-        assert frontend.drain(10)
-        frontend.close()
-        second = blocker.batches[1]
-        # round-robin: A B A B A A — B's two entries sit at slots 1 and 3
-        expected = [log[1], log[5], log[2], log[6], log[3], log[4]]
-        assert second == expected
+        submitted, lock = [], threading.Lock()
+
+        def submitter(k):
+            for entry in log[1 + k :: 4]:
+                with lock:  # the lock order is the submission order
+                    frontend.submit(entry)
+                    submitted.append(entry)
+
+        try:
+            frontend.submit(log[0])
+            assert blocker.started.wait(10)
+            threads = [
+                threading.Thread(target=submitter, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            blocker.release.set()
+            frontend.close()  # serves the queue first
+        assert len(submitted) == len(log) - 1
+        assert blocker.batches[1:] == [
+            submitted[lo : lo + 8] for lo in range(0, len(submitted), 8)
+        ]
 
 
 class TestMergedTelemetry:
@@ -185,7 +197,7 @@ class TestMergedTelemetry:
     ):
         entry = generate_query_log(serve_schema4, 1, rng=7)[0]
 
-        def boom(entries, telemetry=None):
+        def boom(entries):
             raise RuntimeError("injected execution failure")
 
         server4.serve_batch = boom
@@ -233,9 +245,9 @@ class TestDispatcher:
         real = server4.serve_batch
         serving = []
 
-        def recording(entries, telemetry=None):
+        def recording(entries):
             serving.append(threading.current_thread())
-            return real(entries, telemetry=telemetry)
+            return real(entries)
 
         server4.serve_batch = recording
         crash = threading.Event()
@@ -323,7 +335,7 @@ class TestCancellation:
         futures, lock = [], threading.Lock()
 
         def client(k):
-            mine = [frontend.submit(entry, tenant=f"t{k}") for entry in log]
+            mine = [frontend.submit(entry) for entry in log]
             for future in mine[k % 2 :: 2]:
                 future.cancel()
             with lock:

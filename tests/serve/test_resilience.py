@@ -21,6 +21,9 @@ from repro.serve.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    RETRY_JITTER,
+    RETRY_MAX_DELAY,
+    RETRY_MULTIPLIER,
     CircuitBreaker,
     RetryPolicy,
 )
@@ -142,28 +145,29 @@ class TestCircuitBreaker:
 
 class TestRetryPolicy:
     def test_delay_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.1, multiplier=2.0, max_delay=0.35,
-            jitter=0.0,
-        )
-        rng = random.Random(0)
-        delays = [policy.delay(a, rng) for a in range(4)]
-        assert delays == [0.1, 0.2, 0.35, 0.35]
+        policy = RetryPolicy(max_attempts=8, base_delay=0.1)
+        delays = [policy.delay(a) for a in range(8)]  # no rng: no jitter
+        growing = [d for d in delays if d < RETRY_MAX_DELAY]
+        assert growing == [0.1 * RETRY_MULTIPLIER**a for a in range(len(growing))]
+        assert delays[len(growing):] == [RETRY_MAX_DELAY] * (8 - len(growing))
+        assert len(growing) < 8  # the cap was reached
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.5, max_delay=10.0)
+        policy = RetryPolicy(base_delay=0.01)
         rng = random.Random(7)
-        for attempt in range(3):
-            nominal = min(10.0, 0.1 * 2.0**attempt)
+        for attempt in range(8):
+            nominal = min(RETRY_MAX_DELAY, 0.01 * RETRY_MULTIPLIER**attempt)
             for _ in range(50):
                 delay = policy.delay(attempt, rng)
-                assert 0.5 * nominal <= delay <= 1.5 * nominal
+                assert (
+                    (1 - RETRY_JITTER) * nominal
+                    <= delay
+                    <= (1 + RETRY_JITTER) * nominal
+                )
 
     def test_validates_configuration(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-0.1)
 

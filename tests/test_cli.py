@@ -290,6 +290,22 @@ class TestRuntimeFlags:
         assert doc["stop_reason"] == "budget-exceeded"
         assert doc["selected"] == ["psc"]  # the seed stage completed
 
+    @pytest.mark.parametrize("flag", ["--deadline", "--memory-limit-mb"])
+    def test_nan_budget_is_bad_input(self, cube_file, flag, capsys):
+        rc = main(
+            ["advise", "--lattice", cube_file, "--space", "25e6", flag, "nan"]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_infinite_deadline_completes(self, cube_file, capsys):
+        rc = main(
+            ["advise", "--lattice", cube_file, "--space", "25e6",
+             "--deadline", "inf"]
+        )
+        assert rc == 0
+
     def test_checkpoint_resume_round_trip(self, cube_file, tmp_path, capsys):
         full_file = tmp_path / "full.json"
         assert (

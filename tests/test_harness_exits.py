@@ -10,6 +10,7 @@ import importlib
 import pytest
 
 SERVE = ["serve", "--dims", "3", "--queries", "10"]
+FLEET = SERVE + ["--replicas", "2"]
 
 CASES = [
     ("repro.serve.chaos", ["--dims", "3", "--queries", "0"]),
@@ -26,6 +27,13 @@ CASES = [
     ("repro.cli", SERVE + ["--cache-mb", "-5", "--replicas", "2"]),
     ("repro.cli", SERVE + ["--cache-mb", "1e-7"]),
     ("repro.cli", SERVE + ["--cache-mb", "1e-7", "--replicas", "2"]),
+    ("repro.cli", FLEET + ["--probe-interval", "0"]),
+    ("repro.cli", FLEET + ["--probe-interval", "-1"]),
+    ("repro.cli", FLEET + ["--probe-interval", "nan"]),
+    ("repro.cli", FLEET + ["--probe-interval", "inf"]),
+    ("repro.cli", FLEET + ["--query-deadline", "nan"]),
+    ("repro.cli", FLEET + ["--query-deadline", "inf"]),
+    ("repro.cli", SERVE + ["--adaptive", "--deadline", "nan"]),
 ]
 
 
