@@ -357,41 +357,43 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--full-readvise",
             action="store_true",
-            help="re-advise on the full 3^n candidate universe instead of "
-            "workload-mined candidates (only feasible at small d)",
+            help="with --adaptive: re-advise on the full 3^n candidate "
+            "universe instead of workload-mined candidates (only feasible "
+            "at small d)",
         )
         command.add_argument(
             "--drift-threshold",
             type=float,
             default=None,
             help="total-variation distance that counts as drift "
-            "(default: 0.25)",
+            "(single server only; default: 0.25)",
         )
         command.add_argument(
             "--drift-min-queries",
             type=int,
             default=None,
             help="observations required before drift can trigger "
-            "(default: 50)",
+            "(single server only; default: 50)",
         )
         command.add_argument(
             "--margin",
             type=float,
             default=None,
-            help="relative cost improvement a re-advised selection needs "
-            "to be swapped in (default: 0.05)",
+            help="with --adaptive: relative cost improvement a re-advised "
+            "selection needs to be swapped in (default: 0.05)",
         )
         command.add_argument(
             "--deadline",
             type=float,
             default=None,
-            help="wall-clock budget in seconds for each background "
-            "re-advise",
+            help="with --adaptive: wall-clock budget in seconds for each "
+            "background re-advise",
         )
         command.add_argument(
             "--checkpoint",
             default=None,
-            help="checkpoint path for the background re-advise runs",
+            help="with --adaptive: checkpoint path for the background "
+            "re-advise runs",
         )
         command.add_argument(
             "--fail-on-fallback",
@@ -420,21 +422,21 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="fleet per-attempt answer deadline in seconds before "
-            "the router re-routes (default: 2.0)",
+            "the router re-routes (requires --replicas >= 2; default: 2.0)",
         )
         command.add_argument(
             "--retry-attempts",
             type=int,
             default=None,
             help="fleet attempts per query, with jittered exponential "
-            "backoff between them (default: 3)",
+            "backoff between them (requires --replicas >= 2; default: 3)",
         )
         command.add_argument(
             "--probe-interval",
             type=float,
             default=None,
             help="seconds between background fleet health sweeps "
-            "(default: no background probing)",
+            "(requires --replicas >= 2; default: no background probing)",
         )
         command.add_argument(
             "--backend",
@@ -1041,11 +1043,6 @@ def _serve_fleet(args: argparse.Namespace, entries) -> int:
     )
     from repro.serve.telemetry import _percentile
 
-    if args.adaptive or args.record:
-        raise ValueError(
-            "the single-server features --adaptive and --record are "
-            "rejected on the fleet path; drop them or use --replicas 1"
-        )
     fact, model = _serving_cube(args)
     router = None
     ratio = None
@@ -1182,9 +1179,28 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: ``serve``/``replay`` flags that only one path reads: the replica
+#: fleet (``--replicas >= 2``), the background re-advise (``--adaptive``)
+#: and the single server's drift monitor.  Each is rejected where
+#: nothing would read it.
+FLEET_FLAGS = (
+    "--divergent",
+    "--query-deadline",
+    "--retry-attempts",
+    "--probe-interval",
+)
+READVISE_FLAGS = ("--margin", "--deadline", "--checkpoint", "--full-readvise")
+DRIFT_FLAGS = ("--drift-threshold", "--drift-min-queries")
+
+
+def _given(args: argparse.Namespace, flag: str) -> bool:
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return value is not None and value is not False
+
+
 def _check_serving_flags(args: argparse.Namespace) -> None:
     """Flag values and combinations serve and replay reject as input
-    errors."""
+    errors, a flag that nothing on the chosen path reads among them."""
     if args.replicas < 1:
         raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     if args.cache_mb is not None and not (
@@ -1193,14 +1209,35 @@ def _check_serving_flags(args: argparse.Namespace) -> None:
         raise ValueError(
             f"--cache-mb must be a finite number >= 0, got {args.cache_mb:g}"
         )
-    if args.divergent and args.replicas < 2:
-        raise ValueError("--divergent requires --replicas >= 2")
+    if args.replicas < 2:
+        for flag in FLEET_FLAGS:
+            if _given(args, flag):
+                raise ValueError(f"{flag} requires --replicas >= 2")
+    else:
+        if args.adaptive or args.record:
+            raise ValueError(
+                "the single-server features --adaptive and --record are "
+                "rejected on the fleet path; drop them or use --replicas 1"
+            )
+        for flag in DRIFT_FLAGS:
+            if _given(args, flag):
+                raise ValueError(
+                    f"{flag} sets the single server's drift monitor; drop "
+                    "it or use --replicas 1"
+                )
+        if args.backend == "sqlite":
+            raise ValueError("--backend sqlite serves single-server only")
+    if not args.adaptive:
+        for flag in READVISE_FLAGS:
+            if _given(args, flag):
+                raise ValueError(
+                    f"{flag} sets the background re-advise; it requires "
+                    "--adaptive"
+                )
     if args.divergent and args.selection:
         raise ValueError(
             "--divergent advises one selection per replica; drop --selection"
         )
-    if args.backend == "sqlite" and args.replicas >= 2:
-        raise ValueError("--backend sqlite serves single-server only")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

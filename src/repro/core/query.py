@@ -14,36 +14,60 @@ attribute, a selection attribute, or absent.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Dict, Iterable, Iterator, Sequence
 
 from repro.core.view import View, join_attrs
 
 
+#: The one object of each ``(class, groupby, selection)``: equal queries
+#: of one class are the same object, so every dict keyed by a query
+#: finds it by identity and never calls ``__eq__``.  It holds at most
+#: ``3^n`` queries per ``n``-dimension schema.
+_INTERNED: Dict[tuple, "SliceQuery"] = {}
+
+
 class SliceQuery:
     """A slice query ``γ_A σ_B`` with group-by set ``A``, selection set ``B``.
+
+    Queries are interned: building an equal query of the same class again
+    returns the first object (also from ``pickle``, ``copy`` and
+    ``deepcopy``).  A subclass keeps its own instances.
 
     >>> q = SliceQuery(groupby=["c"], selection=["p", "s"])
     >>> str(q)
     'γ(c)σ(ps)'
     >>> q.view == View.of("c", "p", "s")
     True
+    >>> q is SliceQuery(groupby=["c"], selection=["s", "p"])
+    True
     """
 
-    __slots__ = ("_groupby", "_selection", "_view", "_hash")
+    __slots__ = ("_groupby", "_selection", "_view", "_hash", "_label")
 
-    def __init__(self, groupby: Iterable[str] = (), selection: Iterable[str] = ()):
+    def __new__(cls, groupby: Iterable[str] = (), selection: Iterable[str] = ()):
         groupby = frozenset(groupby)
         selection = frozenset(selection)
+        key = (cls, groupby, selection)
+        query = _INTERNED.get(key)
+        if query is not None:
+            return query
         overlap = groupby & selection
         if overlap:
             raise ValueError(
                 f"group-by and selection attributes must be disjoint; "
                 f"both contain {sorted(overlap)}"
             )
-        self._groupby = groupby
-        self._selection = selection
-        self._view = View(groupby | selection)
-        self._hash = hash((self._groupby, self._selection))
+        query = super().__new__(cls)
+        query._groupby = groupby
+        query._selection = selection
+        query._view = View(groupby | selection)
+        query._hash = hash((groupby, selection))
+        query._label = None
+        # a thread that lost the race to publish gets the winner's object
+        return _INTERNED.setdefault(key, query)
+
+    def __reduce__(self):
+        return (type(self), (self._groupby, self._selection))
 
     @property
     def groupby(self) -> frozenset:
@@ -85,8 +109,12 @@ class SliceQuery:
         return self._hash
 
     def __str__(self) -> str:
-        groupby = join_attrs(sorted(self._groupby))
-        return f"γ({groupby})σ({join_attrs(sorted(self._selection))})"
+        label = self._label
+        if label is None:  # formatted on first use, so an unprinted query holds none
+            groupby = join_attrs(sorted(self._groupby))
+            label = f"γ({groupby})σ({join_attrs(sorted(self._selection))})"
+            self._label = label
+        return label
 
     def __repr__(self) -> str:
         return f"SliceQuery({str(self)})"

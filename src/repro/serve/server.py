@@ -86,9 +86,9 @@ class ServingState:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeOutcome:
-    """What serving one query observed."""
+    """What serving one query observed (slotted: no ad-hoc attributes)."""
 
     entry: LogEntry
     structure: str
@@ -251,9 +251,6 @@ class QueryServer:
         self.swap_count = 0
         self.outcomes: List[ReadviseOutcome] = []
         self._closed = False
-        #: pattern -> str(pattern) memo: formatting a SliceQuery label is
-        #: pure-Python and was a third of the warm per-query cost
-        self._pattern_labels: Dict[SliceQuery, str] = {}
         self._state = self._materialize(tuple(selection), generation=0)
 
     # -------------------------------------------------------------- state
@@ -393,24 +390,19 @@ class QueryServer:
         return outcomes
 
     def _observe_batch(self, outcomes: Sequence[ServeOutcome]) -> None:
-        labels = self._pattern_labels
-        observations = []
-        for outcome in outcomes:
-            query = outcome.entry.query
-            pattern = labels.get(query)
-            if pattern is None:  # idempotent write: safe under concurrency
-                pattern = labels[query] = str(query)
-            observations.append(
+        self.telemetry.record_many(
+            [
                 (
-                    pattern,
+                    outcome.entry.query,
                     outcome.structure,
                     outcome.latency_us,
                     outcome.predicted_rows,
                     outcome.actual_rows,
                     outcome.fallback,
                 )
-            )
-        self.telemetry.record_many(observations)
+                for outcome in outcomes
+            ]
+        )
         if self.recorder is not None:
             for outcome in outcomes:
                 self.recorder.record(outcome.entry)

@@ -142,6 +142,8 @@ class TelemetryCollector:
         """Record a batch of ``(pattern, structure, latency_us,
         predicted_rows, actual_rows, fallback)`` tuples, in order, under
         one lock acquisition (the batched server's per-batch fast path).
+        ``pattern`` is a query or its label; a kept record holds
+        ``str(pattern)``, and nothing formats it when records are off.
 
         The scalar counters are kept in locals for the loop and written
         back once; the row totals still add one observation at a time.
@@ -187,7 +189,7 @@ class TelemetryCollector:
                     if records is not None:
                         records.append(
                             {
-                                "pattern": pattern,
+                                "pattern": str(pattern),
                                 "structure": structure,
                                 "predicted_rows": predicted,
                                 "actual_rows": int(actual_rows),
@@ -569,4 +571,7 @@ def validate_telemetry(document: dict) -> dict:
         for pos, record in enumerate(records):
             if not isinstance(record, dict) or "actual_rows" not in record:
                 raise ValueError(f"records[{pos}] is not a per-query record")
+            for field in ("pattern", "structure"):
+                if not isinstance(record.get(field), str):
+                    raise ValueError(f"records[{pos}].{field} must be a string")
     return document

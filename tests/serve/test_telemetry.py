@@ -148,6 +148,29 @@ class TestValidate:
         with pytest.raises(ValueError, match="records"):
             validate_telemetry(doc)
 
+    @pytest.mark.parametrize("field", ["pattern", "structure"])
+    @pytest.mark.parametrize("value", [None, 7, ["γ(p)σ()"], "missing"])
+    def test_rejects_non_string_record_labels(self, field, value):
+        doc = self._valid()
+        if value == "missing":
+            del doc["records"][0][field]
+        else:
+            doc["records"][0][field] = value
+        message = rf"records\[0\]\.{field} must be a string"
+        with pytest.raises(ValueError, match=message):
+            validate_telemetry(doc)
+
+    def test_query_pattern_is_recorded_as_its_label(self):
+        """``record_many`` takes a query where the server passes one and
+        keeps its label, so the document stays valid JSON of strings."""
+        from repro.core.query import SliceQuery
+
+        t = TelemetryCollector()
+        query = SliceQuery(groupby=["c"], selection=["p", "s"])
+        t.record_many([(query, "psc", 1.0, 4.0, 4, False)])
+        doc = validate_telemetry(t.snapshot())
+        assert doc["records"][0]["pattern"] == "γ(c)σ(ps)"
+
     def test_survives_json_round_trip(self):
         import json
 

@@ -634,6 +634,74 @@ class TestServeFleet:
         assert squash(phrase) in squash(capsys.readouterr().err)
 
 
+class TestUnreadServingFlags:
+    """A flag that nothing on the chosen serving path reads is an input
+    error (one ``error:`` line, exit 2), not silently ignored."""
+
+    SERVE = ["serve", "--dims", "3", "--queries", "10"]
+
+    @pytest.mark.parametrize(
+        "extra,flag",
+        [
+            (["--probe-interval", "0", "--query-deadline", "nan"], "--query-deadline"),
+            (["--probe-interval", "0.01"], "--probe-interval"),
+            (["--retry-attempts", "3"], "--retry-attempts"),
+            (["--query-deadline", "2"], "--query-deadline"),
+            (["--divergent"], "--divergent"),
+        ],
+    )
+    def test_fleet_flags_need_replicas(self, extra, flag, capsys):
+        assert main(self.SERVE + extra) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {flag} requires --replicas >= 2"]
+
+    @pytest.mark.parametrize(
+        "extra,flag",
+        [
+            (["--deadline", "nan"], "--deadline"),
+            (["--deadline", "60"], "--deadline"),
+            (["--margin", "0.1"], "--margin"),
+            (["--checkpoint", "never-written.ckpt"], "--checkpoint"),
+            (["--full-readvise"], "--full-readvise"),
+        ],
+    )
+    @pytest.mark.parametrize("replicas", [[], ["--replicas", "2"]])
+    def test_readvise_flags_need_adaptive(self, extra, flag, replicas, capsys):
+        assert main(self.SERVE + replicas + extra) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+        assert "--adaptive" in err[0]
+
+    @pytest.mark.parametrize(
+        "extra", [["--drift-threshold", "0.3"], ["--drift-min-queries", "5"]]
+    )
+    def test_drift_flags_rejected_on_fleet(self, extra, capsys):
+        assert main(self.SERVE + ["--replicas", "2"] + extra) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {extra[0]} ")
+        assert "single server" in err[0]
+
+    def test_replay_checks_the_same_flags(self, tmp_path, capsys):
+        log = tmp_path / "observed.jsonl"
+        assert main(self.SERVE + ["--record", str(log)]) == 0
+        capsys.readouterr()
+        rc = main(["replay", "--dims", "3", "--log", str(log), "--margin", "0.1"])
+        assert rc == 2
+        assert "requires --adaptive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--drift-threshold", "0.3", "--drift-min-queries", "5"],
+            ["--adaptive", "--margin", "0.1", "--deadline", "inf"],
+            ["--adaptive", "--full-readvise"],
+            ["--replicas", "2", "--retry-attempts", "2", "--query-deadline", "5"],
+        ],
+    )
+    def test_flags_read_on_their_path_still_serve(self, extra, capsys):
+        assert main(self.SERVE + extra) == 0
+
+
 class TestDivergentServing:
     def test_partition_command_writes_report(self, tmp_path, capsys):
         log = tmp_path / "observed.jsonl"
