@@ -124,7 +124,7 @@ def run_diff(
         fact = random_fact(schema, rng, density=density)
         model = LinearCostModel.from_fact(fact)
         selection = tuple(serving_advise(model).selected)
-        views, indexes = resolve_selection(selection)
+        views, indexes = resolve_selection(selection, schema.names)
         catalog = Catalog(fact)
         materialize_selection(catalog, views, indexes)
         executor = Executor(catalog, model)

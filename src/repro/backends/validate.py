@@ -219,7 +219,7 @@ def validate_cost(
         cost_model = LinearCostModel.from_fact(fact)
     if entries is None:
         entries = generate_query_log(fact.schema, n_queries, rng=rng)
-    views, indexes = resolve_selection(selection)
+    views, indexes = resolve_selection(selection, fact.schema.names)
     catalog = Catalog(fact)
     materialize_selection(catalog, views, indexes)
     executor = Executor(catalog, cost_model)

@@ -229,36 +229,12 @@ class BenefitEngine:
     # ----------------------------------------------------------- compilation
 
     def _build_sparse(self, n_s, n_q, s_idx, q_idx, vals) -> None:
-        """Build the CSR (by structure) and CSC (by query) edge stores."""
-        s_idx = np.asarray(s_idx, dtype=np.int64)
-        q_idx = np.asarray(q_idx, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        # the vectorized from_cube emits edges already in strict CSR order
-        # (structure-major, query-minor, no duplicates) — detect that and
-        # skip the O(nnz log nnz) sort, which dominates compile time
-        if s_idx.size:
-            same_row = s_idx[1:] == s_idx[:-1]
-            csr_ordered = bool(np.all(s_idx[1:] >= s_idx[:-1])) and bool(
-                np.all(q_idx[1:][same_row] > q_idx[:-1][same_row])
-            )
-        else:
-            csr_ordered = True
-        if csr_ordered:
-            s_sorted, q_sorted, v_sorted = s_idx, q_idx, vals
-        else:
-            order = np.lexsort((q_idx, s_idx))
-            s_sorted, q_sorted, v_sorted = s_idx[order], q_idx[order], vals[order]
-            dup = np.zeros(s_sorted.size, dtype=bool)
-            dup[1:] = (s_sorted[1:] == s_sorted[:-1]) & (q_sorted[1:] == q_sorted[:-1])
-            if dup.any():
-                # parallel edges keep the minimum cost, as add_edge does
-                firsts = np.flatnonzero(~dup)
-                v_sorted = np.minimum.reduceat(v_sorted, firsts)
-                s_sorted = s_sorted[firsts]
-                q_sorted = q_sorted[firsts]
-        self._row_cols = q_sorted.astype(np.int32)
-        self._row_vals = v_sorted
-        self._row_ptr = np.searchsorted(s_sorted, np.arange(n_s + 1)).astype(
+        """Build the CSR (by structure) and CSC (by query) edge stores
+        from the graph's edge arrays, which are in CSR order with
+        parallel edges merged (:meth:`QueryViewGraph.edge_arrays`)."""
+        self._row_cols = q_idx.astype(np.int32)
+        self._row_vals = vals
+        self._row_ptr = np.searchsorted(s_idx, np.arange(n_s + 1)).astype(
             np.int64, copy=False
         )
 
@@ -266,16 +242,16 @@ class BenefitEngine:
         # sorting the packed keys (query << shift) | position in place
         # gives (they fit int64 while queries x edges < 2**62); the
         # positions then gather rows and costs once each.
-        shift = int(s_sorted.size).bit_length()
-        keys = q_sorted << shift
-        keys |= np.arange(s_sorted.size, dtype=np.int64)
+        shift = int(s_idx.size).bit_length()
+        keys = q_idx << shift
+        keys |= np.arange(s_idx.size, dtype=np.int64)
         keys.sort()
         self._col_ptr = np.searchsorted(
             keys, np.arange(n_q + 1, dtype=np.int64) << shift
         ).astype(np.int64, copy=False)
         keys &= (1 << shift) - 1
-        self._col_rows = s_sorted.astype(np.int32)[keys]
-        self._col_vals = v_sorted[keys]
+        self._col_rows = s_idx.astype(np.int32)[keys]
+        self._col_vals = vals[keys]
         self._full = _EdgeStore(
             self._row_ptr, self._row_cols, self._row_vals,
             self._col_ptr, self._col_rows, self._col_vals,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from repro.core.query import SliceQuery
-from repro.core.view import View, join_attrs
+from repro.core.view import View, join_attrs, label_attrs, parse_view
 
 
 class Index:
@@ -111,36 +111,33 @@ class Index:
         return f"Index({str(self)})"
 
 
-def parse_index_label(text: str) -> Index:
-    """Parse an index written in the paper's label form, e.g. ``I_sp(ps)``.
+def parse_structure(label: str, schema_names: Collection[str]) -> Union[View, Index]:
+    """Parse a structure label against the cube's attribute names: the
+    inverse of :meth:`~repro.core.lattice.CubeLattice.label` and
+    :meth:`~repro.core.lattice.CubeLattice.index_label`.
 
-    The inverse of ``str(Index)`` /
-    :meth:`~repro.core.lattice.CubeLattice.index_label`: the key sits
-    between ``I_`` and ``(``, the view inside the parentheses.  Key
-    attributes follow the same convention as views — single characters
-    concatenate (``sp``), multi-character names join with commas
-    (``I_month,day(month,day)``).
+    ``I_<key>(<view>)`` is an index and anything else a view, the key
+    and the view each read by :func:`~repro.core.view.label_attrs`:
+    ``"ps"``, ``"part,customer"`` and ``"none"`` are views,
+    ``"I_sp(ps)"`` and ``"I_week(store,week)"`` indexes.  Raises
+    ``ValueError`` on a malformed label or an attribute outside
+    ``schema_names``.
 
-    >>> idx = parse_index_label("I_sp(ps)")
+    >>> idx = parse_structure("I_sp(ps)", "psc")
     >>> (str(idx.view), idx.key)
     ('ps', ('s', 'p'))
     """
-    from repro.core.view import parse_view
-
-    stripped = text.strip()
-    if not (stripped.startswith("I_") and stripped.endswith(")") and "(" in stripped):
-        raise ValueError(f"not an index label: {text!r}")
-    key_text, view_text = stripped[2:-1].split("(", 1)
-    view = parse_view(view_text)
-    if "," in key_text:
-        key = tuple(part.strip() for part in key_text.split(","))
-    elif key_text in view.attrs:
-        # a single multi-character attribute (only expressible when the
-        # view itself was written with commas)
-        key = (key_text,)
-    else:
-        key = tuple(key_text)
-    return Index(view, key)
+    text = label.strip()
+    if not text.startswith("I_"):
+        return parse_view(text, schema_names)
+    key_text, paren, view_text = text[2:].partition("(")
+    if not (paren and view_text.endswith(")") and key_text.strip()):
+        raise ValueError(f"malformed index label {label!r}")
+    view = parse_view(view_text[:-1], schema_names)
+    try:
+        return Index(view, label_attrs(key_text, schema_names))
+    except ValueError as exc:
+        raise ValueError(f"malformed index label {label!r}: {exc}") from exc
 
 
 def enumerate_fat_indexes(view: View) -> Iterator[Index]:

@@ -19,16 +19,20 @@ Graphs come from three places:
   :meth:`QueryViewGraph.from_mined`, which takes its queries, views and
   index keys from a query log instead.
 
-Edges are stored two ways: a ``(query, structure) -> cost`` dict fed by
-:meth:`add_edge`, and *bulk blocks* of position-indexed numpy arrays fed by
-:meth:`add_edges_bulk`.  The block path exists for scale — ``from_cube`` on
-a d=7 fat-index cube emits ~5 million edges, and one dict insert per edge
-dominates the build.  :class:`EdgeKernel` computes answerability and
-index costs with subset bitmasks over the lattice, one view at a time;
-the vectorized ``from_cube`` and :meth:`QueryViewGraph.from_mined` both
-append its whole edge arrays, and :meth:`edge_arrays` hands the combined
-edge set to the benefit engine without ever materializing per-edge
-Python objects.
+Edges live in one store: position-indexed ``(query, structure, cost)``
+arrays (positions being the insertion order of the query and structure
+nodes).  :meth:`~QueryViewGraph.add_edge` appends one edge to it and
+:meth:`~QueryViewGraph.add_edges_bulk` a whole block; the first read puts
+the store into CSR order (structure-major, queries ascending within a
+structure) with each parallel pair at its minimum cost, so
+:meth:`~QueryViewGraph.edge_cost`, :meth:`~QueryViewGraph.edges`,
+:attr:`~QueryViewGraph.n_edges`, :meth:`~QueryViewGraph.edge_arrays` and
+the benefit engine all read one resolved edge set.  Both cube builders
+compile through :class:`EdgeKernel`, which computes answerability and
+index costs with subset bitmasks over the lattice, one view at a time,
+and appends whole edge blocks already in CSR order: ``from_cube`` on a
+d=7 fat-index cube emits ~5 million edges without a per-edge Python
+object.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.costmodel import LinearCostModel
 from repro.core.index import Index, enumerate_all_indexes, enumerate_fat_indexes
 from repro.core.lattice import CubeLattice
 from repro.core.query import SliceQuery, enumerate_slice_queries
@@ -128,13 +131,15 @@ class QueryViewGraph:
         self._queries: Dict[str, QuerySpec] = {}
         self._structures: Dict[str, Structure] = {}
         self._view_indexes: Dict[str, list] = {}
-        # (query_name, structure_name) -> min cost over parallel edges
-        self._edges: Dict[Tuple[str, str], float] = {}
-        # bulk edges: (query_positions, structure_positions, costs) arrays,
-        # positions being insertion order of the node dicts
+        # node positions (insertion order), which the edge store holds
+        self._query_pos: Dict[str, int] = {}
+        self._structure_pos: Dict[str, int] = {}
+        # the edge store: (query_positions, structure_positions, costs)
+        # blocks, plus the single edges add_edge has appended since the
+        # last block; _csr is the resolved store, None after an append
         self._edge_blocks: list = []
-        self._n_block_edges = 0
-        self._block_lookup: Optional[Dict[Tuple[int, int], float]] = None
+        self._edge_buffer: list = []
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------ building
 
@@ -149,15 +154,20 @@ class QueryViewGraph:
         if name in self._queries:
             raise ValueError(f"duplicate query name {name!r}")
         spec = QuerySpec(name, default_cost, frequency, payload)
+        self._query_pos[name] = len(self._queries)
         self._queries[name] = spec
+        return spec
+
+    def _add_structure(self, spec: Structure) -> Structure:
+        if spec.name in self._structures:
+            raise ValueError(f"duplicate structure name {spec.name!r}")
+        self._structure_pos[spec.name] = len(self._structures)
+        self._structures[spec.name] = spec
         return spec
 
     def add_view(self, name: str, space: float, payload: Any = None) -> Structure:
         """Add a view structure.  Names must be unique among structures."""
-        if name in self._structures:
-            raise ValueError(f"duplicate structure name {name!r}")
-        spec = Structure(name, VIEW_KIND, space, name, payload)
-        self._structures[name] = spec
+        spec = self._add_structure(Structure(name, VIEW_KIND, space, name, payload))
         self._view_indexes[name] = []
         return spec
 
@@ -173,15 +183,14 @@ class QueryViewGraph:
         ``space`` defaults to the owning view's space, per the paper's
         index-size model (Section 4.2.2).
         """
-        if name in self._structures:
-            raise ValueError(f"duplicate structure name {name!r}")
         view = self._structures.get(view_name)
         if view is None or not view.is_view:
             raise ValueError(f"unknown view {view_name!r} for index {name!r}")
-        spec = Structure(
-            name, INDEX_KIND, view.space if space is None else space, view_name, payload
+        spec = self._add_structure(
+            Structure(
+                name, INDEX_KIND, view.space if space is None else space, view_name, payload
+            )
         )
-        self._structures[name] = spec
         self._view_indexes[view_name].append(name)
         return spec
 
@@ -197,18 +206,18 @@ class QueryViewGraph:
 
         Parallel edges keep only the minimum cost.
         """
-        if query_name not in self._queries:
+        query_pos = self._query_pos.get(query_name)
+        if query_pos is None:
             raise ValueError(f"unknown query {query_name!r}")
-        if structure_name not in self._structures:
+        structure_pos = self._structure_pos.get(structure_name)
+        if structure_pos is None:
             raise ValueError(f"unknown structure {structure_name!r}")
         if not cost >= 0:
             raise ValueError("edge cost must be >= 0")
         if not math.isfinite(cost):
             raise ValueError("edge cost must be finite")
-        key = (query_name, structure_name)
-        prev = self._edges.get(key)
-        if prev is None or cost < prev:
-            self._edges[key] = cost
+        self._edge_buffer.append((query_pos, structure_pos, cost))
+        self._csr = None
 
     def add_edges_bulk(
         self,
@@ -219,11 +228,9 @@ class QueryViewGraph:
         """Append a block of edges given by *node positions* (insertion
         order of queries / structures) instead of names.
 
-        This is the scale path: a block is stored as three aligned numpy
-        arrays, so millions of edges cost three array appends.  Parallel
-        edges across blocks (or against :meth:`add_edge`) are resolved to
-        the minimum cost at read time (``edge_cost``) and at engine
-        compile time.
+        Millions of edges cost three array appends.  Parallel edges,
+        within the block or against earlier ones, keep only the minimum
+        cost, as with :meth:`add_edge`.
         """
         q = np.ascontiguousarray(query_positions, dtype=np.int64)
         s = np.ascontiguousarray(structure_positions, dtype=np.int64)
@@ -240,9 +247,22 @@ class QueryViewGraph:
             raise ValueError("edge cost must be >= 0")
         if not np.all(np.isfinite(c)):
             raise ValueError("edge cost must be finite")
+        self._close_edge_buffer()
         self._edge_blocks.append((q, s, c))
-        self._n_block_edges += int(q.size)
-        self._block_lookup = None
+        self._csr = None
+
+    def _close_edge_buffer(self) -> None:
+        """Turn the single edges appended since the last block into one."""
+        if self._edge_buffer:
+            q, s, c = zip(*self._edge_buffer)
+            self._edge_blocks.append(
+                (
+                    np.array(q, dtype=np.int64),
+                    np.array(s, dtype=np.int64),
+                    np.array(c, dtype=np.float64),
+                )
+            )
+            self._edge_buffer = []
 
     # ------------------------------------------------------------ reading
 
@@ -272,78 +292,48 @@ class QueryViewGraph:
         """Names of the indexes registered on a view."""
         return list(self._view_indexes[view_name])
 
-    def edges(self) -> Iterable:
-        """Yield ``(query_name, structure_name, cost)`` triples."""
-        for (q, s), cost in self._edges.items():
-            yield q, s, cost
-        if self._edge_blocks:
-            query_names = list(self._queries)
-            structure_names = list(self._structures)
-            for q, s, c in self._edge_blocks:
-                for qi, si, ci in zip(q.tolist(), s.tolist(), c.tolist()):
-                    yield query_names[qi], structure_names[si], ci
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge store as read-only ``(query_positions,
+        structure_positions, costs)`` int64/int64/float64 arrays in CSR
+        order (structure-major, queries strictly ascending within a
+        structure), each parallel pair at its minimum cost.
 
-    def _block_lookup_map(self) -> Dict[Tuple[int, int], float]:
-        """Lazy ``(query_pos, structure_pos) -> min cost`` map over the
-        bulk blocks — only for name-based point lookups; the engine reads
-        blocks via :meth:`edge_arrays` and never builds this."""
-        if self._block_lookup is None:
-            lookup: Dict[Tuple[int, int], float] = {}
-            for q, s, c in self._edge_blocks:
-                for qi, si, ci in zip(q.tolist(), s.tolist(), c.tolist()):
-                    key = (qi, si)
-                    prev = lookup.get(key)
-                    if prev is None or ci < prev:
-                        lookup[key] = ci
-            self._block_lookup = lookup
-        return self._block_lookup
+        Resolved once after the last append; the builders' blocks arrive
+        in CSR order, so only hand-built graphs pay the sort."""
+        if self._csr is None:
+            self._close_edge_buffer()
+            if self._edge_blocks:
+                # a copy even of one block: the store owns its arrays
+                q, s, c = (np.concatenate(parts) for parts in zip(*self._edge_blocks))
+            else:
+                q = s = np.empty(0, dtype=np.int64)
+                c = np.empty(0, dtype=np.float64)
+            self._csr = _csr_order(q, s, c)
+            self._edge_blocks = [self._csr]
+        return self._csr
+
+    def edges(self) -> Iterable:
+        """Yield ``(query_name, structure_name, cost)`` triples in CSR
+        order, each (query, structure) pair once."""
+        q, s, c = self.edge_arrays()
+        query_names = list(self._queries)
+        structure_names = list(self._structures)
+        for qi, si, ci in zip(q.tolist(), s.tolist(), c.tolist()):
+            yield query_names[qi], structure_names[si], ci
 
     def edge_cost(self, query_name: str, structure_name: str) -> Optional[float]:
-        """Cost of the edge, or ``None`` if absent (min over parallel
-        edges, across both the dict and bulk stores)."""
-        best = self._edges.get((query_name, structure_name))
-        if self._edge_blocks:
-            qpos = list(self._queries).index(query_name) if query_name in self._queries else -1
-            spos = (
-                list(self._structures).index(structure_name)
-                if structure_name in self._structures
-                else -1
-            )
-            if qpos >= 0 and spos >= 0:
-                block = self._block_lookup_map().get((qpos, spos))
-                if block is not None and (best is None or block < best):
-                    best = block
-        return best
-
-    def edge_arrays(self) -> tuple:
-        """All edges as ``(query_positions, structure_positions, costs)``
-        int64/int64/float64 arrays (dict edges first, then bulk blocks;
-        parallel edges are *not* merged here — the benefit engine keeps
-        the minimum)."""
-        query_pos = {name: i for i, name in enumerate(self._queries)}
-        structure_pos = {name: i for i, name in enumerate(self._structures)}
-        q_parts = [
-            np.fromiter(
-                (query_pos[q] for (q, _s) in self._edges), dtype=np.int64, count=len(self._edges)
-            )
-        ]
-        s_parts = [
-            np.fromiter(
-                (structure_pos[s] for (_q, s) in self._edges),
-                dtype=np.int64,
-                count=len(self._edges),
-            )
-        ]
-        c_parts = [np.fromiter(self._edges.values(), dtype=np.float64, count=len(self._edges))]
-        for q, s, c in self._edge_blocks:
-            q_parts.append(q)
-            s_parts.append(s)
-            c_parts.append(c)
-        return (
-            np.concatenate(q_parts),
-            np.concatenate(s_parts),
-            np.concatenate(c_parts),
-        )
+        """Cost of the edge (the minimum over parallel edges), or ``None``
+        if absent."""
+        query_pos = self._query_pos.get(query_name)
+        structure_pos = self._structure_pos.get(structure_name)
+        if query_pos is None or structure_pos is None:
+            return None
+        q, s, c = self.edge_arrays()
+        lo, hi = np.searchsorted(s, (structure_pos, structure_pos + 1))
+        pos = lo + int(np.searchsorted(q[lo:hi], query_pos))
+        if pos < hi and q[pos] == query_pos:
+            return float(c[pos])
+        return None
 
     @property
     def n_queries(self) -> int:
@@ -355,7 +345,8 @@ class QueryViewGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges) + self._n_block_edges
+        """Number of (query, structure) pairs with an edge."""
+        return int(self.edge_arrays()[2].size)
 
     def total_space(self) -> float:
         """Space needed to materialize every structure."""
@@ -366,23 +357,9 @@ class QueryViewGraph:
         return sum(q.frequency * q.default_cost for q in self._queries.values())
 
     def validate(self) -> None:
-        """Check invariants: index edges never cost more than the owning
-        view's scan edge would allow to be useful, every index has an owner,
-        edge endpoints exist.  Raises ``ValueError`` on violation."""
-        for (q, s), cost in self._edges.items():
-            if q not in self._queries:
-                raise ValueError(f"edge references unknown query {q!r}")
-            if s not in self._structures:
-                raise ValueError(f"edge references unknown structure {s!r}")
-            if not cost >= 0:
-                raise ValueError(f"edge ({q}, {s}) has negative cost")
-        for q, s, c in self._edge_blocks:
-            if q.size and (int(q.min()) < 0 or int(q.max()) >= len(self._queries)):
-                raise ValueError("bulk edge references unknown query position")
-            if s.size and (int(s.min()) < 0 or int(s.max()) >= len(self._structures)):
-                raise ValueError("bulk edge references unknown structure position")
-            if not np.all(c >= 0):
-                raise ValueError("bulk edge has negative cost")
+        """Check that every index has an owning view.  Raises
+        ``ValueError`` on violation.  (Edge endpoints and costs are
+        checked as the edges are added.)"""
         for name, struct in self._structures.items():
             if struct.is_index and struct.view_name not in self._structures:
                 raise ValueError(f"index {name!r} has unknown view {struct.view_name!r}")
@@ -401,17 +378,13 @@ class QueryViewGraph:
         lattice: CubeLattice,
         queries: Optional[Sequence[SliceQuery]] = None,
         frequencies: Optional[Mapping[SliceQuery, float]] = None,
-        cost_model: Optional[LinearCostModel] = None,
         index_universe: str = "fat",
-        skip_useless_index_edges: bool = True,
     ) -> "QueryViewGraph":
-        """Build the query-view graph of a data cube.
-
-        The bitmask fast path builds it whenever the inputs allow (plain
-        :class:`LinearCostModel` over this lattice, plain
-        :class:`SliceQuery` queries, at most 20 dimensions); any other
-        input goes through the per-edge loop.  Both paths produce
-        node-for-node, edge-for-edge identical graphs.
+        """Build the query-view graph of a data cube: every lattice view
+        and its enumerated indexes, priced by :class:`EdgeKernel` under
+        the linear cost model with the top view as the raw data.  An
+        index edge that does not beat the view scan is left out — it can
+        never influence a selection.
 
         Parameters
         ----------
@@ -421,91 +394,27 @@ class QueryViewGraph:
             The query population; defaults to all ``3^n`` slice queries.
         frequencies:
             Optional per-query weights (default: equiprobable, weight 1).
-        cost_model:
-            Defaults to :class:`LinearCostModel` over ``lattice`` with the
-            top view as the raw data.
         index_universe:
             ``"fat"`` (default) enumerates only fat indexes per the
             pruning argument of Section 4.2.2; ``"all"`` enumerates every
             ordering of every non-empty attribute subset (for the pruning
             ablation); ``"none"`` adds no indexes (the [HRU96] setting).
-        skip_useless_index_edges:
-            When True (default), index edges that do not beat the plain
-            view scan are omitted — they can never influence a selection.
         """
-        if cost_model is None:
-            cost_model = LinearCostModel(lattice)
         if queries is None:
             queries = list(enumerate_slice_queries(lattice.schema.names))
         else:
             queries = list(queries)
         frequencies = dict(frequencies or {})
         index_enum = _index_enumerator(index_universe)
-
-        if (
-            type(cost_model) is LinearCostModel
-            and cost_model.lattice is lattice
-            and isinstance(lattice, CubeLattice)
-            and lattice.schema.n_dims <= 20
-            and cost_model.default_view.attrs <= set(lattice.schema.names)
-            and all(type(q) is SliceQuery for q in queries)
-        ):
-            return cls._from_cube_vectorized(
-                lattice, queries, frequencies, cost_model.default_view,
-                index_enum, skip_useless_index_edges,
-            )
-        return cls._from_cube_per_edge(
-            lattice, queries, frequencies, cost_model,
-            index_enum, skip_useless_index_edges,
+        return cls._compile(
+            lattice,
+            queries,
+            [frequencies.get(query, 1.0) for query in queries],
+            ((view, list(index_enum(view))) for view in lattice.views()),
         )
 
     @classmethod
-    def _from_cube_per_edge(
-        cls,
-        lattice: CubeLattice,
-        queries: Sequence[SliceQuery],
-        frequencies: Mapping[SliceQuery, float],
-        cost_model: LinearCostModel,
-        index_enum,
-        skip_useless_index_edges: bool,
-    ) -> "QueryViewGraph":
-        """Per-edge loop of :meth:`from_cube`: one ``cost_model.cost``
-        call and one :meth:`add_edge` per (query, structure) pair.  The
-        only path for a subclassed cost model, non-:class:`SliceQuery`
-        queries, and more than 20 dimensions."""
-        graph = cls()
-        for query in queries:
-            graph.add_query(
-                str(query),
-                default_cost=cost_model.default_cost(query),
-                frequency=frequencies.get(query, 1.0),
-                payload=query,
-            )
-
-        for view in lattice.views():
-            view_name = lattice.label(view)
-            graph.add_view(view_name, space=lattice.size(view), payload=view)
-            answerable = [q for q in queries if q.answerable_by(view)]
-            for query in answerable:
-                graph.add_edge(str(query), view_name, cost_model.cost(query, view))
-            for index in index_enum(view):
-                index_name = lattice.index_label(index)
-                graph.add_index(view_name, index_name, payload=index)
-                view_rows = lattice.size(view)
-                for query in answerable:
-                    cost = cost_model.cost(query, view, index)
-                    if skip_useless_index_edges and cost >= view_rows:
-                        continue
-                    graph.add_edge(str(query), index_name, cost)
-        return graph
-
-    @classmethod
-    def from_mined(
-        cls,
-        lattice: CubeLattice,
-        mined,
-        skip_useless_index_edges: bool = True,
-    ) -> "QueryViewGraph":
+    def from_mined(cls, lattice: CubeLattice, mined) -> "QueryViewGraph":
         """Build the graph of a *mined* candidate space (see
         :mod:`repro.mining`).
 
@@ -514,8 +423,7 @@ class QueryViewGraph:
         query nodes, view nodes, and index nodes all come from the mined
         attribute sets alone, so a d=9–10 cube whose full graph cannot
         even be built compiles in seconds.  Edges come from the same
-        :class:`EdgeKernel` as :meth:`from_cube`'s fast path, under the
-        linear cost model with the top view as the raw data.
+        :class:`EdgeKernel` as :meth:`from_cube`'s.
 
         ``mined`` is duck-typed (a
         :class:`repro.mining.candidates.MinedCandidates`, kept out of
@@ -529,7 +437,6 @@ class QueryViewGraph:
         same structures.  Raises ``ValueError`` for a mined view outside
         the lattice or a query over attributes outside the schema.
         """
-        graph = cls()
 
         def query_key(query):
             return (
@@ -540,75 +447,78 @@ class QueryViewGraph:
             )
 
         queries = sorted(mined.queries, key=query_key)
-        kernel = EdgeKernel(lattice, queries)
-        for query in queries:
-            graph.add_query(
-                str(query),
-                default_cost=kernel.default_cost,
-                frequency=float(mined.queries[query]),
-                payload=query,
-            )
-        for attrs in mined.view_attrs:
-            view = View(attrs)
-            indexes = [Index(view, key) for key in mined.index_keys.get(attrs, ())]
-            graph._add_view_edges(kernel, view, indexes, skip_useless_index_edges)
-        return graph
+        return cls._compile(
+            lattice,
+            queries,
+            [float(mined.queries[query]) for query in queries],
+            (
+                (view, [Index(view, key) for key in mined.index_keys.get(view.attrs, ())])
+                for view in map(View, mined.view_attrs)
+            ),
+        )
 
     @classmethod
-    def _from_cube_vectorized(
+    def _compile(
         cls,
         lattice: CubeLattice,
         queries: Sequence[SliceQuery],
-        frequencies: Mapping[SliceQuery, float],
-        default_view: View,
-        index_enum,
-        skip_useless_index_edges: bool,
+        frequencies: Sequence[float],
+        structures: Iterable[Tuple[View, Sequence[Index]]],
     ) -> "QueryViewGraph":
-        """Bitmask fast path of :meth:`from_cube`: every lattice view and
-        its enumerated indexes through :class:`EdgeKernel`.  Emits
-        node-for-node, edge-for-edge the same graph as the reference
-        loop."""
+        """The graph of ``queries`` (weighted by ``frequencies``, in
+        order) and ``structures``, ``(view, indexes)`` pairs in structure
+        order, with every edge block from one :class:`EdgeKernel`."""
         graph = cls()
-        kernel = EdgeKernel(lattice, queries, default_view)
-        for query in queries:
+        kernel = EdgeKernel(lattice, queries)
+        for query, frequency in zip(queries, frequencies):
             graph.add_query(
                 str(query),
                 default_cost=kernel.default_cost,
-                frequency=frequencies.get(query, 1.0),
+                frequency=frequency,
                 payload=query,
             )
-        for view in lattice.views():
-            graph._add_view_edges(
-                kernel, view, list(index_enum(view)), skip_useless_index_edges
-            )
+        for view, indexes in structures:
+            blocks = kernel.edge_blocks(view, indexes, view_pos=graph.n_structures)
+            view_name = lattice.label(view)
+            graph.add_view(view_name, space=lattice.size(view), payload=view)
+            for index in indexes:
+                # index_label's name, without re-deriving the view's label
+                name = f"I_{join_attrs(index.key)}({view_name})"
+                graph.add_index(view_name, name, payload=index)
+            for query_pos, structure_pos, costs in blocks:
+                graph.add_edges_bulk(query_pos, structure_pos, costs)
         return graph
 
-    def _add_view_edges(
-        self,
-        kernel: "EdgeKernel",
-        view: View,
-        indexes: Sequence[Index],
-        skip_useless_index_edges: bool,
-    ) -> None:
-        """Add ``view``, its ``indexes``, and their kernel edge blocks."""
-        blocks = kernel.edge_blocks(
-            view, indexes, skip_useless_index_edges, view_pos=self.n_structures
-        )
-        lattice = kernel.lattice
-        view_name = lattice.label(view)
-        self.add_view(view_name, space=lattice.size(view), payload=view)
-        for index in indexes:
-            # index_label's name, without re-deriving the view's label
-            name = f"I_{join_attrs(index.key)}({view_name})"
-            self.add_index(view_name, name, payload=index)
-        for query_pos, structure_pos, costs in blocks:
-            self.add_edges_bulk(query_pos, structure_pos, costs)
+
+def _csr_order(
+    q: np.ndarray, s: np.ndarray, c: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges in CSR order with each parallel pair at its minimum cost,
+    as read-only arrays.  Edges already in strict CSR order (what the
+    builders emit) skip the ``O(E log E)`` sort."""
+    same_row = s[1:] == s[:-1]
+    ordered = bool(np.all(s[1:] >= s[:-1])) and bool(
+        np.all(q[1:][same_row] > q[:-1][same_row])
+    )
+    if not ordered:
+        order = np.lexsort((q, s))
+        q, s, c = q[order], s[order], c[order]
+        first = np.ones(q.size, dtype=bool)
+        first[1:] = (s[1:] != s[:-1]) | (q[1:] != q[:-1])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            c = np.minimum.reduceat(c, starts)
+            q, s = q[starts], s[starts]
+    for arr in (q, s, c):
+        arr.flags.writeable = False
+    return q, s, c
 
 
 class EdgeKernel:
-    """The linear cost model (:class:`LinearCostModel`) evaluated on
+    """The linear cost model
+    (:class:`~repro.core.costmodel.LinearCostModel`) evaluated on
     attribute bitmasks over a fixed query list — the edge computation
-    shared by :meth:`QueryViewGraph.from_cube`'s fast path,
+    shared by :meth:`QueryViewGraph.from_cube`,
     :meth:`QueryViewGraph.from_mined` and
     :func:`repro.mining.bound.compute_benefit_bound`.
 
@@ -621,19 +531,12 @@ class EdgeKernel:
     view answers up to 729 queries, but at most 64 masks decide their
     costs.
 
-    Construction raises ``ValueError`` for a query the default view
-    (the raw data; the lattice's top by default) cannot answer, as
-    :meth:`LinearCostModel.default_cost` does.
+    Construction raises ``ValueError`` for a query the top view (the
+    raw data) cannot answer, as ``LinearCostModel.default_cost`` does.
     """
 
-    def __init__(
-        self,
-        lattice: CubeLattice,
-        queries: Sequence[SliceQuery],
-        default_view: Optional[View] = None,
-    ):
-        if default_view is None:
-            default_view = lattice.top
+    def __init__(self, lattice: CubeLattice, queries: Sequence[SliceQuery]):
+        top = lattice.top
         self.lattice = lattice
         names = tuple(lattice.schema.names)
         self._bit = {attr: 1 << i for i, attr in enumerate(names)}
@@ -647,15 +550,13 @@ class EdgeKernel:
         self._prefix_rows[0] = 1.0
         # impossible prefix: a bit no selection mask has
         self._sentinel = np.int64(n_masks)
-        self.default_cost = lattice.size(default_view)
+        self.default_cost = lattice.size(top)
 
         self.attr_masks = np.empty(len(queries), dtype=np.int64)
         self.sel_masks = np.empty(len(queries), dtype=np.int64)
         for qi, query in enumerate(queries):
-            if not query.attrs <= default_view.attrs:
-                raise ValueError(
-                    f"{query} is not answerable by the default view {default_view}"
-                )
+            if not query.attrs <= top.attrs:
+                raise ValueError(f"{query} is not answerable by the top view {top}")
             self.attr_masks[qi] = self._mask_of(query.attrs)
             self.sel_masks[qi] = self._mask_of(query.selection)
 
@@ -673,11 +574,7 @@ class EdgeKernel:
         return np.maximum(costs, 1.0, out=costs)
 
     def edge_blocks(
-        self,
-        view: View,
-        indexes: Sequence[Index],
-        skip_useless_index_edges: bool = True,
-        view_pos: int = 0,
+        self, view: View, indexes: Sequence[Index], view_pos: int = 0
     ) -> list:
         """Edges of ``view`` and its ``indexes`` as ``(query_positions,
         structure_positions, costs)`` array blocks.
@@ -685,9 +582,8 @@ class EdgeKernel:
         The view sits at structure position ``view_pos`` and
         ``indexes[i]`` at ``view_pos + 1 + i``; blocks are
         structure-major with ascending query positions within a
-        structure.  With ``skip_useless_index_edges`` an index edge is
-        dropped unless it beats the view scan.  Raises ``ValueError``
-        for a view outside the lattice.
+        structure.  An index edge is dropped unless it beats the view
+        scan.  Raises ``ValueError`` for a view outside the lattice.
         """
         if view not in self.lattice:
             raise ValueError(f"view {view} is not a view of this lattice")
@@ -726,11 +622,7 @@ class EdgeKernel:
                 usable_len += (prefix_masks[:, j : j + 1] & not_sel[None, :]) == 0
             pair_prefix = np.take_along_axis(prefix_masks, usable_len, axis=1)
             costs = self.index_cost(view_mask, pair_prefix)
-            if skip_useless_index_edges:
-                keep = (costs < view_rows)[:, sel_of]
-            else:
-                keep = np.ones((len(chunk), ans.size), dtype=bool)
-            ii, aa = np.nonzero(keep)
+            ii, aa = np.nonzero((costs < view_rows)[:, sel_of])
             if ii.size:
                 blocks.append((ans[aa], view_pos + 1 + lo + ii, costs[ii, sel_of[aa]]))
         return blocks

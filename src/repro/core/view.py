@@ -12,7 +12,7 @@ view whose attribute set is a superset of its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence, Tuple
 
 
 def join_attrs(attrs: Sequence[str]) -> str:
@@ -135,22 +135,53 @@ class View:
         return f"View({str(self)})"
 
 
-def parse_view(text: str) -> View:
-    """Parse a view written in the paper's compact notation.
+def label_attrs(text: str, schema_names: Collection[str]) -> Tuple[str, ...]:
+    """The attributes a label lists, in order, read against the cube's
+    attribute names: a label that is one of ``schema_names`` is that one
+    attribute (``"week"``); otherwise commas separate attributes
+    (``"part,customer"``), and without commas each character is one
+    (``"ps"``), the way :func:`join_attrs` writes them.  Raises
+    ``ValueError`` for an attribute outside ``schema_names``.
 
-    ``"ps"`` means ``{p, s}`` when there are no commas; ``"part,customer"``
-    splits on commas; ``"none"`` or ``""`` is the empty view.
+    >>> label_attrs("sp", "psc")
+    ('s', 'p')
+    >>> label_attrs("week", ["store", "week"])
+    ('week',)
+    """
+    names = tuple(schema_names)
+    text = text.strip()
+    if text in names:
+        attrs: Tuple[str, ...] = (text,)
+    elif "," in text:
+        attrs = tuple(part.strip() for part in text.split(","))
+    else:
+        attrs = tuple(text)
+    unknown = [attr for attr in attrs if attr not in names]
+    if unknown:
+        raise ValueError(
+            f"label {text!r} names unknown dimensions {unknown} "
+            f"(have {', '.join(names)})"
+        )
+    return attrs
 
-    >>> parse_view("ps") == View.of("p", "s")
+
+def parse_view(text: str, schema_names: Collection[str]) -> View:
+    """Parse a view label (:meth:`~repro.core.lattice.CubeLattice.label`)
+    against the cube's attribute names.
+
+    ``"none"`` or ``""`` is the empty view; anything else lists its
+    attributes as :func:`label_attrs` reads them, so ``"ps"`` is
+    ``{p, s}``, ``"part,customer"`` is ``{part, customer}`` and
+    ``"week"`` is ``{week}`` on a cube with a ``week`` dimension.
+
+    >>> parse_view("ps", "psc") == View.of("p", "s")
     True
-    >>> parse_view("part,customer") == View.of("part", "customer")
+    >>> parse_view("week", ["store", "week"]) == View.of("week")
     True
-    >>> parse_view("none") == View.none()
+    >>> parse_view("none", "psc") == View.none()
     True
     """
     text = text.strip()
     if text in ("", "none", "()"):
         return View.none()
-    if "," in text:
-        return View(part.strip() for part in text.split(","))
-    return View(text)
+    return View(label_attrs(text, schema_names))

@@ -69,7 +69,9 @@ class RoutingTable:
         #: in selection order (the order its catalog builds them)
         self._replicas = []
         for selection in self.selections:
-            views, indexes = resolve_selection(selection)
+            views, indexes = resolve_selection(
+                selection, cost_model.lattice.schema.names
+            )
             by_view = {view: [] for view in views}
             for index in indexes:
                 by_view[index.view].append(index)

@@ -83,12 +83,7 @@ def lattice_from_dict(document: Dict) -> CubeLattice:
     if view_rows is not None:
         sizes = {}
         for label, rows in view_rows.items():
-            view = parse_view(label)
-            unknown = view.attrs - set(schema.names)
-            if unknown:
-                raise ValueError(
-                    f"view {label!r} references unknown dimensions {sorted(unknown)}"
-                )
+            view = parse_view(label, schema.names)
             sizes[view] = _require_finite(rows, f"view_rows[{label!r}]")
         return CubeLattice(schema, sizes)
     raw_rows = document.get("raw_rows")

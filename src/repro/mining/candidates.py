@@ -27,9 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from repro.core.index import parse_index_label
+from repro.core.index import Index, parse_structure
 from repro.core.query import SliceQuery
-from repro.core.view import parse_view
 from repro.cube.query_log import LogEntry, pattern_counts
 from repro.mining.cluster import QueryCluster, cluster_queries
 
@@ -124,7 +123,8 @@ class MinedCandidates:
 
     def ensure_structures(self, names: Iterable[str]) -> None:
         """Guarantee the named structures (paper-style labels, e.g. ``ps``
-        or ``I_sp(ps)``) survive the pruning.
+        or ``I_sp(ps)``, read against :attr:`schema_names`) survive the
+        pruning.
 
         The adaptive reselector injects the *currently deployed*
         selection here so a pruned re-advise can still price the
@@ -132,11 +132,11 @@ class MinedCandidates:
         on a graph missing its own structures.
         """
         for name in names:
-            if name.startswith("I_"):
-                index = parse_index_label(name)
-                self.ensure_index(index.view.attrs, index.key)
+            structure = parse_structure(name, self.schema_names)
+            if isinstance(structure, Index):
+                self.ensure_index(structure.view.attrs, structure.key)
             else:
-                self.ensure_view(parse_view(name).attrs)
+                self.ensure_view(structure.attrs)
 
     # --------------------------------------------------------- fingerprint
 

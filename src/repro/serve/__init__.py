@@ -28,6 +28,7 @@ round-robin to cost-routed (each query to its predicted-cheapest
 replica, failover down the ranking) — see :mod:`repro.distributed`.
 """
 
+from repro.core.index import parse_structure
 from repro.serve.adaptive import (
     READVISE_MARGIN,
     AdaptiveReselector,
@@ -69,7 +70,7 @@ from repro.serve.server import (
     ServeOutcome,
     ServingState,
 )
-from repro.serve.structures import parse_structure, resolve_selection
+from repro.serve.structures import resolve_selection
 from repro.serve.telemetry import (
     FLEET_COUNTER_FIELDS,
     RAW_LABEL,

@@ -265,7 +265,7 @@ class QueryServer:
         return self._state.selection
 
     def _materialize(self, names: Tuple[str, ...], generation: int) -> ServingState:
-        views, indexes = resolve_selection(names)
+        views, indexes = resolve_selection(names, self.fact.schema.names)
         catalog = Catalog(self.fact)
         materialize_selection(catalog, views, indexes)
         executor = Executor(catalog, self.cost_model)

@@ -5,58 +5,34 @@ the paper's compact notation — views as ``psc`` / ``part,customer`` /
 ``none``, indexes as ``I_sp(ps)`` — which is also what ``repro advise``
 persists to JSON.  The serving layer turns those labels back into
 :class:`~repro.core.view.View` and :class:`~repro.core.index.Index`
-objects so the catalog can materialize them.
+objects, with :func:`~repro.core.index.parse_structure` reading each
+label against the cube's attribute names, so the catalog can
+materialize them.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, List, Tuple, Union
+from typing import Collection, Iterable, List, Tuple
 
-from repro.core.index import Index
-from repro.core.view import View, parse_view
-
-_INDEX_LABEL = re.compile(r"I_(?P<key>[^()]+)\((?P<view>[^()]*)\)\Z")
-
-
-def parse_structure(label: str) -> Union[View, Index]:
-    """Parse a structure label into a :class:`View` or :class:`Index`.
-
-    ``"ps"`` / ``"none"`` / ``"part,customer"`` parse as views (the
-    :func:`~repro.core.view.parse_view` rules); ``"I_sp(ps)"`` and
-    ``"I_part,customer(part,customer)"`` parse as indexes.  Raises
-    ``ValueError`` on malformed labels.
-    """
-    label = label.strip()
-    match = _INDEX_LABEL.fullmatch(label)
-    if match is None:
-        if label.startswith("I_"):
-            raise ValueError(f"malformed index label {label!r}")
-        return parse_view(label)
-    key_text = match.group("key")
-    if "," in key_text:
-        key = tuple(part.strip() for part in key_text.split(","))
-    else:
-        key = tuple(key_text)
-    view = parse_view(match.group("view"))
-    try:
-        return Index(view, key)
-    except ValueError as exc:
-        raise ValueError(f"malformed index label {label!r}: {exc}") from exc
+from repro.core.index import Index, parse_structure
+from repro.core.view import View
 
 
 def resolve_selection(
-    names: Iterable[str],
+    labels: Iterable[str],
+    schema_names: Collection[str],
 ) -> Tuple[List[View], List[Index]]:
     """Split selection labels into views and indexes, preserving order.
 
-    Raises ``ValueError`` when an index's owning view is not part of the
+    Each label is read against ``schema_names``, the cube's attribute
+    names (:func:`~repro.core.index.parse_structure`).  Raises
+    ``ValueError`` when an index's owning view is not part of the
     selection — the catalog could never build it.
     """
     views: List[View] = []
     indexes: List[Index] = []
-    for name in names:
-        structure = parse_structure(name)
+    for label in labels:
+        structure = parse_structure(label, schema_names)
         if isinstance(structure, Index):
             indexes.append(structure)
         else:

@@ -8,15 +8,16 @@ predicted (``|C| / |E|``).  The collector aggregates those under a lock
 concurrently — and snapshots to a stable JSON document the CI smoke validates.
 
 Latency percentiles are exact (computed from the retained samples, not
-interpolated from buckets); the histogram is log-spaced buckets for
-eyeballing the distribution shape.
+interpolated from buckets); the histogram, log-spaced buckets for
+eyeballing the distribution shape, is counted from the same samples at
+snapshot time.
 
 Collectors are **mergeable**: a replica fleet combines its own
 collector with every replica's server collector through
 :meth:`TelemetryCollector.merge` when reporting — counters add exactly,
-histograms add bucket-wise, and percentiles are recomputed nearest-rank
-over the union of the retained samples, so a merged report is
-indistinguishable from one collector having seen every query.
+and the histogram and percentiles are recomputed over the union of the
+retained samples, so a merged report is indistinguishable from one
+collector having seen every query.
 
 A snapshot (schema v4, the only one :func:`validate_telemetry` accepts)
 also holds the result cache's counters, ``merged_from`` (how many
@@ -30,6 +31,8 @@ from __future__ import annotations
 import threading
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 TELEMETRY_SCHEMA_VERSION = 4
 
@@ -85,6 +88,14 @@ def _percentile(samples: Sequence[float], q: float) -> float:
     return ordered[rank]
 
 
+def _bucket_counts(samples) -> List[int]:
+    """Samples per :data:`LATENCY_BUCKETS_US` bucket: each sample counts
+    in the first bucket whose bound is at least the sample, NaN in none
+    (``searchsorted`` places NaN past the last bound)."""
+    positions = np.searchsorted(LATENCY_BUCKETS_US, np.array(samples, dtype=np.float64))
+    return np.bincount(positions, minlength=len(LATENCY_BUCKETS_US) + 1)[:-1].tolist()
+
+
 def _empty_cache_block() -> dict:
     from repro.serve.cache import empty_cache_stats
 
@@ -111,7 +122,6 @@ class TelemetryCollector:
             # doubles, not float objects: 8 B a sample, and nothing the
             # cyclic collector walks
             self._latencies_us = array("d")
-            self._buckets = [0] * len(LATENCY_BUCKETS_US)
             self._records: List[dict] = []
             self._swaps = 0
             self._merged_from = 1
@@ -151,7 +161,6 @@ class TelemetryCollector:
         with self._lock:
             hits = self._hits
             latencies = self._latencies_us
-            buckets = self._buckets
             records = self._records if self.keep_records else None
             queries = self._queries
             fallbacks = self._fallbacks
@@ -182,10 +191,6 @@ class TelemetryCollector:
                     predicted_total += predicted
                     actual_total += actual
                     latencies.append(latency_us)
-                    for pos, bound in enumerate(LATENCY_BUCKETS_US):
-                        if latency_us <= bound:
-                            buckets[pos] += 1
-                            break
                     if records is not None:
                         records.append(
                             {
@@ -306,7 +311,6 @@ class TelemetryCollector:
                 "actual_total": self._actual_total,
                 "max_abs_error": self._max_abs_error,
                 "latencies_us": array("d", self._latencies_us),
-                "buckets": list(self._buckets),
                 "records": list(self._records),
                 "swaps": self._swaps,
                 "merged_from": self._merged_from,
@@ -322,9 +326,9 @@ class TelemetryCollector:
     def absorb(self, other: "TelemetryCollector") -> None:
         """Fold another collector's observations into this one.
 
-        Counters and row totals add exactly; histograms add bucket-wise;
-        the retained latency samples concatenate, so percentile queries
-        on the merged collector are exact nearest-rank over the union.
+        Counters and row totals add exactly; the retained latency samples
+        concatenate, so the merged collector's histogram and percentiles
+        are those of the union.
         Per-query records concatenate only when both sides retained them
         — otherwise the merged collector drops records (a partial record
         list would violate the one-record-per-query invariant).
@@ -340,8 +344,6 @@ class TelemetryCollector:
             self._actual_total += state["actual_total"]
             self._max_abs_error = max(self._max_abs_error, state["max_abs_error"])
             self._latencies_us.extend(state["latencies_us"])
-            for pos, count in enumerate(state["buckets"]):
-                self._buckets[pos] += count
             self._swaps += state["swaps"]
             self._merged_from += state["merged_from"]
             for structure, count in state["executor_errors"].items():
@@ -442,7 +444,9 @@ class TelemetryCollector:
                     "max": max(samples) if samples else 0.0,
                     "histogram": [
                         {"le": bound, "count": count}
-                        for bound, count in zip(LATENCY_BUCKETS_US, self._buckets)
+                        for bound, count in zip(
+                            LATENCY_BUCKETS_US, _bucket_counts(samples)
+                        )
                     ],
                 },
                 "cost": {

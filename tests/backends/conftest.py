@@ -27,7 +27,7 @@ class Bundle:
         self.fact = tpcd_serving_fact(n_dims, integral_measures=True)
         self.model = LinearCostModel.from_fact(self.fact)
         self.selection = tuple(serving_advise(self.model).selected)
-        views, indexes = resolve_selection(self.selection)
+        views, indexes = resolve_selection(self.selection, self.fact.schema.names)
         self.catalog = Catalog(self.fact)
         materialize_selection(self.catalog, views, indexes)
         self.executor = Executor(self.catalog, self.model)

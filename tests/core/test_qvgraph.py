@@ -202,8 +202,3 @@ class TestFromCube:
     def test_payloads_preserved(self, tpcd_g):
         struct = tpcd_g.structure("ps")
         assert struct.payload == View.of("p", "s")
-
-    def test_keep_useless_index_edges_flag(self, tpcd_lat):
-        g = QueryViewGraph.from_cube(tpcd_lat, skip_useless_index_edges=False)
-        g2 = QueryViewGraph.from_cube(tpcd_lat, skip_useless_index_edges=True)
-        assert g.n_edges > g2.n_edges

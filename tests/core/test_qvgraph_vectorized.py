@@ -1,22 +1,22 @@
-"""The bitmask fast path of :meth:`QueryViewGraph.from_cube` and the bulk
-edge-block storage behind it.
+"""The bitmask compile of :meth:`QueryViewGraph.from_cube` and the one
+edge store behind it.
 
-The per-edge loop (``QueryViewGraph._from_cube_per_edge``, the path for
-inputs the fast path cannot take) is the reference; the fast path must
-produce a node-for-node, edge-for-edge, value-identical graph.
+The per-edge loop ``from_cube`` used to keep (``reference_from_cube`` in
+``tests/core/from_cube_reference.py``) is the reference; ``from_cube``
+must produce a node-for-node, edge-for-edge, value-identical graph.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.benefit import BenefitEngine
-from repro.core.costmodel import LinearCostModel
 from repro.core.lattice import CubeLattice
-from repro.core.qvgraph import QueryViewGraph, _index_enumerator
+from repro.core.qvgraph import QueryViewGraph
 from repro.core.query import SliceQuery, enumerate_slice_queries
 from repro.core.view import View
 from repro.cube.schema import CubeSchema, Dimension
 from repro.estimation.sizes import analytical_lattice
+from tests.core.from_cube_reference import reference_from_cube
 
 
 def lattice_of(n_dims: int) -> CubeLattice:
@@ -25,26 +25,6 @@ def lattice_of(n_dims: int) -> CubeLattice:
         [Dimension(chr(ord("a") + i), c) for i, c in enumerate(cards)]
     )
     return analytical_lattice(schema, max(1.0, 0.1 * schema.dense_cells))
-
-
-def per_edge(
-    lat: CubeLattice,
-    queries=None,
-    frequencies=None,
-    index_universe: str = "fat",
-    skip_useless_index_edges: bool = True,
-) -> QueryViewGraph:
-    """The per-edge loop on ``from_cube``'s default inputs."""
-    if queries is None:
-        queries = list(enumerate_slice_queries(lat.schema.names))
-    return QueryViewGraph._from_cube_per_edge(
-        lat,
-        list(queries),
-        dict(frequencies or {}),
-        LinearCostModel(lat),
-        _index_enumerator(index_universe),
-        skip_useless_index_edges,
-    )
 
 
 def graphs_equal(a: QueryViewGraph, b: QueryViewGraph) -> None:
@@ -56,9 +36,9 @@ def graphs_equal(a: QueryViewGraph, b: QueryViewGraph) -> None:
         (s.name, s.kind, s.space, s.view_name) for s in b.structures
     ]
     assert a.n_edges == b.n_edges
-    ea = sorted(a.edges())
-    eb = sorted(b.edges())
-    assert ea == eb  # exact float equality included
+    # both in CSR order; exact float equality included
+    assert list(a.edges()) == list(b.edges())
+    assert BenefitEngine(a).fingerprint() == BenefitEngine(b).fingerprint()
 
 
 @pytest.mark.parametrize("n_dims", [1, 2, 3])
@@ -66,7 +46,7 @@ def graphs_equal(a: QueryViewGraph, b: QueryViewGraph) -> None:
 def test_fast_path_identical_to_reference(n_dims, index_universe):
     lat = lattice_of(n_dims)
     fast = QueryViewGraph.from_cube(lat, index_universe=index_universe)
-    graphs_equal(fast, per_edge(lat, index_universe=index_universe))
+    graphs_equal(fast, reference_from_cube(lat, index_universe=index_universe))
 
 
 def test_fast_path_identical_with_frequencies_and_subset_of_queries():
@@ -74,13 +54,7 @@ def test_fast_path_identical_with_frequencies_and_subset_of_queries():
     queries = list(enumerate_slice_queries(lat.schema.names))[::3]
     freqs = {q: 1.0 + (i % 4) for i, q in enumerate(queries)}
     fast = QueryViewGraph.from_cube(lat, queries, frequencies=freqs)
-    graphs_equal(fast, per_edge(lat, queries, frequencies=freqs))
-
-
-def test_fast_path_identical_without_useless_edge_skip():
-    lat = lattice_of(2)
-    fast = QueryViewGraph.from_cube(lat, skip_useless_index_edges=False)
-    graphs_equal(fast, per_edge(lat, skip_useless_index_edges=False))
+    graphs_equal(fast, reference_from_cube(lat, queries, frequencies=freqs))
 
 
 def test_fast_path_identical_when_empty_view_has_two_rows():
@@ -95,17 +69,13 @@ def test_fast_path_identical_when_empty_view_has_two_rows():
         ]
     }
     lat = CubeLattice(schema, sizes)
-    for skip in (True, False):
-        graphs_equal(
-            QueryViewGraph.from_cube(lat, skip_useless_index_edges=skip),
-            per_edge(lat, skip_useless_index_edges=skip),
-        )
+    graphs_equal(QueryViewGraph.from_cube(lat), reference_from_cube(lat))
 
 
 def test_compiled_engines_identical():
     lat = lattice_of(3)
     fast = BenefitEngine(QueryViewGraph.from_cube(lat))
-    slow = BenefitEngine(per_edge(lat))
+    slow = BenefitEngine(reference_from_cube(lat))
     assert fast.n_structures == slow.n_structures
     for sid in range(fast.n_structures):
         assert np.array_equal(fast.cost_row(sid), slow.cost_row(sid))
@@ -114,29 +84,18 @@ def test_compiled_engines_identical():
     assert np.array_equal(fast.spaces, slow.spaces)
 
 
-def test_subclassed_cost_model_falls_back_silently(monkeypatch):
-    """A subclassed cost model, or a subclassed query, takes the per-edge
-    loop and still builds the same graph."""
+def test_subclassed_queries_compile_like_plain_ones():
+    """A :class:`SliceQuery` subclass goes through the same kernel."""
     lat = lattice_of(2)
-
-    class OddModel(LinearCostModel):
-        pass
 
     class OddQuery(SliceQuery):
         pass
 
-    ref = QueryViewGraph.from_cube(lat)
-
-    def no_fast_path(*args):
-        raise AssertionError("a subclassed input took the fast path")
-
-    monkeypatch.setattr(QueryViewGraph, "_from_cube_vectorized", no_fast_path)
     odd = [
         OddQuery(q.groupby, q.selection)
         for q in enumerate_slice_queries(lat.schema.names)
     ]
-    graphs_equal(ref, QueryViewGraph.from_cube(lat, cost_model=OddModel(lat)))
-    graphs_equal(ref, QueryViewGraph.from_cube(lat, odd))
+    graphs_equal(QueryViewGraph.from_cube(lat), QueryViewGraph.from_cube(lat, odd))
 
 
 class TestBulkEdges:
@@ -160,12 +119,15 @@ class TestBulkEdges:
         g.validate()
 
     def test_parallel_edges_resolve_to_minimum(self):
+        """``add_edge`` and ``add_edges_bulk`` append to one store: the
+        graph and its engine read the same single edge."""
         g = self.graph()
         g.add_edge("q0", "v", 9.0)
         g.add_edges_bulk(np.array([0, 0]), np.array([0, 0]), np.array([7.0, 3.0]))
-        assert g.edge_cost("q0", "v") == 3.0
-        q_idx, s_idx, costs = g.edge_arrays()
         engine = BenefitEngine(g)
+        assert g.n_edges == engine.nnz == 1
+        assert g.edge_cost("q0", "v") == 3.0
+        assert list(g.edges()) == [("q0", "v", 3.0)]
         assert engine.edge_cost_by_id(0, 0) == 3.0
 
     def test_misaligned_arrays_rejected(self):
@@ -197,9 +159,14 @@ class TestBulkEdges:
         assert g.n_edges == 0
 
     def test_edge_arrays_mix_dict_and_blocks(self):
+        """Single edges and blocks come back in CSR order: by structure,
+        then by query."""
         g = self.graph()
         g.add_edge("q1", "v", 8.0)
         g.add_edges_bulk(np.array([0]), np.array([1]), np.array([2.5]))
+        g.add_edge("q0", "v", 4.0)
         q_idx, s_idx, costs = g.edge_arrays()
-        triples = sorted(zip(q_idx.tolist(), s_idx.tolist(), costs.tolist()))
-        assert triples == [(0, 1, 2.5), (1, 0, 8.0)]
+        assert list(zip(q_idx.tolist(), s_idx.tolist(), costs.tolist())) == [
+            (0, 0, 4.0), (1, 0, 8.0), (0, 1, 2.5),
+        ]
+        assert not costs.flags.writeable

@@ -97,18 +97,31 @@ class TestViewOrder:
 
 class TestParseView:
     def test_parse_compact(self):
-        assert parse_view("ps") == View.of("p", "s")
+        assert parse_view("ps", "psc") == View.of("p", "s")
 
     def test_parse_comma(self):
-        assert parse_view("part,customer") == View.of("part", "customer")
+        names = ["part", "supplier", "customer"]
+        assert parse_view("part,customer", names) == View.of("part", "customer")
 
     def test_parse_none(self):
-        assert parse_view("none") == View.none()
-        assert parse_view("") == View.none()
+        assert parse_view("none", "psc") == View.none()
+        assert parse_view("", "psc") == View.none()
 
     def test_parse_strips_whitespace(self):
-        assert parse_view(" part , customer ") == View.of("part", "customer")
+        names = ["part", "customer"]
+        assert parse_view(" part , customer ", names) == View.of("part", "customer")
 
     def test_roundtrip_single_char(self):
         view = View.of("x", "y", "z")
-        assert parse_view(str(view)) == view
+        assert parse_view(str(view), "xyz") == view
+
+    def test_label_naming_one_attribute_is_that_attribute(self):
+        names = ["store", "item", "week"]
+        assert parse_view("week", names) == View.of("week")
+        assert parse_view("store,week", names) == View.of("store", "week")
+        for view in (View.of("store"), View.of("item", "week"), View.none()):
+            assert parse_view(str(view), names) == view
+
+    def test_unknown_attribute_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown dimensions \['x'\]"):
+            parse_view("px", "psc")

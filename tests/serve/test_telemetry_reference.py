@@ -7,8 +7,10 @@ the scalar counters held in locals and written back once.  For the same
 observations, split into the same batches, both must leave the same
 state: both row totals by ``float.hex`` (added one observation at a
 time, in input order), the per-structure hit counts and their insertion
-order, latency samples and buckets, exact matches, ``max_abs_error``
-and the per-query records.
+order, latency samples, exact matches, ``max_abs_error`` and the
+per-query records.  The collector counts its latency histogram from
+the samples at snapshot time; the reference keeps the former
+per-observation bucket loop, and the two histograms must be equal.
 """
 
 import json
@@ -38,7 +40,7 @@ def reference_record_locked(
     self._latencies_us.append(float(latency_us))
     for pos, bound in enumerate(LATENCY_BUCKETS_US):
         if latency_us <= bound:
-            self._buckets[pos] += 1
+            self.buckets[pos] += 1
             break
     if self.keep_records:
         self._records.append(
@@ -50,6 +52,15 @@ def reference_record_locked(
                 "fallback": bool(fallback),
             }
         )
+
+
+class ReferenceCollector(TelemetryCollector):
+    """A collector that also keeps the former per-observation bucket
+    counts."""
+
+    def reset(self):
+        super().reset()
+        self.buckets = [0] * len(LATENCY_BUCKETS_US)
 
 
 def reference_record_many(collector, observations):
@@ -76,7 +87,7 @@ def state_of(collector: TelemetryCollector) -> dict:
         "actual_total": float.hex(collector._actual_total),
         "max_abs_error": float.hex(collector._max_abs_error),
         "latencies": [float.hex(x) for x in collector._latencies_us],
-        "buckets": list(collector._buckets),
+        "histogram": collector.snapshot()["latency_us"]["histogram"],
         "records": [
             [(key, exact(value)) for key, value in record.items()]
             for record in collector._records
@@ -87,6 +98,9 @@ def state_of(collector: TelemetryCollector) -> dict:
 
 def assert_same_collector(collector, reference) -> None:
     assert state_of(collector) == state_of(reference)
+    if isinstance(reference, ReferenceCollector):
+        histogram = collector.snapshot()["latency_us"]["histogram"]
+        assert [bucket["count"] for bucket in histogram] == reference.buckets
     assert json.dumps(collector.snapshot()) == json.dumps(reference.snapshot())
 
 
@@ -136,7 +150,7 @@ def test_record_many_equals_reference_loop(keep_records, batches):
     totals whose rounding depends on the order of addition: the same
     batches leave the same collector, with records kept or not."""
     collector = TelemetryCollector(keep_records=keep_records)
-    reference = TelemetryCollector(keep_records=keep_records)
+    reference = ReferenceCollector(keep_records=keep_records)
     for batch in batches:
         collector.record_many(batch)
         reference_record_many(reference, batch)
@@ -154,7 +168,7 @@ class TestRecordManyCases:
             ("q", "ps", 1.0, 1.0, 1, False),
         ]
         collector = TelemetryCollector()
-        reference = TelemetryCollector()
+        reference = ReferenceCollector()
         collector.record_many(batch)
         reference_record_many(reference, batch)
         assert collector._predicted_total == 1e16
@@ -195,7 +209,7 @@ class TestRecordManyCases:
             ("q", "ps", 1.0, 2.0, 2, False),
         ]
         collector = TelemetryCollector()
-        reference = TelemetryCollector()
+        reference = ReferenceCollector()
         with pytest.raises(ValueError):
             collector.record_many(batch)
         with pytest.raises(ValueError):

@@ -27,6 +27,19 @@ class TestLatticeRoundTrip:
         assert restored.schema.names == tpcd_lat.schema.names
         assert restored.schema.measure == tpcd_lat.schema.measure
 
+    def test_word_attribute_names_round_trip(self):
+        """``store`` is the view {store}, not {s, t, o, r, e}."""
+        from repro.cube.schema import CubeSchema, Dimension
+        from repro.estimation.sizes import analytical_lattice
+
+        schema = CubeSchema(
+            [Dimension("store", 30), Dimension("item", 80), Dimension("week", 20)]
+        )
+        lattice = analytical_lattice(schema, 0.15 * schema.dense_cells)
+        restored = round_trip_lattice(lattice)
+        assert restored.sizes() == lattice.sizes()
+        assert restored.size(View.of("week")) == lattice.size(View.of("week"))
+
     def test_file_round_trip(self, tpcd_lat, tmp_path):
         path = tmp_path / "cube.json"
         save_lattice(tpcd_lat, path)
