@@ -13,9 +13,11 @@ for a slice of the workload so the fact-table path is exercised even
 when the advised selection answers everything.
 
 Each dimension count then applies a fact-table delta through
-:mod:`repro.engine.maintenance` and replays again: the catalog version
-bump must rebuild the SQLite mirror (the harness asserts the reload
-happened) and the refreshed answers must again match.
+:mod:`repro.engine.maintenance`, in two calls (its first half, then the
+rest, so the second merges into tables a merge produced), and replays
+again: the catalog version bump must rebuild the SQLite mirror (the
+harness asserts the reload happened) and the refreshed answers must
+again match.
 
 Exit status 0 means zero mismatches anywhere — the contract the
 ``sql-backend-smoke`` CI job enforces; 1 a mismatch or a missed mirror
@@ -135,14 +137,22 @@ def run_diff(
             before = diff_replay(executor, backend, fact, model, log)
 
             # the maintenance leg: a delta bumps catalog.version, which
-            # must rebuild the mirror before the replay sees fresh rows
+            # must rebuild the mirror before the replay sees fresh rows.
+            # Its rows go in two calls, so the second merges into tables
+            # the first produced; integer measures make the sums exact
             n_delta = max(1, fact.n_rows // 10)
             delta_columns = {
                 name: rng.integers(0, schema.cardinality(name), size=n_delta)
                 for name in schema.names
             }
             delta_measures = rng.integers(0, 1000, size=n_delta).astype(np.float64)
-            apply_delta(catalog, delta_columns, delta_measures)
+            halves = (slice(None, n_delta // 2), slice(n_delta // 2, None))
+            for rows in halves:
+                apply_delta(
+                    catalog,
+                    {name: column[rows] for name, column in delta_columns.items()},
+                    delta_measures[rows],
+                )
             fact = catalog.fact
             executor = Executor(catalog, model)
             reloaded = backend.sync(catalog)
@@ -158,6 +168,7 @@ def run_diff(
                 "selection": list(selection),
                 "before_delta": before,
                 "delta_rows": int(n_delta),
+                "deltas": len(halves),
                 "mirror_reloaded_after_delta": bool(reloaded),
                 "after_delta": after,
                 "seconds": time.perf_counter() - start,

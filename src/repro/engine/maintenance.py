@@ -81,6 +81,11 @@ def _merge_rows(
     concatenated rows sums them.  With no new group the merged table
     keeps ``base``'s row numbering and shares its key columns.
 
+    Only the delta is coded: ``base`` hands its :attr:`ViewTable.codes`
+    on, recoded only when the delta raises one of its radices, with the
+    new groups' codes inserted.  Every delta key lands in the merged
+    table, so its radix is the merge's radices, not rescanned.
+
     Returns the merged table and the delta's group count, or ``None``
     for keys whose codes overflow ``intp``.
     """
@@ -88,15 +93,15 @@ def _merge_rows(
     groups = group_rows([keys[a] for a in base.attrs], dims)
     if groups.codes is None:
         return None
-    if base.attrs:
-        base_codes = key_codes([base.key_columns[a] for a in base.attrs], dims)
-    else:  # the empty key's one code
-        base_codes = np.zeros(base.n_rows, dtype=np.intp)
+    if dims == tuple(base.radix[a] for a in base.attrs):
+        codes = base.codes
+    else:
+        codes = key_codes([base.key_columns[a] for a in base.attrs], dims)
     sums = [_fold(groups, column, agg) for column in columns]
 
-    pos = np.searchsorted(base_codes, groups.codes)
-    found = pos < len(base_codes)
-    found[found] = base_codes[pos[found]] == groups.codes[found]
+    pos = np.searchsorted(codes, groups.codes)
+    found = pos < len(codes)
+    found[found] = codes[pos[found]] == groups.codes[found]
     merged = [column + 0.0 for column in (base.values, *base.extra_values.values())]
     for column, added in zip(merged, sums):
         column[pos[found]] += added[found]
@@ -117,6 +122,8 @@ def _merge_rows(
         merged = [
             np.insert(column, at, added[new]) for column, added in zip(merged, sums)
         ]
+        codes = np.insert(codes, at, groups.codes[new])
+        codes.flags.writeable = False
     table = ViewTable(
         base.view,
         base.attrs,
@@ -126,6 +133,7 @@ def _merge_rows(
         extra_values=dict(zip(base.extra_values, merged[1:])),
         measure=base.measure,
     )
+    table.radix, table.codes = dict(zip(base.attrs, dims)), codes
     return table, groups.n_groups
 
 
@@ -206,11 +214,6 @@ def apply_delta(
     delta = FactTable(
         schema, delta_columns, delta_measures, extra_measures=delta_extra_measures
     )
-    if set(delta.extra_measures) != set(catalog.fact.extra_measures):
-        raise ValueError(
-            f"delta measures {sorted(delta.measure_names)} do not match the "
-            f"catalog's {sorted(catalog.fact.measure_names)}"
-        )
     bases = {view: catalog.view_table(view) for view in catalog.views()}
     for view, base in bases.items():
         if base.agg not in _MERGEABLE:
@@ -224,19 +227,9 @@ def apply_delta(
                 f"match the delta's {sorted(delta.extra_measures)}"
             )
 
-    # 1. stage the extended fact table
-    merged_columns = {
-        name: np.concatenate([catalog.fact.column(name), delta.column(name)])
-        for name in schema.names
-    }
-    merged_measures = np.concatenate([catalog.fact.measures, delta.measures])
-    merged_extras = {
-        name: np.concatenate([catalog.fact.extra_measures[name], column])
-        for name, column in delta.extra_measures.items()
-    }
-    fact = FactTable(
-        schema, merged_columns, merged_measures, extra_measures=merged_extras
-    )
+    # 1. stage the extended fact table: the catalog's facts and the
+    # delta were both validated, so no row is checked again
+    fact = catalog.fact.append(delta)
     staged = Catalog(fact)
     report = RefreshReport(
         delta_rows=delta.n_rows, views_refreshed=tuple(str(view) for view in bases)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import abc
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -289,6 +290,37 @@ class FactTable:
         }
         self.radix = _radix(self.columns)
 
+    def append(self, delta: "FactTable") -> "FactTable":
+        """A new table of this table's rows followed by ``delta``'s; this
+        table is unchanged.
+
+        ``delta`` must have this table's schema and measure set.  Both
+        tables' columns were checked when they were built, so no row is
+        checked again, and each radix is the larger of the two.
+        """
+        if delta.schema is not self.schema:
+            raise ValueError("cannot append a table of another schema")
+        if set(delta.extra_measures) != set(self.extra_measures):
+            raise ValueError(
+                f"delta measures {sorted(delta.measure_names)} do not match "
+                f"the table's {sorted(self.measure_names)}"
+            )
+        table = object.__new__(FactTable)
+        table.schema = self.schema
+        table.columns = {
+            name: np.concatenate([column, delta.columns[name]])
+            for name, column in self.columns.items()
+        }
+        table.measures = np.concatenate([self.measures, delta.measures])
+        table.extra_measures = {
+            name: np.concatenate([column, delta.extra_measures[name]])
+            for name, column in self.extra_measures.items()
+        }
+        table.radix = {
+            name: max(radix, delta.radix[name]) for name, radix in self.radix.items()
+        }
+        return table
+
     @property
     def n_rows(self) -> int:
         return len(self.measures)
@@ -328,7 +360,10 @@ class ViewTable:
 
     ``attrs`` fixes the column order of the keys (schema order).  The table
     is sorted lexicographically by key, which lets the executor and the
-    index builder work with plain arrays.
+    index builder work with plain arrays.  :attr:`radix` and
+    :attr:`codes` are derived from the key columns when first read; a
+    delta merge (:mod:`repro.engine.maintenance`) hands both to the
+    table it builds.
     """
 
     def __init__(
@@ -358,7 +393,29 @@ class ViewTable:
         lengths.update(len(col) for col in self.extra_values.values())
         if len(lengths) != 1:
             raise ValueError("key/value column lengths differ")
-        self.radix = _radix(self.key_columns)
+
+    @cached_property
+    def radix(self) -> Dict[str, int]:
+        """Each key column's max + 1 (0 when empty): the radices that
+        code this table's keys."""
+        return _radix(self.key_columns)
+
+    @cached_property
+    def codes(self) -> Optional[np.ndarray]:
+        """The rows' :func:`key_codes` under :attr:`radix`, ascending and
+        read-only (the empty key's rows are code 0); ``None`` when they
+        overflow ``intp``."""
+        if self.attrs:
+            codes = key_codes(
+                [self.key_columns[a] for a in self.attrs],
+                [self.radix[a] for a in self.attrs],
+            )
+            if codes is None:
+                return None
+        else:
+            codes = np.zeros(self.n_rows, dtype=np.intp)
+        codes.flags.writeable = False
+        return codes
 
     @property
     def n_rows(self) -> int:

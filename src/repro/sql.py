@@ -22,7 +22,7 @@ select columns.
 
 The module also works in the other direction: :func:`to_sql` (and
 :meth:`ParsedQuery.to_sql`) emit the canonical SQL text of a slice
-query, and ``parse_query(to_sql(...))`` round-trips exactly — the SQL
+query, and ``parse_query(to_sql(...), schema)`` round-trips exactly — the SQL
 backend (:mod:`repro.backends.sqlite`) leans on this to drive a real
 database with the statements the model objects describe.
 """
@@ -80,7 +80,7 @@ def to_sql(
 
     Attributes are emitted in sorted order (both the select/GROUP BY
     list and the WHERE conjunction), so the output is deterministic and
-    ``parse_query(to_sql(q, v)) `` recovers exactly ``q`` and ``v``.
+    ``parse_query(to_sql(q, v), schema)`` recovers exactly ``q`` and ``v``.
     ``values`` must bind every selection attribute — the grammar has no
     way to write an unbound selection.
 
@@ -132,7 +132,7 @@ class ParsedQuery:
     def to_sql(self) -> str:
         """The canonical SQL text of this query (see :func:`to_sql`).
 
-        ``parse_query(parsed.to_sql())`` equals ``parsed`` field for
+        ``parse_query(parsed.to_sql(), schema)`` equals ``parsed`` field for
         field — the emit → parse round trip the tests enforce.
         """
         return to_sql(
@@ -186,17 +186,20 @@ def _split_commas(text: str) -> List[str]:
 
 def parse_query(
     text: str,
-    schema: Optional[CubeSchema] = None,
+    schema: CubeSchema,
     extra_measures: Tuple[str, ...] = (),
 ) -> ParsedQuery:
     """Parse one SELECT statement into a :class:`ParsedQuery`.
 
-    With a ``schema``, attributes and the measure are validated against
-    it (plus any ``extra_measures`` the fact table carries); without
-    one, any identifiers are accepted.
+    Attributes and the measure are validated against ``schema`` (plus
+    any ``extra_measures`` the fact table carries) before the slice
+    query is built, so a statement naming an unknown attribute interns
+    no query.
 
+    >>> from repro.cube.schema import Dimension
+    >>> schema = CubeSchema([Dimension("p", 20), Dimension("s", 20)])
     >>> parsed = parse_query(
-    ...     "SELECT p, SUM(sales) FROM cube WHERE s = 17 GROUP BY p")
+    ...     "SELECT p, SUM(sales) FROM cube WHERE s = 17 GROUP BY p", schema)
     >>> str(parsed.query)
     'γ(p)σ(s)'
     >>> parsed.values
@@ -270,16 +273,12 @@ def parse_query(
             f"attributes {sorted(overlap)} appear in both GROUP BY and WHERE"
         )
 
-    if schema is not None:
-        known = set(schema.names)
-        unknown = (set(groupby) | set(values)) - known
-        if unknown:
-            raise SqlError(f"unknown attributes {sorted(unknown)}")
-        allowed = {"*", schema.measure, *extra_measures}
-        if measure not in allowed:
-            raise SqlError(
-                f"unknown measure {measure!r} (available: {sorted(allowed)})"
-            )
+    unknown = (set(groupby) | set(values)) - set(schema.names)
+    if unknown:
+        raise SqlError(f"unknown attributes {sorted(unknown)}")
+    allowed = {"*", schema.measure, *extra_measures}
+    if measure not in allowed:
+        raise SqlError(f"unknown measure {measure!r} (available: {sorted(allowed)})")
 
     return ParsedQuery(
         query=SliceQuery(groupby=groupby, selection=values.keys()),
@@ -290,9 +289,10 @@ def parse_query(
     )
 
 
-def run_sql(executor, text: str, schema: Optional[CubeSchema] = None):
+def run_sql(executor, text: str):
     """Parse and execute a statement against an engine executor.
 
+    The statement is validated against the executor's fact schema.
     Returns the executor's :class:`~repro.engine.executor.QueryResult`.
     ``count`` aggregates are served by re-aggregation only when the plan
     scans a base table whose measure is the count; for the row-count
@@ -300,11 +300,8 @@ def run_sql(executor, text: str, schema: Optional[CubeSchema] = None):
     path.
     """
     fact = executor.catalog.fact
-    if schema is None:
-        schema = fact.schema
-    parsed = parse_query(
-        text, schema=schema, extra_measures=tuple(fact.extra_measures)
-    )
+    schema = fact.schema
+    parsed = parse_query(text, schema, extra_measures=tuple(fact.extra_measures))
     measure = None
     if parsed.measure not in ("*", schema.measure):
         measure = parsed.measure

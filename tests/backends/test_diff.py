@@ -30,6 +30,7 @@ class TestRunDiff:
         assert report["reload_failures"] == 0
         run = report["runs"][0]
         assert run["mirror_reloaded_after_delta"] is True
+        assert run["deltas"] == 2  # the second merges into merged tables
         assert total["queries"] == total["prefix"] + total["scan"] + total["raw"]
         assert total["raw"] > 0  # forced raw legs exercised the fallback
 

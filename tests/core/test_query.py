@@ -184,7 +184,7 @@ class TestInterning:
             "SELECT p, SUM(sales) FROM cube WHERE s = 2 GROUP BY p", schema=schema
         )
         assert parsed.query is SliceQuery(groupby=["p"], selection=["s"])
-        assert parse_query("SELECT SUM(sales) FROM cube").query is SliceQuery()
+        assert parse_query("SELECT SUM(sales) FROM cube", schema).query is SliceQuery()
 
     def test_navigation_returns_the_interned_objects(self):
         from repro.cube.generator import generate_fact_table

@@ -58,6 +58,32 @@ class TestKeyColumns:
         after = (catalog.fact, catalog.view_table(View.of("a")), catalog.version)
         assert all(x is y for x, y in zip(before, after))
 
+    @pytest.mark.parametrize(
+        "columns,match",
+        [
+            ({"a": [-1, 1, 2], "b": [0, 1, 2]}, r"'a' has values outside \[0, 6\)"),
+            ({"a": [0, 1, 2], "b": [0, 4, 2]}, r"'b' has values outside \[0, 4\)"),
+            ({"a": [0, 1], "b": [0, 1, 2]}, "column lengths differ"),
+        ],
+        ids=["negative", "cardinality", "unequal-lengths"],
+    )
+    def test_out_of_range_or_ragged_delta_leaves_catalog_unchanged(
+        self, columns, match
+    ):
+        """The extended fact table is not checked again, so the delta's
+        own checks are all that guard it."""
+        catalog = Catalog(generate_fact_table(SCHEMA, 40, rng=0))
+        for attrs in ((), ("a",), ("a", "b")):
+            catalog.materialize(View(attrs))
+        # a first delta leaves every view holding its codes
+        apply_delta(catalog, {"a": [1, 5], "b": [3, 0]}, np.ones(2))
+        views = list(catalog.views())
+        before = (catalog.fact, *map(catalog.view_table, views), catalog.version)
+        with pytest.raises(ValueError, match=match):
+            apply_delta(catalog, columns, np.ones(3))
+        after = (catalog.fact, *map(catalog.view_table, views), catalog.version)
+        assert all(x is y for x, y in zip(before, after))
+
 
 def one_row_table(agg, value=5.0, measure="sales"):
     return ViewTable(

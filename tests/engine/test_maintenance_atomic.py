@@ -2,10 +2,11 @@
 
 ``apply_delta`` stages the extended fact table, the merged views and the
 kept or rebuilt indexes, and publishes them, with the version bump, only
-once all are built.  A failure injected at any view merge or index build
-must leave the catalog's fact table, version, view tables and sorted
-indexes the same objects in the same order; retrying the delta then
-gives the catalog that an uninterrupted run gives.  At server level, the
+once all are built.  A failure injected at the fact append, any view
+merge or any index build must leave the catalog's fact table, version,
+view tables and sorted indexes the same objects in the same order;
+retrying the delta then gives the catalog that an uninterrupted run
+gives.  At server level, the
 answers after such a failure still equal a raw scan of the server's
 facts.
 """
@@ -24,7 +25,7 @@ from repro.cube.generator import generate_fact_table
 from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog, SortedIndex
 from repro.engine.maintenance import apply_delta
-from repro.engine.table import FactTable, ViewTable
+from repro.engine.table import FactTable
 from repro.serve import QueryServer, ResultCache
 from repro.serve.batch import execute_raw, raw_plan
 
@@ -93,30 +94,29 @@ def test_uninterrupted_delta_merges_every_view_and_rebuilds_both_indexes():
     assert report.indexes_rebuilt == tuple(str(index) for index in INDEXES)
 
 
-# one injection point per staged structure: the extended fact table,
-# each view merge and each index build
-INJECTIONS = [(maintenance, "FactTable", FactTable, 2)]
+# one injection point per staged structure: the extended fact table
+# (FactTable.append of the validated delta), each view merge and each
+# index build
+INJECTIONS = [pytest.param(FactTable, "append", 1, id="FactTable.append-1")]
 INJECTIONS += [
-    (maintenance, "ViewTable", ViewTable, n) for n in range(1, len(VIEWS) + 1)
+    pytest.param(maintenance, "ViewTable", n, id=f"ViewTable-{n}")
+    for n in range(1, len(VIEWS) + 1)
 ]
 INJECTIONS += [
-    (catalog_module, "SortedIndex", SortedIndex, n) for n in range(1, len(INDEXES) + 1)
+    pytest.param(catalog_module, "SortedIndex", n, id=f"SortedIndex-{n}")
+    for n in range(1, len(INDEXES) + 1)
 ]
 
 
-@pytest.mark.parametrize(
-    "module,name,make,call",
-    INJECTIONS,
-    ids=[f"{name}-{call}" for __, name, __, call in INJECTIONS],
-)
+@pytest.mark.parametrize("owner,name,call", INJECTIONS)
 def test_failure_leaves_catalog_untouched_and_retry_completes(
-    monkeypatch, module, name, make, call
+    monkeypatch, owner, name, call
 ):
     catalog = make_catalog()
     before, state = structures(catalog), catalog_state(catalog)
     version = catalog.version
     with monkeypatch.context() as patch:
-        patch.setattr(module, name, failing_on(call, make))
+        patch.setattr(owner, name, failing_on(call, getattr(owner, name)))
         with pytest.raises(MemoryError, match="injected"):
             apply_delta(catalog, *make_delta())
     assert same_objects(before, structures(catalog))

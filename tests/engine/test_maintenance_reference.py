@@ -9,6 +9,12 @@ After any sequence of deltas both must leave the same catalog bit for
 bit: each view's key columns (values and dtype), measures (compared by
 ``float.hex``), radix, aggregate and row count, each index's entries,
 the order of views and indexes, and the report's row counts.
+
+The engine codes only the delta: a merged view carries its key codes
+and its radix from the merge.  After every delta each view's carried
+codes must equal a recount under its radix (none on the overflow
+path), its radix a rescan of its key columns, and a view that gained no
+group must hold its base's codes array itself.
 """
 
 import itertools
@@ -22,7 +28,8 @@ from repro.cube.schema import CubeSchema, Dimension
 from repro.engine.catalog import Catalog, SortedIndex
 from repro.engine.maintenance import RefreshReport, apply_delta, merge_view_tables
 from repro.engine.materialize import materialize_view
-from repro.engine.table import FactTable, ViewTable
+from repro.engine.storage import load_catalog, save_catalog
+from repro.engine.table import FactTable, ViewTable, key_codes
 
 from tests.engine.grouping_reference import _aggregate, _group_keys
 
@@ -156,6 +163,37 @@ def catalog_state(catalog: Catalog):
     }
 
 
+def carried_codes(table: ViewTable):
+    """The codes ``table`` holds (``None``: it holds none yet), read
+    without computing them."""
+    return vars(table).get("codes")
+
+
+def check_carried_state(catalog: Catalog, bases) -> None:
+    """Each view table's carried state after a delta; ``bases`` maps
+    each view to its table before the delta."""
+    for view in catalog.views():
+        table, base = catalog.view_table(view), bases[view]
+        columns = [table.key_columns[a] for a in table.attrs]
+        rescan = {
+            a: int(column.max()) + 1 if len(column) else 0
+            for a, column in zip(table.attrs, columns)
+        }
+        assert table.radix == rescan
+        if table.attrs:
+            recount = key_codes(columns, [rescan[a] for a in table.attrs])
+        else:
+            recount = np.zeros(table.n_rows, dtype=np.intp)
+        codes = carried_codes(table)
+        if recount is None:  # the overflow path re-groups and carries none
+            assert codes is None
+            continue
+        assert codes.dtype == recount.dtype and codes.tolist() == recount.tolist()
+        assert not codes.flags.writeable
+        if table.n_rows == base.n_rows:
+            assert codes is carried_codes(base)
+
+
 #: measures with signed zeros, which only the summation order tells apart
 SIGNED = np.array([-0.0, 0.0, -0.0, 1.5, -2.25, 0.1, 1e16, -1e16])
 
@@ -257,8 +295,10 @@ def test_deltas_equal_reference(d, dense, agg, extras, seed):
         measures = draw_measures(rng, n)
         extra = {"qty": draw_measures(rng, n)} if extras else None
         before = {index: engine.sorted_index(index) for index in engine.indexes()}
+        bases = {view: engine.view_table(view) for view in engine.views()}
         got = apply_delta(engine, columns, measures, extra)
         want = reference_apply_delta(reference, columns, measures, extra)
+        check_carried_state(engine, bases)
         assert catalog_state(engine) == catalog_state(reference)
         assert (got.delta_rows, got.views_refreshed, got.view_rows_scanned) == (
             want.delta_rows,
@@ -287,10 +327,73 @@ def test_overflowing_key_space_equals_reference(d, agg):
         columns.update(draw_huge(rng, n, HUGE))
         measures = draw_measures(rng, n)
         extra = {"qty": draw_measures(rng, n)}
+        bases = {view: engine.view_table(view) for view in engine.views()}
         got = apply_delta(engine, columns, measures, extra)
         want = reference_apply_delta(reference, columns, measures, extra)
+        check_carried_state(engine, bases)
         assert catalog_state(engine) == catalog_state(reference)
         assert got.view_rows_scanned == want.view_rows_scanned
+
+
+def test_delta_raising_the_radices_of_held_codes_equals_reference():
+    """Facts and a first delta hold back a=3 and b=2, so after it every
+    view holds codes; a second delta that draws both raises the radices
+    of every view but the grand total, whose base is then recoded."""
+    schema = CubeSchema([Dimension("a", 4), Dimension("b", 3)])
+    cells = np.array(list(itertools.product(range(3), range(2))))
+    catalogs = []
+    for __ in range(2):
+        fact = FactTable(schema, {"a": cells[:, 0], "b": cells[:, 1]}, SIGNED[:6])
+        catalog = Catalog(fact)
+        for attrs in ((), ("a",), ("b",), ("a", "b")):
+            catalog.materialize(View(attrs))
+        catalog.build_index(Index(View.of("a", "b"), ("b", "a")))
+        catalogs.append(catalog)
+    engine, reference = catalogs
+    deltas = [
+        ({"a": np.array([2, 0, 2]), "b": np.array([1, 1, 0])}, SIGNED[5:8]),
+        ({"a": np.array([3, 1]), "b": np.array([0, 2])}, SIGNED[2:4]),
+    ]
+    for columns, measures in deltas:
+        bases = {view: engine.view_table(view) for view in engine.views()}
+        apply_delta(engine, columns, measures)
+        reference_apply_delta(reference, columns, measures)
+        check_carried_state(engine, bases)
+        assert catalog_state(engine) == catalog_state(reference)
+    assert all(carried_codes(base) is not None for base in bases.values())
+    for view, base in bases.items():
+        table = engine.view_table(view)
+        assert table.radix == {a: schema.cardinality(a) for a in table.attrs}
+        assert (carried_codes(table) is carried_codes(base)) == (not table.attrs)
+
+
+@pytest.mark.parametrize("agg", ["sum", "count"])
+@pytest.mark.parametrize("seed", range(3))
+def test_reloaded_catalog_merges_like_the_reference(tmp_path, agg, seed):
+    """A catalog saved and loaded between deltas holds no codes; its
+    next merges code its bases afresh and still equal the reference."""
+    rng = np.random.default_rng([seed, agg == "sum"])
+    schema, held, (engine, reference) = build_pair(
+        rng, 3, dense=bool(seed % 2), agg=agg, extras=True, huge=False
+    )
+    for step in range(4):
+        if step == 2:
+            save_catalog(engine, tmp_path)
+            engine = load_catalog(tmp_path)
+            for view in engine.views():
+                assert carried_codes(engine.view_table(view)) is None
+        n = int(rng.integers(0, 61))
+        tops = held if step < 3 else dict.fromkeys(held, 0)
+        columns = draw_keys(rng, schema, n, tops)
+        measures = draw_measures(rng, n)
+        extra = {"qty": draw_measures(rng, n)}
+        bases = {view: engine.view_table(view) for view in engine.views()}
+        apply_delta(engine, columns, measures, extra)
+        reference_apply_delta(reference, columns, measures, extra)
+        check_carried_state(engine, bases)
+        got, want = catalog_state(engine), catalog_state(reference)
+        del got["version"], want["version"]  # a loaded catalog restarts at 0
+        assert got == want
 
 
 @pytest.mark.parametrize("seed", range(6))
